@@ -239,6 +239,19 @@ impl<V: Clone> Shard<V> {
             .map(|i| unsafe { (*t.slots[i].val.load(Ordering::Relaxed)).clone() })
     }
 
+    /// Lock-free membership probe: `Some(present)` once a probe validates,
+    /// `None` if a write storm defeated every optimistic attempt (the
+    /// caller then decides under the writer lock).
+    fn try_contains(&self, key: i64) -> Option<bool> {
+        for _ in 0..OPTIMISTIC_TRIES {
+            match self.try_read(key) {
+                Probe::Valid(found) => return Some(found.is_some()),
+                Probe::Interference => std::hint::spin_loop(),
+            }
+        }
+        None
+    }
+
     // ft-lint: hot-path end(map-read)
 
     /// Probe under the writer lock. Returns the slot index of `key`.
@@ -442,8 +455,18 @@ impl<V: Clone> ShardedMap<V> {
     /// `InsertTaskIfAbsent`: atomically insert `make()` under `key` if no
     /// entry exists. Returns `true` if this call inserted. `make` runs
     /// under the shard lock only when an insert actually happens.
+    ///
+    /// Read before lock: a validated lock-free hit answers `false` without
+    /// touching the shard mutex — the traversal calls this once per graph
+    /// edge and finds the key present on all but the first. The hit
+    /// linearizes at the probe (the key was present then, which is all
+    /// `false` promises); only a miss takes the writer lock, and re-probes
+    /// under it.
     pub fn insert_if_absent(&self, key: i64, make: impl FnOnce() -> V) -> bool {
         let shard = self.shard_for(key);
+        if shard.try_contains(key) == Some(true) {
+            return false;
+        }
         let mut w = shard.writer.lock();
         // SAFETY: writer lock held — the table pointer is stable and live.
         // ord: Relaxed — the lock orders the load against the last swap.
@@ -471,11 +494,8 @@ impl<V: Clone> ShardedMap<V> {
     /// [`ShardedMap::get`] without cloning the value.
     pub fn contains(&self, key: i64) -> bool {
         let shard = self.shard_for(key);
-        for _ in 0..OPTIMISTIC_TRIES {
-            match shard.try_read(key) {
-                Probe::Valid(found) => return found.is_some(),
-                Probe::Interference => std::hint::spin_loop(),
-            }
+        if let Some(present) = shard.try_contains(key) {
+            return present;
         }
         let _guard = shard.writer.lock();
         // SAFETY: writer lock held — the table pointer is stable and live.
@@ -752,6 +772,59 @@ mod tests {
         });
         assert_eq!(winners.load(Ordering::Relaxed), 1000);
         assert_eq!(m.len(), 1000);
+    }
+
+    #[test]
+    fn insert_if_absent_races_inserter_and_replace_exactly_once() {
+        // Per key, released together by a barrier: two `insert_if_absent`
+        // callers and one `replace` (which inserts when the key is absent
+        // and otherwise opens a writer window the lock-free pre-probe must
+        // survive). One shard, so every operation interferes with every
+        // other. Exactly one of the three creates the entry, `make` runs
+        // only for a winning `insert_if_absent`, and the losers' `false`
+        // is never a lie: the key is present when they return.
+        const KEYS: i64 = 400;
+        let m: ShardedMap<u64> = ShardedMap::with_shards(1);
+        let made = AtomicUsize::new(0);
+        let won = AtomicUsize::new(0);
+        let created = AtomicUsize::new(0);
+        let barrier = std::sync::Barrier::new(3);
+        thread::scope(|s| {
+            for tid in 0..2u64 {
+                let (m, made, won, created, barrier) = (&m, &made, &won, &created, &barrier);
+                s.spawn(move || {
+                    for k in 0..KEYS {
+                        barrier.wait();
+                        let inserted = m.insert_if_absent(k, || {
+                            made.fetch_add(1, Ordering::Relaxed);
+                            tid
+                        });
+                        if inserted {
+                            won.fetch_add(1, Ordering::Relaxed);
+                            created.fetch_add(1, Ordering::Relaxed);
+                        }
+                        assert!(m.contains(k), "key {k} absent after insert_if_absent");
+                    }
+                });
+            }
+            let (m, created, barrier) = (&m, &created, &barrier);
+            s.spawn(move || {
+                for k in 0..KEYS {
+                    barrier.wait();
+                    if m.replace(k, 2).is_none() {
+                        created.fetch_add(1, Ordering::Relaxed);
+                    }
+                    // Churn the previous key too: a writer window on a
+                    // neighbouring slot while the others probe for `k`.
+                    if k > 0 {
+                        m.replace(k - 1, 3);
+                    }
+                }
+            });
+        });
+        assert_eq!(created.load(Ordering::Relaxed), KEYS as usize);
+        assert_eq!(made.load(Ordering::Relaxed), won.load(Ordering::Relaxed));
+        assert_eq!(m.len(), KEYS as usize);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! re-execution, recovery initiation, reset, and injected fault is counted.
 //!
 //! Cold-path counters (recoveries, faults, resets) are process-wide
-//! atomics: a compute call dwarfs one `fetch_add`. The per-notification
-//! counters fire on *every graph edge*, so they are [`ShardedCounter`]s —
+//! atomics: they move only when a fault does. The counters that fire on
+//! *every graph edge* (notifications) or *every task* (computes — a
+//! zero-work task is nothing but its scheduling) are [`ShardedCounter`]s —
 //! cache-padded per-worker lanes selected by the worker index the engine
 //! threads through, summed only at snapshot time — and never contend
 //! cross-worker.
@@ -67,7 +68,8 @@ impl ShardedCounter {
 #[derive(Default)]
 pub struct RunMetrics {
     /// Successful executions of user compute functions (Σ N(A)).
-    pub computes: AtomicU64,
+    /// Per-task hot path: sharded by worker.
+    pub computes: ShardedCounter,
     /// Compute attempts that returned a fault.
     pub compute_faults: AtomicU64,
     /// Recoveries actually performed (`RecoverTask` bodies entered).
@@ -104,11 +106,16 @@ impl RunMetrics {
         }
     }
 
-    /// Record one successful compute of `key`; returns the execution count
-    /// N(key) *after* this execution.
+    /// Record one successful compute of `key` from a thread outside any
+    /// pool; see [`RunMetrics::record_compute_from`].
     pub fn record_compute(&self, key: i64) -> u64 {
-        // ord: Relaxed — statistics counter.
-        self.computes.fetch_add(1, Ordering::Relaxed);
+        self.record_compute_from(None, key)
+    }
+
+    /// Record one successful compute of `key` executed by `worker`; returns
+    /// the execution count N(key) *after* this execution.
+    pub fn record_compute_from(&self, worker: Option<usize>, key: i64) -> u64 {
+        self.computes.add(worker);
         self.exec_counts.update_cas(key, |cur| {
             let n = cur.copied().unwrap_or(0) + 1;
             (Some(n), n)
@@ -125,7 +132,7 @@ impl RunMetrics {
             // ord: Relaxed throughout — snapshot of statistics counters
             // taken after the run quiesces; no cross-field ordering is
             // implied.
-            computes: self.computes.load(Ordering::Relaxed),
+            computes: self.computes.load(),
             compute_faults: self.compute_faults.load(Ordering::Relaxed),
             recoveries: self.recoveries.load(Ordering::Relaxed),
             recoveries_suppressed: self.recoveries_suppressed.load(Ordering::Relaxed),

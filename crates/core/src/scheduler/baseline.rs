@@ -90,8 +90,9 @@ impl FtPolicy for NoFt {
     }
 
     fn on_guard_fault(
-        _engine: &Arc<Engine<Self>>,
+        _engine: &Engine<Self>,
         _s: &Scope<'_>,
+        _w: Option<usize>,
         f: Infallible,
         _key: Key,
         _life: u64,
@@ -100,8 +101,9 @@ impl FtPolicy for NoFt {
     }
 
     fn on_compute_fault(
-        _engine: &Arc<Engine<Self>>,
+        _engine: &Engine<Self>,
         _s: &Scope<'_>,
+        _w: Option<usize>,
         _a: ArenaRef<BaseDesc>,
         _key: Key,
         _life: u64,

@@ -28,10 +28,11 @@
 //! explicit parameters rather than read back from (possibly corrupt)
 //! descriptors, and each traversal step is a work-stealing job ("the
 //! creation and computation of the predecessors of a given task are
-//! concurrent and can be executed by different threads"). The engine asks
-//! the executor for the current worker index at every step and hands it to
-//! the policy, so trace shards and sharded metrics lanes are selected by
-//! worker identity instead of contending cross-worker.
+//! concurrent and can be executed by different threads"). Each job asks
+//! the executor for its worker index once, when it starts, and threads it
+//! through every step and into the policy, so trace shards and sharded
+//! metrics lanes are selected by worker identity instead of contending
+//! cross-worker.
 //!
 //! # Allocation discipline (PR 8)
 //!
@@ -42,10 +43,23 @@
 //! inline; predecessor lists are built through a per-thread scratch buffer
 //! ([`TaskGraph::predecessors_into`]); and single-ready-successor chains
 //! execute **inline** via continuation passing ([`MAX_INLINE_CHAIN`])
-//! instead of a queue round-trip per task. Handle validity is epoch-scoped:
-//! every job carries an `Arc<Engine>`, so the arena outlives every handle,
-//! and reclamation happens when the epoch's last reference drops — after
-//! quiesce (see `docs/ALGORITHM.md`, "Arena allocation & inline chains").
+//! instead of a queue round-trip per task.
+//!
+//! # Engine lifetime: by quiescence, not by refcount
+//!
+//! Jobs do not own a share of the engine. Each carries a plain pointer to
+//! it (8 bytes, `Copy`, built in [`Engine::job`]), and what keeps the epoch
+//! — engine, arena, task map — alive is a strong reference held *outside*
+//! the jobs until the executor reports quiescence: the caller's
+//! `&Arc<Self>` for the whole of [`Engine::run`], which returns only after
+//! [`Executor::execute_job`] has quiesced (panics included); and, on the
+//! service path, an `Arc` moved into the instance's quiesce hook, which the
+//! instance latch's tripping decrement runs after the last job's body has
+//! returned — so a dropped ticket cannot free a running epoch. Arena
+//! handles are valid for exactly as long: until quiesce. The per-job path
+//! therefore never touches the engine's reference count, a cache line every
+//! worker used to write twice per job (see `docs/ALGORITHM.md`,
+//! "Epoch-tied descriptor arenas").
 
 use crate::deadline::DeadlineMonitor;
 use crate::fault::Fault;
@@ -60,6 +74,7 @@ use ft_steal::pool::{Executor, Scope};
 use ft_steal::{Job, Priority};
 use ft_sync::atomic::{fence, AtomicI64, Ordering};
 use std::cell::RefCell;
+use std::ptr::NonNull;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -221,13 +236,21 @@ pub trait FtPolicy: Send + Sync + Sized + 'static {
 
     /// Catch block of `TryInitCompute` / `NotifyOnce`:
     /// `RecoverTaskOnce(key, life)` on the task whose guard failed.
-    fn on_guard_fault(engine: &Arc<Engine<Self>>, s: &Scope<'_>, f: Self::Err, key: Key, life: u64);
+    fn on_guard_fault(
+        engine: &Engine<Self>,
+        s: &Scope<'_>,
+        w: Option<usize>,
+        f: Self::Err,
+        key: Key,
+        life: u64,
+    );
 
     /// Catch block of `ComputeAndNotify`: recover `A` itself, or — for a
     /// fault in an input — recover the input's producer and reset `A`.
     fn on_compute_fault(
-        engine: &Arc<Engine<Self>>,
+        engine: &Engine<Self>,
         s: &Scope<'_>,
+        w: Option<usize>,
         a: ArenaRef<Self::Desc>,
         key: Key,
         life: u64,
@@ -302,12 +325,64 @@ impl<P: FtPolicy> Engine<P> {
         // nothing can remove it before the run starts; a miss here is a
         // programming error worth aborting on, not a runtime condition.
         let (sd, life) = self.get_task(sink).expect("sink just inserted");
-        let this = Arc::clone(self);
         let prio = self.prio_of(sink);
-        exec.execute_job(Job::new(move |scope: &Scope<'_>| {
-            scope.spawn_with(prio, move |s| this.init_and_compute(s, sd, sink, life));
+        // The caller's `&Arc<Self>` is the epoch's strong reference: it is
+        // borrowed until `execute_job` has quiesced (see the module docs).
+        exec.execute_job(self.job(move |this, s, _| {
+            this.spawn_job(s, prio, move |this, s, w| {
+                this.init_and_compute(s, w, sd, sink, life)
+            });
         }));
         self.finish_report(start)
+    }
+
+    /// Wrap one traversal step as a job of this epoch. The job borrows the
+    /// engine through a plain pointer and receives it back, together with
+    /// its scope and its worker index (resolved once, here), when it runs.
+    ///
+    /// Every job of an engine is built here, and a job reaches an executor
+    /// only through [`Engine::run`], [`GraphService::submit`] or
+    /// [`Engine::spawn_job`] called from a running job of the same engine.
+    ///
+    /// [`GraphService::submit`]: super::service::GraphService::submit
+    pub(super) fn job(
+        &self,
+        f: impl FnOnce(&Self, &Scope<'_>, Option<usize>) + Send + 'static,
+    ) -> Job {
+        struct Borrowed<P: FtPolicy>(NonNull<Engine<P>>);
+        // SAFETY: the pointer is only ever dereferenced to `&Engine<P>`,
+        // and `Engine<P>` is `Sync` (checked right below), so the
+        // reference may be used from whichever worker runs the job.
+        unsafe impl<P: FtPolicy> Send for Borrowed<P> {}
+        fn shared_across_workers<T: Sync>() {}
+        shared_across_workers::<Engine<P>>();
+        let this = Borrowed(NonNull::from(self));
+        Job::new(move |s: &Scope<'_>| {
+            // Bind the wrapper whole: a field-precise capture would move
+            // the bare `NonNull` and lose the `Send` impl above.
+            let this = this;
+            // SAFETY: the engine is alive whenever one of its jobs runs.
+            // A job runs only under `Engine::run` or a service instance
+            // (see above). `run` borrows the caller's `Arc` until
+            // `execute_job` returns, which the `Executor` contract delays
+            // — on unwinding too — until no spawned job can still run; an
+            // instance's quiesce hook owns an `Arc` and is invoked or
+            // dropped only after the instance's last job has finished.
+            // Jobs that never run are dropped without dereferencing.
+            let this = unsafe { this.0.as_ref() };
+            f(this, s, s.worker_index())
+        })
+    }
+
+    /// Spawn a traversal step of this epoch at priority `prio`.
+    #[inline]
+    pub(super) fn spawn_job(
+        &self,
+        s: &Scope<'_>,
+        prio: Priority,
+        f: impl FnOnce(&Self, &Scope<'_>, Option<usize>) + Send + 'static,
+    ) {
+        s.spawn_boxed_with(self.job(f), prio);
     }
 
     /// Snapshot the run statistics into a [`RunReport`]: metrics counters,
@@ -373,8 +448,9 @@ impl<P: FtPolicy> Engine<P> {
     /// `InitAndCompute(A, key, life)`: traverse immediate predecessors,
     /// then self-notify (consuming the `+1` in the join counter).
     pub(super) fn init_and_compute(
-        self: &Arc<Self>,
+        &self,
         s: &Scope<'_>,
+        w: Option<usize>,
         a: ArenaRef<P::Desc>,
         key: Key,
         life: u64,
@@ -382,39 +458,38 @@ impl<P: FtPolicy> Engine<P> {
         // Iterate the cached predecessor slice by reference: the hot path
         // allocates nothing per traversal.
         for &pkey in a.preds() {
-            let this = Arc::clone(self);
             // Priority of the *target* (the predecessor being traversed):
             // hard tasks and their ancestors traverse ahead of soft work.
-            s.spawn_with(self.prio_of(pkey), move |s| {
-                this.try_init_compute(s, a, key, life, pkey)
+            self.spawn_job(s, self.prio_of(pkey), move |this, s, w| {
+                this.try_init_compute(s, w, a, key, life, pkey)
             });
         }
         // Section VI "before compute" injection point: the task "has
         // traversed its predecessors and is waiting for one or more
         // notifications to be scheduled for execution".
-        P::probe(self, &a, key, Phase::BeforeCompute, s.worker_index());
-        self.notify_once(s, a, key, key, life);
+        P::probe(self, &a, key, Phase::BeforeCompute, w);
+        self.notify_once(s, w, a, key, key, life);
     }
 
     /// `TryInitCompute(A, key, life, pkey)`: create/visit predecessor
     /// `pkey`; register A for notification or observe completion.
     pub(super) fn try_init_compute(
-        self: &Arc<Self>,
+        &self,
         s: &Scope<'_>,
+        w: Option<usize>,
         a: ArenaRef<P::Desc>,
         key: Key,
         life: u64,
         pkey: Key,
     ) {
-        let inserted = self.insert_if_absent(pkey, s.worker_index());
+        let inserted = self.insert_if_absent(pkey, w);
         let Some((b, blife)) = self.get_task(pkey) else {
             debug_assert!(false, "predecessor {pkey} vanished from the task map");
             return;
         };
         if inserted {
-            let this = Arc::clone(self);
-            s.spawn_with(self.prio_of(pkey), move |s| {
-                this.init_and_compute(s, b, pkey, blife)
+            self.spawn_job(s, self.prio_of(pkey), move |this, s, w| {
+                this.init_and_compute(s, w, b, pkey, blife)
             });
         }
 
@@ -425,7 +500,7 @@ impl<P: FtPolicy> Engine<P> {
         })();
 
         match attempt {
-            Ok(true) => self.notify_once(s, a, key, pkey, life),
+            Ok(true) => self.notify_once(s, w, a, key, pkey, life),
             Ok(false) => {}
             // catch { RecoverTaskOnce(pkey, blife) }. A's published cell
             // (if the claim got that far) is inert on the corrupt
@@ -433,7 +508,7 @@ impl<P: FtPolicy> Engine<P> {
             // ReinitNotifyEntry (A's bit for B is still set), and any
             // stale delivery from the old incarnation is absorbed by A's
             // notification bits.
-            Err(f) => P::on_guard_fault(self, s, f, pkey, blife),
+            Err(f) => P::on_guard_fault(self, s, w, f, pkey, blife),
         }
     }
 
@@ -477,14 +552,14 @@ impl<P: FtPolicy> Engine<P> {
     /// counter hit zero — the caller owns A's compute. Guard faults are
     /// handled here (`RecoverTaskOnce`), reported as not-ready.
     fn notify_gate(
-        self: &Arc<Self>,
+        &self,
         s: &Scope<'_>,
+        worker: Option<usize>,
         a: ArenaRef<P::Desc>,
         key: Key,
         pkey: Key,
         life: u64,
     ) -> bool {
-        let worker = s.worker_index();
         let attempt: Result<bool, P::Err> = (|| {
             P::check(&a)?;
             if !P::consume_notification(self, &a, key, pkey, life, worker)? {
@@ -514,7 +589,7 @@ impl<P: FtPolicy> Engine<P> {
         match attempt {
             Ok(ready) => ready,
             Err(f) => {
-                P::on_guard_fault(self, s, f, key, life);
+                P::on_guard_fault(self, s, worker, f, key, life);
                 false
             }
         }
@@ -523,15 +598,16 @@ impl<P: FtPolicy> Engine<P> {
     /// `NotifyOnce(A, key, pkey, life)`: decrement the join counter (if the
     /// policy's gate consumes the notification); execute A at zero.
     pub(super) fn notify_once(
-        self: &Arc<Self>,
+        &self,
         s: &Scope<'_>,
+        w: Option<usize>,
         a: ArenaRef<P::Desc>,
         key: Key,
         pkey: Key,
         life: u64,
     ) {
-        if self.notify_gate(s, a, key, pkey, life) {
-            self.compute_and_notify(s, a, key, life);
+        if self.notify_gate(s, w, a, key, pkey, life) {
+            self.compute_and_notify(s, w, a, key, life);
         }
     }
 
@@ -542,8 +618,9 @@ impl<P: FtPolicy> Engine<P> {
     /// queue round-trip (continuation passing, bounded by
     /// [`MAX_INLINE_CHAIN`]).
     pub(super) fn compute_and_notify(
-        self: &Arc<Self>,
+        &self,
         s: &Scope<'_>,
+        w: Option<usize>,
         a: ArenaRef<P::Desc>,
         key: Key,
         life: u64,
@@ -551,7 +628,7 @@ impl<P: FtPolicy> Engine<P> {
         let mut cur = Some((a, key, life));
         let mut depth = 0usize;
         while let Some((a, key, life)) = cur.take() {
-            cur = self.compute_and_notify_step(s, a, key, life, depth);
+            cur = self.compute_and_notify_step(s, w, a, key, life, depth);
             depth += 1;
         }
     }
@@ -560,14 +637,14 @@ impl<P: FtPolicy> Engine<P> {
     /// chain continuation (a successor made ready by this task's
     /// notifications) if there is one.
     fn compute_and_notify_step(
-        self: &Arc<Self>,
+        &self,
         s: &Scope<'_>,
+        worker: Option<usize>,
         a: ArenaRef<P::Desc>,
         key: Key,
         life: u64,
         depth: usize,
     ) -> Option<(ArenaRef<P::Desc>, Key, u64)> {
-        let worker = s.worker_index();
         let mut chain: Option<(ArenaRef<P::Desc>, Key, u64)> = None;
         let attempt: Result<(), P::Err> = (|| {
             P::check(&a)?;
@@ -578,7 +655,7 @@ impl<P: FtPolicy> Engine<P> {
             // The compute ran to completion: count the work (even if the
             // injection right below discards it — that is exactly the
             // "work lost" the experiments measure).
-            self.metrics.record_compute(key);
+            self.metrics.record_compute_from(worker, key);
             self.policy.emit(worker, Event::Computed { key, life });
             // Section VI "after compute" injection point: computed, about
             // to notify successors. The guard right below observes it.
@@ -602,7 +679,7 @@ impl<P: FtPolicy> Engine<P> {
                 let len = cells.len();
                 while cursor < len {
                     if let Take::Deliver(skey) = cells.take_at(cursor) {
-                        self.notify_entry(s, key, skey, depth, &mut chain);
+                        self.notify_entry(s, worker, key, skey, depth, &mut chain);
                     }
                     cursor += 1;
                 }
@@ -629,12 +706,11 @@ impl<P: FtPolicy> Engine<P> {
             // it): hand the continuation back to the queues, then let
             // recovery own this task's traversal.
             if let Some((ca, ckey, clife)) = chain.take() {
-                let this = Arc::clone(self);
-                s.spawn_with(self.prio_of(ckey), move |s| {
-                    this.compute_and_notify(s, ca, ckey, clife)
+                self.spawn_job(s, self.prio_of(ckey), move |this, s, w| {
+                    this.compute_and_notify(s, w, ca, ckey, clife)
                 });
             }
-            P::on_compute_fault(self, s, a, key, life, f);
+            P::on_compute_fault(self, s, worker, a, key, life, f);
             return None;
         }
         chain
@@ -645,8 +721,9 @@ impl<P: FtPolicy> Engine<P> {
     /// successor whose join counter hits zero either becomes the chain
     /// continuation or is spawned as a fresh `ComputeAndNotify` job.
     fn notify_entry(
-        self: &Arc<Self>,
+        &self,
         s: &Scope<'_>,
+        worker: Option<usize>,
         key: Key,
         skey: Key,
         depth: usize,
@@ -661,9 +738,9 @@ impl<P: FtPolicy> Engine<P> {
             // policy's exactly-once check and decrements unconditionally.
             // Under faults, re-delivered notifications then double-
             // decrement — the G3 violation the trace oracle must flag.
-            self.metrics.notifications.add(s.worker_index());
+            self.metrics.notifications.add(worker);
             self.policy.emit(
-                s.worker_index(),
+                worker,
                 Event::Notified {
                     key: skey,
                     life: slife,
@@ -674,7 +751,7 @@ impl<P: FtPolicy> Engine<P> {
             // observer of zero acquires every predecessor's compute.
             sd.join().fetch_sub(1, Ordering::AcqRel) - 1 == 0
         } else {
-            self.notify_gate(s, sd, skey, key, slife)
+            self.notify_gate(s, worker, sd, skey, key, slife)
         };
         if !ready {
             return;
@@ -691,8 +768,9 @@ impl<P: FtPolicy> Engine<P> {
         if may_chain {
             *chain = Some((sd, skey, slife));
         } else {
-            let this = Arc::clone(self);
-            s.spawn_with(prio, move |s| this.compute_and_notify(s, sd, skey, slife));
+            self.spawn_job(s, prio, move |this, s, w| {
+                this.compute_and_notify(s, w, sd, skey, slife)
+            });
         }
     }
     // ft-lint: hot-path end(notify)

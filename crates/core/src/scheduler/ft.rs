@@ -193,27 +193,35 @@ impl FtPolicy for FtRecovery {
     }
 
     /// catch { RecoverTaskOnce(key, life) }
-    fn on_guard_fault(engine: &Arc<Engine<Self>>, s: &Scope<'_>, f: Fault, key: Key, life: u64) {
+    fn on_guard_fault(
+        engine: &Engine<Self>,
+        s: &Scope<'_>,
+        w: Option<usize>,
+        f: Fault,
+        key: Key,
+        life: u64,
+    ) {
         engine.policy.emit(
-            s.worker_index(),
+            w,
             Event::FaultObserved {
                 source: f.source,
                 kind: f.kind,
             },
         );
-        engine.recover_task_once(s, key, life);
+        engine.recover_task_once(s, w, key, life);
     }
 
     fn on_compute_fault(
-        engine: &Arc<Engine<Self>>,
+        engine: &Engine<Self>,
         s: &Scope<'_>,
+        w: Option<usize>,
         a: ArenaRef<FtDesc>,
         key: Key,
         life: u64,
         f: Fault,
     ) {
         engine.policy.emit(
-            s.worker_index(),
+            w,
             Event::FaultObserved {
                 source: f.source,
                 kind: f.kind,
@@ -221,7 +229,7 @@ impl FtPolicy for FtRecovery {
         );
         if f.source == key {
             // "if (error in A) RecoverTaskOnce(key, life)"
-            engine.recover_task_once(s, key, life);
+            engine.recover_task_once(s, w, key, life);
         } else {
             // Error in an input. Mark the source so other traversals
             // observe the detected error ("once an error is detected, all
@@ -239,8 +247,8 @@ impl FtPolicy for FtRecovery {
                 }
                 None => f.life.max(1),
             };
-            engine.recover_task_once(s, f.source, src_life);
-            engine.reset_node(s, a, key, life);
+            engine.recover_task_once(s, w, f.source, src_life);
+            engine.reset_node(s, w, a, key, life);
         }
     }
 }

@@ -24,21 +24,24 @@ use crate::trace::Event;
 use ft_steal::arena::ArenaRef;
 use ft_steal::pool::Scope;
 use ft_sync::atomic::Ordering;
-use std::sync::Arc;
 
 impl Engine<FtRecovery> {
     /// `RecoverTaskOnce(key, life)`.
-    pub(super) fn recover_task_once(self: &Arc<Self>, s: &Scope<'_>, key: Key, life: u64) {
+    pub(super) fn recover_task_once(&self, s: &Scope<'_>, w: Option<usize>, key: Key, life: u64) {
         if !self.is_recovering(key, life) {
-            self.recover_task(s, key);
+            self.recover_task(s, w, key);
         } else {
-            // ord: Relaxed — statistics counter read at quiescence.
-            self.metrics
-                .recoveries_suppressed
-                .fetch_add(1, Ordering::Relaxed);
-            self.policy
-                .emit(s.worker_index(), Event::RecoverySuppressed { key, life });
+            self.suppressed(w, key, life);
         }
+    }
+
+    /// Account one observer that lost the recovery claim (Guarantee 1).
+    fn suppressed(&self, w: Option<usize>, key: Key, life: u64) {
+        // ord: Relaxed — statistics counter read at quiescence.
+        self.metrics
+            .recoveries_suppressed
+            .fetch_add(1, Ordering::Relaxed);
+        self.policy.emit(w, Event::RecoverySuppressed { key, life });
     }
 
     /// `IsRecovering(key, life)`: returns `false` exactly once per
@@ -48,7 +51,16 @@ impl Engine<FtRecovery> {
     /// this task → caller recovers); otherwise CAS the stored life from
     /// `life − 1` to `life` (first observer of *this* incarnation's failure
     /// → caller recovers). Both arms are one atomic read-modify-write here.
+    ///
+    /// A failed task is observed by every successor that touches it, and
+    /// all but one of them lose the claim, so the table is consulted
+    /// lock-free first: a stored life that cannot be advanced to `life`
+    /// answers "already recovering" exactly as the locked update would at
+    /// that instant. Only a possible claim takes the shard lock.
     pub(super) fn is_recovering(&self, key: Key, life: u64) -> bool {
+        if matches!(self.policy.rtable.get(key), Some(stored) if stored + 1 != life) {
+            return true;
+        }
         self.policy.rtable.update_cas(key, |cur| match cur {
             None => (Some(life), false),
             Some(&stored) if stored + 1 == life => (Some(life), false),
@@ -79,7 +91,7 @@ impl Engine<FtRecovery> {
     /// during recovery restart the loop with the next incarnation
     /// (Guarantee 6), unless another thread already claimed that new
     /// failure.
-    pub(super) fn recover_task(self: &Arc<Self>, s: &Scope<'_>, key: Key) {
+    pub(super) fn recover_task(&self, s: &Scope<'_>, w: Option<usize>, key: Key) {
         loop {
             // ord: Relaxed — statistics counter read at quiescence.
             self.metrics.recoveries.fetch_add(1, Ordering::Relaxed);
@@ -88,7 +100,7 @@ impl Engine<FtRecovery> {
             // acquires the replacement descriptor via the block table.
             t.is_recovery.store(true, Ordering::Release);
             self.policy.emit(
-                s.worker_index(),
+                w,
                 Event::RecoveryStarted {
                     key,
                     new_life: life,
@@ -99,7 +111,7 @@ impl Engine<FtRecovery> {
                 // "traverse successors to recreate notify arr."
                 for skey in self.graph.successors(key) {
                     if let Some((sd, slife)) = self.get_task(skey) {
-                        self.reinit_notify_entry(s, t, key, sd, skey, slife)?;
+                        self.reinit_notify_entry(s, w, t, key, sd, skey, slife)?;
                     }
                     // A successor not yet in the map registers itself when
                     // its own traversal reaches the new incarnation.
@@ -109,11 +121,10 @@ impl Engine<FtRecovery> {
 
             match attempt {
                 Ok(()) => {
-                    let this = Arc::clone(self);
                     // Recovered incarnations keep their key's priority, so
                     // a hard task's recovery also jumps the queue.
-                    s.spawn_with(self.prio_of(key), move |s| {
-                        this.init_and_compute(s, t, key, life)
+                    self.spawn_job(s, self.prio_of(key), move |this, s, w| {
+                        this.init_and_compute(s, w, t, key, life)
                     });
                     return;
                 }
@@ -122,19 +133,14 @@ impl Engine<FtRecovery> {
                     // we claim the new incarnation's failure and retry;
                     // otherwise someone else owns it and we are done.
                     self.policy.emit(
-                        s.worker_index(),
+                        w,
                         Event::FaultObserved {
                             source: f.source,
                             kind: f.kind,
                         },
                     );
                     if self.is_recovering(key, life) {
-                        // ord: Relaxed — statistics counter read at quiescence.
-                        self.metrics
-                            .recoveries_suppressed
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.policy
-                            .emit(s.worker_index(), Event::RecoverySuppressed { key, life });
+                        self.suppressed(w, key, life);
                         return;
                     }
                 }
@@ -160,9 +166,11 @@ impl Engine<FtRecovery> {
     /// An error *in S* triggers S's own recovery and does not abort the
     /// traversal; an error *in T* propagates ("else throw") so
     /// `RecoverTask` restarts with a fresh incarnation.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn reinit_notify_entry(
-        self: &Arc<Self>,
+        &self,
         s: &Scope<'_>,
+        w: Option<usize>,
         t: ArenaRef<FtDesc>,
         key: Key,
         sd: ArenaRef<FtDesc>,
@@ -186,7 +194,7 @@ impl Engine<FtRecovery> {
                 // Visited until its InitAndCompute runs — but if it ever
                 // did, delivering to S here is the correct action.
                 if self.register_notify(&t, skey)? {
-                    self.notify_once(s, sd, skey, key, slife);
+                    self.notify_once(s, w, sd, skey, key, slife);
                 }
             }
             Ok(())
@@ -195,13 +203,13 @@ impl Engine<FtRecovery> {
         match attempt {
             Err(f) if f.source == skey => {
                 self.policy.emit(
-                    s.worker_index(),
+                    w,
                     Event::FaultObserved {
                         source: f.source,
                         kind: f.kind,
                     },
                 );
-                self.recover_task_once(s, skey, slife);
+                self.recover_task_once(s, w, skey, slife);
                 Ok(())
             }
             other => other,
@@ -213,32 +221,32 @@ impl Engine<FtRecovery> {
     /// is restored *before* the bits so a racing notification cannot be
     /// lost (a decrement can only happen after its bit is re-set).
     pub(super) fn reset_node(
-        self: &Arc<Self>,
+        &self,
         s: &Scope<'_>,
+        w: Option<usize>,
         a: ArenaRef<FtDesc>,
         key: Key,
         life: u64,
     ) {
         // ord: Relaxed — statistics counter read at quiescence.
         self.metrics.resets.fetch_add(1, Ordering::Relaxed);
-        self.policy
-            .emit(s.worker_index(), Event::Reset { key, life });
+        self.policy.emit(w, Event::Reset { key, life });
         let attempt: Result<(), Fault> = (|| {
             a.check()?;
             a.reset_for_reexploration();
             Ok(())
         })();
         match attempt {
-            Ok(()) => self.init_and_compute(s, a, key, life),
+            Ok(()) => self.init_and_compute(s, w, a, key, life),
             Err(f) => {
                 self.policy.emit(
-                    s.worker_index(),
+                    w,
                     Event::FaultObserved {
                         source: f.source,
                         kind: f.kind,
                     },
                 );
-                self.recover_task_once(s, key, life);
+                self.recover_task_once(s, w, key, life);
             }
         }
     }
@@ -250,6 +258,7 @@ mod tests {
     use crate::graph::{ComputeCtx, TaskGraph};
     use crate::inject::FaultPlan;
     use crate::scheduler::FtScheduler;
+    use std::sync::Arc;
 
     struct Tiny;
     impl TaskGraph for Tiny {

@@ -28,7 +28,7 @@
 use super::engine::{Engine, FtPolicy};
 use crate::metrics::RunReport;
 use ft_steal::instance::{AdmissionGate, InstanceHandle, InstanceStats, QuiesceHook};
-use ft_steal::pool::{Executor, Job, Scope};
+use ft_steal::pool::Executor;
 use ft_sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -196,24 +196,29 @@ impl<'e> GraphService<'e> {
         // insert the sink, then spawn its traversal at the sink's priority.
         // All of it runs *inside* the instance scope, so the whole
         // traversal tree lands on this instance's latch.
-        let this = Arc::clone(engine);
-        let root = Job::new(move |s: &Scope<'_>| {
+        let root = engine.job(|this, s, w| {
             let sink = this.graph.sink();
-            this.insert_if_absent(sink, s.worker_index());
+            this.insert_if_absent(sink, w);
             let Some((sd, life)) = this.get_task(sink) else {
                 debug_assert!(false, "sink {sink} vanished right after insertion");
                 return;
             };
-            let prio = this.prio_of(sink);
-            let engine = Arc::clone(&this);
-            s.spawn_with(prio, move |s| engine.init_and_compute(s, sd, sink, life));
+            this.spawn_job(s, this.prio_of(sink), move |this, s, w| {
+                this.init_and_compute(s, w, sd, sink, life)
+            });
         });
 
         let shared = Arc::clone(&self.shared);
+        // The epoch's strong reference: jobs only borrow the engine, so
+        // the hook — run by the instance latch's tripping decrement, after
+        // the last job's body returned — owns an `Arc` until then. A ticket
+        // dropped early therefore cannot free a running epoch.
+        let epoch = Arc::clone(engine);
         let hook: QuiesceHook = Box::new(move || {
             // ord: Relaxed — statistics counter read at quiescence.
             shared.completed.fetch_add(1, Ordering::Relaxed);
             shared.gate.release();
+            drop(epoch);
         });
         let handle = self.exec.submit_instance(root, Some(hook));
         Ok(InstanceTicket {

@@ -29,6 +29,18 @@
 //! (PR 9)" for the protocol and its ordering table. The `locked_notify`
 //! cargo feature swaps in a mutex-based implementation of the same API —
 //! the ablation baseline `bench_pr9` measures against.
+//!
+//! # Line map
+//!
+//! A descriptor is written by two disjoint crowds, and each gets a cache
+//! line of its own (`#[repr(C, align(64))]`, field order below; the arena
+//! hands out 64-aligned slots): line 0 holds what the task's **notifiers**
+//! write (`join`, and under FT `bits`, next to `key`/`life`/`status` and
+//! the flags), line 1 the [`NotifyCells`] its **registrants** write, line 2
+//! the immutable [`PredList`]. An edge `B → A` therefore costs one
+//! contended line on each end under either policy. The table and the
+//! reasoning live in `docs/ALGORITHM.md`, "Descriptor line map";
+//! `descriptors_are_line_partitioned` pins the offsets.
 
 use crate::bitvec::AtomicBitVec;
 use crate::fault::Fault;
@@ -161,7 +173,12 @@ impl OverflowSeg {
 /// Capacity covers the task's out-degree: `INLINE_KEYS` cells inline plus
 /// a pre-sized spill. Claims beyond that (recovery re-registration) land
 /// in a CAS-installed overflow chain.
+///
+/// One cache line, line-aligned: `claims` and the inline cells — the words
+/// registrants write — never share a line with the owning descriptor's
+/// join counter.
 #[cfg(not(feature = "locked_notify"))]
+#[repr(C, align(64))]
 pub struct NotifyCells {
     /// Next free slot index. SeqCst RMW/loads: the drainer's final length
     /// re-read orders against late claimers (termination argument).
@@ -347,6 +364,7 @@ impl Drop for NotifyCells {
 /// can measure exactly the notification-path contention the lock-free
 /// cells remove, with the engine code byte-identical in both builds.
 #[cfg(feature = "locked_notify")]
+#[repr(align(64))]
 pub struct NotifyCells {
     slots: parking_lot::Mutex<Vec<i64>>,
 }
@@ -450,19 +468,21 @@ impl Status {
     }
 }
 
-/// Descriptor for the **baseline** (non-fault-tolerant) scheduler.
+/// Descriptor for the **baseline** (non-fault-tolerant) scheduler. Field
+/// order is the module's line map.
+#[repr(C, align(64))]
 pub struct BaseDesc {
-    /// Task key.
-    pub key: Key,
-    /// Ordered immediate predecessors (cached at creation; `Init(A)`).
-    pub preds: PredList,
     /// Join counter, initialized to `|preds)| + 1` (the +1 is consumed by
     /// the self-notification at the end of `InitAndCompute`).
     pub join: AtomicI64,
+    /// Task key.
+    pub key: Key,
     /// Execution status.
     pub status: AtomicU8,
     /// Successor notification cells, sized by the task's out-degree.
     pub notify: NotifyCells,
+    /// Ordered immediate predecessors (cached at creation; `Init(A)`).
+    pub preds: PredList,
 }
 
 impl BaseDesc {
@@ -471,11 +491,11 @@ impl BaseDesc {
     pub fn new(key: Key, preds: &[Key], out_degree: usize) -> Self {
         let join = preds.len() as i64 + 1;
         BaseDesc {
-            key,
-            preds: PredList::new(preds),
             join: AtomicI64::new(join),
+            key,
             status: AtomicU8::new(Status::Visited as u8),
             notify: NotifyCells::new(out_degree),
+            preds: PredList::new(preds),
         }
     }
 
@@ -514,26 +534,22 @@ impl Descriptor for BaseDesc {
     }
 }
 
-/// Descriptor for the **fault-tolerant** scheduler.
+/// Descriptor for the **fault-tolerant** scheduler. Field order is the
+/// module's line map: 60 B of notifier-written state, the 64 B notify
+/// cells, the 56 B predecessor list — three lines exactly.
+#[repr(C, align(64))]
 pub struct FtDesc {
+    /// Join counter (`|preds| + 1`, self-notification included).
+    pub join: AtomicI64,
+    /// Per-predecessor (plus self) notification bits; Guarantee 3.
+    pub bits: AtomicBitVec,
     /// Task key.
     pub key: Key,
     /// Life number of this incarnation (1 = original; recovery replaces the
     /// map entry with a descriptor of life+1).
     pub life: u64,
-    /// Ordered immediate predecessors.
-    pub preds: PredList,
-    /// Join counter (`|preds| + 1`, self-notification included).
-    pub join: AtomicI64,
     /// Execution status.
     pub status: AtomicU8,
-    /// Successor notification cells, sized by the task's out-degree. A
-    /// recovered incarnation gets a **fresh** descriptor (life+1) and
-    /// therefore fresh cells — the life number doubles as the generation
-    /// tag, so `ResetNode`/`ReinitNotifyEntry` never clear cells in place.
-    pub notify: NotifyCells,
-    /// Per-predecessor (plus self) notification bits; Guarantee 3.
-    pub bits: AtomicBitVec,
     /// True once a detected soft error has corrupted this descriptor.
     /// "Once an error is detected, all subsequent accesses observe it."
     pub poisoned: AtomicBool,
@@ -542,6 +558,13 @@ pub struct FtDesc {
     pub overwritten: AtomicBool,
     /// True when this incarnation was created by `RecoverTask`.
     pub is_recovery: AtomicBool,
+    /// Successor notification cells, sized by the task's out-degree. A
+    /// recovered incarnation gets a **fresh** descriptor (life+1) and
+    /// therefore fresh cells — the life number doubles as the generation
+    /// tag, so `ResetNode`/`ReinitNotifyEntry` never clear cells in place.
+    pub notify: NotifyCells,
+    /// Ordered immediate predecessors.
+    pub preds: PredList,
 }
 
 impl FtDesc {
@@ -551,16 +574,16 @@ impl FtDesc {
     pub fn new(key: Key, life: u64, preds: &[Key], out_degree: usize) -> Self {
         let n = preds.len();
         FtDesc {
+            join: AtomicI64::new(n as i64 + 1),
+            bits: AtomicBitVec::new_all_set(n + 1),
             key,
             life,
-            preds: PredList::new(preds),
-            join: AtomicI64::new(n as i64 + 1),
             status: AtomicU8::new(Status::Visited as u8),
-            notify: NotifyCells::new(out_degree),
-            bits: AtomicBitVec::new_all_set(n + 1),
             poisoned: AtomicBool::new(false),
             overwritten: AtomicBool::new(false),
             is_recovery: AtomicBool::new(false),
+            notify: NotifyCells::new(out_degree),
+            preds: PredList::new(preds),
         }
     }
 
@@ -658,6 +681,67 @@ mod tests {
         assert_eq!(d.bits.count_set(), 3);
         assert!(d.check().is_ok());
         assert!(!d.is_recovery.load(Ordering::Relaxed));
+    }
+
+    /// The line map of the module docs, pinned: notifiers' words on line
+    /// 0, registrants' words on line 1, nothing straddling, and the FT
+    /// descriptor no larger than three lines (a fourth costs `peak_rss_mb`
+    /// more than its bound on `grid_wavefront`).
+    #[cfg(not(feature = "locked_notify"))]
+    #[test]
+    fn descriptors_are_line_partitioned() {
+        use std::mem::{align_of, offset_of, size_of};
+        const LINE: usize = 64;
+        assert_eq!(align_of::<FtDesc>(), LINE);
+        assert_eq!(align_of::<BaseDesc>(), LINE);
+        assert!(size_of::<FtDesc>() <= 3 * LINE, "{}", size_of::<FtDesc>());
+        assert!(size_of::<BaseDesc>() <= 3 * LINE);
+
+        // Notifier-written words share line 0 (both policies).
+        assert_eq!(offset_of!(FtDesc, join) / LINE, 0);
+        assert_eq!(
+            offset_of!(FtDesc, join) / LINE,
+            offset_of!(FtDesc, bits) / LINE
+        );
+        let bits_end = offset_of!(FtDesc, bits) + size_of::<AtomicBitVec>();
+        assert!(bits_end <= LINE, "the whole bit vector stays on line 0");
+        for flag in [
+            offset_of!(FtDesc, status),
+            offset_of!(FtDesc, poisoned),
+            offset_of!(FtDesc, overwritten),
+            offset_of!(FtDesc, is_recovery),
+        ] {
+            assert_eq!(flag / LINE, 0);
+        }
+        assert_eq!(offset_of!(BaseDesc, join) / LINE, 0);
+        assert_eq!(offset_of!(BaseDesc, status) / LINE, 0);
+
+        // Registrant-written words: claims + inline cells within one line,
+        // and that line is not the join counter's.
+        assert_eq!(align_of::<NotifyCells>(), LINE);
+        assert_eq!(size_of::<NotifyCells>(), LINE);
+        let cells_end = offset_of!(NotifyCells, inline) + size_of::<[AtomicI64; INLINE_KEYS]>();
+        assert!(offset_of!(NotifyCells, claims) < LINE && cells_end <= LINE);
+        assert_eq!(offset_of!(FtDesc, notify), LINE);
+        assert_eq!(offset_of!(BaseDesc, notify), LINE);
+
+        // The immutable predecessor list has the last line to itself.
+        assert_eq!(offset_of!(FtDesc, preds), 2 * LINE);
+        assert_eq!(offset_of!(BaseDesc, preds), 2 * LINE);
+    }
+
+    #[test]
+    fn arena_hands_out_line_aligned_descriptors() {
+        use ft_steal::arena::Arena;
+        let arena: Arena<FtDesc> = Arena::new();
+        // More than one chunk's worth, so chunk boundaries are covered too.
+        let per_chunk = ft_steal::arena::CHUNK_BYTES / std::mem::size_of::<FtDesc>();
+        for k in 0..(2 * per_chunk + 3) as Key {
+            let d = arena.alloc(FtDesc::new(k, 1, &[k + 1, k + 2], 2));
+            assert_eq!(d.as_ptr() as usize % 64, 0, "descriptor {k} misaligned");
+            assert_eq!(d.key, k);
+        }
+        assert!(arena.chunks_allocated() >= 3);
     }
 
     #[test]

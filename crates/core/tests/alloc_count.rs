@@ -31,15 +31,38 @@ struct CountingAlloc;
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static COUNTING: AtomicBool = AtomicBool::new(false);
 
+thread_local! {
+    /// Whether this thread's allocations belong to the test that is
+    /// counting. `TEST_LOCK` serializes test *bodies*, not libtest's own
+    /// threads: its reporter (and the teardown of a test that just
+    /// finished) allocate while the next test counts, and used to be
+    /// charged to it — a rotating victim failed one run in three. Only
+    /// threads that opted in are counted: the test thread for the length
+    /// of a [`count_allocs`] window, and pool workers from the first job
+    /// of the test they run. Const-initialized and destructor-free, so
+    /// reading it inside the allocator allocates nothing.
+    static COUNTED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Opt the calling thread's allocations in (pool workers call this from
+/// the jobs of the test that spawned them).
+fn count_this_thread(on: bool) {
+    COUNTED.with(|c| c.set(on));
+}
+
+fn counted() -> bool {
+    COUNTING.load(Ordering::Relaxed) && COUNTED.try_with(|c| c.get()).unwrap_or(false)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counted() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.alloc(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counted() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -107,15 +130,17 @@ impl TaskGraph for Grid {
     }
 }
 
-/// Serializes the tests in this binary: the counting allocator is global,
-/// so a concurrently running test would pollute a counting window.
+/// Serializes the tests in this binary: the counter is global, so a
+/// concurrently running test body would pollute a counting window.
 static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn count_allocs(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
+    count_this_thread(true);
     COUNTING.store(true, Ordering::SeqCst);
     f();
     COUNTING.store(false, Ordering::SeqCst);
+    count_this_thread(false);
     ALLOCS.load(Ordering::Relaxed) - before
 }
 
@@ -412,8 +437,10 @@ fn pool_steady_state_allocates_nothing() {
             for _ in 0..32 {
                 let h2 = Arc::clone(&h);
                 s.spawn(move |s| {
+                    count_this_thread(true);
                     let h3 = Arc::clone(&h2);
                     s.spawn(move |_| {
+                        count_this_thread(true);
                         h3.fetch_add(1, Ordering::Relaxed);
                     });
                     h2.fetch_add(1, Ordering::Relaxed);
@@ -425,9 +452,11 @@ fn pool_steady_state_allocates_nothing() {
             for _ in 0..8 {
                 let h2 = Arc::clone(&h);
                 s.spawn(move |s| {
+                    count_this_thread(true);
                     for _ in 0..6 {
                         let h3 = Arc::clone(&h2);
                         s.spawn(move |_| {
+                            count_this_thread(true);
                             h3.fetch_add(1, Ordering::Relaxed);
                         });
                     }
@@ -437,8 +466,9 @@ fn pool_steady_state_allocates_nothing() {
         }));
     };
 
-    // Warm-up: lets every worker grow its deque, fault in TLS, and fill
-    // the injector's block cache. The injector index advances 32 slots
+    // Warm-up: lets every worker grow its deque, fault in TLS, opt into
+    // the allocation count (every job does, so any worker that ever runs
+    // one is counted from then on), and fill the injector's block cache. The injector index advances 32 slots
     // per round over 31-slot blocks, so the block-boundary phase cycles
     // with period 31 rounds; two full cycles guarantee every alignment
     // (hence the block-chain high-water mark) is reached before counting.

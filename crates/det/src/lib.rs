@@ -95,16 +95,19 @@ impl DetPool {
 
     /// Run `f` (which spawns the root work) and drain every transitively
     /// spawned job in seeded-random order. Mirrors
-    /// [`ft_steal::pool::Pool::run_until_complete`]: if any job panicked,
-    /// the remaining jobs still run and the first payload is re-raised here.
+    /// [`ft_steal::pool::Pool::run_until_complete`]: if `f` or any job
+    /// panicked, the remaining jobs still run and the first payload is
+    /// re-raised here — nothing `f` spawned is left queued when this
+    /// unwinds.
     pub fn run_until_complete<F>(&self, f: F)
     where
         F: FnOnce(&Scope<'_>),
     {
         let scope = Scope::for_host(self);
-        f(&scope);
+        let submitted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&scope)));
         self.drain(&scope);
-        if let Some(payload) = self.panic.borrow_mut().take() {
+        let job_panic = self.panic.borrow_mut().take();
+        if let Some(payload) = submitted.err().or(job_panic) {
             std::panic::resume_unwind(payload);
         }
     }
@@ -171,7 +174,13 @@ impl SpawnHost for DetPool {
     }
 }
 
-impl Executor for DetPool {
+// SAFETY: `execute_job` is `run_until_complete`, which drains the ready
+// lists until both are empty — on the calling thread, panics of `root` and
+// of jobs included — before it returns or unwinds, so no spawned job
+// outlives the call. Instance hooks fire from the instance latch's tripping
+// decrement (`ft_steal::instance`), and a job is only ever run once (by
+// `drain`) or dropped with the pool.
+unsafe impl Executor for DetPool {
     fn execute_job(&self, root: Job) {
         self.run_until_complete(|scope| root.run(scope));
     }

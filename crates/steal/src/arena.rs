@@ -7,10 +7,11 @@
 //! graph instance (epoch): descriptors are allocated on the hot path with
 //! one `fetch_add` instead of one `Box` each, handed around as [`ArenaRef`]
 //! (a `Copy` pointer, no refcount traffic), and freed en masse when the
-//! instance's epoch ends — after the once-only quiesce hook has fired and
-//! the last `Arc<Engine>` clone (held by every in-flight job) drops. The
-//! one-shot `Engine::run` path uses the same mechanism: the arena dies
-//! with the engine when the run's caller drops it.
+//! instance's epoch ends — no earlier than the once-only quiesce hook,
+//! which owns a reference to the engine until the instance's last job has
+//! finished (jobs themselves only borrow the engine). The one-shot
+//! `Engine::run` path uses the same mechanism: the arena dies with the
+//! engine when the run's caller drops it, after the run has quiesced.
 //!
 //! # Protocol
 //!

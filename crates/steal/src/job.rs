@@ -6,8 +6,8 @@
 //! box for closures larger than [`INLINE_DATA_BYTES`].
 //!
 //! Every closure the scheduler engine spawns on its hot path captures at
-//! most an `Arc`, an arena handle and two or three scalar keys (≤ 40
-//! bytes), so the traversal's spawn traffic is allocation-free; the old
+//! most an engine pointer, an arena handle and two or three scalar keys
+//! (≤ 40 bytes), so the traversal's spawn traffic is allocation-free; the old
 //! representation paid one `Box` per spawned job, which `alloc_count.rs`
 //! measured as ~5 of the ~11 allocations per task. The 64-byte cell also
 //! means deque and injector slots hold jobs by value in one cache line.
@@ -26,7 +26,7 @@ const DATA_WORDS: usize = 6;
 
 /// Closures up to this size (and pointer alignment) are stored inline;
 /// larger ones are boxed. 48 bytes covers every engine hot-path closure
-/// (`Arc<Engine>` + descriptor handle + key + life + priority) with room
+/// (engine pointer + descriptor handle + two keys + life) with room
 /// to spare.
 pub const INLINE_DATA_BYTES: usize = DATA_WORDS * size_of::<usize>();
 

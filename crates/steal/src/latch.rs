@@ -8,9 +8,13 @@
 //!   thread blocks on it.
 //! * [`CountLatch`] — counts outstanding jobs; trips at zero. The pool uses
 //!   it to detect quiescence of a `run_until_complete` scope.
+//! * [`Credits`] — one worker's private stash of `CountLatch` units, so the
+//!   per-job path moves units between a job and its worker instead of
+//!   writing the shared count.
 
 use ft_sync::atomic::{AtomicBool, AtomicIsize, Ordering};
 use parking_lot::{Condvar, Mutex};
+use std::cell::Cell;
 
 /// One-shot boolean latch.
 #[derive(Default)]
@@ -98,30 +102,38 @@ impl CountLatch {
         }
     }
 
-    /// Register one more outstanding item.
-    pub fn increment(&self) {
+    /// Register `n` more outstanding units with one RMW. The pool's workers
+    /// take units in batches and hand them to the jobs they spawn (see
+    /// `pool.rs`, "quiescence credits"), so the count is `live jobs + units
+    /// parked in worker-local credits`, not one RMW per job.
+    pub fn add(&self, n: isize) {
+        debug_assert!(n >= 1, "CountLatch::add of {n}");
         // ord: Relaxed — `started` is monotone (false→true once) and only
         // gates quiescence together with the count; the AcqRel RMW below
-        // orders it for any observer that sees the incremented count.
-        self.started.store(true, Ordering::Relaxed);
-        // ord: AcqRel — increments and decrements form a single release
-        // sequence so the final decrement observes all prior updates.
-        self.count.fetch_add(1, Ordering::AcqRel);
+        // orders it for any observer that sees the raised count. Tested
+        // before it is set so a started latch's flag is only ever read.
+        if !self.started.load(Ordering::Relaxed) {
+            self.started.store(true, Ordering::Relaxed);
+        }
+        // ord: AcqRel — additions and subtractions form a single release
+        // sequence so the final subtraction observes all prior updates.
+        self.count.fetch_add(n, Ordering::AcqRel);
     }
 
-    /// Mark one item complete; wakes waiters when the count hits zero.
+    /// Return `n` units; wakes waiters when the count hits zero.
     ///
-    /// Returns `true` for the decrement that tripped the latch (the 1 → 0
-    /// transition), which happens at most once per quiescence — callers use
-    /// it to run once-only completion actions (e.g. an instance's quiesce
-    /// hook) without a separate race-prone count probe.
-    pub fn decrement(&self) -> bool {
-        // ord: AcqRel — the decrement releases the completing job's writes
-        // and the final decrement acquires every earlier one, so the waiter
-        // woken at zero sees all completed work.
-        let prev = self.count.fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(prev >= 1, "CountLatch underflow");
-        if prev == 1 {
+    /// Returns `true` for the subtraction that tripped the latch (the
+    /// `n → 0` transition), which happens at most once per quiescence —
+    /// callers use it to run once-only completion actions (e.g. an
+    /// instance's quiesce hook) without a separate race-prone count probe.
+    pub fn sub(&self, n: isize) -> bool {
+        debug_assert!(n >= 1, "CountLatch::sub of {n}");
+        // ord: AcqRel — the subtraction releases the completing jobs'
+        // writes and the final one acquires every earlier one, so the
+        // waiter woken at zero sees all completed work.
+        let prev = self.count.fetch_sub(n, Ordering::AcqRel);
+        debug_assert!(prev >= n, "CountLatch underflow");
+        if prev == n {
             let _g = self.lock.lock();
             self.condvar.notify_all();
             return true;
@@ -129,16 +141,27 @@ impl CountLatch {
         false
     }
 
+    /// Register one more outstanding item.
+    pub fn increment(&self) {
+        self.add(1);
+    }
+
+    /// Mark one item complete; `true` for the decrement that tripped the
+    /// latch (see [`CountLatch::sub`]).
+    pub fn decrement(&self) -> bool {
+        self.sub(1)
+    }
+
     /// Current outstanding count.
     pub fn outstanding(&self) -> isize {
-        // ord: Acquire — pairs with the AcqRel decrements so a zero read
+        // ord: Acquire — pairs with the AcqRel subtractions so a zero read
         // implies the completed jobs' writes are visible.
         self.count.load(Ordering::Acquire)
     }
 
     /// True if at least one item was registered and all have completed.
     pub fn is_quiescent(&self) -> bool {
-        // ord: Relaxed — monotone flag; see `increment`.
+        // ord: Relaxed — monotone flag; see `add`.
         self.started.load(Ordering::Relaxed) && self.outstanding() == 0
     }
 
@@ -151,6 +174,70 @@ impl CountLatch {
         while !self.is_quiescent() {
             self.condvar.wait(&mut g);
         }
+    }
+}
+
+/// Units a worker takes from the latch in one RMW when it spawns with no
+/// credit in hand. Large enough that a worker fanning out a task's
+/// predecessors touches the latch once per several tasks; the surplus is
+/// flushed as soon as the worker's deques run empty, so it never delays
+/// quiescence.
+const CREDIT_BATCH: isize = 64;
+
+/// One worker's stash of [`CountLatch`] units that belong to no live job.
+///
+/// Every live job holds exactly one unit of the latch, from before it
+/// becomes visible to any other thread until after its body has returned.
+/// A worker-side spawn hands the new job a unit out of the stash
+/// ([`Credits::take`], refilling with one [`CountLatch::add`] of a fixed
+/// batch when empty); a finished job's unit goes back into the stash
+/// ([`Credits::put`]) instead of to the latch; and the worker returns the
+/// whole stash with one [`CountLatch::sub`] whenever its own queues run
+/// empty ([`Credits::flush`]). Invariant: `latch count == live jobs + Σ
+/// stashes`, so the latch can only read zero with no job live and every
+/// stash flushed, and the subtraction that gets it there is unique.
+///
+/// `!Sync` by construction (a `Cell`): a stash belongs to one thread.
+#[derive(Debug, Default)]
+pub struct Credits {
+    held: Cell<isize>,
+}
+
+impl Credits {
+    /// An empty stash.
+    pub const fn new() -> Self {
+        Credits { held: Cell::new(0) }
+    }
+
+    /// Units currently held.
+    pub fn held(&self) -> isize {
+        self.held.get()
+    }
+
+    /// Take the unit a job about to be published will hold. Must precede
+    /// the publish: once another thread can see the job it can finish it —
+    /// and flush its unit — at any moment.
+    pub fn take(&self, latch: &CountLatch) {
+        let have = self.held.get();
+        if have > 0 {
+            self.held.set(have - 1);
+        } else {
+            latch.add(CREDIT_BATCH);
+            self.held.set(CREDIT_BATCH - 1);
+        }
+    }
+
+    /// Keep the unit of a job this thread just finished.
+    pub fn put(&self) {
+        self.held.set(self.held.get() + 1);
+    }
+
+    /// Return every held unit to the latch; `true` if that tripped it.
+    /// Call whenever the owning worker's own queues are empty, so a worker
+    /// that steals, parks or exits holds none.
+    pub fn flush(&self, latch: &CountLatch) -> bool {
+        let held = self.held.replace(0);
+        held > 0 && latch.sub(held)
     }
 }
 
@@ -199,6 +286,24 @@ mod tests {
         assert!(l.decrement(), "final decrement reports the trip");
         assert!(l.is_quiescent());
         l.wait(); // must not block
+    }
+
+    #[test]
+    fn credits_keep_latch_raised_until_flushed() {
+        let l = CountLatch::new();
+        let c = Credits::new();
+        l.increment(); // an external job, about to run on this worker
+        c.take(&l); // it spawns a child: one batch taken
+        assert_eq!(l.outstanding(), 1 + CREDIT_BATCH);
+        assert_eq!(c.held(), CREDIT_BATCH - 1);
+        c.put(); // the external job finished
+        c.put(); // the child finished
+        assert_eq!(c.held(), CREDIT_BATCH + 1);
+        assert!(!l.is_quiescent(), "no job live, but credits unflushed");
+        assert!(c.flush(&l), "the flush returns every unit and trips");
+        assert!(!c.flush(&l), "an empty stash touches nothing");
+        assert!(l.is_quiescent());
+        assert_eq!(l.outstanding(), 0);
     }
 
     #[test]

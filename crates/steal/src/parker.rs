@@ -7,12 +7,20 @@
 //! incrementing an epoch-tagged sleeper count; producers that make new work
 //! visible bump the epoch and wake sleepers through a `Condvar`.
 //!
-//! The protocol avoids lost wakeups: a worker re-checks for work *after*
-//! registering as a sleeper and before actually blocking, and `notify`
-//! always bumps the epoch so a sleeper that raced with the notification
-//! observes a stale epoch and retries instead of sleeping.
+//! The protocol avoids lost wakeups with a two-sided Dekker pair over
+//! `SeqCst` fences. A **sleeper** registers (`prepare_sleep`: `SeqCst` RMW
+//! on `state`, then a fence) and only then sweeps every work source; a
+//! **producer** makes its job visible (queue push), fences, and only then
+//! loads `state` ([`Parker::notify_one`]). Whichever fence is later in the
+//! single total order sees the other side's write: either the producer's
+//! load observes the registered sleeper — it bumps the epoch and signals,
+//! so a sleeper that has not blocked yet finds a stale epoch and one that
+//! has is woken — or the sleeper's sweep observes the pushed job and
+//! cancels. A producer that finds no sleeper therefore writes nothing
+//! here: the per-spawn cost is one fence and one load of a line nobody is
+//! modifying.
 
-use ft_sync::atomic::{AtomicU64, Ordering};
+use ft_sync::atomic::{fence, AtomicU64, Ordering};
 use parking_lot::{Condvar, Mutex};
 
 /// Shared sleep/wake state for a pool of workers.
@@ -64,6 +72,12 @@ impl Parker {
     /// [`Parker::sleep`] with the returned token.
     pub fn prepare_sleep(&self) -> SleepToken {
         let prev = self.state.fetch_add(1, Ordering::SeqCst);
+        // ord: SeqCst fence — sleeper half of the Dekker pair: the
+        // registration above is ordered before every load of the caller's
+        // re-check sweep, so a producer whose `notify_one` load missed this
+        // sleeper has its push observed by the sweep.
+        // sc: parker/sleeper
+        fence(Ordering::SeqCst);
         SleepToken { epoch: prev >> 32 }
     }
 
@@ -88,10 +102,10 @@ impl Parker {
         self.state.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Wake all sleeping workers; called after making new work visible.
+    /// Wake all sleeping workers (pool shutdown).
     ///
-    /// Always bumps the epoch so concurrent `prepare_sleep`/`sleep` pairs
-    /// cannot miss the notification.
+    /// Always bumps the epoch, so a `prepare_sleep`/`sleep` pair racing
+    /// with it observes a stale epoch and does not block.
     pub fn notify(&self) {
         let prev = self.state.fetch_add(EPOCH_UNIT, Ordering::SeqCst);
         if prev & SLEEPERS_MASK != 0 {
@@ -100,19 +114,27 @@ impl Parker {
         }
     }
 
-    /// Wake at most one sleeping worker; called after making a single unit
-    /// of work visible. The epoch still bumps, so a racing
-    /// `prepare_sleep`/`sleep` pair cannot miss the notification — but only
-    /// one blocked worker is signalled, avoiding the thundering herd of
-    /// [`Parker::notify`] when one job arrives. The woken worker is
+    /// Wake at most one sleeping worker; call *after* making a unit of work
+    /// visible in a queue the sleepers' re-check sweeps.
+    ///
+    /// With no sleeper registered this writes nothing. With one, the epoch
+    /// bumps — so a sleeper between `prepare_sleep` and `sleep` does not
+    /// block — and one blocked worker is signalled, avoiding the thundering
+    /// herd of [`Parker::notify`] when one job arrives. The woken worker is
     /// responsible for escalating (waking another sleeper) while more work
     /// remains visible.
     pub fn notify_one(&self) {
-        let prev = self.state.fetch_add(EPOCH_UNIT, Ordering::SeqCst);
-        if prev & SLEEPERS_MASK != 0 {
-            let _guard = self.lock.lock();
-            self.condvar.notify_one();
+        // ord: SeqCst fence — producer half of the Dekker pair: the
+        // caller's queue push is ordered before the load below, so a
+        // sleeper this load misses has its re-check sweep observe the push.
+        // sc: parker/producer
+        fence(Ordering::SeqCst);
+        if self.state.load(Ordering::SeqCst) & SLEEPERS_MASK == 0 {
+            return;
         }
+        self.state.fetch_add(EPOCH_UNIT, Ordering::SeqCst);
+        let _guard = self.lock.lock();
+        self.condvar.notify_one();
     }
 
     /// Number of workers currently registered as (about to be) sleeping.
@@ -135,6 +157,18 @@ mod tests {
         let token = p.prepare_sleep();
         p.notify();
         // Must not block.
+        p.sleep(token);
+        assert_eq!(p.sleepers(), 0);
+    }
+
+    #[test]
+    fn notify_one_without_sleepers_leaves_state_untouched() {
+        let p = Parker::new();
+        p.notify_one();
+        assert_eq!(p.state.load(Ordering::SeqCst), 0, "no epoch bump");
+        // With a sleeper registered the epoch moves and the sleep returns.
+        let token = p.prepare_sleep();
+        p.notify_one();
         p.sleep(token);
         assert_eq!(p.sleepers(), 0);
     }

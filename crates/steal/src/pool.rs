@@ -15,15 +15,26 @@
 //! Panics inside jobs are caught, the first payload is kept, and
 //! `run_until_complete` re-raises it on the submitting thread — otherwise a
 //! panicking job would leak the quiescence count and deadlock the run.
+//!
+//! # No shared writes per job
+//!
+//! The per-job path writes no cache line shared between workers. The
+//! quiescence latch `pending` is counted through worker-local [`Credits`]
+//! (a spawn or a finished job moves a unit between the job and its
+//! worker's stash; the latch itself is touched once per batch and once per
+//! flush, when the worker's own deques run empty), and there is no
+//! queued-jobs counter: a worker about to park sweeps the injector and
+//! every deque instead (see [`Parker`] for the producer/sleeper fence pair
+//! that makes the sweep sufficient).
 
 use crate::deque::{self, Steal, Stealer, Worker};
 use crate::instance::{InstanceHandle, QuiesceHook};
-use crate::latch::CountLatch;
+use crate::latch::{CountLatch, Credits};
 use crate::metrics::{CachePadded, MetricsSnapshot, WorkerMetrics};
 use crate::parker::Parker;
 use crate::priority::{PrioInjector, Priority};
 use crate::rng::XorShift64Star;
-use ft_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use ft_sync::atomic::{AtomicBool, Ordering};
 use parking_lot::Mutex;
 use std::any::Any;
 use std::cell::Cell;
@@ -62,7 +73,18 @@ pub trait SpawnHost {
 ///
 /// `&Pool` coerces to `&dyn Executor`, so scheduler entry points take
 /// `&dyn Executor` without changing existing call sites.
-pub trait Executor {
+///
+/// # Safety
+/// Callers lend borrowed state to the jobs they spawn and reclaim it when
+/// the executor reports quiescence (the scheduler engine's jobs hold a plain
+/// pointer to their engine, not a reference count). An implementation must
+/// therefore guarantee that
+/// * [`Executor::execute_job`] does not return — normally or by unwinding —
+///   while any job transitively spawned by `root` can still run, and
+/// * an instance's quiesce hook is invoked (or dropped unrun) only after the
+///   last job of that instance has finished running, and every job that
+///   never runs is dropped without being executed.
+pub unsafe trait Executor {
     /// Run `root` (which may spawn more work) and block until quiescent.
     fn execute_job(&self, root: Job);
 
@@ -80,9 +102,9 @@ pub trait Executor {
     /// the returned [`InstanceHandle`].
     fn submit_instance(&self, root: Job, on_quiesce: Option<QuiesceHook>) -> InstanceHandle;
 
-    /// Number of jobs currently visible in this executor's queues. The
-    /// service layer uses it as an admission watermark; a racy snapshot is
-    /// fine for that purpose.
+    /// Number of jobs currently visible in this executor's queues (a sum
+    /// of racy queue lengths). The service layer uses it as an admission
+    /// watermark; a racy snapshot is fine for that purpose.
     fn queued_jobs(&self) -> u64;
 
     /// Run pending instance work to quiescence on executors that have no
@@ -138,12 +160,9 @@ struct LaneStealers {
 struct PoolState {
     stealers: Vec<LaneStealers>,
     injector: PrioInjector<Job>,
-    /// Pool-wide count of jobs sitting in any queue (local deques + the
-    /// injector): incremented after a job is enqueued, decremented when a
-    /// worker acquires one. Idle workers consult this single counter to
-    /// decide whether to park — O(1) instead of sweeping every stealer.
-    queued: CachePadded<AtomicU64>,
     parker: Parker,
+    /// Quiescence latch, in units: `live jobs + Σ worker credits` (plus the
+    /// sentinel of a `run_until_complete` in progress).
     pending: CountLatch,
     metrics: Vec<CachePadded<WorkerMetrics>>,
     shutdown: AtomicBool,
@@ -233,82 +252,72 @@ struct LocalCtx {
     index: usize,
     /// Identity of the owning pool, to guard against cross-pool spawns.
     pool_id: *const PoolState,
-}
-
-fn current_worker_index(state: &PoolState) -> Option<usize> {
-    LOCAL.with(|l| {
-        let p = l.get();
-        if p.is_null() {
-            return None;
-        }
-        // SAFETY: a non-null LOCAL points at the `LocalCtx` on the current
-        // worker's stack frame in `worker_main`, which outlives every job
-        // the worker runs and is reset to null before the frame unwinds.
-        let ctx = unsafe { &*p };
-        if std::ptr::eq(ctx.pool_id, state) {
-            Some(ctx.index)
-        } else {
-            None
-        }
-    })
+    /// Units of the pool's `pending` latch this worker holds that belong to
+    /// no live job.
+    credits: Credits,
 }
 
 impl PoolState {
+    /// Run `f` with the calling thread's worker context, if the thread is
+    /// a worker of *this* pool.
+    fn with_local<R>(&self, f: impl FnOnce(Option<&LocalCtx>) -> R) -> R {
+        LOCAL.with(|l| {
+            let p = l.get();
+            // SAFETY: a non-null LOCAL points at the `LocalCtx` on the
+            // current worker's stack frame in `worker_main`, which outlives
+            // every job the worker runs (hence this call) and is reset to
+            // null before the frame unwinds.
+            let ctx = (!p.is_null()).then(|| unsafe { &*p });
+            f(ctx.filter(|ctx| std::ptr::eq(ctx.pool_id, self)))
+        })
+    }
+
     fn spawn_job(&self, job: Job) {
         self.spawn_job_with(job, Priority::Normal);
     }
 
     fn spawn_job_with(&self, job: Job, prio: Priority) {
-        self.pending.increment();
-        // Count the job *before* it becomes stealable: a worker that grabs
-        // it the instant it lands must not decrement `queued` below zero.
-        // SeqCst: the increment must be globally ordered against a parking
-        // worker's `prepare_sleep`/re-check pair — either the sleeper sees
-        // the count, or the notify below sees the sleeper (epoch protocol).
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        let mut job = Some(job);
-        LOCAL.with(|l| {
-            let p = l.get();
-            if p.is_null() {
-                return;
+        let external = self.with_local(|ctx| match ctx {
+            Some(ctx) => {
+                ctx.credits.take(&self.pending);
+                WorkerMetrics::bump(&self.metrics[ctx.index].spawned);
+                match prio {
+                    Priority::High => ctx.hot.push(job),
+                    Priority::Normal => ctx.deque.push(job),
+                }
+                None
             }
-            // SAFETY: as in `current_worker_index` — a non-null LOCAL points
-            // at the live `LocalCtx` of the current worker's `worker_main`
-            // frame, which strictly outlives this call.
-            let ctx = unsafe { &*p };
-            if !std::ptr::eq(ctx.pool_id, self) {
-                return;
-            }
-            WorkerMetrics::bump(&self.metrics[ctx.index].spawned);
-            let job = job.take().expect("job present");
-            match prio {
-                Priority::High => ctx.hot.push(job),
-                Priority::Normal => ctx.deque.push(job),
-            }
+            None => Some(job),
         });
-        if let Some(job) = job {
-            // Submitting thread is not a worker of this pool: go through
-            // the shared lock-free injector (lane chosen by `prio`).
+        if let Some(job) = external {
+            // Submitting thread is not a worker of this pool: the job's
+            // unit comes straight from the latch and it travels through the
+            // shared lock-free injector (lane chosen by `prio`).
+            self.pending.increment();
             self.injector.push(job, prio);
         }
-        // One job became visible: wake one worker, not the whole pool. The
-        // woken worker escalates (see `worker_main`) while work remains.
+        // One job became visible: wake one worker, not the whole pool (a
+        // fence and a load when nobody sleeps). The woken worker escalates
+        // (see `worker_main`) while work remains.
         self.parker.notify_one();
     }
 
-    /// True if any queue in the system visibly holds work. O(1): a single
-    /// counter load instead of an O(workers) stealer sweep.
-    fn has_visible_work(&self) -> bool {
-        self.queued.load(Ordering::SeqCst) > 0
+    /// Racy total of the queue lengths: a sweep of the injector and every
+    /// worker's deques, O(workers). Paid only by a worker that is about to
+    /// park, or that acquired a job while others are parked, and by the
+    /// service's admission watermark — never on the all-busy path.
+    fn queued_jobs(&self) -> u64 {
+        let local: usize = self
+            .stealers
+            .iter()
+            .map(|lanes| lanes.hot.len() + lanes.normal.len())
+            .sum();
+        (self.injector.len() + local) as u64
     }
 
-    /// Account for a job leaving the queues. Returns how many remain.
-    fn job_acquired(&self) -> u64 {
-        // ord: Relaxed — the counter is a wakeup heuristic here: the worker
-        // already holds the job (synchronized by the deque/injector
-        // protocols), and parking correctness relies on the SeqCst
-        // increment in `spawn_job`, not on this decrement.
-        self.queued.fetch_sub(1, Ordering::Relaxed) - 1
+    /// True if any queue in the system visibly holds work.
+    fn has_visible_work(&self) -> bool {
+        self.queued_jobs() > 0
     }
 }
 
@@ -326,7 +335,7 @@ impl SpawnHost for PoolState {
     }
 
     fn worker_index(&self) -> Option<usize> {
-        current_worker_index(self)
+        self.with_local(|ctx| ctx.map(|ctx| ctx.index))
     }
 }
 
@@ -363,7 +372,6 @@ impl Pool {
         let state = Arc::new(PoolState {
             stealers,
             injector: PrioInjector::new(),
-            queued: CachePadded(AtomicU64::new(0)),
             parker: Parker::new(),
             pending: CountLatch::new(),
             metrics,
@@ -396,20 +404,31 @@ impl Pool {
     /// Run `f` (which spawns the root work) and block until the pool
     /// quiesces — every transitively spawned job has finished.
     ///
-    /// If any job panicked, the first panic payload is re-raised here.
+    /// If `f` or any job panicked, the first panic payload is re-raised
+    /// here — after quiescence either way, so nothing spawned by a
+    /// panicking `f` is still running when this unwinds.
     pub fn run_until_complete<F>(&self, f: F)
     where
         F: FnOnce(&Scope<'_>),
     {
-        let scope = Scope::for_host(&*self.state);
-        // Sentinel item: guarantees the latch "starts" even if `f` spawns
+        let state = &*self.state;
+        let scope = Scope::for_host(state);
+        // Sentinel unit: guarantees the latch "starts" even if `f` spawns
         // nothing, and holds the count above zero while `f` is still
         // submitting.
-        self.state.pending.increment();
-        f(&scope);
-        self.state.pending.decrement();
-        self.state.pending.wait();
-        if let Some(payload) = self.state.panic.lock().take() {
+        state.pending.increment();
+        let submitted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&scope)));
+        // A caller that is itself a worker of this pool spawned on credit;
+        // it is about to block, so it must not sit on units.
+        state.with_local(|ctx| {
+            if let Some(ctx) = ctx {
+                ctx.credits.flush(&state.pending);
+            }
+        });
+        state.pending.decrement();
+        state.pending.wait();
+        let job_panic = state.panic.lock().take();
+        if let Some(payload) = submitted.err().or(job_panic) {
             std::panic::resume_unwind(payload);
         }
     }
@@ -446,7 +465,13 @@ impl Pool {
     }
 }
 
-impl Executor for Pool {
+// SAFETY: `execute_job` is `run_until_complete`, which waits on the
+// `pending` latch before returning or unwinding; every job holds a latch
+// unit from before it becomes visible until after its body returned (the
+// `Credits` invariant), so the latch cannot read zero while one can still
+// run. Instance hooks fire from the instance latch's tripping decrement
+// (`instance.rs`), and queued jobs are only ever run once or dropped.
+unsafe impl Executor for Pool {
     fn execute_job(&self, root: Job) {
         self.run_until_complete(|scope| root.run(scope));
     }
@@ -465,7 +490,7 @@ impl Executor for Pool {
     }
 
     fn queued_jobs(&self) -> u64 {
-        self.state.queued.load(Ordering::SeqCst)
+        self.state.queued_jobs()
     }
 }
 
@@ -497,6 +522,7 @@ fn worker_main(
         hot,
         index,
         pool_id: Arc::as_ptr(&state),
+        credits: Credits::new(),
     };
     LOCAL.with(|l| l.set(&ctx as *const LocalCtx));
     let mut rng = XorShift64Star::new(seed);
@@ -505,34 +531,37 @@ fn worker_main(
 
     loop {
         if let Some(job) = find_job(&state, &ctx, index, &mut rng) {
-            // Wake escalation: this worker got a job; if more are queued
+            // Wake escalation: this worker got a job; if more are visible
             // and someone is parked, pass the wakeup along. Combined with
             // `notify_one` in `spawn_job`, a burst of B jobs wakes at most
             // B workers, one at a time, instead of the whole pool per job.
-            if state.job_acquired() > 0 && state.parker.sleepers() > 0 {
+            // With nobody parked this is one load of an unmodified line.
+            if state.parker.sleepers() > 0 && state.has_visible_work() {
                 state.parker.notify_one();
             }
             WorkerMetrics::bump(&metrics.executed);
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 job.run(&scope);
             }));
-            // Store the payload *before* decrementing: the waiter in
-            // `run_until_complete` reads the panic slot as soon as the
-            // pending count hits zero.
+            // Store the payload *before* the job's unit can reach the
+            // latch: the waiter in `run_until_complete` reads the panic
+            // slot as soon as the pending count hits zero.
             if let Err(payload) = result {
                 let mut slot = state.panic.lock();
                 if slot.is_none() {
                     *slot = Some(payload);
                 }
             }
-            state.pending.decrement();
+            ctx.credits.put();
             continue;
         }
         // ord: Acquire — pairs with the Release store in `Pool::drop`.
         if state.shutdown.load(Ordering::Acquire) {
             break;
         }
-        // Nothing found after a full sweep: two-phase park.
+        // Nothing found after a full sweep: two-phase park. Registering
+        // fences (sleeper half of the parker's Dekker pair), so the sweep
+        // below sees every job whose producer did not see this sleeper.
         let token = state.parker.prepare_sleep();
         // ord: Acquire — pairs with the Release store in `Pool::drop`.
         if state.has_visible_work() || state.shutdown.load(Ordering::Acquire) {
@@ -542,6 +571,7 @@ fn worker_main(
         WorkerMetrics::bump(&metrics.sleeps);
         state.parker.sleep(token);
     }
+    debug_assert_eq!(ctx.credits.held(), 0, "worker exits holding credits");
     LOCAL.with(|l| l.set(std::ptr::null()));
 }
 
@@ -549,7 +579,9 @@ fn worker_main(
 /// deque, injector hot lane, own normal deque, injector normal batch, then
 /// `steal_rounds` sweeps over random victims (each victim's hot lane
 /// before its normal one). The only FIFO-mode overhead of the priority
-/// tiers is one empty `pop` and one hint load per acquisition.
+/// tiers is one empty `pop` and one hint load per acquisition. Leaving the
+/// worker's own deques — the point where it stops being self-sufficient —
+/// is where its quiescence credits are flushed.
 fn find_job(
     state: &PoolState,
     ctx: &LocalCtx,
@@ -565,6 +597,7 @@ fn find_job(
     if let Some(job) = ctx.deque.pop() {
         return Some(job);
     }
+    ctx.credits.flush(&state.pending);
     if let Some(job) = pop_injector(state, ctx, index) {
         return Some(job);
     }
@@ -616,7 +649,7 @@ fn steal_injector_hot(state: &PoolState, index: usize) -> Option<Job> {
 /// Take from the lock-free injector: one hot job if any, else a
 /// batch-steal from the normal lane into this worker's own deque,
 /// returning the oldest stolen job. Surplus jobs stay stealable by other
-/// workers (and remain counted in `queued`).
+/// workers.
 fn pop_injector(state: &PoolState, ctx: &LocalCtx, index: usize) -> Option<Job> {
     if let Some(job) = steal_injector_hot(state, index) {
         return Some(job);

@@ -112,3 +112,90 @@ fn num_threads_reported() {
         assert_eq!(scope.num_threads(), 3);
     });
 }
+
+/// Run `body` on its own thread and fail if it has not finished within
+/// `secs` — a lost wake-up or a stuck latch shows up as a hang, which must
+/// fail the test rather than wedge the suite.
+fn under_watchdog(secs: u64, what: &str, body: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        body();
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(secs)) {
+        Ok(()) => worker.join().unwrap(),
+        // A panic in `body` drops `tx`: surface that panic, not a timeout.
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().unwrap_err())
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("{what}: no progress for {secs} s")
+        }
+    }
+}
+
+#[test]
+fn single_jobs_against_parking_workers_never_lose_a_wakeup() {
+    // One producer, one job at a time, and every round is forced through
+    // the park protocol: the next job is pushed only after the worker that
+    // ran the previous one has registered to sleep again (its `sleeps`
+    // counter moved), so each push races a worker somewhere between
+    // `prepare_sleep`, its re-check sweep and the condvar. The producer
+    // writes nothing when it sees no sleeper, so a sweep that misses the
+    // job would strand it: the round would never complete.
+    const ROUNDS: u64 = 100_000;
+    under_watchdog(120, "park/wake rounds", || {
+        let mut config = PoolConfig::with_threads(2);
+        config.steal_rounds = 1;
+        let pool = Pool::new(config);
+        let done = Arc::new(AtomicUsize::new(0));
+        let mut parks_seen = pool.metrics().sleeps;
+        for round in 1..=ROUNDS as usize {
+            let d = Arc::clone(&done);
+            pool.spawn(move |_| {
+                d.store(round, Ordering::Release);
+            });
+            while done.load(Ordering::Acquire) != round {
+                std::hint::spin_loop();
+            }
+            // Wait for the next park: at least the worker that ran the job
+            // goes back to sleep (nothing else is queued).
+            loop {
+                let parks = pool.metrics().sleeps;
+                if parks > parks_seen {
+                    parks_seen = parks;
+                    break;
+                }
+                std::thread::yield_now();
+            }
+        }
+        assert_eq!(done.load(Ordering::Acquire), ROUNDS as usize);
+        assert!(pool.metrics().executed >= ROUNDS);
+    });
+}
+
+#[test]
+fn credits_of_a_worker_that_went_idle_do_not_delay_quiescence() {
+    // The root job spawns from a worker, so that worker takes a whole batch
+    // of latch units and is left holding all but a few of them as credits
+    // when the last job finishes. Nothing else will ever run: only the
+    // flush a worker performs when its own deques are empty can bring the
+    // latch to zero and let `run_until_complete` return.
+    under_watchdog(60, "quiescence with unflushed credits", || {
+        let pool = Pool::new(PoolConfig::with_threads(2));
+        let ran = Arc::new(AtomicUsize::new(0));
+        for _ in 0..2_000 {
+            let r = Arc::clone(&ran);
+            pool.run_until_complete(move |scope| {
+                scope.spawn(move |s| {
+                    let r2 = Arc::clone(&r);
+                    s.spawn(move |_| {
+                        r2.fetch_add(1, Ordering::Relaxed);
+                    });
+                    r.fetch_add(1, Ordering::Relaxed);
+                });
+            });
+        }
+        assert_eq!(ran.load(Ordering::Relaxed), 4_000);
+    });
+}

@@ -548,3 +548,66 @@ fn instance_panic_stays_in_its_epoch() {
     let t = service.submit(&again.sched).expect("pool unaffected");
     assert!(t.wait().report.sink_completed);
 }
+
+/// Engine lifetime is by quiescence, not by refcount: jobs only borrow
+/// their engine, so once the submitter has dropped both its ticket and its
+/// own `Arc` right after `submit`, the quiesce hook's reference is the only
+/// thing keeping the epoch — engine, arena, task map — alive while its jobs
+/// run. The instance must still finish with correct outputs (faults and
+/// recovery included), release its slot, and only then free the engine.
+fn dropped_ticket_epoch_outlives_its_jobs(
+    exec: &dyn ft_steal::pool::Executor,
+    label: &str,
+    round: u64,
+) {
+    let service = GraphService::new(exec);
+    let references = shape_references();
+    for i in 0..6u64 {
+        let Tenant {
+            dag,
+            keys,
+            plan,
+            sched,
+            shape_idx,
+            ..
+        } = make_tenant(i, round);
+        let epoch = Arc::downgrade(&sched);
+        drop(service.submit(&sched).expect("admitted"));
+        drop(sched);
+        service.drive();
+        // No ticket to wait on: the hook frees the engine as its last act,
+        // so the engine disappearing is the completion signal.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while epoch.strong_count() > 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{label}: tenant {i} never quiesced"
+            );
+            std::thread::yield_now();
+        }
+        assert_eq!(service.in_flight(), 0, "{label}: slot released");
+        assert_eq!(service.stats().completed, i + 1);
+        for &k in &keys {
+            assert_eq!(
+                dag.value_of(k),
+                references[&shape_idx].get(&k).copied(),
+                "{label}: tenant {i} task {k} differs from the sequential reference"
+            );
+        }
+        assert_eq!(plan.fired() > 0, plan.planned() > 0, "{label}: plan ran");
+    }
+}
+
+#[test]
+fn dropped_ticket_epoch_outlives_its_jobs_on_pool() {
+    let pool = Pool::new(PoolConfig::with_threads(3));
+    dropped_ticket_epoch_outlives_its_jobs(&pool, "service-dropped-ticket-pool", 21);
+}
+
+#[test]
+fn dropped_ticket_epoch_outlives_its_jobs_on_det_pool() {
+    for seed in 0..8u64 {
+        let pool = DetPool::new(0xD20B + seed);
+        dropped_ticket_epoch_outlives_its_jobs(&pool, "service-dropped-ticket-det", seed);
+    }
+}
