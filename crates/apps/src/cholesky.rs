@@ -156,32 +156,37 @@ impl TaskGraph for Cholesky {
     }
 
     fn predecessors(&self, key: Key) -> Vec<Key> {
+        let mut p = Vec::new();
+        self.predecessors_into(key, &mut p);
+        p
+    }
+
+    fn predecessors_into(&self, key: Key, out: &mut Vec<Key>) {
+        out.clear();
         let (tag, k, i, j) = keys::decode(key);
-        let mut p = Vec::with_capacity(3);
         match tag {
             POTRF => {
                 if k > 0 {
-                    p.push(keys::encode(UPDATE, k - 1, k, k));
+                    out.push(keys::encode(UPDATE, k - 1, k, k));
                 }
             }
             TRSM => {
-                p.push(keys::encode(POTRF, k, 0, 0));
+                out.push(keys::encode(POTRF, k, 0, 0));
                 if k > 0 {
-                    p.push(keys::encode(UPDATE, k - 1, i, k));
+                    out.push(keys::encode(UPDATE, k - 1, i, k));
                 }
             }
             UPDATE => {
-                p.push(keys::encode(TRSM, k, i, 0));
+                out.push(keys::encode(TRSM, k, i, 0));
                 if j != i {
-                    p.push(keys::encode(TRSM, k, j, 0));
+                    out.push(keys::encode(TRSM, k, j, 0));
                 }
                 if k > 0 {
-                    p.push(keys::encode(UPDATE, k - 1, i, j));
+                    out.push(keys::encode(UPDATE, k - 1, i, j));
                 }
             }
             _ => unreachable!("bad Cholesky task tag"),
         }
-        p
     }
 
     fn successors(&self, key: Key) -> Vec<Key> {
@@ -217,6 +222,17 @@ impl TaskGraph for Cholesky {
             _ => unreachable!("bad Cholesky task tag"),
         }
         s
+    }
+
+    fn out_degree(&self, key: Key) -> usize {
+        let (tag, k, _, _) = keys::decode(key);
+        match tag {
+            // POTRF(k) feeds one TRSM per row below the diagonal; TRSM(k, i)
+            // feeds the i − k updates of row i and the nb − i − 1 of column i.
+            POTRF | TRSM => self.nb() - k - 1,
+            UPDATE => 1,
+            _ => unreachable!("bad Cholesky task tag"),
+        }
     }
 
     fn compute(&self, key: Key, _ctx: &ComputeCtx<'_>) -> Result<(), Fault> {

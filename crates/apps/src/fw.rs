@@ -192,37 +192,42 @@ impl TaskGraph for Fw {
     }
 
     fn predecessors(&self, key: Key) -> Vec<Key> {
+        let mut p = Vec::new();
+        self.predecessors_into(key, &mut p);
+        p
+    }
+
+    fn predecessors_into(&self, key: Key, out: &mut Vec<Key>) {
+        out.clear();
         let (tag, k, i, j) = keys::decode(key);
         let nb = self.nb();
         if tag == 1 {
             // Synthetic sink: depends on every last-round task.
             let k = self.last_round;
-            return (0..nb)
-                .flat_map(|i| (0..nb).map(move |j| Self::key(k, i, j)))
-                .collect();
+            out.extend((0..nb).flat_map(|i| (0..nb).map(move |j| Self::key(k, i, j))));
+            return;
         }
-        let mut p = Vec::new();
         let base = self.first_round;
         // Data-flow predecessors (round `base` reads pinned restored state).
         if i == k && j == k {
             if k > base {
-                p.push(Self::key(k - 1, k, k));
+                out.push(Self::key(k - 1, k, k));
             }
         } else if i == k {
-            p.push(Self::key(k, k, k));
+            out.push(Self::key(k, k, k));
             if k > base {
-                p.push(Self::key(k - 1, k, j));
+                out.push(Self::key(k - 1, k, j));
             }
         } else if j == k {
-            p.push(Self::key(k, k, k));
+            out.push(Self::key(k, k, k));
             if k > base {
-                p.push(Self::key(k - 1, i, k));
+                out.push(Self::key(k - 1, i, k));
             }
         } else {
-            p.push(Self::key(k, i, k));
-            p.push(Self::key(k, k, j));
+            out.push(Self::key(k, i, k));
+            out.push(Self::key(k, k, j));
             if k > base {
-                p.push(Self::key(k - 1, i, j));
+                out.push(Self::key(k - 1, i, j));
             }
         }
         // Anti-dependence predecessors: we evict version (k+1) − keep of
@@ -233,21 +238,20 @@ impl TaskGraph for Fw {
             if i == kr {
                 for r in 0..nb {
                     let q = Self::key(kr, r, j);
-                    if !p.contains(&q) {
-                        p.push(q);
+                    if !out.contains(&q) {
+                        out.push(q);
                     }
                 }
             }
             if j == kr {
                 for c in 0..nb {
                     let q = Self::key(kr, i, c);
-                    if !p.contains(&q) {
-                        p.push(q);
+                    if !out.contains(&q) {
+                        out.push(q);
                     }
                 }
             }
         }
-        p
     }
 
     fn successors(&self, key: Key) -> Vec<Key> {
@@ -306,6 +310,32 @@ impl TaskGraph for Fw {
             }
         }
         s
+    }
+
+    fn out_degree(&self, key: Key) -> usize {
+        let (tag, k, i, j) = keys::decode(key);
+        if tag == 1 {
+            return 0;
+        }
+        // Data-flow readers within round k, then the round-(k+1) task on
+        // the same block (or the synthetic sink).
+        let in_round = match (i == k, j == k) {
+            (true, true) => 2 * (self.nb() - 1),
+            (true, false) | (false, true) => self.nb() - 1,
+            (false, false) => 0,
+        };
+        // The evictors (ke, k, j) and (ke, i, k) at round ke = k + keep, less
+        // the ones `successors` deduplicates: with keep == 1 an evictor in
+        // our own row/column *is* the round-(k+1) task counted above, and on
+        // the diagonal the two evictors are one task.
+        let evictors = if self.keep > 0 && k + self.keep <= self.last_round {
+            let row_dup = self.keep == 1 && i == k;
+            let col_dup = (self.keep == 1 || i == k) && j == k;
+            usize::from(!row_dup) + usize::from(!col_dup)
+        } else {
+            0
+        };
+        in_round + 1 + evictors
     }
 
     fn compute(&self, key: Key, _ctx: &ComputeCtx<'_>) -> Result<(), Fault> {

@@ -90,18 +90,23 @@ impl TaskGraph for Lcs {
     }
 
     fn predecessors(&self, key: Key) -> Vec<Key> {
+        let mut p = Vec::new();
+        self.predecessors_into(key, &mut p);
+        p
+    }
+
+    fn predecessors_into(&self, key: Key, out: &mut Vec<Key>) {
+        out.clear();
         let (_, _, i, j) = keys::decode(key);
-        let mut p = Vec::with_capacity(3);
         if i > 0 {
-            p.push(Self::task_key(i - 1, j));
+            out.push(Self::task_key(i - 1, j));
         }
         if j > 0 {
-            p.push(Self::task_key(i, j - 1));
+            out.push(Self::task_key(i, j - 1));
         }
         if i > 0 && j > 0 {
-            p.push(Self::task_key(i - 1, j - 1));
+            out.push(Self::task_key(i - 1, j - 1));
         }
-        p
     }
 
     fn successors(&self, key: Key) -> Vec<Key> {
@@ -118,6 +123,12 @@ impl TaskGraph for Lcs {
             s.push(Self::task_key(i + 1, j + 1));
         }
         s
+    }
+
+    fn out_degree(&self, key: Key) -> usize {
+        let (_, _, i, j) = keys::decode(key);
+        let (down, right) = (i + 1 < self.nb(), j + 1 < self.nb());
+        usize::from(down) + usize::from(right) + usize::from(down && right)
     }
 
     fn compute(&self, key: Key, _ctx: &ComputeCtx<'_>) -> Result<(), Fault> {

@@ -36,3 +36,48 @@ pub mod lu;
 pub mod sw;
 
 pub use common::{AppConfig, BenchApp, VersionClass};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nabbit_ft::graph::TaskGraph;
+
+    /// The scheduler fills its scratch buffer through `predecessors_into`
+    /// and sizes a descriptor's notify cells by `out_degree`; both must
+    /// agree with the list-returning callbacks — order included, because a
+    /// predecessor's position in the list is its notification bit index.
+    fn assert_callbacks_agree(name: &str, g: &dyn TaskGraph) {
+        let mut scratch = vec![-1; 3]; // stale content a callback must clear
+        for k in nabbit_ft::seq::discover(g) {
+            g.predecessors_into(k, &mut scratch);
+            assert_eq!(scratch, g.predecessors(k), "{name}: predecessors of {k:#x}");
+            assert_eq!(
+                g.out_degree(k),
+                g.successors(k).len(),
+                "{name}: out-degree of {k:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn scratch_callbacks_match_list_callbacks() {
+        // 4×4 and 5×5 tiles: a square and a non-square tile count.
+        for nb in [4, 5] {
+            let cfg = AppConfig::new(nb * 4, 4);
+            let graphs: [(&str, Box<dyn TaskGraph>); 9] = [
+                ("lcs", Box::new(lcs::Lcs::new(cfg))),
+                ("sw", Box::new(sw::Sw::new(cfg))),
+                ("sw-sa", Box::new(sw::Sw::single_assignment(cfg))),
+                ("fw", Box::new(fw::Fw::new(cfg))),
+                ("fw-1v", Box::new(fw::Fw::with_single_version(cfg))),
+                ("fw-sa", Box::new(fw::Fw::single_assignment(cfg))),
+                ("fw-prefix", Box::new(fw::Fw::prefix(cfg, nb - 2))),
+                ("lu", Box::new(lu::Lu::new(cfg))),
+                ("cholesky", Box::new(cholesky::Cholesky::new(cfg))),
+            ];
+            for (name, g) in &graphs {
+                assert_callbacks_agree(&format!("{name} nb={nb}"), g.as_ref());
+            }
+        }
+    }
+}

@@ -166,36 +166,41 @@ impl TaskGraph for Lu {
     }
 
     fn predecessors(&self, key: Key) -> Vec<Key> {
+        let mut p = Vec::new();
+        self.predecessors_into(key, &mut p);
+        p
+    }
+
+    fn predecessors_into(&self, key: Key, out: &mut Vec<Key>) {
+        out.clear();
         let (tag, k, i, j) = keys::decode(key);
-        let mut p = Vec::with_capacity(3);
         match tag {
             GETRF => {
                 if k > 0 {
-                    p.push(keys::encode(GEMM, k - 1, k, k));
+                    out.push(keys::encode(GEMM, k - 1, k, k));
                 }
             }
             TRSML => {
-                p.push(keys::encode(GETRF, k, 0, 0));
+                out.push(keys::encode(GETRF, k, 0, 0));
                 if k > 0 {
-                    p.push(keys::encode(GEMM, k - 1, i, k));
+                    out.push(keys::encode(GEMM, k - 1, i, k));
                 }
             }
             TRSMU => {
-                p.push(keys::encode(GETRF, k, 0, 0));
+                out.push(keys::encode(GETRF, k, 0, 0));
                 if k > 0 {
-                    p.push(keys::encode(GEMM, k - 1, k, j));
+                    out.push(keys::encode(GEMM, k - 1, k, j));
                 }
             }
             GEMM => {
-                p.push(keys::encode(TRSML, k, i, 0));
-                p.push(keys::encode(TRSMU, k, 0, j));
+                out.push(keys::encode(TRSML, k, i, 0));
+                out.push(keys::encode(TRSMU, k, 0, j));
                 if k > 0 {
-                    p.push(keys::encode(GEMM, k - 1, i, j));
+                    out.push(keys::encode(GEMM, k - 1, i, j));
                 }
             }
             _ => unreachable!("bad LU task tag"),
         }
-        p
     }
 
     fn successors(&self, key: Key) -> Vec<Key> {
@@ -236,6 +241,17 @@ impl TaskGraph for Lu {
             _ => unreachable!("bad LU task tag"),
         }
         s
+    }
+
+    fn out_degree(&self, key: Key) -> usize {
+        let (tag, k, _, _) = keys::decode(key);
+        let rest = self.nb() - k - 1;
+        match tag {
+            GETRF => 2 * rest,
+            TRSML | TRSMU => rest,
+            GEMM => 1,
+            _ => unreachable!("bad LU task tag"),
+        }
     }
 
     fn compute(&self, key: Key, _ctx: &ComputeCtx<'_>) -> Result<(), Fault> {

@@ -119,22 +119,27 @@ impl TaskGraph for Sw {
     }
 
     fn predecessors(&self, key: Key) -> Vec<Key> {
+        let mut p = Vec::new();
+        self.predecessors_into(key, &mut p);
+        p
+    }
+
+    fn predecessors_into(&self, key: Key, out: &mut Vec<Key>) {
+        out.clear();
         let (_, _, i, j) = keys::decode(key);
         let nb = self.nb();
-        let mut p = Vec::with_capacity(3);
         if i > 0 {
-            p.push(Self::task_key(i - 1, j));
+            out.push(Self::task_key(i - 1, j));
         }
         if j > 0 {
-            p.push(Self::task_key(i, j - 1));
+            out.push(Self::task_key(i, j - 1));
         }
         // Anti-dependence: we overwrite version i-2 of column block j,
         // whose other reader is task (i-2, j+1). Single-assignment never
         // overwrites, so the edge is unnecessary there.
         if self.reuse && i >= 2 && j + 1 < nb {
-            p.push(Self::task_key(i - 2, j + 1));
+            out.push(Self::task_key(i - 2, j + 1));
         }
-        p
     }
 
     fn successors(&self, key: Key) -> Vec<Key> {
@@ -151,6 +156,14 @@ impl TaskGraph for Sw {
             s.push(Self::task_key(i + 2, j - 1));
         }
         s
+    }
+
+    fn out_degree(&self, key: Key) -> usize {
+        let (_, _, i, j) = keys::decode(key);
+        let nb = self.nb();
+        usize::from(i + 1 < nb)
+            + usize::from(j + 1 < nb)
+            + usize::from(self.reuse && i + 2 < nb && j > 0)
     }
 
     fn compute(&self, key: Key, _ctx: &ComputeCtx<'_>) -> Result<(), Fault> {

@@ -42,7 +42,7 @@
 //! observe them; result equivalence against a sequential run is therefore
 //! checkable for any member of the family. `work_unit > 0` additionally
 //! spins `wcet × work_unit` iterations per compute so wall-clock runtimes
-//! scale with WCET (used by `bench_pr6`'s deadline measurements).
+//! scale with WCET (what a wall-clock deadline measurement needs).
 
 use ft_cmap::ShardedMap;
 use ft_steal::rng::XorShift64Star;

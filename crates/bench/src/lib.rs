@@ -1,9 +1,9 @@
 //! `ft-bench` — the experiment harness.
 //!
 //! The `repro` binary regenerates every table and figure of the paper's
-//! evaluation (Section VI); the Criterion benches under `benches/` provide
-//! statistically-disciplined micro versions of the same comparisons plus
-//! ablations of the design decisions called out in DESIGN.md.
+//! evaluation (Section VI); [`dag_gen`] is the seeded random-DAG family
+//! the oracle campaigns in `tests/` run. Performance is measured in one
+//! place only, the stand-alone `benchmark/` package (`BENCHMARK.json`).
 //!
 //! Scaled defaults: the paper's testbed was a 48-core machine running
 //! ~10-minute configurations (Table I); the harness defaults reproduce the
@@ -11,12 +11,9 @@
 //! experiment takes `--n/--b/--loss/--reps` overrides to scale up.
 
 pub mod dag_gen;
-pub mod grids;
 pub mod measure;
-pub mod meta;
 pub mod registry;
 pub mod report;
-pub mod snapshot;
 
 pub use dag_gen::{DagGenConfig, RandDag};
 pub use measure::{measure, Stats};

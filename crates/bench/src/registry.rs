@@ -79,17 +79,6 @@ impl AppKind {
     }
 }
 
-/// Fan-out-heavy random-DAG specs for the PR-9 notification-contention
-/// sweep (`bench_pr9`): few wide layers, so most of the run is
-/// registration/drain traffic on high-out-degree descriptors. Two edge
-/// densities — at `p=0.3` most cell arrays stay within the inline
-/// capacity, at `p=0.6` spills dominate — so the sweep exercises both
-/// halves of the notify-cell layout.
-pub const FANOUT_RANDDAG_SPECS: &[&str] = &[
-    "randdag:layers=4,width=48,p=0.3,wcet=1-4,ratio=0.25,seed=42,work=0",
-    "randdag:layers=4,width=48,p=0.6,wcet=1-4,ratio=0.25,seed=42,work=0",
-];
-
 /// Build a fresh random-DAG instance (the irregular workload family; see
 /// [`crate::dag_gen`]). `RandDag` is not a [`BenchApp`] — its shape is
 /// described by a [`DagGenConfig`], not an `AppConfig` — so it gets its own
@@ -183,21 +172,6 @@ mod tests {
         assert_eq!(parse_randdag("randdag:bogus=1"), None);
         assert_eq!(parse_randdag("randdag:layers=x"), None);
         assert_eq!(parse_randdag("randdag:wcet=5"), None);
-    }
-
-    #[test]
-    fn fanout_specs_parse_and_generate() {
-        for spec in FANOUT_RANDDAG_SPECS {
-            let cfg = parse_randdag(spec).unwrap_or_else(|| panic!("bad spec {spec}"));
-            assert_eq!(cfg.layers, 4);
-            assert_eq!(cfg.max_width, 48);
-            assert_eq!(cfg.work_unit, 0, "contention specs are scheduler-bound");
-            let dag = make_randdag(&cfg);
-            assert!(
-                dag.task_count() > 4 * 24,
-                "spec {spec} generated a thin DAG"
-            );
-        }
     }
 
     #[test]

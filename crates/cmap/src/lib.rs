@@ -21,8 +21,9 @@
 //! stores the pointers to the tasks and not the tasks themselves" — so a
 //! validated read is one probe plus one `Arc` clone, no lock traffic.
 //!
-//! [`LockedMap`] preserves the previous `RwLock`-striped implementation as
-//! the ablation baseline the lock-free read path is measured against.
+//! [`LockedMap`] is the `RwLock`-striped sibling with in-place values, for
+//! write-hot tables nobody reads concurrently (the per-task execution
+//! counters of `RunMetrics`).
 //!
 //! A dedicated [`ShardedMap::update_cas`] implements the recovery table's
 //! compare-and-swap on the stored value without the caller holding any lock

@@ -1,12 +1,16 @@
-//! Lock-striped reference implementation of the concurrent map.
+//! Lock-striped map for write-hot tables.
 //!
-//! [`LockedMap`] is the pre-seqlock `ShardedMap`: each shard is an open
-//! hash table guarded by a `parking_lot::RwLock`, so every `get` pays a
-//! read-lock acquire/release (two atomic RMWs) even when no writer exists.
-//! It is kept — API-compatible with [`crate::ShardedMap`] — as the
-//! baseline for the lock-freedom ablation benches (`bench_pr4`,
-//! `ablation_cmap`): the wait-free read path in `map.rs` is justified by
-//! measuring against exactly this implementation.
+//! [`LockedMap`] is API-compatible with [`crate::ShardedMap`], but each
+//! shard is an open hash table of in-place values guarded by a
+//! `parking_lot::RwLock`: a `get` pays a read-lock acquire/release, and an
+//! `update_cas` mutates its slot without allocating. That makes it the
+//! table for `RunMetrics::exec_counts` — one counter bump per compute, read
+//! only after quiescence — where the seqlock map's boxed, copy-on-write
+//! values would cost an allocation per task. It is not `std`'s `HashMap`
+//! behind key-sharded mutexes either: that variant deleted 276 lines and
+//! lost 4–6 % of `grid_wavefront` `tasks_per_s` (1.61–1.69 M against
+//! 1.70–1.74 M over six alternating passes of `benchmark/`, every run
+//! below every parent run).
 
 use parking_lot::RwLock;
 

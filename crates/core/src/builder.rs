@@ -227,8 +227,17 @@ impl TaskGraph for ExplicitGraph {
         self.preds.get(&key).cloned().unwrap_or_default()
     }
 
+    fn predecessors_into(&self, key: Key, out: &mut Vec<Key>) {
+        out.clear();
+        out.extend_from_slice(self.preds.get(&key).map_or(&[], Vec::as_slice));
+    }
+
     fn successors(&self, key: Key) -> Vec<Key> {
         self.succs.get(&key).cloned().unwrap_or_default()
+    }
+
+    fn out_degree(&self, key: Key) -> usize {
+        self.succs.get(&key).map_or(0, Vec::len)
     }
 
     fn compute(&self, key: Key, ctx: &ComputeCtx<'_>) -> Result<(), Fault> {
@@ -255,6 +264,18 @@ mod tests {
             .edge(0, 2)
             .edge(1, 3)
             .edge(2, 3)
+    }
+
+    #[test]
+    fn scratch_callbacks_match_list_callbacks() {
+        let g = diamond().noop(4).edge(0, 4).edge(4, 3).build().unwrap();
+        let mut scratch = vec![-1; 3]; // stale content the callback must clear
+        for k in crate::seq::discover(&g) {
+            g.predecessors_into(k, &mut scratch);
+            assert_eq!(scratch, g.predecessors(k), "predecessors of {k}");
+            assert_eq!(g.out_degree(k), g.successors(k).len(), "out-degree of {k}");
+        }
+        assert_eq!(g.out_degree(99), 0, "unknown keys have no successors");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Deadline accounting for priority-scheduling experiments.
 //!
-//! The PR-6 experiments compare FIFO and priority pop orders by the
+//! Those experiments compare FIFO and priority pop orders by the
 //! **deadline-miss rate** of a random DAG's hard tasks under fault
 //! injection. The scheduler itself has no notion of deadlines; it only
 //! reports, per task, *when* the first incarnation completed. This module
@@ -11,8 +11,8 @@
 //! Two clocks are recorded per completion:
 //!
 //! * `nanos` — wall-clock nanoseconds since the monitor was created.
-//!   Meaningful on the real pool; used by `bench_pr6` to decide whether a
-//!   hard task met its deadline.
+//!   Meaningful on the real pool: a harness compares it with the task's
+//!   deadline.
 //! * `seq` — the task's position in the global completion order (0-based).
 //!   Unlike wall time this is **deterministic** on the seeded `DetPool`,
 //!   so the campaign tests can assert that breaking the priority function

@@ -93,7 +93,9 @@ pub struct RunMetrics {
     /// rather than the seqlock `ShardedMap`: this map is write-hot (one
     /// `update_cas` per compute) and only read after quiescence, so the
     /// lock-free read path buys nothing while its copy-on-write updates
-    /// would cost an allocation per compute.
+    /// would cost an allocation per compute. (Not `std`'s `HashMap` under
+    /// key-sharded mutexes: measured 4–6 % slower on `grid_wavefront`, see
+    /// `ft_cmap::locked`.)
     pub exec_counts: LockedMap<u64>,
 }
 

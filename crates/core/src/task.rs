@@ -26,9 +26,7 @@
 //! `key → TAKEN` compare-exchange, so registrant (self-delivery) and
 //! drainer (completion scan) deliver each notification exactly once
 //! without a mutex. See `docs/ALGORITHM.md` "Lock-free notification
-//! (PR 9)" for the protocol and its ordering table. The `locked_notify`
-//! cargo feature swaps in a mutex-based implementation of the same API —
-//! the ablation baseline `bench_pr9` measures against.
+//! (PR 9)" for the protocol and its ordering table.
 //!
 //! # Line map
 //!
@@ -131,11 +129,9 @@ const CELL_TAKEN: i64 = i64::MIN + 1;
 /// Slots per overflow segment. Overflow is reached only by recovery-time
 /// re-registrations (normal operation claims at most `out_degree` slots),
 /// so segments are small.
-#[cfg(not(feature = "locked_notify"))]
 const SEG_SLOTS: usize = 8;
 
 /// One CAS-installed segment of the overflow chain.
-#[cfg(not(feature = "locked_notify"))]
 struct OverflowSeg {
     /// First global slot index this segment covers.
     base: usize,
@@ -144,7 +140,6 @@ struct OverflowSeg {
 }
 
 // ft-lint: hot-path begin(notify-cells)
-#[cfg(not(feature = "locked_notify"))]
 impl OverflowSeg {
     fn new(base: usize) -> Box<Self> {
         // ft-lint: allow(L9) overflow segments exist only for recovery-time
@@ -177,7 +172,6 @@ impl OverflowSeg {
 /// One cache line, line-aligned: `claims` and the inline cells — the words
 /// registrants write — never share a line with the owning descriptor's
 /// join counter.
-#[cfg(not(feature = "locked_notify"))]
 #[repr(C, align(64))]
 pub struct NotifyCells {
     /// Next free slot index. SeqCst RMW/loads: the drainer's final length
@@ -197,13 +191,10 @@ pub struct NotifyCells {
 // every field of a segment is atomic) and are freed exactly once, in
 // `Drop`, when no other thread can hold a reference (the descriptor arena
 // outlives every job of the epoch and drops after quiesce).
-#[cfg(not(feature = "locked_notify"))]
 unsafe impl Send for NotifyCells {}
 // SAFETY: see the `Send` justification above; all shared state is atomic.
-#[cfg(not(feature = "locked_notify"))]
 unsafe impl Sync for NotifyCells {}
 
-#[cfg(not(feature = "locked_notify"))]
 impl NotifyCells {
     /// Cells with fixed capacity `max(capacity, INLINE_KEYS)`, all empty.
     pub fn new(capacity: usize) -> Self {
@@ -343,7 +334,6 @@ impl NotifyCells {
 }
 // ft-lint: hot-path end(notify-cells)
 
-#[cfg(not(feature = "locked_notify"))]
 impl Drop for NotifyCells {
     fn drop(&mut self) {
         // ord: Relaxed is enough — `&mut self` proves exclusive access.
@@ -357,88 +347,6 @@ impl Drop for NotifyCells {
             ptr = seg.next.load(Ordering::Relaxed);
         }
     }
-}
-
-/// Mutex-based ablation of [`NotifyCells`] (`--features locked_notify`):
-/// the identical claim/publish/take API backed by one lock, so `bench_pr9`
-/// can measure exactly the notification-path contention the lock-free
-/// cells remove, with the engine code byte-identical in both builds.
-#[cfg(feature = "locked_notify")]
-#[repr(align(64))]
-pub struct NotifyCells {
-    slots: parking_lot::Mutex<Vec<i64>>,
-}
-
-#[cfg(feature = "locked_notify")]
-impl NotifyCells {
-    /// Cells with room for `capacity` slots (grown on demand).
-    pub fn new(capacity: usize) -> Self {
-        NotifyCells {
-            slots: parking_lot::Mutex::new(Vec::with_capacity(capacity)),
-        }
-    }
-
-    // ft-lint: hot-path begin(locked-notify)
-    //
-    // This is the deliberate mutex ablation (`--features locked_notify`)
-    // that `bench_pr9` measures against the lock-free cells; every lock
-    // acquisition below is the point of the experiment, not an accident.
-
-    /// Registrant step 1: reserve a slot index.
-    pub fn claim(&self) -> usize {
-        // ft-lint: allow(L9) measured ablation — the lock is the baseline.
-        let mut g = self.slots.lock();
-        g.push(CELL_EMPTY);
-        g.len() - 1
-    }
-
-    /// Registrant step 2: publish `key` into the claimed `slot`.
-    pub fn publish(&self, slot: usize, key: Key) {
-        debug_assert!(
-            key > CELL_TAKEN,
-            "task keys must not collide with sentinels"
-        );
-        // ft-lint: allow(L9) measured ablation — the lock is the baseline.
-        self.slots.lock()[slot] = key;
-    }
-
-    /// Registrant self-delivery arbitration (see the lock-free variant).
-    pub fn try_take(&self, slot: usize, key: Key) -> bool {
-        // ft-lint: allow(L9) measured ablation — the lock is the baseline.
-        let mut g = self.slots.lock();
-        if g[slot] == key {
-            g[slot] = CELL_TAKEN;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Drainer scan of one claimed slot.
-    pub fn take_at(&self, slot: usize) -> Take {
-        // ft-lint: allow(L9) measured ablation — the lock is the baseline.
-        let mut g = self.slots.lock();
-        match g[slot] {
-            CELL_EMPTY => Take::Delegated,
-            CELL_TAKEN => Take::Done,
-            key => {
-                g[slot] = CELL_TAKEN;
-                Take::Deliver(key)
-            }
-        }
-    }
-
-    /// Number of claimed slots so far.
-    pub fn len(&self) -> usize {
-        // ft-lint: allow(L9) measured ablation — the lock is the baseline.
-        self.slots.lock().len()
-    }
-
-    /// True when no successor has claimed a slot.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    // ft-lint: hot-path end(locked-notify)
 }
 
 /// Execution status of a task ("Visited, Computed, and Completed").
@@ -687,7 +595,6 @@ mod tests {
     /// 0, registrants' words on line 1, nothing straddling, and the FT
     /// descriptor no larger than three lines (a fourth costs `peak_rss_mb`
     /// more than its bound on `grid_wavefront`).
-    #[cfg(not(feature = "locked_notify"))]
     #[test]
     fn descriptors_are_line_partitioned() {
         use std::mem::{align_of, offset_of, size_of};

@@ -163,7 +163,6 @@ fn run_ft(n: i64) -> u64 {
 }
 
 /// Marginal allocations per task between a 16×16 and a 32×32 grid.
-#[cfg_attr(feature = "locked_notify", allow(dead_code))]
 fn marginal_per_task(run: fn(i64) -> u64) -> f64 {
     let small = run(16);
     let large = run(32);
@@ -203,22 +202,16 @@ fn traversal_allocations_are_deterministic_and_bounded() {
     // arena chunks at one per ~300 descriptors plus det-queue doubling).
     // Any new per-task allocation costs ≥ +1.0; 1.15 pins the hot path at
     // exactly one allocation per task with chunk-granularity headroom.
-    // The `locked_notify` ablation deliberately reintroduces a per-task
-    // allocation (the mutexed notify list's Vec), so the one-alloc budget
-    // only holds for the real configuration.
-    #[cfg(not(feature = "locked_notify"))]
-    {
-        let base = marginal_per_task(run_baseline);
-        let ft = marginal_per_task(run_ft);
-        assert!(
-            base < 1.15,
-            "baseline traversal allocates {base:.2}/task — hot-path allocation crept in"
-        );
-        assert!(
-            ft < 1.15,
-            "ft traversal allocates {ft:.2}/task — hot-path allocation crept in"
-        );
-    }
+    let base = marginal_per_task(run_baseline);
+    let ft = marginal_per_task(run_ft);
+    assert!(
+        base < 1.15,
+        "baseline traversal allocates {base:.2}/task — hot-path allocation crept in"
+    );
+    assert!(
+        ft < 1.15,
+        "ft traversal allocates {ft:.2}/task — hot-path allocation crept in"
+    );
 }
 
 /// Deterministic fan-out-heavy layered random DAG: `layers × width` nodes
@@ -466,12 +459,12 @@ fn pool_steady_state_allocates_nothing() {
         }));
     };
 
-    // Warm-up: lets every worker grow its deque, fault in TLS, opt into
+    // Warm-up: lets every worker grow its deque, fault in TLS and opt into
     // the allocation count (every job does, so any worker that ever runs
-    // one is counted from then on), and fill the injector's block cache. The injector index advances 32 slots
-    // per round over 31-slot blocks, so the block-boundary phase cycles
-    // with period 31 rounds; two full cycles guarantee every alignment
-    // (hence the block-chain high-water mark) is reached before counting.
+    // one is counted from then on). The injector needs no warming: it is
+    // born with a full block cache, and a round keeps at most three of its
+    // blocks unretired (32 pushes over 31-slot blocks), so its installer
+    // never reaches the allocator however far the consumers lag.
     for _ in 0..62 {
         round(&pool, &hits);
     }

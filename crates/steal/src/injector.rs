@@ -146,7 +146,11 @@ impl<T> Default for Injector<T> {
 }
 
 impl<T> Injector<T> {
-    /// Create an empty injector (allocates the first block).
+    /// Create an empty injector. Allocates the first block and fills the
+    /// block cache, so an installer reaches the allocator only when more
+    /// than `CACHE_SLOTS` blocks are unretired at once — zero steady-state
+    /// allocations do not depend on how far consumers lagged during some
+    /// earlier burst.
     pub fn new() -> Self {
         let first = Box::into_raw(Block::new_boxed());
         Injector {
@@ -158,7 +162,7 @@ impl<T> Injector<T> {
                 index: AtomicU64::new(0),
                 block: AtomicPtr::new(first),
             }),
-            cache: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
+            cache: std::array::from_fn(|_| AtomicPtr::new(Box::into_raw(Block::new_boxed()))),
         }
     }
 

@@ -370,6 +370,7 @@ fn bounded_in_flight_under_saturating_stream() {
 
     // Phase 2: stream 32 real graphs through the 4-slot budget.
     let mut tickets = Vec::new();
+    let mut pushed_back = 0;
     for i in 0..GRAPHS {
         let tenant = make_tenant(i, 5);
         let ticket = loop {
@@ -378,6 +379,7 @@ fn bounded_in_flight_under_saturating_stream() {
                 Err(bp) => {
                     assert_eq!(bp.reason, BackpressureReason::InFlightBudget);
                     assert!(bp.in_flight <= BUDGET, "budget exceeded: {}", bp.in_flight);
+                    pushed_back += 1;
                     std::thread::yield_now();
                 }
             }
@@ -394,7 +396,9 @@ fn bounded_in_flight_under_saturating_stream() {
     let stats = service.stats();
     assert_eq!(stats.submitted, GRAPHS + BUDGET);
     assert_eq!(stats.completed, GRAPHS + BUDGET);
-    assert_eq!(stats.rejected, 1);
+    // Phase 1's deliberate rejection plus every time the stream outran the
+    // four slots (schedule-dependent, so counted rather than assumed zero).
+    assert_eq!(stats.rejected, 1 + pushed_back);
 }
 
 /// Per-epoch arena isolation (PR 8): every descriptor a tenant's engine
