@@ -113,11 +113,6 @@ pub struct RandDag {
     succs: Vec<Vec<Key>>,
     /// Per-node WCET (sink gets `wcet_min`).
     wcet: Vec<u64>,
-    /// Heaviest root→node path weight under the WCET cost model, node
-    /// inclusive — the earliest-finish lower bound used for deadlines.
-    span_to: Vec<f64>,
-    /// `T∞` under the WCET cost model.
-    t_inf: f64,
     /// Deadline-carrying tasks (top `critical_ratio` by path-through).
     hard: Vec<bool>,
     /// Hard ∪ ancestors(Hard): the priority-boosted set.
@@ -213,8 +208,6 @@ impl RandDag {
             preds,
             succs,
             wcet,
-            span_to: Vec::new(),
-            t_inf: 0.0,
             hard: vec![false; n_inner + 1],
             critical: vec![false; n_inner + 1],
             values: ShardedMap::with_shards(16),
@@ -226,11 +219,8 @@ impl RandDag {
         // backward-reachable from the sink).
         let w = dag.wcet.clone();
         let pa = path_analysis(&dag, |k| w[k as usize] as f64);
-        dag.t_inf = pa.t_inf;
-        dag.span_to = vec![0.0; n_inner + 1];
         let mut ranked: Vec<(f64, Key)> = Vec::with_capacity(n_inner);
         for (i, &k) in pa.order.iter().enumerate() {
-            dag.span_to[k as usize] = pa.span_to[i];
             if k != sink {
                 ranked.push((pa.path_through(i), k));
             }
@@ -297,28 +287,6 @@ impl RandDag {
     /// WCET of `k` in abstract work units.
     pub fn wcet_of(&self, k: Key) -> u64 {
         self.wcet[k as usize]
-    }
-
-    /// Sum of all WCETs (the `T1` of the WCET cost model, notify costs
-    /// excluded).
-    pub fn total_wcet(&self) -> u64 {
-        self.wcet.iter().sum()
-    }
-
-    /// Heaviest root→`k` path weight (earliest-finish lower bound for `k`
-    /// under the WCET model).
-    pub fn span_to_wcet(&self, k: Key) -> f64 {
-        self.span_to[k as usize]
-    }
-
-    /// `T∞` under the WCET cost model.
-    pub fn t_inf_wcet(&self) -> f64 {
-        self.t_inf
-    }
-
-    /// Mean inner-layer width (parallelism proxy for deadline stretch).
-    pub fn avg_width(&self) -> f64 {
-        (self.task_count() - 1) as f64 / self.cfg.layers.max(1) as f64
     }
 
     /// The priority function for this DAG: critical tasks spawn High.

@@ -17,7 +17,7 @@ pub mod report;
 
 pub use dag_gen::{DagGenConfig, RandDag};
 pub use measure::{measure, Stats};
-pub use registry::{make_app, make_randdag, parse_randdag, AppKind, APP_KINDS};
+pub use registry::{make_app, AppKind, APP_KINDS};
 pub use report::{ExperimentReport, Row};
 
 use ft_apps::BenchApp;

@@ -4,7 +4,6 @@
 //! maps are single-run state), so the registry hands out factories rather
 //! than shared instances.
 
-use crate::dag_gen::{DagGenConfig, RandDag};
 use ft_apps::cholesky::Cholesky;
 use ft_apps::fw::Fw;
 use ft_apps::lcs::Lcs;
@@ -79,44 +78,6 @@ impl AppKind {
     }
 }
 
-/// Build a fresh random-DAG instance (the irregular workload family; see
-/// [`crate::dag_gen`]). `RandDag` is not a [`BenchApp`] — its shape is
-/// described by a [`DagGenConfig`], not an `AppConfig` — so it gets its own
-/// factory alongside the regular kernels.
-pub fn make_randdag(cfg: &DagGenConfig) -> Arc<RandDag> {
-    Arc::new(RandDag::generate(cfg.clone()))
-}
-
-/// Parse a random-DAG spec of the form
-/// `randdag:layers=8,width=6,p=0.35,wcet=1-16,ratio=0.5,seed=42,work=0`
-/// (the `randdag:` prefix and every field are optional; omitted fields keep
-/// [`DagGenConfig::default`] values). Returns `None` on any malformed field.
-pub fn parse_randdag(spec: &str) -> Option<DagGenConfig> {
-    let body = spec.strip_prefix("randdag:").unwrap_or(spec);
-    let mut cfg = DagGenConfig::default();
-    if body.trim().is_empty() {
-        return Some(cfg);
-    }
-    for field in body.split(',') {
-        let (k, v) = field.split_once('=')?;
-        match k.trim() {
-            "layers" => cfg.layers = v.trim().parse().ok()?,
-            "width" => cfg.max_width = v.trim().parse().ok()?,
-            "p" => cfg.edge_prob = v.trim().parse().ok()?,
-            "wcet" => {
-                let (lo, hi) = v.trim().split_once('-')?;
-                cfg.wcet_min = lo.parse().ok()?;
-                cfg.wcet_max = hi.parse().ok()?;
-            }
-            "ratio" => cfg.critical_ratio = v.trim().parse().ok()?,
-            "seed" => cfg.seed = v.trim().parse().ok()?,
-            "work" => cfg.work_unit = v.trim().parse().ok()?,
-            _ => return None,
-        }
-    }
-    Some(cfg)
-}
-
 /// Build a fresh instance of the given benchmark.
 pub fn make_app(kind: AppKind, cfg: AppConfig) -> Arc<dyn BenchApp> {
     match kind {
@@ -148,39 +109,6 @@ mod tests {
             let cfg = kind.default_config();
             assert!(cfg.nb() >= 4, "{kind:?} needs enough tiles for experiments");
         }
-    }
-
-    #[test]
-    fn parse_randdag_fields_and_defaults() {
-        let d = DagGenConfig::default();
-        assert_eq!(parse_randdag("randdag:"), Some(d.clone()));
-        let cfg =
-            parse_randdag("randdag:layers=4,width=3,p=0.5,wcet=2-9,ratio=0.25,seed=7,work=10")
-                .unwrap();
-        assert_eq!(cfg.layers, 4);
-        assert_eq!(cfg.max_width, 3);
-        assert_eq!(cfg.edge_prob, 0.5);
-        assert_eq!((cfg.wcet_min, cfg.wcet_max), (2, 9));
-        assert_eq!(cfg.critical_ratio, 0.25);
-        assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.work_unit, 10);
-        // Partial specs keep defaults elsewhere; prefix optional.
-        let cfg = parse_randdag("seed=3").unwrap();
-        assert_eq!(cfg.seed, 3);
-        assert_eq!(cfg.layers, d.layers);
-        // Malformed fields are rejected, not silently defaulted.
-        assert_eq!(parse_randdag("randdag:bogus=1"), None);
-        assert_eq!(parse_randdag("randdag:layers=x"), None);
-        assert_eq!(parse_randdag("randdag:wcet=5"), None);
-    }
-
-    #[test]
-    fn make_randdag_matches_direct_generation() {
-        let cfg = parse_randdag("randdag:layers=5,width=4,seed=11").unwrap();
-        let a = make_randdag(&cfg);
-        let b = RandDag::generate(cfg);
-        assert_eq!(a.task_count(), b.task_count());
-        assert_eq!(a.hard_tasks(), b.hard_tasks());
     }
 
     #[test]

@@ -229,11 +229,6 @@ impl<T: Send> BlockStore<T> {
         }
     }
 
-    /// Number of blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// The configured retention policy.
     pub fn retention(&self) -> Retention {
         self.retention

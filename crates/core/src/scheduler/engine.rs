@@ -50,16 +50,18 @@
 //! Jobs do not own a share of the engine. Each carries a plain pointer to
 //! it (8 bytes, `Copy`, built in [`Engine::job`]), and what keeps the epoch
 //! — engine, arena, task map — alive is a strong reference held *outside*
-//! the jobs until the executor reports quiescence: the caller's
-//! `&Arc<Self>` for the whole of [`Engine::run`], which returns only after
-//! [`Executor::execute_job`] has quiesced (panics included); and, on the
-//! service path, an `Arc` moved into the instance's quiesce hook, which the
-//! instance latch's tripping decrement runs after the last job's body has
-//! returned — so a dropped ticket cannot free a running epoch. Arena
+//! the jobs until the epoch's completion group reports quiescence. Every
+//! run is one instance ([`Executor::submit_instance`] of
+//! [`Engine::root_job`]): [`Engine::run`] borrows the caller's `&Arc<Self>`
+//! until it has waited for the instance's handle, and
+//! [`GraphService::submit`](super::service::GraphService::submit), which
+//! returns at once, moves an `Arc` into the instance's quiesce hook — run
+//! by the thread that trips the group's latch, after the last job's body
+//! has returned — so a dropped ticket cannot free a running epoch. Arena
 //! handles are valid for exactly as long: until quiesce. The per-job path
 //! therefore never touches the engine's reference count, a cache line every
 //! worker used to write twice per job (see `docs/ALGORITHM.md`,
-//! "Epoch-tied descriptor arenas").
+//! "Completion groups").
 
 use crate::deadline::DeadlineMonitor;
 use crate::fault::Fault;
@@ -314,26 +316,39 @@ impl<P: FtPolicy> Engine<P> {
     ///
     /// Any [`Executor`] works: the multithreaded [`ft_steal::pool::Pool`]
     /// or the deterministic single-threaded `ft-det` pool for replayable
-    /// schedule exploration. Execution begins by inserting the **sink**
-    /// task and invoking `InitAndCompute` on it; the traversal expands the
-    /// graph bottom-up toward the sources.
+    /// schedule exploration. The run is one instance of its own — submit,
+    /// drive, wait — so concurrent runs on one executor are independent,
+    /// and a panic inside this graph is re-raised here and nowhere else.
     pub fn run(self: &Arc<Self>, exec: &dyn Executor) -> RunReport {
         let start = Instant::now();
-        let sink = self.graph.sink();
-        self.insert_if_absent(sink, None);
-        // ft-lint: allow(L5) the sink was inserted on the line above and
-        // nothing can remove it before the run starts; a miss here is a
-        // programming error worth aborting on, not a runtime condition.
-        let (sd, life) = self.get_task(sink).expect("sink just inserted");
-        let prio = self.prio_of(sink);
         // The caller's `&Arc<Self>` is the epoch's strong reference: it is
-        // borrowed until `execute_job` has quiesced (see the module docs).
-        exec.execute_job(self.job(move |this, s, _| {
-            this.spawn_job(s, prio, move |this, s, w| {
+        // borrowed until the instance has quiesced (see the module docs).
+        let instance = exec.submit_instance(self.root_job(), None);
+        exec.drive();
+        instance.wait();
+        if let Some(payload) = instance.take_panic() {
+            std::panic::resume_unwind(payload);
+        }
+        self.finish_report(start)
+    }
+
+    /// The root job of this epoch: execution begins by inserting the
+    /// **sink** task and invoking `InitAndCompute` on it (at the sink's
+    /// priority); the traversal expands the graph bottom-up toward the
+    /// sources. It runs inside the instance it is submitted as, so the
+    /// whole traversal tree lands on that instance's completion group.
+    pub(super) fn root_job(&self) -> Job {
+        self.job(|this, s, w| {
+            let sink = this.graph.sink();
+            this.insert_if_absent(sink, w);
+            let Some((sd, life)) = this.get_task(sink) else {
+                debug_assert!(false, "sink {sink} vanished right after insertion");
+                return;
+            };
+            this.spawn_job(s, this.prio_of(sink), move |this, s, w| {
                 this.init_and_compute(s, w, sd, sink, life)
             });
-        }));
-        self.finish_report(start)
+        })
     }
 
     /// Wrap one traversal step as a job of this epoch. The job borrows the
@@ -341,10 +356,8 @@ impl<P: FtPolicy> Engine<P> {
     /// its scope and its worker index (resolved once, here), when it runs.
     ///
     /// Every job of an engine is built here, and a job reaches an executor
-    /// only through [`Engine::run`], [`GraphService::submit`] or
+    /// only as the [`Engine::root_job`] of an instance or through
     /// [`Engine::spawn_job`] called from a running job of the same engine.
-    ///
-    /// [`GraphService::submit`]: super::service::GraphService::submit
     pub(super) fn job(
         &self,
         f: impl FnOnce(&Self, &Scope<'_>, Option<usize>) + Send + 'static,
@@ -362,13 +375,14 @@ impl<P: FtPolicy> Engine<P> {
             // the bare `NonNull` and lose the `Send` impl above.
             let this = this;
             // SAFETY: the engine is alive whenever one of its jobs runs.
-            // A job runs only under `Engine::run` or a service instance
-            // (see above). `run` borrows the caller's `Arc` until
-            // `execute_job` returns, which the `Executor` contract delays
-            // — on unwinding too — until no spawned job can still run; an
-            // instance's quiesce hook owns an `Arc` and is invoked or
-            // dropped only after the instance's last job has finished.
-            // Jobs that never run are dropped without dereferencing.
+            // A job runs only inside an instance rooted at `root_job` (see
+            // above), and by the `Executor` contract that instance's handle
+            // reports `done`, and its hook is invoked or dropped, only
+            // after its last job has finished: `Engine::run` borrows the
+            // caller's `Arc` until it has waited on the handle (nothing
+            // between the submit and the wait can unwind early — `drive`
+            // drains before it re-raises), and the service's hook owns an
+            // `Arc`. Jobs that never run are dropped without dereferencing.
             let this = unsafe { this.0.as_ref() };
             f(this, s, s.worker_index())
         })

@@ -1,11 +1,11 @@
 //! The resident graph service: one long-lived executor serving a stream of
 //! concurrent graph instances.
 //!
-//! [`Engine::run`] is batch-shaped: one engine, one blocking call, one
-//! pool-wide quiescence barrier. [`GraphService`] turns the same engines
-//! into a *service*: each [`GraphService::submit`] opens an **epoch** — a
-//! graph instance with its own task-map namespace, completion latch, trace
-//! shard and [`RunReport`] — and independent instances execute concurrently
+//! [`Engine::run`] is batch-shaped: one engine, one blocking call.
+//! [`GraphService`] turns the same engines into a *service*: each
+//! [`GraphService::submit`] opens an **epoch** — a graph instance with its
+//! own task-map namespace, completion group, trace shard and [`RunReport`]
+//! — without waiting for it, and independent instances execute concurrently
 //! over the shared workers. Namespace isolation falls out of the existing
 //! one-engine-one-run design: every submission is its own [`Engine`], so
 //! its task map, metrics, recovery table and optional trace are private to
@@ -16,9 +16,9 @@
 //! Admission control is explicit: a bounded in-flight-instance budget
 //! (an [`AdmissionGate`]) plus a queued-jobs watermark turn `submit` into
 //! `Err(`[`Backpressure`]`)` instead of unbounded queue growth. The slot is
-//! returned by the instance's quiesce hook — the latch-tripping decrement
-//! of the instance's last job — so occupancy tracks actual execution, not
-//! ticket lifetimes.
+//! returned by the instance's quiesce hook — run by the thread that trips
+//! the instance's latch, after its last job — so occupancy tracks actual
+//! execution, not ticket lifetimes.
 //!
 //! The service works over any [`Executor`]: the multithreaded pool (whose
 //! workers drain instances autonomously) and the deterministic
@@ -192,27 +192,11 @@ impl<'e> GraphService<'e> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
 
-        // The instance's root job mirrors the prologue of `Engine::run`:
-        // insert the sink, then spawn its traversal at the sink's priority.
-        // All of it runs *inside* the instance scope, so the whole
-        // traversal tree lands on this instance's latch.
-        let root = engine.job(|this, s, w| {
-            let sink = this.graph.sink();
-            this.insert_if_absent(sink, w);
-            let Some((sd, life)) = this.get_task(sink) else {
-                debug_assert!(false, "sink {sink} vanished right after insertion");
-                return;
-            };
-            this.spawn_job(s, this.prio_of(sink), move |this, s, w| {
-                this.init_and_compute(s, w, sd, sink, life)
-            });
-        });
-
         let shared = Arc::clone(&self.shared);
         // The epoch's strong reference: jobs only borrow the engine, so
-        // the hook — run by the instance latch's tripping decrement, after
-        // the last job's body returned — owns an `Arc` until then. A ticket
-        // dropped early therefore cannot free a running epoch.
+        // the hook — run by the thread that trips the instance's latch,
+        // after the last job's body returned — owns an `Arc` until then. A
+        // ticket dropped early therefore cannot free a running epoch.
         let epoch = Arc::clone(engine);
         let hook: QuiesceHook = Box::new(move || {
             // ord: Relaxed — statistics counter read at quiescence.
@@ -220,7 +204,7 @@ impl<'e> GraphService<'e> {
             shared.gate.release();
             drop(epoch);
         });
-        let handle = self.exec.submit_instance(root, Some(hook));
+        let handle = self.exec.submit_instance(engine.root_job(), Some(hook));
         Ok(InstanceTicket {
             id,
             engine: Arc::clone(engine),
@@ -298,20 +282,6 @@ impl<P: FtPolicy> InstanceTicket<P> {
     /// [`GraphService::drive`] first or this blocks forever.
     pub fn wait(self) -> InstanceReport {
         self.handle.wait();
-        self.finish()
-    }
-
-    /// Non-blocking completion poll: the report if the instance has
-    /// quiesced, the ticket back otherwise.
-    pub fn try_wait(self) -> Result<InstanceReport, InstanceTicket<P>> {
-        if self.handle.is_done() {
-            Ok(self.finish())
-        } else {
-            Err(self)
-        }
-    }
-
-    fn finish(self) -> InstanceReport {
         if let Some(payload) = self.handle.take_panic() {
             std::panic::resume_unwind(payload);
         }
@@ -324,7 +294,7 @@ impl<P: FtPolicy> InstanceTicket<P> {
 }
 
 /// Per-instance outcome: the epoch's own [`RunReport`] (fault, recovery
-/// and re-execution counters included) plus its job accounting.
+/// and re-execution counters included) plus its job statistics.
 #[derive(Debug, Clone)]
 pub struct InstanceReport {
     /// Service-assigned instance id.
@@ -332,6 +302,6 @@ pub struct InstanceReport {
     /// The instance's run report — same shape as [`Engine::run`] returns,
     /// with `elapsed` measured from submission to report creation.
     pub report: RunReport,
-    /// Pool-side job accounting for the instance.
+    /// Executor-side job statistics for the instance.
     pub jobs: InstanceStats,
 }

@@ -21,7 +21,7 @@
 use ft_det::DetPool;
 use nabbit_ft::fault::Fault;
 use nabbit_ft::graph::{ComputeCtx, Key, TaskGraph};
-use nabbit_ft::scheduler::{BaselineScheduler, FtScheduler};
+use nabbit_ft::scheduler::{BaselineScheduler, Engine, FtPolicy, FtScheduler, GraphService};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -144,23 +144,56 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
     ALLOCS.load(Ordering::Relaxed) - before
 }
 
-fn run_baseline(n: i64) -> u64 {
+/// The two ways an engine reaches an executor.
+#[derive(Clone, Copy)]
+enum Entry {
+    /// `Engine::run`: submit, drive, wait.
+    Run,
+    /// `GraphService::submit(..)`, `drive`, `wait()`.
+    Submit,
+}
+
+/// Run `engine` to completion on `pool` through `entry`.
+fn complete<P: FtPolicy>(entry: Entry, pool: &DetPool, engine: Arc<Engine<P>>) {
+    let report = match entry {
+        Entry::Run => engine.run(pool),
+        Entry::Submit => {
+            let service = GraphService::new(pool);
+            let ticket = service.submit(&engine).expect("admitted");
+            service.drive();
+            ticket.wait().report
+        }
+    };
+    assert!(report.sink_completed);
+}
+
+/// Allocations of one `n × n` grid run, baseline or FT, through `entry`.
+fn grid_allocs(entry: Entry, ft: bool, n: i64) -> u64 {
     count_allocs(|| {
         let pool = DetPool::new(7);
         let g: Arc<dyn TaskGraph> = Arc::new(Grid { n });
-        let r = BaselineScheduler::new(g).run(&pool);
-        assert!(r.sink_completed);
+        if ft {
+            complete(entry, &pool, FtScheduler::new(g));
+        } else {
+            complete(entry, &pool, BaselineScheduler::new(g));
+        }
     })
 }
 
-fn run_ft(n: i64) -> u64 {
-    count_allocs(|| {
-        let pool = DetPool::new(7);
-        let g: Arc<dyn TaskGraph> = Arc::new(Grid { n });
-        let r = FtScheduler::new(g).run(&pool);
-        assert!(r.sink_completed);
-    })
+fn run_baseline(n: i64) -> u64 {
+    grid_allocs(Entry::Run, false, n)
 }
+
+fn run_ft(n: i64) -> u64 {
+    grid_allocs(Entry::Run, true, n)
+}
+
+/// Per-task budget of the grids: exactly one allocation per task (the task
+/// map's value box) with chunk-granularity headroom.
+const GRID_BUDGET: f64 = 1.15;
+/// Per-task budget of the fan-out DAG: map value box + `PredList` spill +
+/// notify spill + arena-chunk/queue-doubling drift.
+const FAN_BUDGET: f64 = 3.5;
 
 /// Marginal allocations per task between a 16×16 and a 32×32 grid.
 fn marginal_per_task(run: fn(i64) -> u64) -> f64 {
@@ -205,11 +238,11 @@ fn traversal_allocations_are_deterministic_and_bounded() {
     let base = marginal_per_task(run_baseline);
     let ft = marginal_per_task(run_ft);
     assert!(
-        base < 1.15,
+        base < GRID_BUDGET,
         "baseline traversal allocates {base:.2}/task — hot-path allocation crept in"
     );
     assert!(
-        ft < 1.15,
+        ft < GRID_BUDGET,
         "ft traversal allocates {ft:.2}/task — hot-path allocation crept in"
     );
 }
@@ -296,6 +329,15 @@ impl TaskGraph for FanDag {
     }
 }
 
+/// Allocations of one FT run of a `layers × 24` [`FanDag`] through `entry`.
+fn fan_allocs(entry: Entry, layers: i64) -> u64 {
+    count_allocs(|| {
+        let pool = DetPool::new(11);
+        let g: Arc<dyn TaskGraph> = Arc::new(FanDag { layers, width: 24 });
+        complete(entry, &pool, FtScheduler::new(g));
+    })
+}
+
 /// PR-9 satellite: the fan-out-heavy steady state. Wide nodes legitimately
 /// spill their fixed-size small buffers (one `PredList` box past
 /// `INLINE_KEYS` predecessors, one notify-cell spill box past
@@ -306,28 +348,59 @@ impl TaskGraph for FanDag {
 #[test]
 fn fanout_traversal_allocations_are_deterministic_and_bounded() {
     let _serial = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let run_ft_dag = |layers: i64| -> u64 {
-        count_allocs(|| {
-            let pool = DetPool::new(11);
-            let g: Arc<dyn TaskGraph> = Arc::new(FanDag { layers, width: 24 });
-            let r = FtScheduler::new(g).run(&pool);
-            assert!(r.sink_completed);
-        })
-    };
+    let run_ft_dag = |layers: i64| fan_allocs(Entry::Run, layers);
     for l in [4, 8] {
         run_ft_dag(l);
     }
     assert_eq!(run_ft_dag(4), run_ft_dag(4), "ft randdag not deterministic");
     let (small, large) = (run_ft_dag(4), run_ft_dag(8));
     let marginal = (large - small) as f64 / (4.0 * 24.0);
-    // Map value box (1.0) + PredList spill (≤1.0) + notify spill (≤1.0)
-    // + arena-chunk/queue-doubling drift. A per-*edge* allocation would
-    // cost ≈ width/2 = +12/task, far past the budget.
+    // A per-*edge* allocation would cost ≈ width/2 = +12/task, far past
+    // the budget.
     assert!(
-        marginal < 3.5,
+        marginal < FAN_BUDGET,
         "fan-out traversal allocates {marginal:.2}/task — \
          beyond map box + two wide-node spill buffers"
     );
+}
+
+/// One completion mechanism, one price: a graph submitted through the
+/// service allocates, per task, exactly what `Engine::run` does — the
+/// entry points differ by a per-instance constant (hook box, ticket), never
+/// per job — and stays inside the same budgets, so a per-job box or
+/// refcount on either path (the old instance wrapper cost three) fails
+/// here.
+#[test]
+fn both_entry_points_allocate_the_same_per_task() {
+    let _serial = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    /// Task count of a size, the two measured sizes, the per-task budget.
+    type Shape = (fn(i64) -> i64, i64, i64, f64);
+    type Allocs = fn(Entry, i64) -> u64;
+    let grid: Shape = (|n| n * n, 16, 32, GRID_BUDGET);
+    let fan: Shape = (|layers| layers * 24, 4, 8, FAN_BUDGET);
+    let cases: [(&str, Allocs, Shape); 3] = [
+        ("baseline grid", |e, n| grid_allocs(e, false, n), grid),
+        ("ft grid", |e, n| grid_allocs(e, true, n), grid),
+        ("ft fan-out", fan_allocs, fan),
+    ];
+    for (what, allocs, (tasks, small, large, budget)) in cases {
+        let marginal = |entry: Entry| {
+            // Warm every measured size first (see the test above).
+            allocs(entry, small);
+            allocs(entry, large);
+            allocs(entry, large) - allocs(entry, small)
+        };
+        let (run, submit) = (marginal(Entry::Run), marginal(Entry::Submit));
+        assert_eq!(
+            submit, run,
+            "{what}: {submit} marginal allocations through submit().wait(), {run} through run()"
+        );
+        let per_task = submit as f64 / (tasks(large) - tasks(small)) as f64;
+        assert!(
+            per_task < budget,
+            "{what}: the service path allocates {per_task:.2}/task"
+        );
+    }
 }
 
 /// The segmented injector must not allocate per push in steady state:
@@ -410,7 +483,7 @@ fn injector_batch_steal_steady_state_allocates_nothing() {
 /// mean a full execute/spawn/steal/quiesce round trip is allocation-free.
 #[test]
 fn pool_steady_state_allocates_nothing() {
-    use ft_steal::pool::{Executor, Job, Pool, PoolConfig};
+    use ft_steal::pool::{Pool, PoolConfig};
 
     let _serial = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let pool = Pool::new(PoolConfig::with_threads(2));
@@ -426,7 +499,7 @@ fn pool_steady_state_allocates_nothing() {
     // makes many successors ready at once.
     let round = |pool: &Pool, hits: &Arc<AtomicU64>| {
         let h = Arc::clone(hits);
-        pool.execute_job(Job::new(move |s| {
+        pool.run_until_complete(move |s| {
             for _ in 0..32 {
                 let h2 = Arc::clone(&h);
                 s.spawn(move |s| {
@@ -439,9 +512,9 @@ fn pool_steady_state_allocates_nothing() {
                     h2.fetch_add(1, Ordering::Relaxed);
                 });
             }
-        }));
+        });
         let h = Arc::clone(hits);
-        pool.execute_job(Job::new(move |s| {
+        pool.run_until_complete(move |s| {
             for _ in 0..8 {
                 let h2 = Arc::clone(&h);
                 s.spawn(move |s| {
@@ -456,7 +529,7 @@ fn pool_steady_state_allocates_nothing() {
                     h2.fetch_add(1, Ordering::Relaxed);
                 });
             }
-        }));
+        });
     };
 
     // Warm-up: lets every worker grow its deque, fault in TLS and opt into

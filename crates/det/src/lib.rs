@@ -38,11 +38,10 @@
 
 #![warn(missing_docs)]
 
-use ft_steal::instance::{instance_root, InstanceHandle, QuiesceHook};
+use ft_steal::instance::{Group, InstanceHandle, QuiesceHook};
 use ft_steal::pool::{Executor, Job, Scope, SpawnHost};
 use ft_steal::priority::Priority;
 use ft_steal::rng::XorShift64Star;
-use std::any::Any;
 use std::cell::{Cell, RefCell};
 
 /// A deterministic, single-threaded executor with a seeded random schedule.
@@ -61,8 +60,9 @@ pub struct DetPool {
     /// priority pop order deterministically.
     hot: RefCell<Vec<Job>>,
     rng: RefCell<XorShift64Star>,
-    /// First panic payload from a job; re-raised when the queue drains.
-    panic: RefCell<Option<Box<dyn Any + Send>>>,
+    /// The group of every job not submitted as an instance (jobs stamped
+    /// with no group); its first panic is re-raised when the queue drains.
+    resident: Group,
     /// Jobs executed across all runs on this pool (diagnostics).
     executed: Cell<u64>,
     /// True while the drain loop is running (jobs see `worker_index() == 0`).
@@ -77,7 +77,7 @@ impl DetPool {
             queue: RefCell::new(Vec::new()),
             hot: RefCell::new(Vec::new()),
             rng: RefCell::new(XorShift64Star::new(seed)),
-            panic: RefCell::new(None),
+            resident: Group::resident(),
             executed: Cell::new(0),
             draining: Cell::new(false),
         }
@@ -105,14 +105,23 @@ impl DetPool {
     {
         let scope = Scope::for_host(self);
         let submitted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&scope)));
-        self.drain(&scope);
-        let job_panic = self.panic.borrow_mut().take();
-        if let Some(payload) = submitted.err().or(job_panic) {
+        self.drain();
+        if let Some(payload) = submitted.err().or(self.resident.take_panic()) {
             std::panic::resume_unwind(payload);
         }
     }
 
-    fn drain(&self, scope: &Scope<'_>) {
+    /// The group `job` is counted in: its stamp, or — unstamped — the
+    /// resident group (never stamped, so no job points into this struct).
+    fn group_of(&self, job: &Job) -> *const Group {
+        if job.group().is_null() {
+            &self.resident
+        } else {
+            job.group()
+        }
+    }
+
+    fn drain(&self) {
         self.draining.set(true);
         loop {
             // Pick-and-pop inside a short borrow so jobs can spawn freely.
@@ -135,15 +144,20 @@ impl DetPool {
                 }
             };
             self.executed.set(self.executed.get() + 1);
+            let group = self.group_of(&job);
+            // SAFETY: the job holds a unit of its group (enrolled by
+            // `spawn_job_with` or `Group::open`) until the release below,
+            // which keeps a per-instance group alive.
+            let scope = unsafe { Scope::for_group(self, job.group()) };
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                job.run(scope);
+                job.run(&scope);
             }));
             if let Err(payload) = result {
-                let mut slot = self.panic.borrow_mut();
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
+                // SAFETY: as above — the job's unit is still held.
+                unsafe { (*group).record_panic(payload) };
             }
+            // SAFETY: the unit of the job that just finished.
+            unsafe { Group::release(group, 1) };
         }
         self.draining.set(false);
     }
@@ -151,10 +165,13 @@ impl DetPool {
 
 impl SpawnHost for DetPool {
     fn spawn_job(&self, job: Job) {
-        self.queue.borrow_mut().push(job);
+        self.spawn_job_with(job, Priority::Normal);
     }
 
     fn spawn_job_with(&self, job: Job, prio: Priority) {
+        // SAFETY: a stamped job is spawned by a running job of the same
+        // group (through the scope `drain` built), whose unit keeps it alive.
+        unsafe { (*self.group_of(&job)).enroll() };
         match prio {
             Priority::High => self.hot.borrow_mut().push(job),
             Priority::Normal => self.queue.borrow_mut().push(job),
@@ -174,17 +191,13 @@ impl SpawnHost for DetPool {
     }
 }
 
-// SAFETY: `execute_job` is `run_until_complete`, which drains the ready
-// lists until both are empty — on the calling thread, panics of `root` and
-// of jobs included — before it returns or unwinds, so no spawned job
-// outlives the call. Instance hooks fire from the instance latch's tripping
-// decrement (`ft_steal::instance`), and a job is only ever run once (by
-// `drain`) or dropped with the pool.
+// SAFETY: every job holds a unit of its group's latch from `spawn_job_with`
+// (or `Group::open`, for a root) until `drain` has run its body, so an
+// instance's latch trips — hook, then `done` — only after its last job
+// finished (`ft_steal::instance`). `drive` drains both lists before it
+// re-raises anything. A job is only ever run once (by `drain`) or dropped
+// with the pool.
 unsafe impl Executor for DetPool {
-    fn execute_job(&self, root: Job) {
-        self.run_until_complete(|scope| root.run(scope));
-    }
-
     fn num_threads(&self) -> usize {
         1
     }
@@ -196,7 +209,7 @@ unsafe impl Executor for DetPool {
     /// cross-instance schedule — the property the concurrent-submission
     /// oracle campaigns rely on.
     fn submit_instance(&self, root: Job, on_quiesce: Option<QuiesceHook>) -> InstanceHandle {
-        let (job, handle) = instance_root(root, on_quiesce);
+        let (job, handle) = Group::open(root, on_quiesce);
         self.queue.borrow_mut().push(job);
         handle
     }
@@ -210,9 +223,8 @@ unsafe impl Executor for DetPool {
     /// their handles; panics of plain `spawn`ed jobs are re-raised here
     /// like in [`DetPool::run_until_complete`].
     fn drive(&self) {
-        let scope = Scope::for_host(self);
-        self.drain(&scope);
-        if let Some(payload) = self.panic.borrow_mut().take() {
+        self.drain();
+        if let Some(payload) = self.resident.take_panic() {
             std::panic::resume_unwind(payload);
         }
     }

@@ -100,13 +100,6 @@ pub enum Steal<T> {
     Success(T),
 }
 
-impl<T> Steal<T> {
-    /// True if this is `Steal::Success`.
-    pub fn is_success(&self) -> bool {
-        matches!(self, Steal::Success(_))
-    }
-}
-
 /// Shared state of one Chase–Lev deque.
 struct Inner<T> {
     /// Next index to steal from. Monotonically increasing.

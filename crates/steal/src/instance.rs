@@ -1,138 +1,176 @@
-//! Per-instance (epoch) completion tracking on a shared executor.
+//! Completion groups: the one way a job is accounted for.
 //!
-//! [`Pool::run_until_complete`](crate::pool::Pool::run_until_complete)
-//! detects quiescence with one pool-wide [`CountLatch`], which forces the
-//! pool into batch shape: one graph run at a time, with a barrier between
-//! runs. This module removes that barrier. Each *instance* (one graph
-//! submission, one epoch) carries its own latch, panic slot and job
-//! counters in an [`InstanceState`]; every job belonging to the instance is
-//! wrapped so that
+//! NABBIT's routines only ever spawn and never join, so *completion is
+//! quiescence of a fire-and-forget job tree*. A [`Group`] is what that tree
+//! is counted in: a [`CountLatch`], the first-panic slot, a once-only
+//! quiesce hook and a `done` flag. Every [`Job`] carries a pointer to its
+//! group; a [`Scope`](crate::pool::Scope) stamps its group on what it
+//! spawns, and the executor's run loop — the only place a job body runs —
+//! files a panic in *that job's* group and returns the job's unit to it.
 //!
-//! 1. the instance latch is incremented **before** the job becomes visible
-//!    to any worker (enroll-before-publish, so the latch can never trip
-//!    while a job is in flight);
-//! 2. the job body runs under `catch_unwind`, and the first panic payload
-//!    is stored in the *instance's* slot — a panicking graph never poisons
-//!    the pool or a co-resident instance;
-//! 3. spawns performed by the job are themselves wrapped (the job receives
-//!    a [`Scope`] whose host is an [`InstanceHost`] layered over the
-//!    worker's real scope), so the entire transitive job tree of one
-//!    submission is accounted to its own latch;
-//! 4. after the body returns, the latch is decremented; the decrement that
-//!    trips the latch fires the instance's one-shot quiesce hook (used by
-//!    the service layer to release its admission slot).
+//! Two kinds, one type. A **resident** group ([`Group::resident`]) is a
+//! field of its executor, reused run after run (`Pool::run_until_complete`,
+//! `Pool::spawn`). A **per-instance** group ([`Group::open`]) lives on the
+//! heap, one per submitted root; its latch owns one strong reference, which
+//! the thread that trips the latch gives back as its last access, so a job
+//! may hold a plain pointer and a dropped [`InstanceHandle`] cannot free a
+//! group whose jobs still run.
 //!
-//! Because the wrapper only talks to the *outer* [`Scope`] it was handed,
-//! it works identically on every [`SpawnHost`] — the multithreaded pool and
-//! the deterministic single-threaded pool — without touching their
-//! internals. The cost is one extra allocation and a latch round-trip per
-//! job, which is why the one-instance fast path
-//! ([`Engine::run`](../../nabbit_ft/scheduler/engine/struct.Engine.html))
-//! keeps using the pool-wide latch and pays nothing.
+//! # Invariants
+//!
+//! 1. A job holds one unit of its group's latch from before it is visible
+//!    to another thread until after its body returned.
+//! 2. A [`Credits`](crate::latch::Credits) stash dereferences its group
+//!    pointer only while it holds units: held units keep the latch above
+//!    zero, hence the group alive.
+//! 3. After a job body returns, its unit goes to *that job's* group: the
+//!    worker re-selects the group before `Credits::put`, because the body
+//!    may have moved the stash to another group.
+//! 4. A non-tripping subtraction's last access to the group is the RMW
+//!    itself; the tripping thread's is the release of the latch-owned
+//!    reference, performed with no `&Group` borrow live.
+//! 5. The hook runs strictly before `done` is set, and a panic payload is
+//!    stored before the panicking job's unit can reach the latch.
 
+use crate::job::Job;
 use crate::latch::{CountLatch, Flag};
-use crate::pool::{Job, Scope, SpawnHost};
-use crate::priority::Priority;
 use ft_sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 use std::any::Any;
 use std::sync::Arc;
 
-/// One-shot callback fired by the latch-tripping decrement of an instance.
+/// One-shot callback fired by the latch-tripping subtraction of an instance.
 pub type QuiesceHook = Box<dyn FnOnce() + Send>;
 
-/// Shared state of one graph instance: completion latch, panic slot,
-/// counters, and the one-shot quiesce hook.
-struct InstanceState {
-    /// Jobs of this instance currently enrolled but not finished.
-    latch: CountLatch,
-    /// Set by the latch-tripping job *after* it ran the quiesce hook.
-    /// Waiters block on this flag, not on the latch directly, so a woken
+/// The completion state of one fire-and-forget job tree; see the module
+/// docs.
+pub struct Group {
+    /// Live jobs of this group plus units parked in worker `Credits`.
+    pub(crate) latch: CountLatch,
+    /// Set by the latch-tripping thread *after* it ran the quiesce hook.
+    /// Handle holders block on this flag, not on the latch, so a woken
     /// waiter is guaranteed the hook (slot release, counters) already ran.
     done: Flag,
-    /// First panic payload raised by a job of this instance.
+    /// First panic payload raised by a job of this group.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Fired exactly once, by the decrement that trips the latch.
+    /// Fired exactly once, by the subtraction that trips the latch.
     on_quiesce: Mutex<Option<QuiesceHook>>,
-    jobs_spawned: AtomicU64,
-    jobs_executed: AtomicU64,
     panics: AtomicU64,
+    /// Per-instance groups only: the latch owns one strong reference of the
+    /// `Arc` this group lives in, given back by [`Group::release`]'s trip.
+    latch_owned: bool,
 }
 
-impl InstanceState {
-    fn new(on_quiesce: Option<QuiesceHook>) -> Self {
-        InstanceState {
+impl std::fmt::Debug for Group {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Group")
+            .field("latch", &self.latch)
+            .field("done", &self.done)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Group {
+    fn new(on_quiesce: Option<QuiesceHook>, latch_owned: bool) -> Self {
+        Group {
             latch: CountLatch::new(),
             done: Flag::new(),
             panic: Mutex::new(None),
             on_quiesce: Mutex::new(on_quiesce),
-            jobs_spawned: AtomicU64::new(0),
-            jobs_executed: AtomicU64::new(0),
             panics: AtomicU64::new(0),
+            latch_owned,
         }
     }
 
-    /// Register one job: must happen before the job is published to any
-    /// queue, so the latch count covers every job a worker could observe.
-    fn enroll(&self) {
-        // ord: Relaxed — diagnostic counter only; completion accounting is
-        // carried by the latch increment below.
-        self.jobs_spawned.fetch_add(1, Ordering::Relaxed);
+    /// A group owned by an executor and reused across runs; its owner waits
+    /// on the latch and must outlive every job counted in it.
+    pub fn resident() -> Self {
+        Group::new(None, false)
+    }
+
+    /// Open a per-instance group around `root`: returns the root stamped
+    /// with the new group, ready to be published as is, and the handle
+    /// tracking the group's completion. The root's unit is already enrolled
+    /// (and the latch's own reference taken), so the handle cannot observe
+    /// a spurious quiescence before the enqueue. Jobs still queued when
+    /// their executor is torn down are dropped unrun: the latch never
+    /// trips, and hook and group leak rather than run early.
+    pub fn open(root: Job, on_quiesce: Option<QuiesceHook>) -> (Job, InstanceHandle) {
+        let inst = Arc::new(Group::new(on_quiesce, true));
+        inst.enroll();
+        let group = Arc::into_raw(Arc::clone(&inst));
+        (root.stamped(group), InstanceHandle { inst })
+    }
+
+    /// Take the unit of one job about to be published (invariant 1).
+    pub fn enroll(&self) {
         self.latch.increment();
     }
 
-    /// Account a finished job (panicked or not); the decrement that trips
-    /// the latch fires the quiesce hook, then releases the waiters.
-    fn finish_job(&self, panicked: Option<Box<dyn Any + Send>>) {
-        if let Some(payload) = panicked {
-            // ord: Relaxed — diagnostic counter; the payload hand-off is
-            // ordered by the mutex.
-            self.panics.fetch_add(1, Ordering::Relaxed);
-            let mut slot = self.panic.lock();
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
+    /// Units outstanding: live jobs plus stashed credits (diagnostics and
+    /// models; racy by nature).
+    pub fn outstanding(&self) -> isize {
+        self.latch.outstanding()
+    }
+
+    /// File the panic of one of this group's jobs; the first payload is
+    /// kept. Call before the job's unit is released (invariant 5).
+    pub fn record_panic(&self, payload: Box<dyn Any + Send>) {
+        // ord: Relaxed — diagnostic counter; the payload hand-off is
+        // ordered by the mutex.
+        self.panics.fetch_add(1, Ordering::Relaxed);
+        let mut slot = self.panic.lock();
+        if slot.is_none() {
+            *slot = Some(payload);
         }
-        // ord: Relaxed — diagnostic counter; see `enroll`.
-        self.jobs_executed.fetch_add(1, Ordering::Relaxed);
-        if self.latch.decrement() {
-            // Exactly one decrement observes the 1 -> 0 transition, and no
-            // increment can follow it (only live jobs enroll new jobs), so
-            // the hook fires at most once per instance — strictly before
-            // `done` releases any waiter.
-            let hook = self.on_quiesce.lock().take();
+    }
+
+    /// Take the first recorded panic payload, if any.
+    pub fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
+        self.panic.lock().take()
+    }
+
+    /// Return `n` units of `this`'s latch. The subtraction that trips a
+    /// per-instance group completes it: hook, then `done`, then the latch's
+    /// own reference, which may free the group. (A resident group's trip
+    /// needs no more than the latch's own wake-up.)
+    ///
+    /// # Safety
+    /// The caller must own `n` units of `this`'s latch (a finished job's
+    /// unit, or a stash), which is what keeps `this` alive up to the
+    /// subtraction; it must not use `this` afterwards on their strength.
+    pub unsafe fn release(this: *const Group, n: isize) {
+        {
+            // SAFETY: the caller's units keep the group alive until the
+            // subtraction, a non-tripping caller's last access; past it the
+            // latch's reference keeps a heap group alive for the tripper.
+            let group = unsafe { &*this };
+            if !group.latch.sub(n) || !group.latch_owned {
+                return;
+            }
+            let hook = group.on_quiesce.lock().take();
             if let Some(hook) = hook {
                 hook();
             }
-            self.done.set();
+            group.done.set();
         }
+        // SAFETY: `this` came from `Arc::into_raw` in `open`, and that
+        // reference is still outstanding: a per-instance latch trips once
+        // (nothing is added after the trip — only live jobs enroll jobs).
+        // No borrow of the group is live any more (invariant 4).
+        unsafe { Arc::decrement_strong_count(this) };
     }
 }
 
-impl std::fmt::Debug for InstanceState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InstanceState")
-            .field("latch", &self.latch)
-            // ord: Relaxed — debug snapshot of statistics counters only.
-            .field("jobs_spawned", &self.jobs_spawned.load(Ordering::Relaxed))
-            // ord: Relaxed — debug snapshot of statistics counters only.
-            .field("jobs_executed", &self.jobs_executed.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-/// Job-count statistics of one instance.
+/// Statistics of one instance's jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InstanceStats {
-    /// Jobs enrolled into the instance (root + transitive spawns).
-    pub jobs_spawned: u64,
-    /// Jobs that finished executing (panicked jobs included).
-    pub jobs_executed: u64,
     /// Jobs whose body panicked.
     pub panics: u64,
 }
 
-/// Awaitable/pollable handle to one submitted instance.
+/// Awaitable/pollable handle to one submitted instance (a per-instance
+/// [`Group`]).
 ///
 /// Cloneable; all clones observe the same instance. `wait` blocks the
 /// calling thread, so on a single-threaded executor with no autonomous
@@ -140,7 +178,7 @@ pub struct InstanceStats {
 /// [`Executor::drive`](crate::pool::Executor::drive)).
 #[derive(Clone)]
 pub struct InstanceHandle {
-    inst: Arc<InstanceState>,
+    inst: Arc<Group>,
 }
 
 impl std::fmt::Debug for InstanceHandle {
@@ -165,74 +203,19 @@ impl InstanceHandle {
     }
 
     /// Take the first panic payload raised by a job of this instance, if
-    /// any. The caller decides whether to re-raise it; the pool itself
-    /// never sees instance panics.
+    /// any. The caller decides whether to re-raise it; no other group ever
+    /// sees it.
     pub fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
-        self.inst.panic.lock().take()
+        self.inst.take_panic()
     }
 
-    /// Job-count statistics so far.
+    /// Job statistics so far.
     pub fn stats(&self) -> InstanceStats {
         InstanceStats {
-            // ord: Relaxed — diagnostic counters, racy reads are fine.
-            jobs_spawned: self.inst.jobs_spawned.load(Ordering::Relaxed),
-            jobs_executed: self.inst.jobs_executed.load(Ordering::Relaxed),
+            // ord: Relaxed — diagnostic counter, racy reads are fine.
             panics: self.inst.panics.load(Ordering::Relaxed),
         }
     }
-}
-
-/// A [`SpawnHost`] layered over the worker's real scope: spawns are wrapped
-/// into the instance before being forwarded to the underlying host.
-struct InstanceHost<'a> {
-    outer: &'a Scope<'a>,
-    inst: &'a Arc<InstanceState>,
-}
-
-impl SpawnHost for InstanceHost<'_> {
-    fn spawn_job(&self, job: Job) {
-        self.spawn_job_with(job, Priority::Normal);
-    }
-
-    fn spawn_job_with(&self, job: Job, prio: Priority) {
-        self.outer.spawn_boxed_with(wrap_job(self.inst, job), prio);
-    }
-
-    fn num_threads(&self) -> usize {
-        self.outer.num_threads()
-    }
-
-    fn worker_index(&self) -> Option<usize> {
-        self.outer.worker_index()
-    }
-}
-
-/// Wrap `job` for `inst`: enroll it in the latch now, and at run time
-/// execute it under an instance scope with `catch_unwind` + finish-job
-/// accounting. The returned job is what actually enters the executor's
-/// queues.
-fn wrap_job(inst: &Arc<InstanceState>, job: Job) -> Job {
-    inst.enroll();
-    let inst = Arc::clone(inst);
-    Job::new(move |outer: &Scope<'_>| {
-        let host = InstanceHost { outer, inst: &inst };
-        let scope = Scope::for_host(&host);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.run(&scope)));
-        inst.finish_job(result.err());
-    })
-}
-
-/// Open a new instance around `root`.
-///
-/// Returns the wrapped root job — ready to be pushed into any
-/// [`SpawnHost`]'s queues — and the [`InstanceHandle`] tracking the
-/// instance's completion. The root is already enrolled, so the handle
-/// cannot observe a spurious early quiescence between this call and the
-/// actual enqueue.
-pub fn instance_root(root: Job, on_quiesce: Option<QuiesceHook>) -> (Job, InstanceHandle) {
-    let inst = Arc::new(InstanceState::new(on_quiesce));
-    let job = wrap_job(&inst, root);
-    (job, InstanceHandle { inst })
 }
 
 /// Bounded admission counter for in-flight instances.
@@ -306,7 +289,7 @@ impl AdmissionGate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::{Pool, PoolConfig};
+    use crate::pool::{Executor, Pool, PoolConfig};
     use ft_sync::atomic::AtomicUsize;
 
     #[test]
@@ -316,7 +299,7 @@ mod tests {
         let counted = Arc::new(AtomicUsize::new(0));
         let f = Arc::clone(&fired);
         let c = Arc::clone(&counted);
-        let (job, handle) = instance_root(
+        let handle = pool.submit_instance(
             Job::new(move |s| {
                 for _ in 0..64 {
                     let c = Arc::clone(&c);
@@ -329,33 +312,35 @@ mod tests {
                 f.fetch_add(1, Ordering::SeqCst);
             })),
         );
-        pool.spawn(move |s| s.spawn_boxed_with(job, Priority::Normal));
         handle.wait();
         assert!(handle.is_done());
         assert_eq!(counted.load(Ordering::Relaxed), 64);
         assert_eq!(fired.load(Ordering::SeqCst), 1);
-        let stats = handle.stats();
-        assert_eq!(stats.jobs_spawned, 65);
-        assert_eq!(stats.jobs_executed, 65);
-        assert_eq!(stats.panics, 0);
+        assert_eq!(handle.stats().panics, 0);
+        // The latch gives its reference back (after `done`, as the tripping
+        // thread's last access): the handle's becomes the only one.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while Arc::strong_count(&handle.inst) > 1 {
+            assert!(std::time::Instant::now() < deadline, "reference leaked");
+            std::thread::yield_now();
+        }
     }
 
     #[test]
     fn instance_panic_is_isolated() {
         let pool = Pool::new(PoolConfig::with_threads(2));
-        let (job, handle) = instance_root(
+        let handle = pool.submit_instance(
             Job::new(|s| {
                 s.spawn(|_| panic!("instance boom"));
                 s.spawn(|_| {});
             }),
             None,
         );
-        pool.spawn(move |s| s.spawn_boxed_with(job, Priority::Normal));
         handle.wait();
         assert_eq!(handle.stats().panics, 1);
         assert!(handle.take_panic().is_some());
         assert!(handle.take_panic().is_none(), "payload taken once");
-        // The pool itself is untouched: a plain run sees no panic.
+        // The pool's resident group is untouched: a plain run sees no panic.
         pool.run_until_complete(|scope| {
             scope.spawn(|_| {});
         });

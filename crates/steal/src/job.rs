@@ -3,7 +3,9 @@
 //! [`Job`] replaces the old `Box<dyn FnOnce(&Scope<'_>) + Send>` alias: a
 //! fixed-size (64-byte) closure cell that stores small closures **inline**
 //! — no heap allocation per spawn — and transparently falls back to a heap
-//! box for closures larger than [`INLINE_DATA_BYTES`].
+//! box for closures larger than [`INLINE_DATA_BYTES`]. Beside the closure
+//! the cell carries a pointer to the job's completion [`Group`], stamped by
+//! the [`Scope`] that spawned it.
 //!
 //! Every closure the scheduler engine spawns on its hot path captures at
 //! most an engine pointer, an arena handle and two or three scalar keys
@@ -18,16 +20,17 @@
 //! closure (inline bytes or raw box pointer), with the invariant that
 //! exactly one of `run`/`drop` consumes it.
 
+use crate::instance::Group;
 use crate::pool::Scope;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 
 /// Number of pointer-sized words of inline closure storage.
-const DATA_WORDS: usize = 6;
+const DATA_WORDS: usize = 5;
 
 /// Closures up to this size (and pointer alignment) are stored inline;
-/// larger ones are boxed. 48 bytes covers every engine hot-path closure
-/// (engine pointer + descriptor handle + two keys + life) with room
-/// to spare.
+/// larger ones are boxed. 40 bytes is exactly the largest engine hot-path
+/// closure (engine pointer + descriptor handle + two keys + life), which
+/// `alloc_count.rs` pins.
 pub const INLINE_DATA_BYTES: usize = DATA_WORDS * size_of::<usize>();
 
 /// A unit of work. Receives a [`Scope`] so it can spawn more work.
@@ -39,6 +42,9 @@ pub struct Job {
     /// in-place (inline mode) or a `Box` raw pointer in word 0 (boxed
     /// mode). Which mode applies is fixed by the `call`/`drop_fn` pair.
     data: [MaybeUninit<usize>; DATA_WORDS],
+    /// The completion group this job is counted in; null until stamped.
+    /// Only executors dereference it, under the unit the job holds.
+    group: *const Group,
     /// Consumes the closure in `data` and invokes it.
     // SAFETY: caller contract — see `call_inline`/`call_boxed`: the pointer
     // must be this cell's `data`, holding a live closure, consumed once.
@@ -52,8 +58,13 @@ pub struct Job {
 // SAFETY: `Job::new` requires `F: Send`, and the closure is owned by the
 // cell (inline bytes or an exclusively-owned box); moving the cell moves
 // the closure, so sending the cell to another thread is exactly sending
-// the `Send` closure.
+// the `Send` closure. The group pointer is only ever dereferenced to a
+// `&Group`, and `Group` is `Sync` (checked right below).
 unsafe impl Send for Job {}
+const _: fn() = {
+    fn shared_across_workers<T: Sync>() {}
+    shared_across_workers::<Group>
+};
 
 impl Job {
     /// Wrap a closure. Small closures (≤ [`INLINE_DATA_BYTES`] bytes,
@@ -73,6 +84,7 @@ impl Job {
             unsafe { std::ptr::write(data.as_mut_ptr().cast::<F>(), f) };
             Job {
                 data,
+                group: std::ptr::null(),
                 call: call_inline::<F>,
                 drop_fn: drop_inline::<F>,
             }
@@ -80,10 +92,22 @@ impl Job {
             data[0] = MaybeUninit::new(Box::into_raw(Box::new(f)) as usize);
             Job {
                 data,
+                group: std::ptr::null(),
                 call: call_boxed::<F>,
                 drop_fn: drop_boxed::<F>,
             }
         }
+    }
+
+    /// The completion group this job was stamped with (null if none yet).
+    pub fn group(&self) -> *const Group {
+        self.group
+    }
+
+    /// Stamp the job with its completion group.
+    pub(crate) fn stamped(mut self, group: *const Group) -> Self {
+        self.group = group;
+        self
     }
 
     /// Execute the job, consuming it.
@@ -232,9 +256,9 @@ mod tests {
     #[test]
     fn closure_at_inline_boundary_runs() {
         // Exactly INLINE_DATA_BYTES of capture.
-        let words = [1usize, 2, 3, 4, 5, 6];
+        let words = [1usize, 2, 3, 4, 5];
         let job = Job::new(move |_s| {
-            assert_eq!(words.iter().sum::<usize>(), 21);
+            assert_eq!(words.iter().sum::<usize>(), 15);
         });
         let host = NullHost;
         job.run(&Scope::for_host(&host));

@@ -6,12 +6,13 @@
 //!
 //! * [`Flag`] — a one-shot boolean latch the sink task sets; the submitting
 //!   thread blocks on it.
-//! * [`CountLatch`] — counts outstanding jobs; trips at zero. The pool uses
-//!   it to detect quiescence of a `run_until_complete` scope.
-//! * [`Credits`] — one worker's private stash of `CountLatch` units, so the
-//!   per-job path moves units between a job and its worker instead of
+//! * [`CountLatch`] — counts outstanding jobs; trips at zero. Every
+//!   completion group ([`Group`]) counts its job tree in one.
+//! * [`Credits`] — one worker's private stash of a group's latch units, so
+//!   the per-job path moves units between a job and its worker instead of
 //!   writing the shared count.
 
+use crate::instance::Group;
 use ft_sync::atomic::{AtomicBool, AtomicIsize, Ordering};
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
@@ -104,8 +105,8 @@ impl CountLatch {
 
     /// Register `n` more outstanding units with one RMW. The pool's workers
     /// take units in batches and hand them to the jobs they spawn (see
-    /// `pool.rs`, "quiescence credits"), so the count is `live jobs + units
-    /// parked in worker-local credits`, not one RMW per job.
+    /// [`Credits`]), so the count is `live jobs + units parked in
+    /// worker-local credits`, not one RMW per job.
     pub fn add(&self, n: isize) {
         debug_assert!(n >= 1, "CountLatch::add of {n}");
         // ord: Relaxed — `started` is monotone (false→true once) and only
@@ -177,36 +178,49 @@ impl CountLatch {
     }
 }
 
-/// Units a worker takes from the latch in one RMW when it spawns with no
+/// Units a worker takes from a latch in one RMW when it spawns with no
 /// credit in hand. Large enough that a worker fanning out a task's
 /// predecessors touches the latch once per several tasks; the surplus is
 /// flushed as soon as the worker's deques run empty, so it never delays
 /// quiescence.
 const CREDIT_BATCH: isize = 64;
 
-/// One worker's stash of [`CountLatch`] units that belong to no live job.
+/// One worker's stash of latch units that belong to no live job.
 ///
-/// Every live job holds exactly one unit of the latch, from before it
-/// becomes visible to any other thread until after its body has returned.
-/// A worker-side spawn hands the new job a unit out of the stash
-/// ([`Credits::take`], refilling with one [`CountLatch::add`] of a fixed
-/// batch when empty); a finished job's unit goes back into the stash
+/// Every live job holds exactly one unit of its group's latch (invariant 1
+/// of `instance.rs`). A worker-side spawn hands the new job a unit out of
+/// the stash ([`Credits::take`], refilling with one `add` of a fixed batch
+/// when empty); a finished job's unit goes back into the stash
 /// ([`Credits::put`]) instead of to the latch; and the worker returns the
-/// whole stash with one [`CountLatch::sub`] whenever its own queues run
-/// empty ([`Credits::flush`]). Invariant: `latch count == live jobs + Σ
-/// stashes`, so the latch can only read zero with no job live and every
-/// stash flushed, and the subtraction that gets it there is unique.
+/// whole stash with one `sub` whenever its own queues run empty
+/// ([`Credits::flush`]). **A stash belongs to one group**: `take` and `put`
+/// flush it before they touch a different group. Per group the invariant is
+/// `latch count == live jobs + Σ stashed units`, so a latch can only read
+/// zero with none of its jobs live and none of its units stashed, and the
+/// subtraction that gets it there is unique.
 ///
-/// `!Sync` by construction (a `Cell`): a stash belongs to one thread.
-#[derive(Debug, Default)]
+/// `!Sync` by construction (`Cell`s): a stash belongs to one thread.
+#[derive(Debug)]
 pub struct Credits {
     held: Cell<isize>,
+    /// The group the held units belong to; dereferenced only while
+    /// `held > 0` (invariant 2).
+    group: Cell<*const Group>,
+}
+
+impl Default for Credits {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Credits {
     /// An empty stash.
     pub const fn new() -> Self {
-        Credits { held: Cell::new(0) }
+        Credits {
+            held: Cell::new(0),
+            group: Cell::new(std::ptr::null()),
+        }
     }
 
     /// Units currently held.
@@ -214,30 +228,57 @@ impl Credits {
         self.held.get()
     }
 
-    /// Take the unit a job about to be published will hold. Must precede
-    /// the publish: once another thread can see the job it can finish it —
-    /// and flush its unit — at any moment.
-    pub fn take(&self, latch: &CountLatch) {
+    /// Make `group` the stash's group, flushing the units of any other
+    /// group first.
+    fn select(&self, group: *const Group) {
+        if self.group.get() != group {
+            self.flush();
+            self.group.set(group);
+        }
+    }
+
+    /// Take the unit a job of `group` about to be published will hold.
+    /// Must precede the publish: once another thread can see the job it can
+    /// finish it — and flush its unit — at any moment.
+    ///
+    /// # Safety
+    /// `group` must stay alive while units of it are outstanding (a
+    /// per-instance group does by construction; a resident group's owner
+    /// must outlive its jobs and their workers' stashes).
+    pub unsafe fn take(&self, group: &Group) {
+        self.select(group);
         let have = self.held.get();
         if have > 0 {
             self.held.set(have - 1);
         } else {
-            latch.add(CREDIT_BATCH);
+            group.latch.add(CREDIT_BATCH);
             self.held.set(CREDIT_BATCH - 1);
         }
     }
 
-    /// Keep the unit of a job this thread just finished.
-    pub fn put(&self) {
+    /// Keep the unit of a job of `group` this thread just finished
+    /// (invariant 3: the group is re-selected here, whatever the body did
+    /// to the stash).
+    ///
+    /// # Safety
+    /// The caller must own one unit of `group`'s latch — that of a job
+    /// whose body has returned — and hands it to the stash.
+    pub unsafe fn put(&self, group: *const Group) {
+        self.select(group);
         self.held.set(self.held.get() + 1);
     }
 
-    /// Return every held unit to the latch; `true` if that tripped it.
-    /// Call whenever the owning worker's own queues are empty, so a worker
-    /// that steals, parks or exits holds none.
-    pub fn flush(&self, latch: &CountLatch) -> bool {
+    /// Return every held unit to its group's latch. Call whenever the
+    /// owning worker's own queues are empty, so a worker that steals,
+    /// parks, blocks or exits holds none.
+    pub fn flush(&self) {
         let held = self.held.replace(0);
-        held > 0 && latch.sub(held)
+        if held > 0 {
+            // SAFETY: the stash owned `held` units of its group's latch
+            // (handed over through `take`/`put`), so the group is alive
+            // (invariant 2), and they are given up here.
+            unsafe { Group::release(self.group.get(), held) };
+        }
     }
 }
 
@@ -290,20 +331,48 @@ mod tests {
 
     #[test]
     fn credits_keep_latch_raised_until_flushed() {
-        let l = CountLatch::new();
+        let g = Group::resident();
         let c = Credits::new();
-        l.increment(); // an external job, about to run on this worker
-        c.take(&l); // it spawns a child: one batch taken
-        assert_eq!(l.outstanding(), 1 + CREDIT_BATCH);
+        // An external job, about to run on this worker, spawns a child: one
+        // batch taken.
+        g.enroll();
+        // SAFETY: `g` outlives the stash's units (flushed below).
+        unsafe { c.take(&g) };
+        assert_eq!(g.outstanding(), 1 + CREDIT_BATCH);
         assert_eq!(c.held(), CREDIT_BATCH - 1);
-        c.put(); // the external job finished
-        c.put(); // the child finished
+        // SAFETY: the two jobs' units, handed to the stash.
+        unsafe {
+            c.put(&g); // the external job finished
+            c.put(&g); // the child finished
+        }
         assert_eq!(c.held(), CREDIT_BATCH + 1);
-        assert!(!l.is_quiescent(), "no job live, but credits unflushed");
-        assert!(c.flush(&l), "the flush returns every unit and trips");
-        assert!(!c.flush(&l), "an empty stash touches nothing");
-        assert!(l.is_quiescent());
-        assert_eq!(l.outstanding(), 0);
+        assert_eq!(g.outstanding(), CREDIT_BATCH + 1, "credits unflushed");
+        c.flush();
+        assert_eq!(c.held(), 0);
+        c.flush(); // an empty stash touches nothing
+        assert_eq!(g.outstanding(), 0);
+    }
+
+    #[test]
+    fn stash_flushes_before_it_serves_another_group() {
+        let (a, b) = (Group::resident(), Group::resident());
+        let c = Credits::new();
+        // A live job of `a` on this worker spawns a child, then one into
+        // `b` (a nested run).
+        a.enroll();
+        // SAFETY: both groups outlive the stash's units (flushed below).
+        unsafe {
+            c.take(&a);
+            c.take(&b);
+        }
+        assert_eq!(a.outstanding(), 2, "a's surplus went back to a");
+        assert_eq!(b.outstanding(), CREDIT_BATCH);
+        // SAFETY: the unit of the job of `a` whose body just returned.
+        unsafe { c.put(&a) };
+        assert_eq!(b.outstanding(), 1, "b's surplus went back to b");
+        assert_eq!(c.held(), 1);
+        c.flush();
+        assert_eq!(a.outstanding(), 1);
     }
 
     #[test]

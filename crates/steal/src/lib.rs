@@ -12,11 +12,13 @@
 //!   31-slot blocks, batch-steal into the caller's deque) for submissions
 //!   arriving from outside the pool.
 //! * [`pool::Pool`] — a persistent pool of worker threads, each owning a
-//!   deque; idle workers steal from random victims and park when the system
-//!   has no work (a single pool-wide pending-work counter makes the park
-//!   decision O(1)).
-//! * [`latch::CountLatch`] / [`latch::Flag`] — completion detection for
-//!   fire-and-forget task DAGs (the sink task trips the latch).
+//!   deque; idle workers steal from random victims and park — after a
+//!   sweep of every queue — when the system has no work.
+//! * [`instance::Group`] — the completion group every job is counted in
+//!   (one per submitted instance, one resident per executor), over
+//!   [`latch::CountLatch`] / [`latch::Flag`] and worker-local
+//!   [`latch::Credits`]: completion detection for fire-and-forget task
+//!   DAGs.
 //! * [`metrics::WorkerMetrics`] — per-worker counters (spawns, steals,
 //!   executed jobs) aggregated without cross-thread contention.
 //!

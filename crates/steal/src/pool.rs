@@ -7,36 +7,38 @@
 //! workers repeatedly try their own deque, the injector, and random victims,
 //! then park on the pool's [`Parker`].
 //!
-//! The pool exposes **fire-and-forget** spawning plus quiescence detection
-//! ([`Pool::run_until_complete`]): NABBIT's routines only ever spawn and
-//! never join, and a task-graph run is over when every spawned traversal
-//! job has drained (by which time the sink task has completed).
+//! The pool exposes **fire-and-forget** spawning plus quiescence detection:
+//! NABBIT's routines only ever spawn and never join, and a task-graph run
+//! is over when every spawned traversal job has drained (by which time the
+//! sink task has completed). Every job is counted in the completion
+//! [`Group`] it carries: the pool's resident one
+//! ([`Pool::run_until_complete`], [`Pool::spawn`]) or one per submitted
+//! root ([`Executor::submit_instance`]).
 //!
-//! Panics inside jobs are caught, the first payload is kept, and
-//! `run_until_complete` re-raises it on the submitting thread — otherwise a
-//! panicking job would leak the quiescence count and deadlock the run.
+//! Panics inside jobs are caught by the worker loop, the only place a job
+//! body runs; the first payload is kept in the job's own group and
+//! re-raised by whoever waits on it — otherwise a panicking job would leak
+//! its quiescence unit and deadlock its waiter.
 //!
 //! # No shared writes per job
 //!
-//! The per-job path writes no cache line shared between workers. The
-//! quiescence latch `pending` is counted through worker-local [`Credits`]
-//! (a spawn or a finished job moves a unit between the job and its
-//! worker's stash; the latch itself is touched once per batch and once per
-//! flush, when the worker's own deques run empty), and there is no
-//! queued-jobs counter: a worker about to park sweeps the injector and
-//! every deque instead (see [`Parker`] for the producer/sleeper fence pair
-//! that makes the sweep sufficient).
+//! The per-job path writes no cache line shared between workers. A group's
+//! latch is counted through worker-local [`Credits`] (a spawn or a finished
+//! job moves a unit between the job and its worker's stash; the latch
+//! itself is touched once per batch and once per flush — when the worker's
+//! own deques run empty, or before it serves a different group), and there
+//! is no queued-jobs counter: a worker about to park sweeps the injector
+//! and every deque instead (see [`Parker`] for the producer/sleeper fence
+//! pair that makes the sweep sufficient).
 
 use crate::deque::{self, Steal, Stealer, Worker};
-use crate::instance::{InstanceHandle, QuiesceHook};
-use crate::latch::{CountLatch, Credits};
+use crate::instance::{Group, InstanceHandle, QuiesceHook};
+use crate::latch::Credits;
 use crate::metrics::{CachePadded, MetricsSnapshot, WorkerMetrics};
 use crate::parker::Parker;
 use crate::priority::{PrioInjector, Priority};
 use crate::rng::XorShift64Star;
 use ft_sync::atomic::{AtomicBool, Ordering};
-use parking_lot::Mutex;
-use std::any::Any;
 use std::cell::Cell;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -67,39 +69,32 @@ pub trait SpawnHost {
     fn worker_index(&self) -> Option<usize>;
 }
 
-/// An executor that can run a root job to quiescence: every transitively
-/// spawned job finishes before `execute_job` returns, and the first job
-/// panic is re-raised on the caller.
+/// An executor instances can be submitted to: a root job and everything it
+/// transitively spawns are counted in one per-instance [`Group`], so
+/// concurrent instances complete independently over the shared workers and
+/// a panic inside one is captured in its handle, nowhere else.
 ///
 /// `&Pool` coerces to `&dyn Executor`, so scheduler entry points take
 /// `&dyn Executor` without changing existing call sites.
 ///
 /// # Safety
 /// Callers lend borrowed state to the jobs they spawn and reclaim it when
-/// the executor reports quiescence (the scheduler engine's jobs hold a plain
+/// the instance reports quiescence (the scheduler engine's jobs hold a plain
 /// pointer to their engine, not a reference count). An implementation must
-/// therefore guarantee that
-/// * [`Executor::execute_job`] does not return — normally or by unwinding —
-///   while any job transitively spawned by `root` can still run, and
-/// * an instance's quiesce hook is invoked (or dropped unrun) only after the
-///   last job of that instance has finished running, and every job that
-///   never runs is dropped without being executed.
+/// therefore guarantee that an instance's quiesce hook is invoked (or
+/// dropped unrun), and its handle reports `done`, only after the last job
+/// of that instance has finished running; that [`Executor::drive`] does
+/// not unwind while a submitted job can still run; and that every job that
+/// never runs is dropped without being executed.
 pub unsafe trait Executor {
-    /// Run `root` (which may spawn more work) and block until quiescent.
-    fn execute_job(&self, root: Job);
-
     /// Number of workers executing jobs.
     fn num_threads(&self) -> usize;
 
-    /// Submit `root` as an independent **instance** (epoch): the job and
-    /// everything it transitively spawns are accounted to a per-instance
-    /// latch instead of the executor-wide one, so concurrent instances
-    /// complete independently over the shared workers. Panics inside the
-    /// instance are captured in the returned handle, never in the
-    /// executor's own panic slot.
-    ///
-    /// Unlike [`Executor::execute_job`] this does not block; await or poll
-    /// the returned [`InstanceHandle`].
+    /// Submit `root` as an independent **instance** (epoch) without
+    /// blocking; await or poll the returned [`InstanceHandle`] (after
+    /// [`Executor::drive`], where the executor may be single-threaded).
+    /// `on_quiesce` runs once, on the thread that finishes the instance's
+    /// last job, before the handle reports `done`.
     fn submit_instance(&self, root: Job, on_quiesce: Option<QuiesceHook>) -> InstanceHandle;
 
     /// Number of jobs currently visible in this executor's queues (a sum
@@ -161,12 +156,12 @@ struct PoolState {
     stealers: Vec<LaneStealers>,
     injector: PrioInjector<Job>,
     parker: Parker,
-    /// Quiescence latch, in units: `live jobs + Σ worker credits` (plus the
-    /// sentinel of a `run_until_complete` in progress).
-    pending: CountLatch,
+    /// The group of everything not submitted as an instance (plus the
+    /// sentinel of a `run_until_complete` in progress). Lives as long as
+    /// the workers, which hold the `Arc` this state sits in.
+    resident: Group,
     metrics: Vec<CachePadded<WorkerMetrics>>,
     shutdown: AtomicBool,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
     threads: usize,
     steal_rounds: u32,
 }
@@ -175,6 +170,9 @@ struct PoolState {
 /// submitting thread.
 pub struct Scope<'a> {
     host: &'a dyn SpawnHost,
+    /// Stamped on every job spawned through this scope (null: the host
+    /// decides, or does not count at all).
+    group: *const Group,
 }
 
 impl std::fmt::Debug for Scope<'_> {
@@ -187,10 +185,26 @@ impl std::fmt::Debug for Scope<'_> {
 }
 
 impl<'a> Scope<'a> {
-    /// Build a scope over any spawn host. Executors call this; jobs only
-    /// ever receive a ready-made `&Scope`.
+    /// Build a scope over any spawn host, spawning into no particular
+    /// group. Jobs only ever receive a ready-made `&Scope`.
     pub fn for_host(host: &'a dyn SpawnHost) -> Self {
-        Scope { host }
+        Scope {
+            host,
+            group: std::ptr::null(),
+        }
+    }
+
+    /// Build the scope a job of `group` runs under (executors do, once per
+    /// job): everything spawned through it is stamped with `group`.
+    ///
+    /// # Safety
+    /// Unless null, `group` must be alive whenever `host` dereferences the
+    /// stamp of a job spawned through this scope: when it enrolls the job
+    /// and after it ran it. True when the scope is handed to a running job
+    /// of `group` — its unit keeps the latch up, and each job enrolled
+    /// under it holds the next — or when `host` itself owns `group`.
+    pub unsafe fn for_group(host: &'a dyn SpawnHost, group: *const Group) -> Self {
+        Scope { host, group }
     }
 
     /// Spawn a fire-and-forget job.
@@ -201,7 +215,7 @@ impl<'a> Scope<'a> {
     where
         F: FnOnce(&Scope<'_>) + Send + 'static,
     {
-        self.host.spawn_job(Job::new(f));
+        self.host.spawn_job(Job::new(f).stamped(self.group));
     }
 
     /// Spawn a fire-and-forget job with an acquisition priority.
@@ -214,16 +228,17 @@ impl<'a> Scope<'a> {
     where
         F: FnOnce(&Scope<'_>) + Send + 'static,
     {
-        self.host.spawn_job_with(Job::new(f), prio);
+        self.host
+            .spawn_job_with(Job::new(f).stamped(self.group), prio);
     }
 
     /// Spawn an already-built [`Job`] with an acquisition priority.
     ///
-    /// Equivalent to [`Scope::spawn_with`] but forwards a `Job` that
-    /// already exists — the instance layer (`crate::instance`) uses this
-    /// to forward wrapped jobs without re-wrapping.
+    /// Equivalent to [`Scope::spawn_with`] for a `Job` that already exists
+    /// (the scheduler engine builds its jobs in one place and spawns them
+    /// here). The job joins this scope's group like any other spawn.
     pub fn spawn_boxed_with(&self, job: Job, prio: Priority) {
-        self.host.spawn_job_with(job, prio);
+        self.host.spawn_job_with(job.stamped(self.group), prio);
     }
 
     /// Number of worker threads in the executor this scope belongs to.
@@ -252,8 +267,8 @@ struct LocalCtx {
     index: usize,
     /// Identity of the owning pool, to guard against cross-pool spawns.
     pool_id: *const PoolState,
-    /// Units of the pool's `pending` latch this worker holds that belong to
-    /// no live job.
+    /// Latch units this worker holds that belong to no live job — all of
+    /// one group at a time.
     credits: Credits,
 }
 
@@ -270,36 +285,6 @@ impl PoolState {
             let ctx = (!p.is_null()).then(|| unsafe { &*p });
             f(ctx.filter(|ctx| std::ptr::eq(ctx.pool_id, self)))
         })
-    }
-
-    fn spawn_job(&self, job: Job) {
-        self.spawn_job_with(job, Priority::Normal);
-    }
-
-    fn spawn_job_with(&self, job: Job, prio: Priority) {
-        let external = self.with_local(|ctx| match ctx {
-            Some(ctx) => {
-                ctx.credits.take(&self.pending);
-                WorkerMetrics::bump(&self.metrics[ctx.index].spawned);
-                match prio {
-                    Priority::High => ctx.hot.push(job),
-                    Priority::Normal => ctx.deque.push(job),
-                }
-                None
-            }
-            None => Some(job),
-        });
-        if let Some(job) = external {
-            // Submitting thread is not a worker of this pool: the job's
-            // unit comes straight from the latch and it travels through the
-            // shared lock-free injector (lane chosen by `prio`).
-            self.pending.increment();
-            self.injector.push(job, prio);
-        }
-        // One job became visible: wake one worker, not the whole pool (a
-        // fence and a load when nobody sleeps). The woken worker escalates
-        // (see `worker_main`) while work remains.
-        self.parker.notify_one();
     }
 
     /// Racy total of the queue lengths: a sweep of the injector and every
@@ -323,11 +308,41 @@ impl PoolState {
 
 impl SpawnHost for PoolState {
     fn spawn_job(&self, job: Job) {
-        PoolState::spawn_job(self, job);
+        self.spawn_job_with(job, Priority::Normal);
     }
 
     fn spawn_job_with(&self, job: Job, prio: Priority) {
-        PoolState::spawn_job_with(self, job, prio);
+        debug_assert!(!job.group().is_null(), "job spawned into no group");
+        // SAFETY: a job reaches this host only through a scope built in
+        // this file, all of them `for_group`: over the resident group (a
+        // field of `self`), or over the group of the running job that is
+        // spawning — whose unit keeps that group alive across this call.
+        let group = unsafe { &*job.group() };
+        let external = self.with_local(|ctx| match ctx {
+            Some(ctx) => {
+                // SAFETY: a per-instance group outlives its units; the
+                // resident one lives in the state every worker holds.
+                unsafe { ctx.credits.take(group) };
+                WorkerMetrics::bump(&self.metrics[ctx.index].spawned);
+                match prio {
+                    Priority::High => ctx.hot.push(job),
+                    Priority::Normal => ctx.deque.push(job),
+                }
+                None
+            }
+            None => Some(job),
+        });
+        if let Some(job) = external {
+            // Submitting thread is not a worker of this pool: the job's
+            // unit comes straight from the latch and it travels through the
+            // shared lock-free injector (lane chosen by `prio`).
+            group.enroll();
+            self.injector.push(job, prio);
+        }
+        // One job became visible: wake one worker, not the whole pool (a
+        // fence and a load when nobody sleeps). The woken worker escalates
+        // (see `worker_main`) while work remains.
+        self.parker.notify_one();
     }
 
     fn num_threads(&self) -> usize {
@@ -373,10 +388,9 @@ impl Pool {
             stealers,
             injector: PrioInjector::new(),
             parker: Parker::new(),
-            pending: CountLatch::new(),
+            resident: Group::resident(),
             metrics,
             shutdown: AtomicBool::new(false),
-            panic: Mutex::new(None),
             threads,
             steal_rounds: config.steal_rounds.max(1),
         });
@@ -401,8 +415,17 @@ impl Pool {
         self.state.threads
     }
 
-    /// Run `f` (which spawns the root work) and block until the pool
-    /// quiesces — every transitively spawned job has finished.
+    /// A scope that spawns into the pool's resident group.
+    fn resident_scope(&self) -> Scope<'_> {
+        let state = &*self.state;
+        // SAFETY: the resident group is a field of the host itself.
+        unsafe { Scope::for_group(state, &state.resident) }
+    }
+
+    /// Run `f` (which spawns the root work) and block until the pool's
+    /// resident group quiesces — every transitively spawned job has
+    /// finished. Concurrent callers share that one group (each waits for
+    /// the union); independent runs are [`Executor::submit_instance`]'s.
     ///
     /// If `f` or any job panicked, the first panic payload is re-raised
     /// here — after quiescence either way, so nothing spawned by a
@@ -412,23 +435,24 @@ impl Pool {
         F: FnOnce(&Scope<'_>),
     {
         let state = &*self.state;
-        let scope = Scope::for_host(state);
+        let group = &state.resident;
+        let scope = self.resident_scope();
         // Sentinel unit: guarantees the latch "starts" even if `f` spawns
         // nothing, and holds the count above zero while `f` is still
         // submitting.
-        state.pending.increment();
+        group.enroll();
         let submitted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&scope)));
         // A caller that is itself a worker of this pool spawned on credit;
         // it is about to block, so it must not sit on units.
         state.with_local(|ctx| {
             if let Some(ctx) = ctx {
-                ctx.credits.flush(&state.pending);
+                ctx.credits.flush();
             }
         });
-        state.pending.decrement();
-        state.pending.wait();
-        let job_panic = state.panic.lock().take();
-        if let Some(payload) = submitted.err().or(job_panic) {
+        // SAFETY: the sentinel unit enrolled above; `group` is resident.
+        unsafe { Group::release(group, 1) };
+        group.latch.wait();
+        if let Some(payload) = submitted.err().or(group.take_panic()) {
             std::panic::resume_unwind(payload);
         }
     }
@@ -439,8 +463,7 @@ impl Pool {
     where
         F: FnOnce(&Scope<'_>) + Send + 'static,
     {
-        let scope = Scope::for_host(&*self.state);
-        scope.spawn(f);
+        self.resident_scope().spawn(f);
     }
 
     /// Aggregate the per-worker metrics.
@@ -452,11 +475,6 @@ impl Pool {
             .fold(MetricsSnapshot::default(), |a, b| a.merge(&b))
     }
 
-    /// Per-worker metric snapshots (index = worker id).
-    pub fn metrics_per_worker(&self) -> Vec<MetricsSnapshot> {
-        self.state.metrics.iter().map(|m| m.snapshot()).collect()
-    }
-
     /// Zero all metrics (between experiment repetitions).
     pub fn reset_metrics(&self) {
         for m in &self.state.metrics {
@@ -465,27 +483,24 @@ impl Pool {
     }
 }
 
-// SAFETY: `execute_job` is `run_until_complete`, which waits on the
-// `pending` latch before returning or unwinding; every job holds a latch
-// unit from before it becomes visible until after its body returned (the
-// `Credits` invariant), so the latch cannot read zero while one can still
-// run. Instance hooks fire from the instance latch's tripping decrement
-// (`instance.rs`), and queued jobs are only ever run once or dropped.
+// SAFETY: every job holds a unit of its group's latch from before it
+// becomes visible until after its body returned (`instance.rs`, invariant 1
+// — `Group::open` enrolls the root, `spawn_job_with` every other job), so an
+// instance's latch cannot trip — hook, then `done` — while one of its jobs
+// can still run. `drive` is the no-op default; queued jobs are only ever
+// run once or dropped.
 unsafe impl Executor for Pool {
-    fn execute_job(&self, root: Job) {
-        self.run_until_complete(|scope| root.run(scope));
-    }
-
     fn num_threads(&self) -> usize {
         self.state.threads
     }
 
     fn submit_instance(&self, root: Job, on_quiesce: Option<QuiesceHook>) -> InstanceHandle {
-        let (job, handle) = crate::instance::instance_root(root, on_quiesce);
-        // The wrapped root goes through the normal spawn path (injector
-        // from a non-worker thread), so workers pick it up like any job;
-        // only the completion accounting differs.
-        self.state.spawn_job(job);
+        let (job, handle) = Group::open(root, on_quiesce);
+        // Always through the injector, never on the caller's credit: a
+        // worker that submits and then blocks on the handle must not sit
+        // on units of the group it waits for.
+        self.state.injector.push(job, Priority::Normal);
+        self.state.parker.notify_one();
         handle
     }
 
@@ -526,7 +541,6 @@ fn worker_main(
     };
     LOCAL.with(|l| l.set(&ctx as *const LocalCtx));
     let mut rng = XorShift64Star::new(seed);
-    let scope = Scope::for_host(&*state);
     let metrics = &state.metrics[index];
 
     loop {
@@ -540,19 +554,23 @@ fn worker_main(
                 state.parker.notify_one();
             }
             WorkerMetrics::bump(&metrics.executed);
+            let group = job.group();
+            // SAFETY: the job holds a unit of `group` until the `put`
+            // below, so the group is alive for the scope's whole life.
+            let scope = unsafe { Scope::for_group(&*state, group) };
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 job.run(&scope);
             }));
             // Store the payload *before* the job's unit can reach the
-            // latch: the waiter in `run_until_complete` reads the panic
-            // slot as soon as the pending count hits zero.
+            // latch: the group's waiter reads the panic slot as soon as the
+            // count hits zero.
             if let Err(payload) = result {
-                let mut slot = state.panic.lock();
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
+                // SAFETY: as above — the job's unit is still held.
+                unsafe { (*group).record_panic(payload) };
             }
-            ctx.credits.put();
+            // SAFETY: the finished job's unit, handed to the stash (which
+            // the body may have moved: a nested `run_until_complete`).
+            unsafe { ctx.credits.put(group) };
             continue;
         }
         // ord: Acquire — pairs with the Release store in `Pool::drop`.
@@ -597,7 +615,7 @@ fn find_job(
     if let Some(job) = ctx.deque.pop() {
         return Some(job);
     }
-    ctx.credits.flush(&state.pending);
+    ctx.credits.flush();
     if let Some(job) = pop_injector(state, ctx, index) {
         return Some(job);
     }
@@ -664,6 +682,7 @@ fn pop_injector(state: &PoolState, ctx: &LocalCtx, index: usize) -> Option<Job> 
 mod tests {
     use super::*;
     use ft_sync::atomic::AtomicUsize;
+    use parking_lot::Mutex;
 
     #[test]
     fn runs_simple_jobs() {

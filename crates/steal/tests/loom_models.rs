@@ -1,7 +1,8 @@
 //! Loom model tests for the lock-free core of the runtime: the Chase–Lev
 //! deque's single-element pop/steal race, the `CountLatch` quiescence
-//! protocol with worker-local `Credits`, and the parker's producer/sleeper
-//! fence pair.
+//! protocol (its worker-local `Credits` are modeled in `loom_instance.rs`,
+//! on real completion groups), and the parker's producer/sleeper fence
+//! pair.
 //!
 //! Build and run with:
 //!
@@ -16,11 +17,10 @@
 #![cfg(loom)]
 
 use ft_steal::deque::{deque, Steal};
-use ft_steal::latch::{CountLatch, Credits};
+use ft_steal::latch::CountLatch;
 use ft_steal::parker::Parker;
-use loom::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::collections::HashSet;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// The classic Chase–Lev race: one element, owner popping at the bottom
@@ -136,103 +136,6 @@ fn count_latch_increment_before_decrement_keeps_scope_alive() {
         a.join().unwrap();
         l.wait();
         assert!(l.is_quiescent());
-    });
-}
-
-/// The pool's quiescence accounting in miniature: two workers share a job
-/// queue; a job takes its latch unit from the spawning worker's `Credits`
-/// *before* it is queued, a finished job's unit goes back to the finishing
-/// worker's stash, and a worker flushes its stash whenever it finds the
-/// queue empty. Under every interleaving of spawns, finishes, hand-offs
-/// between the workers and flushes: the latch never reads zero while a job
-/// is live or a credit is unflushed, exactly one subtraction reports the
-/// trip, and the waiter wakes only after every job ran.
-#[test]
-fn credit_latch_trips_once_after_every_job_and_flush() {
-    /// Jobs: two roots, each a binary tree two levels deep.
-    const TOTAL: usize = 2 * 7;
-    /// Idle polls before a thread gives the latch up for stuck.
-    const SPIN_LIMIT: u64 = 20_000_000;
-    loom::model(|| {
-        let latch = Arc::new(CountLatch::new());
-        let queue = Arc::new(Mutex::new(Vec::<u32>::new()));
-        let live = Arc::new(AtomicIsize::new(0));
-        let ran = Arc::new(AtomicUsize::new(0));
-        let trips = Arc::new(AtomicUsize::new(0));
-
-        // The submitter of `run_until_complete`: sentinel, then two roots
-        // injected from outside any worker (one latch unit each).
-        latch.increment();
-        for _ in 0..2 {
-            latch.increment();
-            live.fetch_add(1, Ordering::SeqCst);
-            queue.lock().unwrap().push(2);
-        }
-
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let (latch, queue) = (Arc::clone(&latch), Arc::clone(&queue));
-                let (live, ran, trips) = (Arc::clone(&live), Arc::clone(&ran), Arc::clone(&trips));
-                loom::thread::spawn(move || {
-                    let credits = Credits::new();
-                    let mut idle_spins = 0u64;
-                    loop {
-                        let job = queue.lock().unwrap().pop();
-                        let Some(depth) = job else {
-                            // Own queue empty: flush before looking further.
-                            if credits.flush(&latch) {
-                                trips.fetch_add(1, Ordering::SeqCst);
-                            }
-                            if latch.is_quiescent() {
-                                break;
-                            }
-                            idle_spins += 1;
-                            assert!(idle_spins < SPIN_LIMIT, "worker: latch never tripped");
-                            loom::thread::yield_now();
-                            continue;
-                        };
-                        for _ in 0..if depth > 0 { 2 } else { 0 } {
-                            credits.take(&latch);
-                            live.fetch_add(1, Ordering::SeqCst);
-                            queue.lock().unwrap().push(depth - 1);
-                        }
-                        // This job is live: its unit must be in the count.
-                        assert!(latch.outstanding() > credits.held());
-                        ran.fetch_add(1, Ordering::SeqCst);
-                        live.fetch_sub(1, Ordering::SeqCst);
-                        credits.put();
-                        assert!(
-                            latch.outstanding() >= credits.held(),
-                            "latch below this worker's unflushed credits"
-                        );
-                    }
-                    assert_eq!(credits.held(), 0, "worker exits holding credits");
-                })
-            })
-            .collect();
-
-        if latch.decrement() {
-            trips.fetch_add(1, Ordering::SeqCst);
-        }
-        // Polled, not `wait()`ed (the models above cover the condvar): a
-        // broken protocol must fail the model, not hang it.
-        let mut spins = 0u64;
-        while !latch.is_quiescent() {
-            spins += 1;
-            assert!(spins < SPIN_LIMIT, "submitter: latch never tripped");
-            loom::thread::yield_now();
-        }
-        assert_eq!(live.load(Ordering::SeqCst), 0, "tripped with a job live");
-        assert_eq!(
-            ran.load(Ordering::SeqCst),
-            TOTAL,
-            "tripped before every job ran"
-        );
-        for w in workers {
-            w.join().unwrap();
-        }
-        assert_eq!(latch.outstanding(), 0);
-        assert_eq!(trips.load(Ordering::SeqCst), 1, "the trip is reported once");
     });
 }
 

@@ -112,14 +112,8 @@ fn main() {
         assert!(r.sink_completed, "Lemma 3: every sink completes");
         println!(
             "instance {}: computes={} injected={} recoveries={} re-executed={} \
-             jobs={} elapsed={:?}",
-            done.id,
-            r.computes,
-            r.injected,
-            r.recoveries,
-            r.re_executions,
-            done.jobs.jobs_executed,
-            r.elapsed,
+             elapsed={:?}",
+            done.id, r.computes, r.injected, r.recoveries, r.re_executions, r.elapsed,
         );
         if r.injected == 0 {
             assert_eq!(r.recoveries, 0, "clean epochs never observe recovery");

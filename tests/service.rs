@@ -190,7 +190,7 @@ fn det_concurrent_instances_oracle_campaign() {
                 OracleMode::Strict,
                 &references,
             );
-            assert!(out.jobs.jobs_spawned > 0 && out.jobs.jobs_executed == out.jobs.jobs_spawned);
+            assert_eq!(out.jobs.panics, 0);
         }
         let stats = service.stats();
         assert_eq!(stats.submitted, TENANTS);
@@ -551,6 +551,48 @@ fn instance_panic_stays_in_its_epoch() {
     let again = make_tenant(2, 9);
     let t = service.submit(&again.sched).expect("pool unaffected");
     assert!(t.wait().report.sink_completed);
+}
+
+/// `Engine::run` is one instance of its own, so two runs sharing a pool are
+/// independent: the panic of one graph is re-raised in *its* caller only,
+/// and the other run returns a complete, clean report. (On one pool-wide
+/// latch and panic slot each caller waited for the union of both runs and
+/// the payload went to whichever looked first.)
+#[test]
+fn concurrent_runs_on_one_pool_are_independent() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let pool = Pool::new(PoolConfig::with_threads(2));
+    let references = shape_references();
+    for round in 0..20u64 {
+        let clean = make_tenant(2 * round, round);
+        let bad = FtScheduler::new(Arc::new(PanicGraph) as Arc<dyn TaskGraph>);
+        // Both runs start together, so they overlap on the two workers.
+        let start = std::sync::Barrier::new(2);
+        let (bad_run, clean_run) = std::thread::scope(|s| {
+            let bad_run = s.spawn(|| {
+                start.wait();
+                catch_unwind(AssertUnwindSafe(|| bad.run(&pool)))
+            });
+            start.wait();
+            let clean_run = catch_unwind(AssertUnwindSafe(|| clean.sched.run(&pool)));
+            (bad_run.join().expect("panic caught inside"), clean_run)
+        });
+        assert!(
+            bad_run.is_err(),
+            "round {round}: the panicking graph's caller must see its panic"
+        );
+        let report =
+            clean_run.unwrap_or_else(|_| panic!("round {round}: neighbor's panic re-raised here"));
+        check_tenant(
+            &format!("concurrent-run-round{round}"),
+            round,
+            &clean,
+            &report,
+            OracleMode::Concurrent,
+            &references,
+        );
+    }
 }
 
 /// Engine lifetime is by quiescence, not by refcount: jobs only borrow
