@@ -1,16 +1,15 @@
-//! Seeded random layered DAG workload family (ROADMAP item 5).
+//! Seeded random layered DAG workload family.
 //!
 //! The five regular kernels exercise only lattice-shaped dependency
 //! structure. [`RandDag`] generates *irregular* fan-in/fan-out: a layered
-//! Erdős–Rényi DAG with per-node WCET ranges, Hard/Soft task typing, and
-//! critical-path marking — the graphs where the paper's selective-recovery
+//! Erdős–Rényi DAG — the graphs where the paper's selective-recovery
 //! guarantees (notify bit vector, recovery table, seqlock map) are hardest
-//! to uphold, and the substrate for the PR-6 priority-scheduling
-//! experiments.
+//! to uphold. The oracle-checked random-DAG campaigns and property tests
+//! in `tests/` run it.
 //!
 //! Everything is a pure function of [`DagGenConfig`]: the same config
-//! reproduces the identical structure, WCETs, and Hard/Soft marking, so a
-//! failing `(config, fault plan, schedule seed)` triple replays exactly.
+//! reproduces the identical structure, so a failing
+//! `(config, fault plan, schedule seed)` triple replays exactly.
 //!
 //! # Structure
 //!
@@ -23,35 +22,18 @@
 //!   is backward-reachable from the sink (NABBIT discovers the graph from
 //!   the sink).
 //!
-//! # Hard/Soft typing and criticality
-//!
-//! Each node gets a WCET drawn from `wcet_min..=wcet_max`. Running the
-//! longest-path decomposition of `nabbit_ft::analysis::path_analysis`
-//! under that cost model, the top `critical_ratio` share of nodes by
-//! heaviest-path-through weight are marked **Hard** (they carry
-//! deadlines); everything else is Soft. The **critical set** — what the
-//! priority pop order boosts — is the Hard set closed under ancestors: a
-//! hard task cannot start before its soft predecessors finish, so those
-//! predecessors must jump the queue too.
-//!
 //! # Data
 //!
 //! Like the integration suite's `ValueDag`, every task computes a
 //! deterministic value (a hash of its predecessors' values) into a
 //! concurrent map, and fired faults poison the output so later consumers
 //! observe them; result equivalence against a sequential run is therefore
-//! checkable for any member of the family. `work_unit > 0` additionally
-//! spins `wcet × work_unit` iterations per compute so wall-clock runtimes
-//! scale with WCET (what a wall-clock deadline measurement needs).
+//! checkable for any member of the family.
 
 use ft_cmap::ShardedMap;
 use ft_steal::rng::XorShift64Star;
-use ft_steal::Priority;
-use nabbit_ft::analysis::path_analysis;
 use nabbit_ft::fault::Fault;
 use nabbit_ft::graph::{ComputeCtx, Key, TaskGraph};
-use nabbit_ft::scheduler::PriorityFn;
-use std::sync::Arc;
 
 /// Full description of one random-DAG instance. Same config ⇒ same graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,42 +44,18 @@ pub struct DagGenConfig {
     pub max_width: usize,
     /// Probability of an edge between adjacent-layer node pairs.
     pub edge_prob: f64,
-    /// Inclusive WCET range `[wcet_min, wcet_max]` in abstract work units.
-    pub wcet_min: u64,
-    /// See `wcet_min`.
-    pub wcet_max: u64,
-    /// Share of nodes (by heaviest-path-through rank) marked Hard.
-    pub critical_ratio: f64,
-    /// Structure seed: drives widths, edges, and WCET draws.
+    /// Structure seed: drives widths and edges.
     pub seed: u64,
-    /// Spin iterations per WCET unit in `compute` (0 = hash only).
-    pub work_unit: u64,
-}
-
-impl Default for DagGenConfig {
-    fn default() -> Self {
-        DagGenConfig {
-            layers: 8,
-            max_width: 6,
-            edge_prob: 0.35,
-            wcet_min: 1,
-            wcet_max: 16,
-            critical_ratio: 0.5,
-            seed: 0x5EED_DA61,
-            work_unit: 0,
-        }
-    }
 }
 
 impl DagGenConfig {
-    /// Config with the given shape and seed, defaults elsewhere.
+    /// Config with the given shape and seed.
     pub fn new(layers: usize, max_width: usize, edge_prob: f64, seed: u64) -> Self {
         DagGenConfig {
             layers,
             max_width,
             edge_prob,
             seed,
-            ..Default::default()
         }
     }
 }
@@ -111,12 +69,6 @@ pub struct RandDag {
     /// Indexed by key; last entry is the sink.
     preds: Vec<Vec<Key>>,
     succs: Vec<Vec<Key>>,
-    /// Per-node WCET (sink gets `wcet_min`).
-    wcet: Vec<u64>,
-    /// Deadline-carrying tasks (top `critical_ratio` by path-through).
-    hard: Vec<bool>,
-    /// Hard ∪ ancestors(Hard): the priority-boosted set.
-    critical: Vec<bool>,
     values: ShardedMap<u64>,
     poisoned: ShardedMap<bool>,
 }
@@ -126,7 +78,6 @@ impl std::fmt::Debug for RandDag {
         f.debug_struct("RandDag")
             .field("cfg", &self.cfg)
             .field("tasks", &self.preds.len())
-            .field("hard", &self.hard_tasks().len())
             .finish()
     }
 }
@@ -196,63 +147,13 @@ impl RandDag {
         }
         preds[n_inner] = sink_preds;
 
-        let wcet_min = cfg.wcet_min.max(1);
-        let wcet_max = cfg.wcet_max.max(wcet_min);
-        let mut wcet: Vec<u64> = (0..n_inner)
-            .map(|_| wcet_min + rng.next_below((wcet_max - wcet_min + 1) as usize) as u64)
-            .collect();
-        wcet.push(wcet_min); // sink
-
-        let mut dag = RandDag {
+        RandDag {
             cfg,
             preds,
             succs,
-            wcet,
-            hard: vec![false; n_inner + 1],
-            critical: vec![false; n_inner + 1],
             values: ShardedMap::with_shards(16),
             poisoned: ShardedMap::with_shards(16),
-        };
-
-        // Critical-path decomposition under the WCET cost model, via the
-        // shared analysis machinery. `pa.order` covers every task (all are
-        // backward-reachable from the sink).
-        let w = dag.wcet.clone();
-        let pa = path_analysis(&dag, |k| w[k as usize] as f64);
-        let mut ranked: Vec<(f64, Key)> = Vec::with_capacity(n_inner);
-        for (i, &k) in pa.order.iter().enumerate() {
-            if k != sink {
-                ranked.push((pa.path_through(i), k));
-            }
         }
-        // Heaviest path-through first; key tie-break keeps it a pure
-        // function of the config.
-        ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        let n_hard = ((dag.cfg.critical_ratio.clamp(0.0, 1.0) * n_inner as f64).ceil() as usize)
-            .min(n_inner);
-        for &(_, k) in &ranked[..n_hard] {
-            dag.hard[k as usize] = true;
-        }
-        // Critical = Hard closed under ancestors: a hard task's start is
-        // gated by *all* its predecessors, so they must be boosted too.
-        let mut stack: Vec<Key> = dag.hard_tasks();
-        for &k in &stack {
-            dag.critical[k as usize] = true;
-        }
-        while let Some(k) = stack.pop() {
-            for &p in &dag.preds[k as usize] {
-                if !dag.critical[p as usize] {
-                    dag.critical[p as usize] = true;
-                    stack.push(p);
-                }
-            }
-        }
-        dag
-    }
-
-    /// The config this instance was generated from.
-    pub fn config(&self) -> &DagGenConfig {
-        &self.cfg
     }
 
     /// Number of tasks, sink included.
@@ -263,43 +164,6 @@ impl RandDag {
     /// All task keys in ascending (= topological) order, sink last.
     pub fn all_keys(&self) -> Vec<Key> {
         (0..self.preds.len() as Key).collect()
-    }
-
-    /// Keys of the Hard (deadline-carrying) tasks, ascending.
-    pub fn hard_tasks(&self) -> Vec<Key> {
-        (0..self.preds.len() as Key)
-            .filter(|&k| self.hard[k as usize])
-            .collect()
-    }
-
-    /// Keys of the priority-boosted set (Hard ∪ ancestors), ascending.
-    pub fn critical_tasks(&self) -> Vec<Key> {
-        (0..self.preds.len() as Key)
-            .filter(|&k| self.critical[k as usize])
-            .collect()
-    }
-
-    /// Is `k` a Hard task?
-    pub fn is_hard(&self, k: Key) -> bool {
-        self.hard.get(k as usize).copied().unwrap_or(false)
-    }
-
-    /// WCET of `k` in abstract work units.
-    pub fn wcet_of(&self, k: Key) -> u64 {
-        self.wcet[k as usize]
-    }
-
-    /// The priority function for this DAG: critical tasks spawn High.
-    /// Hand it to the scheduler via `SchedOpts { priority: Some(..), .. }`.
-    pub fn priority_fn(&self) -> PriorityFn {
-        let critical = self.critical.clone();
-        Arc::new(move |k: Key| {
-            if critical.get(k as usize).copied().unwrap_or(false) {
-                Priority::High
-            } else {
-                Priority::Normal
-            }
-        })
     }
 
     /// The computed value of `k`, if it has been computed.
@@ -345,14 +209,6 @@ impl TaskGraph for RandDag {
                 .expect("predecessor value present (dependences guarantee it)");
             h = h.rotate_left(13) ^ pv.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
         }
-        let spin = self.wcet[key as usize] * self.cfg.work_unit;
-        if spin > 0 {
-            let mut acc = h;
-            for i in 0..spin {
-                acc = acc.wrapping_add(i).rotate_left(7) ^ 0x9E37_79B9;
-            }
-            std::hint::black_box(acc);
-        }
         self.values.replace(key, h);
         // A fresh (re-)execution produces clean data.
         self.poisoned.replace(key, false);
@@ -369,8 +225,9 @@ mod tests {
     use super::*;
     use ft_steal::pool::{Pool, PoolConfig};
     use nabbit_ft::inject::{FaultPlan, Phase};
-    use nabbit_ft::scheduler::{BaselineScheduler, FtScheduler, SchedOpts};
+    use nabbit_ft::scheduler::{BaselineScheduler, FtScheduler};
     use nabbit_ft::seq;
+    use std::sync::Arc;
 
     fn cfg(seed: u64) -> DagGenConfig {
         DagGenConfig::new(8, 6, 0.35, seed)
@@ -383,11 +240,7 @@ mod tests {
         assert_eq!(a.task_count(), b.task_count());
         for k in a.all_keys() {
             assert_eq!(a.predecessors(k), b.predecessors(k));
-            assert_eq!(a.wcet_of(k), b.wcet_of(k));
-            assert_eq!(a.is_hard(k), b.is_hard(k));
         }
-        assert_eq!(a.hard_tasks(), b.hard_tasks());
-        assert_eq!(a.critical_tasks(), b.critical_tasks());
     }
 
     #[test]
@@ -454,62 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn hard_count_follows_ratio_and_critical_is_ancestor_closed() {
-        for ratio in [0.0, 0.3, 0.5, 0.7, 1.0] {
-            let mut c = cfg(9);
-            c.critical_ratio = ratio;
-            let d = RandDag::generate(c);
-            let n_inner = d.task_count() - 1;
-            let expect = ((ratio * n_inner as f64).ceil() as usize).min(n_inner);
-            assert_eq!(d.hard_tasks().len(), expect, "ratio {ratio}");
-            // Critical ⊇ Hard and closed under predecessors.
-            for &k in &d.hard_tasks() {
-                assert!(d.critical_tasks().contains(&k));
-            }
-            for &k in &d.critical_tasks() {
-                for p in d.predecessors(k) {
-                    assert!(
-                        d.critical_tasks().contains(&p),
-                        "ratio {ratio}: critical {k} has non-critical pred {p}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn hard_tasks_rank_by_path_through() {
-        // With ratio 0.5 the hard set's *minimum* path-through weight must
-        // be >= the soft set's maximum (modulo exact ties, excluded by the
-        // deterministic tie-break on key).
-        let d = RandDag::generate(cfg(11));
-        let w: Vec<u64> = d.all_keys().iter().map(|&k| d.wcet_of(k)).collect();
-        let pa = path_analysis(&d, |k| w[k as usize] as f64);
-        let through: std::collections::HashMap<Key, f64> = pa
-            .order
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| (k, pa.path_through(i)))
-            .collect();
-        let sink = d.sink();
-        let hard_min = d
-            .hard_tasks()
-            .iter()
-            .map(|k| through[k])
-            .fold(f64::INFINITY, f64::min);
-        let soft_max = d
-            .all_keys()
-            .iter()
-            .filter(|&&k| k != sink && !d.is_hard(k))
-            .map(|k| through[k])
-            .fold(0.0f64, f64::max);
-        assert!(
-            hard_min >= soft_max,
-            "hard min {hard_min} < soft max {soft_max}"
-        );
-    }
-
-    #[test]
     fn sequential_run_produces_values() {
         let d = RandDag::generate(cfg(3));
         seq::run(&d).unwrap();
@@ -545,49 +342,6 @@ mod tests {
         assert_eq!(r.injected, 5);
         for k in d.all_keys() {
             assert_eq!(d.value_of(k), reference.get(&k).copied(), "ft {k}");
-        }
-    }
-
-    #[test]
-    fn priority_mode_runs_clean_with_faults() {
-        let pool = Pool::new(PoolConfig::with_threads(4));
-        let d = Arc::new(RandDag::generate(cfg(13)));
-        let keys = d.all_keys();
-        let plan = Arc::new(FaultPlan::sample(&keys, 8, Phase::AfterCompute, 5));
-        let opts = SchedOpts {
-            priority: Some(d.priority_fn()),
-            deadline: Some(Arc::new(nabbit_ft::deadline::DeadlineMonitor::new())),
-        };
-        let dl = opts.deadline.clone().unwrap();
-        let r = FtScheduler::with_opts(Arc::clone(&d) as _, plan, None, opts).run(&pool);
-        assert!(r.sink_completed);
-        assert_eq!(dl.len(), d.task_count(), "every task completed once");
-    }
-
-    #[test]
-    fn priority_fn_boosts_exactly_the_critical_set() {
-        let d = RandDag::generate(cfg(17));
-        let f = d.priority_fn();
-        for k in d.all_keys() {
-            let expect = if d.critical_tasks().contains(&k) {
-                Priority::High
-            } else {
-                Priority::Normal
-            };
-            assert_eq!(f(k), expect, "task {k}");
-        }
-    }
-
-    #[test]
-    fn work_unit_spins_do_not_change_values() {
-        let quick = RandDag::generate(cfg(19));
-        seq::run(&quick).unwrap();
-        let mut slow_cfg = cfg(19);
-        slow_cfg.work_unit = 50;
-        let slow = RandDag::generate(slow_cfg);
-        seq::run(&slow).unwrap();
-        for k in quick.all_keys() {
-            assert_eq!(quick.value_of(k), slow.value_of(k));
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Repetition + statistics for the experiment harness.
 //!
-//! The paper takes "10 runs and report[s] the average (arithmetic mean);
+//! The paper takes "10 runs and report\[s\] the average (arithmetic mean);
 //! standard deviations are presented as error bars" — [`measure`] does the
 //! same over wall-clock seconds.
 

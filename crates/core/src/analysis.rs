@@ -107,69 +107,6 @@ pub fn work_span(
     (t1, t_inf)
 }
 
-/// Per-node critical-path decomposition for one cost model.
-///
-/// For each task `k` (indexed by its position in `order`):
-/// `span_to[k]` is the heaviest root→`k` path *including* `k`'s cost, and
-/// `span_from[k]` the heaviest `k`→sink path including `k`. Then
-/// `span_to[k] + span_from[k] − cost(k)` is the heaviest full path
-/// *through* `k`; a node lies on a critical path iff that sum equals
-/// `t_inf`. The random-DAG generator uses exactly this to mark Hard tasks
-/// (top critical-ratio share by path-through weight) and to derive
-/// per-task deadlines (`span_to` is the earliest-finish lower bound).
-#[derive(Debug, Clone)]
-pub struct PathAnalysis {
-    /// Topological order the vectors below are indexed by.
-    pub order: Vec<Key>,
-    /// Heaviest root→node path cost, node inclusive.
-    pub span_to: Vec<f64>,
-    /// Heaviest node→sink path cost, node inclusive.
-    pub span_from: Vec<f64>,
-    /// Per-node cost, as passed in.
-    pub cost: Vec<f64>,
-    /// `T∞` under this cost model (= max over nodes of `span_to`).
-    pub t_inf: f64,
-}
-
-impl PathAnalysis {
-    /// Heaviest full path through the node at `order` position `i`.
-    pub fn path_through(&self, i: usize) -> f64 {
-        self.span_to[i] + self.span_from[i] - self.cost[i]
-    }
-}
-
-/// Forward + backward longest-path sweep over the DAG under `cost`.
-pub fn path_analysis(graph: &dyn TaskGraph, cost: impl Fn(Key) -> f64) -> PathAnalysis {
-    let order = topo_order(graph);
-    let index: HashMap<Key, usize> = order.iter().enumerate().map(|(i, &k)| (k, i)).collect();
-    let costs: Vec<f64> = order.iter().map(|&k| cost(k)).collect();
-    let mut span_to = vec![0.0f64; order.len()];
-    let mut t_inf = 0.0f64;
-    for (i, &k) in order.iter().enumerate() {
-        let mut best = 0.0f64;
-        for p in graph.predecessors(k) {
-            best = best.max(span_to[index[&p]]);
-        }
-        span_to[i] = best + costs[i];
-        t_inf = t_inf.max(span_to[i]);
-    }
-    let mut span_from = vec![0.0f64; order.len()];
-    for (i, &k) in order.iter().enumerate().rev() {
-        let mut best = 0.0f64;
-        for s in graph.successors(k) {
-            best = best.max(span_from[index[&s]]);
-        }
-        span_from[i] = best + costs[i];
-    }
-    PathAnalysis {
-        order,
-        span_to,
-        span_from,
-        cost: costs,
-        t_inf,
-    }
-}
-
 /// Parameters for evaluating the Theorem 2 completion-time bound.
 #[derive(Debug, Clone, Copy)]
 pub struct BoundParams {
@@ -300,35 +237,6 @@ mod tests {
         let (t1_twice, tinf_twice) = work_span(&g, |_| 1.0, |_| 2.0);
         assert!((t1_twice - 2.0 * t1_once).abs() < 1e-9);
         assert!((tinf_twice - 38.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn path_analysis_grid_spans() {
-        let g = Grid { n: 10 };
-        let pa = path_analysis(&g, |_| 1.0);
-        assert!((pa.t_inf - 19.0).abs() < 1e-9);
-        let idx = |k: Key| pa.order.iter().position(|&o| o == k).unwrap();
-        // Source (0,0): nothing before it, everything after.
-        assert!((pa.span_to[idx(0)] - 1.0).abs() < 1e-9);
-        assert!((pa.span_from[idx(0)] - 19.0).abs() < 1e-9);
-        // Sink (9,9): mirror image.
-        assert!((pa.span_to[idx(99)] - 19.0).abs() < 1e-9);
-        assert!((pa.span_from[idx(99)] - 1.0).abs() < 1e-9);
-        // Every node of the wavefront grid lies on some critical path:
-        // path_through == t_inf for the diagonal corners at least.
-        assert!((pa.path_through(idx(0)) - pa.t_inf).abs() < 1e-9);
-        // And path_through never exceeds t_inf anywhere.
-        for i in 0..pa.order.len() {
-            assert!(pa.path_through(i) <= pa.t_inf + 1e-9);
-        }
-    }
-
-    #[test]
-    fn path_analysis_agrees_with_work_span() {
-        let g = Grid { n: 8 };
-        let (_, tinf) = work_span(&g, |k| (k % 5 + 1) as f64, |_| 1.0);
-        let pa = path_analysis(&g, |k| (k % 5 + 1) as f64);
-        assert!((pa.t_inf - tinf).abs() < 1e-9);
     }
 
     #[test]

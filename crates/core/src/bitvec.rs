@@ -93,7 +93,7 @@ impl AtomicBitVec {
         prev & mask != 0
     }
 
-    /// Read bit `i` (used by `ReinitNotifyEntry`: "if S.bitVector[ind]==1").
+    /// Read bit `i` (used by `ReinitNotifyEntry`: "if S.bitVector\[ind\]==1").
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
         // ord: Acquire — pairs with set_all's Release so a reader that

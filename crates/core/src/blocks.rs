@@ -25,7 +25,7 @@
 //! ## Wait-free reads (PR 9)
 //!
 //! Reads never take a lock. Each block publishes an **immutable version
-//! table** through an [`AtomicPtr`](ft_sync::atomic::AtomicPtr) plus a
+//! table** through an [`AtomicPtr`] plus a
 //! `latest` version counter (`version + 1`, 0 = none), mirroring the
 //! copy-on-write discipline of `ft-cmap` (PR 4): writers serialize on a
 //! per-block mutex, build a fresh table, and publish it with a Release

@@ -1,6 +1,6 @@
 //! Convenience builder for explicit (non-dynamic) task graphs.
 //!
-//! The [`TaskGraph`](crate::graph::TaskGraph) trait is designed for
+//! The [`TaskGraph`] trait is designed for
 //! *dynamic* graphs whose structure is a function of the key (the paper's
 //! target). For small or irregular graphs known up front — tests, glue
 //! pipelines, teaching examples — [`GraphBuilder`] assembles an

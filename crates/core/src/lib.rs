@@ -80,7 +80,6 @@ pub mod analysis;
 pub mod bitvec;
 pub mod blocks;
 pub mod builder;
-pub mod deadline;
 pub mod fault;
 pub mod graph;
 pub mod inject;

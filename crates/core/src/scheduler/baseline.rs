@@ -121,13 +121,6 @@ impl Engine<NoFt> {
     pub fn new(graph: Arc<dyn TaskGraph>) -> Arc<Self> {
         Engine::with_policy(graph, NoFt)
     }
-
-    /// Baseline scheduler with explicit scheduling options (priority pop
-    /// order, deadline monitor) — the fault-free comparison point for the
-    /// priority experiments.
-    pub fn with_opts(graph: Arc<dyn TaskGraph>, opts: super::SchedOpts) -> Arc<Self> {
-        Engine::with_policy_opts(graph, NoFt, opts)
-    }
 }
 
 #[cfg(test)]

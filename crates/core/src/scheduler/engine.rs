@@ -48,11 +48,11 @@
 //! # Engine lifetime: by quiescence, not by refcount
 //!
 //! Jobs do not own a share of the engine. Each carries a plain pointer to
-//! it (8 bytes, `Copy`, built in [`Engine::job`]), and what keeps the epoch
+//! it (8 bytes, `Copy`, built in `Engine::job`), and what keeps the epoch
 //! — engine, arena, task map — alive is a strong reference held *outside*
 //! the jobs until the epoch's completion group reports quiescence. Every
 //! run is one instance ([`Executor::submit_instance`] of
-//! [`Engine::root_job`]): [`Engine::run`] borrows the caller's `&Arc<Self>`
+//! `Engine::root_job`): [`Engine::run`] borrows the caller's `&Arc<Self>`
 //! until it has waited for the instance's handle, and
 //! [`GraphService::submit`](super::service::GraphService::submit), which
 //! returns at once, moves an `Arc` into the instance's quiesce hook — run
@@ -63,7 +63,6 @@
 //! worker used to write twice per job (see `docs/ALGORITHM.md`,
 //! "Completion groups").
 
-use crate::deadline::DeadlineMonitor;
 use crate::fault::Fault;
 use crate::graph::{ComputeCtx, Key, TaskGraph};
 use crate::inject::Phase;
@@ -73,17 +72,12 @@ use crate::trace::Event;
 use ft_cmap::ShardedMap;
 use ft_steal::arena::{Arena, ArenaRef};
 use ft_steal::pool::{Executor, Scope};
-use ft_steal::{Job, Priority};
+use ft_steal::Job;
 use ft_sync::atomic::{fence, AtomicI64, Ordering};
 use std::cell::RefCell;
 use std::ptr::NonNull;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Maps a task key to the acquisition priority of the jobs that traverse,
-/// notify, or compute it. Typically derived from a DAG analysis (hard
-/// tasks and their ancestors are [`Priority::High`]).
-pub type PriorityFn = Arc<dyn Fn(Key) -> Priority + Send + Sync>;
 
 /// Maximum tasks executed back-to-back by one job through the inline
 /// single-successor chain before the continuation is re-enqueued.
@@ -107,31 +101,6 @@ thread_local! {
 /// recovery path's `ReplaceTask`).
 pub(super) fn with_pred_scratch<R>(f: impl FnOnce(&mut Vec<Key>) -> R) -> R {
     PRED_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
-}
-
-/// Optional scheduling behaviors threaded through the engine, orthogonal
-/// to the fault-tolerance policy.
-///
-/// The default (`None` everywhere) is the exact pre-PR6 scheduler: every
-/// job spawns at [`Priority::Normal`] and no completion times are
-/// recorded.
-#[derive(Clone, Default)]
-pub struct SchedOpts {
-    /// Priority pop order: every job the engine spawns *toward* a task
-    /// key is submitted at `priority(key)`. `None` = FIFO mode.
-    pub priority: Option<PriorityFn>,
-    /// Completion-time probe: `record(key)` is invoked at each task's
-    /// `Completed` transition (first completion wins inside the monitor).
-    pub deadline: Option<Arc<DeadlineMonitor>>,
-}
-
-impl std::fmt::Debug for SchedOpts {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SchedOpts")
-            .field("priority", &self.priority.as_ref().map(|_| "fn"))
-            .field("deadline", &self.deadline)
-            .finish()
-    }
 }
 
 /// The per-task state the shared traversal needs from a descriptor,
@@ -277,38 +246,18 @@ pub struct Engine<P: FtPolicy> {
     pub(super) arena: Arena<P::Desc>,
     pub(super) metrics: RunMetrics,
     pub(super) policy: P,
-    pub(super) opts: SchedOpts,
 }
 
 impl<P: FtPolicy> Engine<P> {
     /// Build an engine around `policy`.
     pub(super) fn with_policy(graph: Arc<dyn TaskGraph>, policy: P) -> Arc<Self> {
-        Self::with_policy_opts(graph, policy, SchedOpts::default())
-    }
-
-    /// Build an engine around `policy` with explicit scheduling options.
-    pub(super) fn with_policy_opts(
-        graph: Arc<dyn TaskGraph>,
-        policy: P,
-        opts: SchedOpts,
-    ) -> Arc<Self> {
         Arc::new(Engine {
             graph,
             map: ShardedMap::new(),
             arena: Arena::new(),
             metrics: RunMetrics::new(),
             policy,
-            opts,
         })
-    }
-
-    /// Acquisition priority for jobs targeting `key`.
-    #[inline]
-    pub(super) fn prio_of(&self, key: Key) -> Priority {
-        match &self.opts.priority {
-            Some(f) => f(key),
-            None => Priority::Normal,
-        }
     }
 
     /// Execute the task graph to completion on `exec`; returns run
@@ -333,9 +282,8 @@ impl<P: FtPolicy> Engine<P> {
     }
 
     /// The root job of this epoch: execution begins by inserting the
-    /// **sink** task and invoking `InitAndCompute` on it (at the sink's
-    /// priority); the traversal expands the graph bottom-up toward the
-    /// sources. It runs inside the instance it is submitted as, so the
+    /// **sink** task and invoking `InitAndCompute` on it; the traversal
+    /// expands the graph bottom-up toward the sources. It runs inside the instance it is submitted as, so the
     /// whole traversal tree lands on that instance's completion group.
     pub(super) fn root_job(&self) -> Job {
         self.job(|this, s, w| {
@@ -345,7 +293,7 @@ impl<P: FtPolicy> Engine<P> {
                 debug_assert!(false, "sink {sink} vanished right after insertion");
                 return;
             };
-            this.spawn_job(s, this.prio_of(sink), move |this, s, w| {
+            this.spawn_job(s, move |this, s, w| {
                 this.init_and_compute(s, w, sd, sink, life)
             });
         })
@@ -388,15 +336,14 @@ impl<P: FtPolicy> Engine<P> {
         })
     }
 
-    /// Spawn a traversal step of this epoch at priority `prio`.
+    /// Spawn a traversal step of this epoch.
     #[inline]
     pub(super) fn spawn_job(
         &self,
         s: &Scope<'_>,
-        prio: Priority,
         f: impl FnOnce(&Self, &Scope<'_>, Option<usize>) + Send + 'static,
     ) {
-        s.spawn_boxed_with(self.job(f), prio);
+        s.spawn_job(self.job(f));
     }
 
     /// Snapshot the run statistics into a [`RunReport`]: metrics counters,
@@ -472,9 +419,7 @@ impl<P: FtPolicy> Engine<P> {
         // Iterate the cached predecessor slice by reference: the hot path
         // allocates nothing per traversal.
         for &pkey in a.preds() {
-            // Priority of the *target* (the predecessor being traversed):
-            // hard tasks and their ancestors traverse ahead of soft work.
-            self.spawn_job(s, self.prio_of(pkey), move |this, s, w| {
+            self.spawn_job(s, move |this, s, w| {
                 this.try_init_compute(s, w, a, key, life, pkey)
             });
         }
@@ -502,7 +447,7 @@ impl<P: FtPolicy> Engine<P> {
             return;
         };
         if inserted {
-            self.spawn_job(s, self.prio_of(pkey), move |this, s, w| {
+            self.spawn_job(s, move |this, s, w| {
                 this.init_and_compute(s, w, b, pkey, blife)
             });
         }
@@ -702,9 +647,6 @@ impl<P: FtPolicy> Engine<P> {
                 if cells.len() == cursor {
                     a.set_status(Status::Completed);
                     self.policy.emit(worker, Event::Completed { key, life });
-                    if let Some(dl) = &self.opts.deadline {
-                        dl.record(key);
-                    }
                     break;
                 }
             }
@@ -720,7 +662,7 @@ impl<P: FtPolicy> Engine<P> {
             // it): hand the continuation back to the queues, then let
             // recovery own this task's traversal.
             if let Some((ca, ckey, clife)) = chain.take() {
-                self.spawn_job(s, self.prio_of(ckey), move |this, s, w| {
+                self.spawn_job(s, move |this, s, w| {
                     this.compute_and_notify(s, w, ca, ckey, clife)
                 });
             }
@@ -770,19 +712,13 @@ impl<P: FtPolicy> Engine<P> {
         if !ready {
             return;
         }
-        let prio = self.prio_of(skey);
         // Chain policy: first ready successor continues inline, bounded by
-        // MAX_INLINE_CHAIN; in priority mode only hot targets chain, so an
-        // inlined continuation never runs ahead of queued hot work it
-        // should yield to. Everything else goes through the queues and
+        // MAX_INLINE_CHAIN. Everything else goes through the queues and
         // stays stealable.
-        let may_chain = depth < MAX_INLINE_CHAIN
-            && chain.is_none()
-            && (self.opts.priority.is_none() || prio == Priority::High);
-        if may_chain {
+        if depth < MAX_INLINE_CHAIN && chain.is_none() {
             *chain = Some((sd, skey, slife));
         } else {
-            self.spawn_job(s, prio, move |this, s, w| {
+            self.spawn_job(s, move |this, s, w| {
                 this.compute_and_notify(s, w, sd, skey, slife)
             });
         }

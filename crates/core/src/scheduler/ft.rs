@@ -276,17 +276,6 @@ impl Engine<FtRecovery> {
         Engine::with_policy(graph, FtRecovery::new(plan, Some(trace)))
     }
 
-    /// Fully general constructor: fault plan, optional trace recorder, and
-    /// scheduling options (priority pop order, deadline monitor).
-    pub fn with_opts(
-        graph: Arc<dyn TaskGraph>,
-        plan: Arc<FaultPlan>,
-        trace: Option<Arc<Trace>>,
-        opts: super::SchedOpts,
-    ) -> Arc<Self> {
-        Engine::with_policy_opts(graph, FtRecovery::new(plan, trace), opts)
-    }
-
     /// Disable the Guarantee-3 bit-vector check (mutation testing only).
     ///
     /// With this set, duplicate notifications decrement the join counter

@@ -25,7 +25,7 @@ pub mod recovery;
 pub mod service;
 
 pub use baseline::{BaselineScheduler, NoFt};
-pub use engine::{Descriptor, Engine, FtPolicy, PriorityFn, SchedOpts};
+pub use engine::{Descriptor, Engine, FtPolicy};
 pub use ft::{FtRecovery, FtScheduler};
 pub use service::{
     Backpressure, BackpressureReason, GraphService, InstanceReport, InstanceTicket, ServiceConfig,

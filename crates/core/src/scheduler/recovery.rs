@@ -1,6 +1,6 @@
 //! The recovery routines of Figure 3, as inherent methods on
 //! [`Engine<FtRecovery>`] — the catch blocks of the generic traversal
-//! dispatch here through [`FtPolicy`](super::engine::FtPolicy)'s
+//! dispatch here through [`FtPolicy`]'s
 //! `on_guard_fault` / `on_compute_fault` hooks.
 //!
 //! * `RecoverTaskOnce` / `IsRecovering` — Guarantee 1: each failure is
@@ -121,9 +121,7 @@ impl Engine<FtRecovery> {
 
             match attempt {
                 Ok(()) => {
-                    // Recovered incarnations keep their key's priority, so
-                    // a hard task's recovery also jumps the queue.
-                    self.spawn_job(s, self.prio_of(key), move |this, s, w| {
+                    self.spawn_job(s, move |this, s, w| {
                         this.init_and_compute(s, w, t, key, life)
                     });
                     return;

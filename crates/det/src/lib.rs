@@ -40,7 +40,6 @@
 
 use ft_steal::instance::{Group, InstanceHandle, QuiesceHook};
 use ft_steal::pool::{Executor, Job, Scope, SpawnHost};
-use ft_steal::priority::Priority;
 use ft_steal::rng::XorShift64Star;
 use std::cell::{Cell, RefCell};
 
@@ -55,10 +54,6 @@ use std::cell::{Cell, RefCell};
 pub struct DetPool {
     seed: u64,
     queue: RefCell<Vec<Job>>,
-    /// High-priority ready list: drained (still in seeded-random order)
-    /// before any job in `queue` is considered. Models the real pool's
-    /// priority pop order deterministically.
-    hot: RefCell<Vec<Job>>,
     rng: RefCell<XorShift64Star>,
     /// The group of every job not submitted as an instance (jobs stamped
     /// with no group); its first panic is re-raised when the queue drains.
@@ -75,7 +70,6 @@ impl DetPool {
         DetPool {
             seed,
             queue: RefCell::new(Vec::new()),
-            hot: RefCell::new(Vec::new()),
             rng: RefCell::new(XorShift64Star::new(seed)),
             resident: Group::resident(),
             executed: Cell::new(0),
@@ -125,28 +119,20 @@ impl DetPool {
         self.draining.set(true);
         loop {
             // Pick-and-pop inside a short borrow so jobs can spawn freely.
-            // Hot jobs strictly first (mirrors the real pool's acquisition
-            // order); within a lane the seeded RNG picks uniformly, so the
-            // whole schedule is still a pure function of the seed.
+            // The seeded RNG picks uniformly, so the whole schedule is a
+            // pure function of the seed.
             let job = {
-                let mut hot = self.hot.borrow_mut();
-                if hot.is_empty() {
-                    drop(hot);
-                    let mut q = self.queue.borrow_mut();
-                    if q.is_empty() {
-                        break;
-                    }
-                    let idx = self.rng.borrow_mut().next_below(q.len());
-                    q.swap_remove(idx)
-                } else {
-                    let idx = self.rng.borrow_mut().next_below(hot.len());
-                    hot.swap_remove(idx)
+                let mut q = self.queue.borrow_mut();
+                if q.is_empty() {
+                    break;
                 }
+                let idx = self.rng.borrow_mut().next_below(q.len());
+                q.swap_remove(idx)
             };
             self.executed.set(self.executed.get() + 1);
             let group = self.group_of(&job);
             // SAFETY: the job holds a unit of its group (enrolled by
-            // `spawn_job_with` or `Group::open`) until the release below,
+            // `spawn_job` or `Group::open`) until the release below,
             // which keeps a per-instance group alive.
             let scope = unsafe { Scope::for_group(self, job.group()) };
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -165,17 +151,10 @@ impl DetPool {
 
 impl SpawnHost for DetPool {
     fn spawn_job(&self, job: Job) {
-        self.spawn_job_with(job, Priority::Normal);
-    }
-
-    fn spawn_job_with(&self, job: Job, prio: Priority) {
         // SAFETY: a stamped job is spawned by a running job of the same
         // group (through the scope `drain` built), whose unit keeps it alive.
         unsafe { (*self.group_of(&job)).enroll() };
-        match prio {
-            Priority::High => self.hot.borrow_mut().push(job),
-            Priority::Normal => self.queue.borrow_mut().push(job),
-        }
+        self.queue.borrow_mut().push(job);
     }
 
     fn num_threads(&self) -> usize {
@@ -191,10 +170,10 @@ impl SpawnHost for DetPool {
     }
 }
 
-// SAFETY: every job holds a unit of its group's latch from `spawn_job_with`
+// SAFETY: every job holds a unit of its group's latch from `spawn_job`
 // (or `Group::open`, for a root) until `drain` has run its body, so an
 // instance's latch trips — hook, then `done` — only after its last job
-// finished (`ft_steal::instance`). `drive` drains both lists before it
+// finished (`ft_steal::instance`). `drive` drains the ready list before it
 // re-raises anything. A job is only ever run once (by `drain`) or dropped
 // with the pool.
 unsafe impl Executor for DetPool {
@@ -215,7 +194,7 @@ unsafe impl Executor for DetPool {
     }
 
     fn queued_jobs(&self) -> u64 {
-        (self.queue.borrow().len() + self.hot.borrow().len()) as u64
+        self.queue.borrow().len() as u64
     }
 
     /// Drain every pending job (all submitted instances interleaved) in
@@ -274,49 +253,6 @@ mod tests {
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn hot_jobs_drain_before_normal_ones_deterministically() {
-        for seed in 0..8u64 {
-            let pool = DetPool::new(seed);
-            let order = Arc::new(Mutex::new(Vec::new()));
-            let o = Arc::clone(&order);
-            pool.run_until_complete(move |scope: &Scope<'_>| {
-                for i in 0..6usize {
-                    let o = Arc::clone(&o);
-                    scope.spawn(move |_| o.lock().push(("normal", i)));
-                }
-                for i in 0..6usize {
-                    let o = Arc::clone(&o);
-                    scope.spawn_with(Priority::High, move |_| o.lock().push(("hot", i)));
-                }
-            });
-            let got = Arc::try_unwrap(order).unwrap().into_inner();
-            assert!(
-                got[..6].iter().all(|&(lane, _)| lane == "hot"),
-                "seed {seed}: hot lane must drain first, got {got:?}"
-            );
-        }
-        // Replays are still identical per seed with mixed priorities.
-        let run = |seed: u64| -> Vec<(u8, usize)> {
-            let pool = DetPool::new(seed);
-            let order = Arc::new(Mutex::new(Vec::new()));
-            let o = Arc::clone(&order);
-            pool.run_until_complete(move |scope: &Scope<'_>| {
-                for i in 0..10usize {
-                    let o = Arc::clone(&o);
-                    let prio = if i % 3 == 0 {
-                        Priority::High
-                    } else {
-                        Priority::Normal
-                    };
-                    scope.spawn_with(prio, move |_| o.lock().push((prio as u8, i)));
-                }
-            });
-            Arc::try_unwrap(order).unwrap().into_inner()
-        };
-        assert_eq!(run(42), run(42));
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use nabbit_ft::graph::TaskGraph;
 use nabbit_ft::inject::FaultPlan;
 use nabbit_ft::metrics::RunReport;
-use nabbit_ft::scheduler::{FtScheduler, SchedOpts};
+use nabbit_ft::scheduler::FtScheduler;
 use nabbit_ft::trace::oracle::{check_trace, FailureReport, OracleMode, Violation};
 use nabbit_ft::trace::Trace;
 
@@ -254,23 +254,6 @@ pub fn det_traced_run(
     (sched, trace, report)
 }
 
-/// Like [`det_traced_run`] but with explicit scheduler options (priority
-/// pop order, deadline monitoring). With `SchedOpts::default()` this is
-/// exactly `det_traced_run`; campaigns use it to run the same
-/// `(graph, plan, seed)` triple under both pop orders.
-pub fn det_traced_run_opts(
-    graph: Arc<dyn TaskGraph>,
-    plan: Arc<FaultPlan>,
-    schedule_seed: u64,
-    opts: SchedOpts,
-) -> (Arc<FtScheduler>, Arc<Trace>, RunReport) {
-    let trace = Arc::new(Trace::new());
-    let sched = FtScheduler::with_opts(graph, plan, Some(Arc::clone(&trace)), opts);
-    let pool = ft_det::DetPool::new(schedule_seed);
-    let report = sched.run(&pool);
-    (sched, trace, report)
-}
-
 /// Like [`det_traced_run`] but on an arbitrary executor (typically a real
 /// work-stealing pool). Traces recorded this way must be validated in
 /// [`OracleMode::Concurrent`]: emission order between threads is not
@@ -280,19 +263,8 @@ pub fn traced_run_on(
     plan: Arc<FaultPlan>,
     exec: &dyn ft_steal::pool::Executor,
 ) -> (Arc<FtScheduler>, Arc<Trace>, RunReport) {
-    traced_run_on_opts(graph, plan, exec, SchedOpts::default())
-}
-
-/// [`traced_run_on`] with explicit scheduler options (priority pop order,
-/// deadline monitoring).
-pub fn traced_run_on_opts(
-    graph: Arc<dyn TaskGraph>,
-    plan: Arc<FaultPlan>,
-    exec: &dyn ft_steal::pool::Executor,
-    opts: SchedOpts,
-) -> (Arc<FtScheduler>, Arc<Trace>, RunReport) {
     let trace = Arc::new(Trace::new());
-    let sched = FtScheduler::with_opts(graph, plan, Some(Arc::clone(&trace)), opts);
+    let sched = FtScheduler::with_plan_traced(graph, plan, Arc::clone(&trace));
     let report = sched.run(exec);
     (sched, trace, report)
 }

@@ -68,4 +68,3 @@ pub use arena::{Arena, ArenaRef};
 pub use instance::{AdmissionGate, InstanceHandle, InstanceStats, QuiesceHook};
 pub use latch::{CountLatch, Flag};
 pub use pool::{Executor, Job, Pool, PoolConfig, Scope, SpawnHost};
-pub use priority::{PrioInjector, Priority};

@@ -26,17 +26,17 @@
 //! latch is counted through worker-local [`Credits`] (a spawn or a finished
 //! job moves a unit between the job and its worker's stash; the latch
 //! itself is touched once per batch and once per flush — when the worker's
-//! own deques run empty, or before it serves a different group), and there
+//! own deque runs empty, or before it serves a different group), and there
 //! is no queued-jobs counter: a worker about to park sweeps the injector
 //! and every deque instead (see [`Parker`] for the producer/sleeper fence
 //! pair that makes the sweep sufficient).
 
 use crate::deque::{self, Steal, Stealer, Worker};
+use crate::injector::Injector;
 use crate::instance::{Group, InstanceHandle, QuiesceHook};
 use crate::latch::Credits;
 use crate::metrics::{CachePadded, MetricsSnapshot, WorkerMetrics};
 use crate::parker::Parker;
-use crate::priority::{PrioInjector, Priority};
 use crate::rng::XorShift64Star;
 use ft_sync::atomic::{AtomicBool, Ordering};
 use std::cell::Cell;
@@ -52,15 +52,6 @@ pub use crate::job::Job;
 pub trait SpawnHost {
     /// Enqueue a fire-and-forget job.
     fn spawn_job(&self, job: Job);
-
-    /// Enqueue a job with an acquisition priority. Hosts without a
-    /// priority lane may ignore `prio`; the default does exactly that, so
-    /// priority mode degrades to FIFO rather than failing on simple
-    /// executors.
-    fn spawn_job_with(&self, job: Job, prio: Priority) {
-        let _ = prio;
-        self.spawn_job(job);
-    }
 
     /// Number of workers executing jobs.
     fn num_threads(&self) -> usize;
@@ -145,16 +136,10 @@ impl Default for PoolConfig {
     }
 }
 
-/// The two stealer ends of one worker's deque pair.
-struct LaneStealers {
-    hot: Stealer<Job>,
-    normal: Stealer<Job>,
-}
-
 /// Shared state between the pool handle and its workers.
 struct PoolState {
-    stealers: Vec<LaneStealers>,
-    injector: PrioInjector<Job>,
+    stealers: Vec<Stealer<Job>>,
+    injector: Injector<Job>,
     parker: Parker,
     /// The group of everything not submitted as an instance (plus the
     /// sentinel of a `run_until_complete` in progress). Lives as long as
@@ -218,27 +203,13 @@ impl<'a> Scope<'a> {
         self.host.spawn_job(Job::new(f).stamped(self.group));
     }
 
-    /// Spawn a fire-and-forget job with an acquisition priority.
+    /// Spawn an already-built [`Job`].
     ///
-    /// On the [`Pool`], [`Priority::High`] jobs land in the hot lane (the
-    /// worker's hot deque or the injector's hot lane) and are acquired
-    /// before any visible normal job. Hosts without priority lanes treat
-    /// this as [`Scope::spawn`].
-    pub fn spawn_with<F>(&self, prio: Priority, f: F)
-    where
-        F: FnOnce(&Scope<'_>) + Send + 'static,
-    {
-        self.host
-            .spawn_job_with(Job::new(f).stamped(self.group), prio);
-    }
-
-    /// Spawn an already-built [`Job`] with an acquisition priority.
-    ///
-    /// Equivalent to [`Scope::spawn_with`] for a `Job` that already exists
-    /// (the scheduler engine builds its jobs in one place and spawns them
-    /// here). The job joins this scope's group like any other spawn.
-    pub fn spawn_boxed_with(&self, job: Job, prio: Priority) {
-        self.host.spawn_job_with(job.stamped(self.group), prio);
+    /// Equivalent to [`Scope::spawn`] for a `Job` that already exists (the
+    /// scheduler engine builds its jobs in one place and spawns them here).
+    /// The job joins this scope's group like any other spawn.
+    pub fn spawn_job(&self, job: Job) {
+        self.host.spawn_job(job.stamped(self.group));
     }
 
     /// Number of worker threads in the executor this scope belongs to.
@@ -261,9 +232,6 @@ thread_local! {
 /// Per-worker context, reachable through the thread-local above.
 struct LocalCtx {
     deque: Worker<Job>,
-    /// Second, high-priority deque: popped before `deque`, stolen before
-    /// victims' normal lanes. Empty for FIFO-mode workloads.
-    hot: Worker<Job>,
     index: usize,
     /// Identity of the owning pool, to guard against cross-pool spawns.
     pool_id: *const PoolState,
@@ -288,15 +256,11 @@ impl PoolState {
     }
 
     /// Racy total of the queue lengths: a sweep of the injector and every
-    /// worker's deques, O(workers). Paid only by a worker that is about to
+    /// worker's deque, O(workers). Paid only by a worker that is about to
     /// park, or that acquired a job while others are parked, and by the
     /// service's admission watermark — never on the all-busy path.
     fn queued_jobs(&self) -> u64 {
-        let local: usize = self
-            .stealers
-            .iter()
-            .map(|lanes| lanes.hot.len() + lanes.normal.len())
-            .sum();
+        let local: usize = self.stealers.iter().map(Stealer::len).sum();
         (self.injector.len() + local) as u64
     }
 
@@ -308,10 +272,6 @@ impl PoolState {
 
 impl SpawnHost for PoolState {
     fn spawn_job(&self, job: Job) {
-        self.spawn_job_with(job, Priority::Normal);
-    }
-
-    fn spawn_job_with(&self, job: Job, prio: Priority) {
         debug_assert!(!job.group().is_null(), "job spawned into no group");
         // SAFETY: a job reaches this host only through a scope built in
         // this file, all of them `for_group`: over the resident group (a
@@ -324,10 +284,7 @@ impl SpawnHost for PoolState {
                 // resident one lives in the state every worker holds.
                 unsafe { ctx.credits.take(group) };
                 WorkerMetrics::bump(&self.metrics[ctx.index].spawned);
-                match prio {
-                    Priority::High => ctx.hot.push(job),
-                    Priority::Normal => ctx.deque.push(job),
-                }
+                ctx.deque.push(job);
                 None
             }
             None => Some(job),
@@ -335,9 +292,9 @@ impl SpawnHost for PoolState {
         if let Some(job) = external {
             // Submitting thread is not a worker of this pool: the job's
             // unit comes straight from the latch and it travels through the
-            // shared lock-free injector (lane chosen by `prio`).
+            // shared lock-free injector.
             group.enroll();
-            self.injector.push(job, prio);
+            self.injector.push(job);
         }
         // One job became visible: wake one worker, not the whole pool (a
         // fence and a load when nobody sleeps). The woken worker escalates
@@ -377,16 +334,15 @@ impl Pool {
         let mut stealers = Vec::with_capacity(threads);
         for _ in 0..threads {
             let (w, s) = deque::deque::<Job>();
-            let (hw, hs) = deque::deque::<Job>();
-            workers.push((w, hw));
-            stealers.push(LaneStealers { hot: hs, normal: s });
+            workers.push(w);
+            stealers.push(s);
         }
         let metrics = (0..threads)
             .map(|_| CachePadded(WorkerMetrics::default()))
             .collect();
         let state = Arc::new(PoolState {
             stealers,
-            injector: PrioInjector::new(),
+            injector: Injector::new(),
             parker: Parker::new(),
             resident: Group::resident(),
             metrics,
@@ -395,7 +351,7 @@ impl Pool {
             steal_rounds: config.steal_rounds.max(1),
         });
         let mut handles = Vec::with_capacity(threads);
-        for (index, (w, hw)) in workers.into_iter().enumerate() {
+        for (index, w) in workers.into_iter().enumerate() {
             let state = Arc::clone(&state);
             let seed = config
                 .seed
@@ -403,7 +359,7 @@ impl Pool {
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("ft-steal-worker-{index}"))
-                    .spawn(move || worker_main(state, w, hw, index, seed))
+                    .spawn(move || worker_main(state, w, index, seed))
                     .expect("failed to spawn worker thread"),
             );
         }
@@ -485,7 +441,7 @@ impl Pool {
 
 // SAFETY: every job holds a unit of its group's latch from before it
 // becomes visible until after its body returned (`instance.rs`, invariant 1
-// — `Group::open` enrolls the root, `spawn_job_with` every other job), so an
+// — `Group::open` enrolls the root, `spawn_job` every other job), so an
 // instance's latch cannot trip — hook, then `done` — while one of its jobs
 // can still run. `drive` is the no-op default; queued jobs are only ever
 // run once or dropped.
@@ -499,7 +455,7 @@ unsafe impl Executor for Pool {
         // Always through the injector, never on the caller's credit: a
         // worker that submits and then blocks on the handle must not sit
         // on units of the group it waits for.
-        self.state.injector.push(job, Priority::Normal);
+        self.state.injector.push(job);
         self.state.parker.notify_one();
         handle
     }
@@ -525,16 +481,9 @@ impl Drop for Pool {
     }
 }
 
-fn worker_main(
-    state: Arc<PoolState>,
-    deque: Worker<Job>,
-    hot: Worker<Job>,
-    index: usize,
-    seed: u64,
-) {
+fn worker_main(state: Arc<PoolState>, deque: Worker<Job>, index: usize, seed: u64) {
     let ctx = LocalCtx {
         deque,
-        hot,
         index,
         pool_id: Arc::as_ptr(&state),
         credits: Credits::new(),
@@ -593,25 +542,16 @@ fn worker_main(
     LOCAL.with(|l| l.set(std::ptr::null()));
 }
 
-/// One attempt to obtain a job, hot work first at every tier: own hot
-/// deque, injector hot lane, own normal deque, injector normal batch, then
-/// `steal_rounds` sweeps over random victims (each victim's hot lane
-/// before its normal one). The only FIFO-mode overhead of the priority
-/// tiers is one empty `pop` and one hint load per acquisition. Leaving the
-/// worker's own deques — the point where it stops being self-sufficient —
-/// is where its quiescence credits are flushed.
+/// One attempt to obtain a job: own deque, injector batch, then
+/// `steal_rounds` sweeps over random victims. Leaving the worker's own
+/// deque — the point where it stops being self-sufficient — is where its
+/// quiescence credits are flushed.
 fn find_job(
     state: &PoolState,
     ctx: &LocalCtx,
     index: usize,
     rng: &mut XorShift64Star,
 ) -> Option<Job> {
-    if let Some(job) = ctx.hot.pop() {
-        return Some(job);
-    }
-    if let Some(job) = steal_injector_hot(state, index) {
-        return Some(job);
-    }
     if let Some(job) = ctx.deque.pop() {
         return Some(job);
     }
@@ -628,17 +568,14 @@ fn find_job(
             if victim == index {
                 continue;
             }
-            let lanes = &state.stealers[victim];
-            for stealer in [&lanes.hot, &lanes.normal] {
-                loop {
-                    match stealer.steal() {
-                        Steal::Success(job) => {
-                            WorkerMetrics::bump(&state.metrics[index].steals);
-                            return Some(job);
-                        }
-                        Steal::Retry => continue,
-                        Steal::Empty => break,
+            loop {
+                match state.stealers[victim].steal() {
+                    Steal::Success(job) => {
+                        WorkerMetrics::bump(&state.metrics[index].steals);
+                        return Some(job);
                     }
+                    Steal::Retry => continue,
+                    Steal::Empty => break,
                 }
             }
         }
@@ -655,24 +592,11 @@ fn find_job(
     None
 }
 
-/// Steal one job from the injector's hot lane (hint-gated: FIFO-mode cost
-/// is a single atomic load).
-fn steal_injector_hot(state: &PoolState, index: usize) -> Option<Job> {
-    let job = state.injector.steal_hot()?;
-    WorkerMetrics::bump(&state.metrics[index].steals);
-    WorkerMetrics::bump(&state.metrics[index].injector_steals);
-    Some(job)
-}
-
-/// Take from the lock-free injector: one hot job if any, else a
-/// batch-steal from the normal lane into this worker's own deque,
-/// returning the oldest stolen job. Surplus jobs stay stealable by other
-/// workers.
+/// Take from the lock-free injector: a batch-steal into this worker's own
+/// deque, returning the oldest stolen job. Surplus jobs stay stealable by
+/// other workers.
 fn pop_injector(state: &PoolState, ctx: &LocalCtx, index: usize) -> Option<Job> {
-    if let Some(job) = steal_injector_hot(state, index) {
-        return Some(job);
-    }
-    let job = state.injector.steal_batch_and_pop_normal(&ctx.deque)?;
+    let job = state.injector.steal_batch_and_pop(&ctx.deque)?;
     WorkerMetrics::bump(&state.metrics[index].steals);
     WorkerMetrics::bump(&state.metrics[index].injector_steals);
     Some(job)
@@ -784,54 +708,6 @@ mod tests {
             });
         });
         assert_eq!(counter.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn high_priority_jobs_run_first_on_single_worker() {
-        // On one worker the acquisition order is deterministic: after the
-        // spawning job finishes, the worker drains its hot deque before
-        // its normal deque, so every High job runs before any Normal job.
-        let pool = Pool::new(PoolConfig::with_threads(1));
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let o = Arc::clone(&order);
-        pool.run_until_complete(|scope| {
-            scope.spawn(move |s| {
-                for i in 0..8usize {
-                    let o = Arc::clone(&o);
-                    s.spawn(move |_| o.lock().push(("normal", i)));
-                }
-                for i in 0..8usize {
-                    let o = Arc::clone(&o);
-                    s.spawn_with(Priority::High, move |_| o.lock().push(("hot", i)));
-                }
-            });
-        });
-        let got = order.lock().clone();
-        assert_eq!(got.len(), 16);
-        assert!(
-            got[..8].iter().all(|&(lane, _)| lane == "hot"),
-            "hot jobs must all run before normal ones, got {got:?}"
-        );
-    }
-
-    #[test]
-    fn high_priority_external_submissions_complete() {
-        let pool = Pool::new(PoolConfig::with_threads(4));
-        let counter = Arc::new(AtomicUsize::new(0));
-        pool.run_until_complete(|scope| {
-            for i in 0..500 {
-                let c = Arc::clone(&counter);
-                let prio = if i % 2 == 0 {
-                    Priority::High
-                } else {
-                    Priority::Normal
-                };
-                scope.spawn_with(prio, move |_| {
-                    c.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 500);
     }
 
     #[test]

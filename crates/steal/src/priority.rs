@@ -1,16 +1,16 @@
-//! Dual-lane (priority-aware) job submission.
+//! A two-lane (priority-aware) injector.
 //!
-//! PR 6 adds an opt-in **priority pop order** to the scheduler: traversal
-//! jobs targeting hard/critical tasks of a deadline-carrying DAG are
-//! spawned [`Priority::High`] and must be acquired before normal jobs
-//! wherever both are visible. The pool realizes this with *two lanes*
-//! everywhere a queue exists — a hot and a normal Chase–Lev deque per
-//! worker, and the [`PrioInjector`] here: a pair of segmented lock-free
-//! [`Injector`]s plus a conservative occupancy hint for the hot lane.
+//! **The pool does not use this type.** [`Pool`](crate::pool::Pool) has
+//! one pop order — a LIFO deque per worker, one [`Injector`] and
+//! randomized stealing. [`PrioInjector`] is kept only because the
+//! benchmark times it in isolation for its per-layer metric
+//! `steal.priority.push_steal_hot_ns`; it goes when that metric does.
 //!
-//! The hint exists so that FIFO-mode workloads (which never push a hot
-//! job) pay a single atomic load per acquisition attempt instead of
-//! probing the hot lane's head/tail indices. Its protocol:
+//! It is a pair of segmented lock-free [`Injector`]s plus a conservative
+//! occupancy hint for the hot lane, so that a consumer that never sees a
+//! [`Priority::High`] push pays a single atomic load per acquisition
+//! attempt instead of probing the hot lane's head/tail indices. The hint's
+//! protocol:
 //!
 //! * `push(_, High)` increments the hint **before** publishing the
 //!   element. Both the increment and the thief's load are `SeqCst`, so in

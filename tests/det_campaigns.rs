@@ -11,12 +11,10 @@
 use ft_bench::dag_gen::{DagGenConfig, RandDag};
 use ft_det::DetPool;
 use ft_integration::graphs::{Chain, Grid, ValueDag};
-use ft_integration::{assert_oracle_clean, det_traced_run, det_traced_run_opts, oracle_violations};
-use ft_steal::Priority;
-use nabbit_ft::deadline::DeadlineMonitor;
+use ft_integration::{assert_oracle_clean, det_traced_run, oracle_violations};
 use nabbit_ft::graph::{Key, TaskGraph};
 use nabbit_ft::inject::{FaultPlan, FaultSite, Phase};
-use nabbit_ft::scheduler::{FtScheduler, SchedOpts};
+use nabbit_ft::scheduler::FtScheduler;
 use nabbit_ft::seq;
 use nabbit_ft::trace::oracle::{check_result_equivalence, OracleMode};
 use nabbit_ft::trace::{Event, Trace};
@@ -42,35 +40,81 @@ fn phase_of(round: u64) -> Phase {
     }
 }
 
+/// A fault plan failing 0%, 25%, 50% or 75% of `keys` (by `round`), in
+/// `round`'s phase.
+fn round_plan(keys: &[Key], round: u64, plan_seed: u64) -> Arc<FaultPlan> {
+    let count = (round as usize % 4) * keys.len() / 4;
+    Arc::new(FaultPlan::sample(keys, count, phase_of(round), plan_seed))
+}
+
+/// Layer widths of the headline campaign's [`ValueDag`]s.
+const SHAPES: &[&[usize]] = &[
+    &[1],
+    &[3, 3, 3],
+    &[1, 4, 1, 4],
+    &[5, 2, 5],
+    &[2, 2, 2, 2, 2],
+    &[6, 6],
+    &[1, 1, 1, 1, 1, 1],
+];
+const ROUNDS_PER_SHAPE: u64 = 30;
+
+fn shape_edges_seed(si: usize) -> u64 {
+    0x5EED_0001 + si as u64 * 977
+}
+
+/// The headline campaign's `(graph, fault plan, schedule seed)` triple for
+/// shape `si`, round `round`.
+fn shape_triple(si: usize, round: u64) -> (Arc<ValueDag>, Arc<FaultPlan>, u64) {
+    let dag = Arc::new(ValueDag::generate(SHAPES[si], shape_edges_seed(si)));
+    let plan = round_plan(&dag.all_keys(), round, round.wrapping_mul(1013) + si as u64);
+    (dag, plan, ((si as u64) << 32) | round)
+}
+
+/// The random-DAG campaign's configs, chosen to hit the structural
+/// extremes: near-serial, bushy-sparse, dense, wide-shallow, and
+/// tall-narrow.
+fn randdag_configs() -> Vec<DagGenConfig> {
+    [
+        (3usize, 2usize, 0.5f64),
+        (6, 4, 0.15),
+        (4, 4, 0.8),
+        (2, 6, 0.4),
+        (10, 2, 0.3),
+    ]
+    .iter()
+    .enumerate()
+    .map(|(i, &(layers, width, p))| {
+        DagGenConfig::new(layers, width, p, 0xDA6_5EED + i as u64 * 131)
+    })
+    .collect()
+}
+const ROUNDS_PER_CONFIG: u64 = 20;
+
+/// The random-DAG campaign's triple for config `ci`, round `round`; `odd`
+/// picks the second schedule seed of the round.
+fn randdag_triple(
+    ci: usize,
+    cfg: &DagGenConfig,
+    round: u64,
+    odd: bool,
+) -> (Arc<RandDag>, Arc<FaultPlan>, u64) {
+    let dag = Arc::new(RandDag::generate(cfg.clone()));
+    let plan = round_plan(&dag.all_keys(), round, round.wrapping_mul(2027) + ci as u64);
+    (dag, plan, ((ci as u64) << 32) | (round << 1) | odd as u64)
+}
+
 /// The headline campaign: ≥ 200 seeded (schedule × fault-plan) runs, each
 /// oracle-checked and result-checked against the sequential reference.
 #[test]
 fn two_hundred_seeded_oracle_checked_runs() {
-    const SHAPES: &[&[usize]] = &[
-        &[1],
-        &[3, 3, 3],
-        &[1, 4, 1, 4],
-        &[5, 2, 5],
-        &[2, 2, 2, 2, 2],
-        &[6, 6],
-        &[1, 1, 1, 1, 1, 1],
-    ];
-    const ROUNDS_PER_SHAPE: u64 = 30;
-
     let mut runs = 0u64;
     for (si, shape) in SHAPES.iter().enumerate() {
-        let edges_seed = 0x5EED_0001 + si as u64 * 977;
-        let reference = sequential_reference(shape, edges_seed);
+        let reference = sequential_reference(shape, shape_edges_seed(si));
         for round in 0..ROUNDS_PER_SHAPE {
-            let dag = Arc::new(ValueDag::generate(shape, edges_seed));
+            let (dag, plan, schedule_seed) = shape_triple(si, round);
             let keys = dag.all_keys();
-            let phase = phase_of(round);
-            // 0%, 25%, 50%, 75% of the tasks fail this round.
-            let count = (round as usize % 4) * keys.len() / 4;
-            let plan_seed = round.wrapping_mul(1013) + si as u64;
-            let plan = Arc::new(FaultPlan::sample(&keys, count, phase, plan_seed));
-            let schedule_seed = ((si as u64) << 32) | round;
-            let label = format!("campaign-shape{si}-round{round}-{phase:?}");
+            let label = format!("campaign-shape{si}-round{round}-{:?}", phase_of(round));
 
             let (_, trace, report) = det_traced_run(
                 Arc::clone(&dag) as Arc<dyn TaskGraph>,
@@ -100,37 +144,14 @@ fn two_hundred_seeded_oracle_checked_runs() {
     assert!(runs >= 200, "campaign must cover >= 200 runs, got {runs}");
 }
 
-/// PR-6 campaign: ≥ 200 seeded runs over *irregular* DAGs from the
-/// `dag_gen` workload family — (config × fault plan × schedule seed ×
-/// pop order) — every one oracle-checked in Strict mode and
-/// result-checked against the sequential reference. The FIFO and
-/// priority runs share each (config, plan, seed) triple, so a guarantee
-/// that held under FIFO but breaks under the hot lane shows up as a
-/// paired failure.
+/// ≥ 200 seeded runs over *irregular* DAGs from the `dag_gen` workload
+/// family — (config × fault plan × schedule seed), two schedule seeds per
+/// (config, plan) pair — every one oracle-checked in Strict mode and
+/// result-checked against the sequential reference.
 #[test]
-fn randdag_campaign_two_hundred_runs_both_pop_orders() {
-    // Shapes chosen to hit the structural extremes: near-serial,
-    // bushy-sparse, dense, wide-shallow, and tall-narrow.
-    let configs: Vec<DagGenConfig> = [
-        (3usize, 2usize, 0.5f64, 0.5f64),
-        (6, 4, 0.15, 0.3),
-        (4, 4, 0.8, 0.7),
-        (2, 6, 0.4, 0.2),
-        (10, 2, 0.3, 1.0),
-    ]
-    .iter()
-    .enumerate()
-    .map(|(i, &(layers, width, p, ratio))| {
-        let mut cfg = DagGenConfig::new(layers, width, p, 0xDA6_5EED + i as u64 * 131);
-        cfg.critical_ratio = ratio;
-        cfg.wcet_max = 8;
-        cfg
-    })
-    .collect();
-    const ROUNDS_PER_CONFIG: u64 = 20;
-
+fn randdag_campaign_two_hundred_runs() {
     let mut runs = 0u64;
-    for (ci, cfg) in configs.iter().enumerate() {
+    for (ci, cfg) in randdag_configs().iter().enumerate() {
         let reference = {
             let dag = RandDag::generate(cfg.clone());
             seq::run(&dag).unwrap();
@@ -140,34 +161,25 @@ fn randdag_campaign_two_hundred_runs_both_pop_orders() {
                 .collect::<HashMap<Key, u64>>()
         };
         for round in 0..ROUNDS_PER_CONFIG {
-            for use_priority in [false, true] {
-                let dag = Arc::new(RandDag::generate(cfg.clone()));
+            for odd in [false, true] {
+                let (dag, plan, schedule_seed) = randdag_triple(ci, cfg, round, odd);
                 let keys = dag.all_keys();
-                let phase = phase_of(round);
-                // 0%, 25%, 50%, 75% of the tasks fail this round.
-                let count = (round as usize % 4) * keys.len() / 4;
-                let plan_seed = round.wrapping_mul(2027) + ci as u64;
-                let plan = Arc::new(FaultPlan::sample(&keys, count, phase, plan_seed));
-                let schedule_seed = ((ci as u64) << 32) | (round << 1) | use_priority as u64;
-                let mode = if use_priority { "prio" } else { "fifo" };
-                let label = format!("randdag-cfg{ci}-round{round}-{phase:?}-{mode}");
+                let label = format!(
+                    "randdag-cfg{ci}-round{round}-{:?}-seed{}",
+                    phase_of(round),
+                    odd as u8
+                );
 
-                let monitor = Arc::new(DeadlineMonitor::new());
-                let opts = SchedOpts {
-                    priority: use_priority.then(|| dag.priority_fn()),
-                    deadline: Some(Arc::clone(&monitor)),
-                };
-                let (_, trace, report) = det_traced_run_opts(
+                let (_, trace, report) = det_traced_run(
                     Arc::clone(&dag) as Arc<dyn TaskGraph>,
                     Arc::clone(&plan),
                     schedule_seed,
-                    opts,
                 );
                 assert!(report.sink_completed, "{label}: sink must complete");
                 assert_eq!(
-                    monitor.len(),
-                    dag.task_count(),
-                    "{label}: every task records exactly one first completion"
+                    report.distinct_tasks_executed,
+                    dag.task_count() as u64,
+                    "{label}: every task completes"
                 );
                 let dag2 = Arc::clone(&dag);
                 let extra = check_result_equivalence(
@@ -192,77 +204,55 @@ fn randdag_campaign_two_hundred_runs_both_pop_orders() {
     assert!(runs >= 200, "campaign must cover >= 200 runs, got {runs}");
 }
 
-/// Mutation test (acceptance criterion): invert the priority comparator —
-/// boost exactly the *non*-critical tasks — and verify the deadline
-/// metric regresses while G1–G6 still hold. On the deterministic pool the
-/// metric is `DeadlineMonitor::mean_seq` over the Hard tasks (their mean
-/// completion index): a pure function of the schedule seed, so the
-/// comparison is noise-free. The intact priority function must place Hard
-/// tasks strictly earlier on average than the inverted one; correctness
-/// guarantees must be indifferent to the pop order either way.
+/// 64-bit FNV-1a of `bytes`, continuing from `h`.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Fold every event of `trace`, in emission order, into `h`.
+fn fold_trace(h: u64, trace: &Trace) -> u64 {
+    trace.events().iter().fold(h, |h, te| {
+        fnv1a(fnv1a(h, format!("{:?}", te.event).as_bytes()), b"\n")
+    })
+}
+
+/// `DetPool` schedules are pinned: one FNV-1a digest over the traces of
+/// the headline campaign's 210 triples and the random-DAG campaign's 100
+/// even-seed triples. Any change to the executor's pick sequence, the
+/// engine's spawn order or the generated graphs moves it.
+///
+/// If a change moves `PINNED` on purpose, recompute it (the assertion
+/// prints the new value) and justify the new schedules in CHANGES.md.
 #[test]
-fn inverted_priority_regresses_deadline_metric_but_not_guarantees() {
-    let mut cfg = DagGenConfig::new(8, 5, 0.12, 0x1BAD_C0DE);
-    cfg.critical_ratio = 0.3;
-    cfg.wcet_max = 8;
-    const SEEDS: u64 = 32;
-
-    let run_with = |prio_fn: nabbit_ft::scheduler::PriorityFn, seed: u64, label: &str| -> f64 {
-        let dag = Arc::new(RandDag::generate(cfg.clone()));
-        let keys = dag.all_keys();
-        let plan = Arc::new(FaultPlan::sample(&keys, 3, Phase::AfterCompute, seed));
-        let monitor = Arc::new(DeadlineMonitor::new());
-        let opts = SchedOpts {
-            priority: Some(prio_fn),
-            deadline: Some(Arc::clone(&monitor)),
-        };
-        let (_, trace, report) = det_traced_run_opts(
-            Arc::clone(&dag) as Arc<dyn TaskGraph>,
-            Arc::clone(&plan),
-            seed,
-            opts,
-        );
-        assert!(report.sink_completed, "{label} seed {seed}");
-        assert_oracle_clean(
-            label,
-            seed,
-            &plan,
-            dag.as_ref(),
-            &trace,
-            &report,
-            OracleMode::Strict,
-            Vec::new(),
-        );
-        monitor.mean_seq(&dag.hard_tasks())
+fn det_schedules_are_pinned() {
+    const PINNED: u64 = 0x8fab_fe92_3e2a_5e99;
+    let run = |h: u64, graph: Arc<dyn TaskGraph>, plan: Arc<FaultPlan>, seed: u64| {
+        let (_, trace, report) = det_traced_run(graph, plan, seed);
+        assert!(report.sink_completed, "seed {seed:#x}: sink must complete");
+        fold_trace(h, &trace)
     };
-
-    let probe = RandDag::generate(cfg.clone());
-    assert!(
-        !probe.hard_tasks().is_empty() && probe.critical_tasks().len() < probe.task_count() - 1,
-        "config must leave both critical and non-critical tasks to reorder"
-    );
-
-    let mut good_total = 0.0f64;
-    let mut bad_total = 0.0f64;
-    for seed in 0..SEEDS {
-        let dag = RandDag::generate(cfg.clone());
-        good_total += run_with(dag.priority_fn(), seed, "prio-mutation-good");
-        // The broken comparator: exactly inverted — critical tasks wait
-        // behind everything else.
-        let correct = dag.priority_fn();
-        let inverted: nabbit_ft::scheduler::PriorityFn = Arc::new(move |k| match correct(k) {
-            Priority::High => Priority::Normal,
-            Priority::Normal => Priority::High,
-        });
-        bad_total += run_with(inverted, seed, "prio-mutation-inverted");
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut triples = 0;
+    for si in 0..SHAPES.len() {
+        for round in 0..ROUNDS_PER_SHAPE {
+            let (dag, plan, seed) = shape_triple(si, round);
+            h = run(h, dag, plan, seed);
+            triples += 1;
+        }
     }
-    let good_mean = good_total / SEEDS as f64;
-    let bad_mean = bad_total / SEEDS as f64;
-    assert!(
-        good_mean < bad_mean,
-        "inverted priority must regress the mean Hard-task completion index: \
-         intact {good_mean:.2} vs inverted {bad_mean:.2} — if this fails, the \
-         deadline metric cannot detect a broken comparator"
+    for (ci, cfg) in randdag_configs().iter().enumerate() {
+        for round in 0..ROUNDS_PER_CONFIG {
+            let (dag, plan, seed) = randdag_triple(ci, cfg, round, false);
+            h = run(h, dag, plan, seed);
+            triples += 1;
+        }
+    }
+    assert_eq!(triples, 310);
+    assert_eq!(
+        h, PINNED,
+        "DetPool schedules moved: digest is now {h:#018x}"
     );
 }
 

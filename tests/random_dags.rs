@@ -4,34 +4,29 @@
 //!
 //! The DAGs come from the seeded generator in `ft_bench::dag_gen`
 //! ([`RandDag`]): the proptest strategy draws the generator's *config*
-//! (layer count, max width, edge probability, critical ratio, structure
-//! seed) rather than an ad-hoc shape, so every sampled case is a member of
-//! the same workload family the benchmarks and campaigns use, and a
-//! failing case shrinks toward a small config instead of a raw adjacency
-//! list.
+//! (layer count, max width, edge probability, structure seed) rather than
+//! an ad-hoc shape, so every sampled case is a member of the same workload
+//! family the deterministic campaigns use, and a failing case shrinks
+//! toward a small config instead of a raw adjacency list.
 //!
 //! For arbitrary DAG shapes and arbitrary fault injections, the
 //! fault-tolerant scheduler must (P1/Theorem 1) produce exactly the values
 //! a sequential execution produces, (P2/Guarantee 1) recover each failure
-//! at most once, and (P4/Lemma 3) always complete — under **both** pop
-//! orders: plain FIFO and the PR-6 priority mode (critical tasks in the
-//! hot lane). Since PR 8 the engine executes single-ready-successor
-//! chains inline (continuation passing instead of a spawn), so every
-//! sampled case also exercises the inline-chain delivery path — narrow
-//! configs (`max_width = 1`) are pure chains that run entirely inline in
-//! FIFO mode and re-enter the queue at priority boundaries in priority
-//! mode. Every run is recorded and replayed through the guarantee
-//! oracle; *any* failed property — an oracle violation, a wrong value, a
+//! at most once, and (P4/Lemma 3) always complete. The engine executes
+//! single-ready-successor chains inline (continuation passing instead of
+//! a spawn), so every sampled case also exercises the inline-chain
+//! delivery path — narrow configs (`max_width = 1`) are pure chains that
+//! run entirely inline. Every run is recorded and replayed through the
+//! guarantee oracle; *any* failed property — an oracle violation, a wrong value, a
 //! missing completion — dumps the trace and fault plan as JSON under
 //! `target/oracle-failures/` (completion and coverage checks are routed
 //! through the same dump as the G1–G6 checks, not bare asserts).
 
 use ft_bench::dag_gen::{DagGenConfig, RandDag};
-use ft_integration::{assert_oracle_clean, traced_run_on_opts};
+use ft_integration::{assert_oracle_clean, traced_run_on};
 use ft_steal::pool::{Pool, PoolConfig};
 use nabbit_ft::graph::{Key, TaskGraph};
 use nabbit_ft::inject::{FaultPlan, FaultSite, Phase};
-use nabbit_ft::scheduler::SchedOpts;
 use nabbit_ft::seq;
 use nabbit_ft::trace::oracle::{check_result_equivalence, OracleMode, Violation};
 use proptest::prelude::*;
@@ -69,24 +64,14 @@ fn any_phase() -> impl Strategy<Value = Phase> {
     ]
 }
 
-/// Strategy over generator configs: layer count, width, edge probability,
-/// critical ratio, and structure seed are all drawn independently. WCETs
-/// stay small and `work_unit` is 0 — these tests exercise correctness,
-/// not timing.
+/// Strategy over generator configs: layer count, width, edge probability
+/// and structure seed are all drawn independently.
 fn dag_config() -> impl Strategy<Value = DagGenConfig> {
-    (
-        2usize..7,
-        1usize..6,
-        0.05f64..0.9,
-        0.0f64..1.0,
-        any::<u64>(),
+    (2usize..7, 1usize..6, 0.05f64..0.9, any::<u64>()).prop_map(
+        |(layers, max_width, edge_prob, seed)| {
+            DagGenConfig::new(layers, max_width, edge_prob, seed)
+        },
     )
-        .prop_map(|(layers, max_width, edge_prob, critical_ratio, seed)| {
-            let mut cfg = DagGenConfig::new(layers, max_width, edge_prob, seed);
-            cfg.critical_ratio = critical_ratio;
-            cfg.wcet_max = 8;
-            cfg
-        })
 }
 
 /// Joint strategy: sample a generator config, then sample fault sites
@@ -111,25 +96,20 @@ fn dag_with_faults(max_fires: u64) -> impl Strategy<Value = DagCase> {
     })
 }
 
-/// Run one sampled (config, fault plan) instance on the shared pool under
-/// the given pop order, check the trace with the oracle, and return the
-/// DAG for extra per-test assertions. Completion and execution-coverage
+/// Run one sampled (config, fault plan) instance on the shared pool, check
+/// the trace with the oracle, and return the DAG for extra per-test
+/// assertions. Completion and execution-coverage
 /// failures are reported as extra `Violation`s so they reach the same
 /// `target/oracle-failures/` dump as G1–G6.
-fn run_and_check(case: &DagCase, label: &str, priority: bool) -> Arc<RandDag> {
+fn run_and_check(case: &DagCase, label: &str) -> Arc<RandDag> {
     let reference = sequential_values(&case.cfg);
     let dag = Arc::new(RandDag::generate(case.cfg.clone()));
     let keys = dag.all_keys();
     let plan = Arc::new(FaultPlan::new(case.sites.iter().copied()));
-    let opts = SchedOpts {
-        priority: priority.then(|| dag.priority_fn()),
-        deadline: None,
-    };
-    let (_, trace, report) = traced_run_on_opts(
+    let (_, trace, report) = traced_run_on(
         Arc::clone(&dag) as Arc<dyn TaskGraph>,
         Arc::clone(&plan),
         shared_pool(),
-        opts,
     );
     let dag2 = Arc::clone(&dag);
     let mut extra =
@@ -171,46 +151,31 @@ proptest! {
 
     #[test]
     fn random_dag_random_faults_same_result(case in dag_with_faults(1)) {
-        run_and_check(&case, "random-dag-single-fire-fifo", false);
-        run_and_check(&case, "random-dag-single-fire-prio", true);
+        run_and_check(&case, "random-dag-single-fire");
     }
 
     #[test]
     fn random_dag_multi_fire_faults_same_result(case in dag_with_faults(3)) {
         // fires ∈ 1..=3 exercises Guarantee 6's recursive recovery: a
         // recovered incarnation can itself fail and must be recovered at a
-        // strictly larger life. Both pop orders must uphold it — the
-        // recovered incarnation respawns at its key's priority.
-        run_and_check(&case, "random-dag-multi-fire-fifo", false);
-        run_and_check(&case, "random-dag-multi-fire-prio", true);
+        // strictly larger life.
+        run_and_check(&case, "random-dag-multi-fire");
     }
 
     #[test]
     fn random_dag_fault_free_executes_each_task_once(cfg in dag_config()) {
         let case = DagCase { cfg, sites: vec![] };
-        for (label, priority) in [
-            ("random-dag-fault-free-fifo", false),
-            ("random-dag-fault-free-prio", true),
-        ] {
-            let dag = run_and_check(&case, label, priority);
-            let plan = Arc::new(FaultPlan::none());
-            let opts = SchedOpts {
-                priority: priority.then(|| dag.priority_fn()),
-                deadline: None,
-            };
-            let (_, _, report) = traced_run_on_opts(
-                Arc::clone(&dag) as Arc<dyn TaskGraph>,
-                plan,
-                shared_pool(),
-                opts,
-            );
-            // Second, fault-free pass over an already-complete graph
-            // object: fresh scheduler, so every task recomputes exactly
-            // once (P6).
-            prop_assert!(report.sink_completed, "{}", label);
-            prop_assert_eq!(report.computes as usize, dag.task_count(), "P6 {}", label);
-            prop_assert_eq!(report.re_executions, 0);
-            prop_assert_eq!(report.recoveries, 0);
-        }
+        let dag = run_and_check(&case, "random-dag-fault-free");
+        let (_, _, report) = traced_run_on(
+            Arc::clone(&dag) as Arc<dyn TaskGraph>,
+            Arc::new(FaultPlan::none()),
+            shared_pool(),
+        );
+        // Second, fault-free pass over an already-complete graph object:
+        // fresh scheduler, so every task recomputes exactly once (P6).
+        prop_assert!(report.sink_completed);
+        prop_assert_eq!(report.computes as usize, dag.task_count(), "P6");
+        prop_assert_eq!(report.re_executions, 0);
+        prop_assert_eq!(report.recoveries, 0);
     }
 }

@@ -11,12 +11,11 @@ use ft_apps::sw::Sw;
 use ft_apps::{AppConfig, BenchApp, VersionClass};
 use ft_bench::dag_gen::{DagGenConfig, RandDag};
 use ft_integration::graphs::Chain;
-use ft_integration::{assert_oracle_clean, traced_run_on, traced_run_on_opts};
+use ft_integration::{assert_oracle_clean, traced_run_on};
 use ft_steal::pool::{Pool, PoolConfig};
 use nabbit_ft::fault::Fault;
 use nabbit_ft::graph::{ComputeCtx, Key, TaskGraph};
 use nabbit_ft::inject::{FaultPlan, FaultSite, Phase};
-use nabbit_ft::scheduler::SchedOpts;
 use nabbit_ft::trace::oracle::OracleMode;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -39,21 +38,8 @@ fn checked_run(
     plan: Arc<FaultPlan>,
     threads: usize,
 ) -> nabbit_ft::metrics::RunReport {
-    checked_run_opts(label, graph, plan, threads, SchedOpts::default())
-}
-
-/// [`checked_run`] under explicit scheduler options (priority pop order);
-/// random-DAG failures dump to `target/oracle-failures/` exactly like the
-/// regular-kernel stress runs.
-fn checked_run_opts(
-    label: &str,
-    graph: Arc<dyn TaskGraph>,
-    plan: Arc<FaultPlan>,
-    threads: usize,
-    opts: SchedOpts,
-) -> nabbit_ft::metrics::RunReport {
     let pool = Pool::new(PoolConfig::with_threads(threads));
-    let (_, trace, report) = traced_run_on_opts(Arc::clone(&graph), Arc::clone(&plan), &pool, opts);
+    let (_, trace, report) = traced_run_on(Arc::clone(&graph), Arc::clone(&plan), &pool);
     assert_oracle_clean(
         label,
         0,
@@ -196,50 +182,35 @@ fn wide_star_graph_with_faulty_center() {
 }
 
 #[test]
-fn large_random_dag_dense_faults_both_pop_orders() {
+fn large_random_dag_dense_faults() {
     // A big irregular member of the dag_gen family under dense multi-fire
-    // faults, on a real pool under both pop orders. Unlike the regular
-    // kernels there is no lattice structure for bugs to hide behind —
-    // fan-in/fan-out, long-range edges, and the priority hot lane all
-    // churn at once, and any oracle violation dumps like the rest.
+    // faults, on a real pool. Unlike the regular kernels there is no
+    // lattice structure for bugs to hide behind — fan-in/fan-out and
+    // long-range edges churn at once, and any oracle violation dumps like
+    // the rest.
     watchdog(240, || {
-        let mut cfg = DagGenConfig::new(30, 12, 0.25, 0x57E5);
-        cfg.critical_ratio = 0.4;
-        for use_priority in [false, true] {
-            let dag = Arc::new(RandDag::generate(cfg.clone()));
-            let keys = dag.all_keys();
-            let mut sites: Vec<FaultSite> = keys
-                .iter()
-                .step_by(3)
-                .map(|&k| FaultSite::once(k, Phase::AfterCompute))
-                .collect();
-            // Every 10th site fires three times: recursive recovery under
-            // load.
-            for site in sites.iter_mut().step_by(10) {
-                site.fires = 3;
-            }
-            let plan = Arc::new(FaultPlan::new(sites));
-            let opts = SchedOpts {
-                priority: use_priority.then(|| dag.priority_fn()),
-                deadline: None,
-            };
-            let mode = if use_priority { "prio" } else { "fifo" };
-            let report = checked_run_opts(
-                &format!("stress-randdag-dense-{mode}"),
-                Arc::clone(&dag) as _,
-                plan,
-                8,
-                opts,
-            );
-            assert!(report.sink_completed, "{mode}");
-            assert!(report.injected > 0, "{mode}");
-            // Fresh instance + seq reference: values must match despite
-            // the fault storm.
-            let reference = RandDag::generate(cfg.clone());
-            nabbit_ft::seq::run(&reference).unwrap();
-            for k in dag.all_keys() {
-                assert_eq!(dag.value_of(k), reference.value_of(k), "{mode} task {k}");
-            }
+        let cfg = DagGenConfig::new(30, 12, 0.25, 0x57E5);
+        let dag = Arc::new(RandDag::generate(cfg.clone()));
+        let keys = dag.all_keys();
+        let mut sites: Vec<FaultSite> = keys
+            .iter()
+            .step_by(3)
+            .map(|&k| FaultSite::once(k, Phase::AfterCompute))
+            .collect();
+        // Every 10th site fires three times: recursive recovery under load.
+        for site in sites.iter_mut().step_by(10) {
+            site.fires = 3;
+        }
+        let plan = Arc::new(FaultPlan::new(sites));
+        let report = checked_run("stress-randdag-dense", Arc::clone(&dag) as _, plan, 8);
+        assert!(report.sink_completed);
+        assert!(report.injected > 0);
+        // Fresh instance + seq reference: values must match despite the
+        // fault storm.
+        let reference = RandDag::generate(cfg);
+        nabbit_ft::seq::run(&reference).unwrap();
+        for k in dag.all_keys() {
+            assert_eq!(dag.value_of(k), reference.value_of(k), "task {k}");
         }
     });
 }
