@@ -8,16 +8,37 @@
 //!
 //! The vector has one bit per predecessor **plus one for the task itself**:
 //! `InitAndCompute` ends with a self-notification (`NotifyOnce(A, key, key)`)
-//! so the join counter starts at `|in(A)| + 1`; the self bit keeps that
-//! decrement exactly-once too (a reset node re-traverses and re-self-
-//! notifies).
+//! whose bit keeps the task from becoming ready before its traversal is
+//! done, and keeps that notification exactly-once too (a reset node
+//! re-traverses and re-self-notifies).
 //!
 //! The first word is stored **inline**: every task with ≤ 63 predecessors
 //! (all the paper's kernels, and any realistic fan-in) pays zero heap
 //! allocations for its bit vector; wider vectors spill the remaining words
 //! into a boxed slice.
+//!
+//! The fault-tolerant join counter counts the vector's **non-empty words**
+//! rather than its set bits: [`AtomicBitVec::clear`] reports whether it
+//! emptied its word, and only that clear decrements the counter. A
+//! consumed notification is then one `fetch_and`, plus one `fetch_sub` per
+//! word instead of per bit.
 
 use ft_sync::atomic::{AtomicU64, Ordering};
+
+/// What [`AtomicBitVec::clear`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Clear {
+    /// The bit was already clear: a duplicate. `word_empty` says whether
+    /// its word held no set bit either.
+    AlreadyClear {
+        /// No bit of the word was set.
+        word_empty: bool,
+    },
+    /// Cleared the bit; other bits of its word are still set.
+    Cleared,
+    /// Cleared the last set bit of its word.
+    Emptied,
+}
 
 /// A fixed-width vector of atomically clearable bits.
 pub struct AtomicBitVec {
@@ -66,8 +87,9 @@ impl AtomicBitVec {
         }
     }
 
-    /// Number of words (inline + spill).
-    fn nwords(&self) -> usize {
+    /// Number of words (inline + spill): the fault-tolerant join counter's
+    /// initial value.
+    pub fn words(&self) -> usize {
         1 + self.spill.len()
     }
 
@@ -81,16 +103,32 @@ impl AtomicBitVec {
         self.len == 0
     }
 
-    /// `AtomicBitUnset`: clear bit `i`. Returns `true` iff the bit was set
-    /// (i.e. this caller won the right to decrement the join counter).
-    pub fn unset(&self, i: usize) -> bool {
+    /// `AtomicBitUnset`: clear bit `i`, reporting whether it was set and
+    /// whether this clear emptied its word.
+    pub fn clear(&self, i: usize) -> Clear {
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
         let mask = 1u64 << (i % 64);
-        // ord: AcqRel — winning the unset must both observe the reset
-        // that set the bit (Acquire) and order the caller's subsequent
-        // join decrement after it (Release).
+        // ord: AcqRel — the clear that empties a word must observe every
+        // earlier clear of that word (Acquire), whose notifiers' writes the
+        // task's compute reads, and each clear must publish its notifier's
+        // writes to it (Release); the winner's reset that set the bit is
+        // acquired the same way.
         let prev = self.word(i / 64).fetch_and(!mask, Ordering::AcqRel);
-        prev & mask != 0
+        if prev & mask == 0 {
+            Clear::AlreadyClear {
+                word_empty: prev == 0,
+            }
+        } else if prev == mask {
+            Clear::Emptied
+        } else {
+            Clear::Cleared
+        }
+    }
+
+    /// Clear bit `i`. Returns `true` iff the bit was set (i.e. this caller
+    /// consumed the notification it stands for).
+    pub fn unset(&self, i: usize) -> bool {
+        !matches!(self.clear(i), Clear::AlreadyClear { .. })
     }
 
     /// Read bit `i` (used by `ReinitNotifyEntry`: "if S.bitVector\[ind\]==1").
@@ -103,7 +141,7 @@ impl AtomicBitVec {
 
     /// `SetAllBits`: restore every bit to 1 (used by `ResetNode`).
     pub fn set_all(&self) {
-        for w in 0..self.nwords() {
+        for w in 0..self.words() {
             // ord: Release — publishes the reset to get()'s Acquire
             // loads before the node is re-armed.
             self.word(w)
@@ -113,7 +151,7 @@ impl AtomicBitVec {
 
     /// Number of set bits (diagnostics).
     pub fn count_set(&self) -> usize {
-        (0..self.nwords())
+        (0..self.words())
             // ord: Acquire — diagnostics read the freshest published words.
             .map(|w| self.word(w).load(Ordering::Acquire).count_ones() as usize)
             .sum()
@@ -175,6 +213,22 @@ mod tests {
     fn out_of_range_panics() {
         let v = AtomicBitVec::new_all_set(4);
         v.unset(4);
+    }
+
+    #[test]
+    fn clear_reports_the_emptied_word() {
+        let v = AtomicBitVec::new_all_set(66);
+        assert_eq!(v.words(), 2);
+        assert_eq!(v.clear(64), Clear::Cleared);
+        assert_eq!(v.clear(64), Clear::AlreadyClear { word_empty: false });
+        assert_eq!(v.clear(65), Clear::Emptied);
+        assert_eq!(v.clear(65), Clear::AlreadyClear { word_empty: true });
+        for i in 0..63 {
+            assert_eq!(v.clear(i), Clear::Cleared, "bit {i}");
+        }
+        assert_eq!(v.clear(63), Clear::Emptied);
+        assert_eq!(AtomicBitVec::new_all_set(1).clear(0), Clear::Emptied);
+        assert_eq!(AtomicBitVec::new_all_set(64).words(), 1);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! has no recovery path.
 
 use super::engine::{Engine, FtPolicy};
+use crate::bitvec::Clear;
 use crate::fault::Fault;
 use crate::graph::{Key, TaskGraph};
 use crate::inject::Phase;
@@ -53,16 +54,18 @@ impl FtPolicy for NoFt {
         Ok(())
     }
 
+    /// Every notification is a join unit of its own.
     #[inline]
     fn consume_notification(
         _engine: &Engine<Self>,
         _a: &BaseDesc,
         _key: Key,
         _pkey: Key,
+        _ind: Option<usize>,
         _life: u64,
         _worker: Option<usize>,
-    ) -> Result<bool, Infallible> {
-        Ok(true)
+    ) -> Result<Clear, Infallible> {
+        Ok(Clear::Emptied)
     }
 
     #[inline]

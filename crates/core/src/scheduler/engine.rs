@@ -26,9 +26,11 @@
 //!
 //! Task keys and life numbers are threaded through the call stack as
 //! explicit parameters rather than read back from (possibly corrupt)
-//! descriptors, and each traversal step is a work-stealing job ("the
+//! descriptors. A work-stealing job is one task, not one edge: a task's
+//! `InitAndCompute` visits its predecessors inline, and every predecessor
+//! that visit creates gets an `InitAndCompute` job of its own, so "the
 //! creation and computation of the predecessors of a given task are
-//! concurrent and can be executed by different threads"). Each job asks
+//! concurrent and can be executed by different threads". Each job asks
 //! the executor for its worker index once, when it starts, and threads it
 //! through every step and into the policy, so trace shards and sharded
 //! metrics lanes are selected by worker identity instead of contending
@@ -63,6 +65,7 @@
 //! worker used to write twice per job (see `docs/ALGORITHM.md`,
 //! "Completion groups").
 
+use crate::bitvec::Clear;
 use crate::fault::Fault;
 use crate::graph::{ComputeCtx, Key, TaskGraph};
 use crate::inject::Phase;
@@ -115,7 +118,8 @@ pub trait Descriptor: Send + Sync + 'static {
     fn life(&self) -> u64;
     /// Ordered immediate predecessor keys, cached at creation (`Init(A)`).
     fn preds(&self) -> &[Key];
-    /// Join counter (`|preds| + 1`; the +1 is the self-notification).
+    /// Join counter: outstanding units of notification (see
+    /// [`FtPolicy::consume_notification`]); the task is ready at zero.
     fn join(&self) -> &AtomicI64;
     /// Lock-free successor notification cells (PR 9): slots claimed by
     /// registrants, scanned by this task's completion drain.
@@ -158,17 +162,25 @@ pub trait FtPolicy: Send + Sync + Sized + 'static {
     /// descriptor or `if (B.overwritten) throw`.
     fn check_dependable(b: &Self::Desc) -> Result<(), Self::Err>;
 
-    /// `NotifyOnce`'s gate: should this notification decrement the join
-    /// counter? The FT policy unsets the bit for `pkey` and absorbs
-    /// duplicates (Guarantee 3); the baseline always says yes.
+    /// `NotifyOnce`'s gate: consume the notification from `pkey`, whose
+    /// bit index is `ind` when the caller already knows it (`None` makes
+    /// the policy look it up — `ConvertPredKeyToIndex`).
+    ///
+    /// The join counter counts *units*, and only the notification that
+    /// empties a unit decrements it ([`Clear::Emptied`]). The FT policy's
+    /// units are non-empty bit-vector words: it clears `pkey`'s bit,
+    /// reports a duplicate as [`Clear::AlreadyClear`] (Guarantee 3) and a
+    /// bit whose word still has others set as [`Clear::Cleared`]. Every
+    /// baseline notification is a unit of its own.
     fn consume_notification(
         engine: &Engine<Self>,
         a: &Self::Desc,
         key: Key,
         pkey: Key,
+        ind: Option<usize>,
         life: u64,
         worker: Option<usize>,
-    ) -> Result<bool, Self::Err>;
+    ) -> Result<Clear, Self::Err>;
 
     /// Whether a negative join counter is tolerated (only under the
     /// FT policy's mutation-testing sabotage switches).
@@ -176,7 +188,7 @@ pub trait FtPolicy: Send + Sync + Sized + 'static {
 
     /// Mutation-test switch: when true, the inline-chain notify path
     /// skips [`FtPolicy::consume_notification`] and decrements the join
-    /// counter unconditionally — a deliberately broken inline shortcut
+    /// counter on every notification — a deliberately broken inline shortcut
     /// (exactly the bug a careless chain implementation would have) that
     /// the G1–G6 trace oracle must flag. Default: off, i.e. correct.
     fn sabotage_chain(&self) -> bool {
@@ -406,8 +418,10 @@ impl<P: FtPolicy> Engine<P> {
         })
     }
 
-    /// `InitAndCompute(A, key, life)`: traverse immediate predecessors,
-    /// then self-notify (consuming the `+1` in the join counter).
+    /// `InitAndCompute(A, key, life)`: visit every immediate predecessor
+    /// in this job (`TryInitCompute` is the loop body), then self-notify
+    /// (consuming the self bit, which keeps A from becoming ready while
+    /// the loop still runs).
     pub(super) fn init_and_compute(
         &self,
         s: &Scope<'_>,
@@ -417,22 +431,26 @@ impl<P: FtPolicy> Engine<P> {
         life: u64,
     ) {
         // Iterate the cached predecessor slice by reference: the hot path
-        // allocates nothing per traversal.
-        for &pkey in a.preds() {
-            self.spawn_job(s, move |this, s, w| {
-                this.try_init_compute(s, w, a, key, life, pkey)
-            });
+        // allocates nothing per traversal. The loop position is the
+        // predecessor's bit index.
+        let preds = a.preds();
+        for (ind, &pkey) in preds.iter().enumerate() {
+            self.try_init_compute(s, w, a, key, life, pkey, ind);
         }
         // Section VI "before compute" injection point: the task "has
         // traversed its predecessors and is waiting for one or more
         // notifications to be scheduled for execution".
         P::probe(self, &a, key, Phase::BeforeCompute, w);
-        self.notify_once(s, w, a, key, key, life);
+        self.notify_once(s, w, a, key, key, Some(preds.len()), life);
     }
 
     /// `TryInitCompute(A, key, life, pkey)`: create/visit predecessor
-    /// `pkey`; register A for notification or observe completion.
-    pub(super) fn try_init_compute(
+    /// `pkey` (A's `ind`-th); register A for notification or observe
+    /// completion. Only a predecessor this call inserts gets a job of its
+    /// own — its `InitAndCompute` — so discovery stays parallel and
+    /// stealable while an edge costs no job.
+    #[allow(clippy::too_many_arguments)]
+    fn try_init_compute(
         &self,
         s: &Scope<'_>,
         w: Option<usize>,
@@ -440,6 +458,7 @@ impl<P: FtPolicy> Engine<P> {
         key: Key,
         life: u64,
         pkey: Key,
+        ind: usize,
     ) {
         let inserted = self.insert_if_absent(pkey, w);
         let Some((b, blife)) = self.get_task(pkey) else {
@@ -459,7 +478,7 @@ impl<P: FtPolicy> Engine<P> {
         })();
 
         match attempt {
-            Ok(true) => self.notify_once(s, w, a, key, pkey, life),
+            Ok(true) => self.notify_once(s, w, a, key, pkey, Some(ind), life),
             Ok(false) => {}
             // catch { RecoverTaskOnce(pkey, blife) }. A's published cell
             // (if the claim got that far) is inert on the corrupt
@@ -507,9 +526,11 @@ impl<P: FtPolicy> Engine<P> {
     }
 
     /// The gate of `NotifyOnce(A, key, pkey, life)`: consume the
-    /// notification and decrement the join counter. Returns `true` iff the
+    /// notification (`ind` is `pkey`'s bit index, if known) and, when it
+    /// empties a unit, decrement the join counter. Returns `true` iff the
     /// counter hit zero — the caller owns A's compute. Guard faults are
     /// handled here (`RecoverTaskOnce`), reported as not-ready.
+    #[allow(clippy::too_many_arguments)]
     fn notify_gate(
         &self,
         s: &Scope<'_>,
@@ -517,11 +538,13 @@ impl<P: FtPolicy> Engine<P> {
         a: ArenaRef<P::Desc>,
         key: Key,
         pkey: Key,
+        ind: Option<usize>,
         life: u64,
     ) -> bool {
         let attempt: Result<bool, P::Err> = (|| {
             P::check(&a)?;
-            if !P::consume_notification(self, &a, key, pkey, life, worker)? {
+            let cleared = P::consume_notification(self, &a, key, pkey, ind, life, worker)?;
+            if let Clear::AlreadyClear { .. } = cleared {
                 return Ok(false);
             }
             self.metrics.notifications.add(worker);
@@ -533,6 +556,10 @@ impl<P: FtPolicy> Engine<P> {
                     pred: pkey,
                 },
             );
+            if cleared == Clear::Cleared {
+                // Other notifications of the same unit are outstanding.
+                return Ok(false);
+            }
             // ord: AcqRel — the decrement that releases this task's
             // contribution must publish its compute (Release) and the
             // winner that observes zero must see every predecessor's
@@ -554,8 +581,9 @@ impl<P: FtPolicy> Engine<P> {
         }
     }
 
-    /// `NotifyOnce(A, key, pkey, life)`: decrement the join counter (if the
-    /// policy's gate consumes the notification); execute A at zero.
+    /// `NotifyOnce(A, key, pkey, life)`: consume the notification through
+    /// the policy's gate; execute A once its join counter hits zero.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn notify_once(
         &self,
         s: &Scope<'_>,
@@ -563,9 +591,10 @@ impl<P: FtPolicy> Engine<P> {
         a: ArenaRef<P::Desc>,
         key: Key,
         pkey: Key,
+        ind: Option<usize>,
         life: u64,
     ) {
-        if self.notify_gate(s, w, a, key, pkey, life) {
+        if self.notify_gate(s, w, a, key, pkey, ind, life) {
             self.compute_and_notify(s, w, a, key, life);
         }
     }
@@ -703,11 +732,13 @@ impl<P: FtPolicy> Engine<P> {
                     pred: key,
                 },
             );
-            // ord: AcqRel — same join-counter contract as above: the
+            // ord: AcqRel — same join-counter contract as the gate: the
             // observer of zero acquires every predecessor's compute.
             sd.join().fetch_sub(1, Ordering::AcqRel) - 1 == 0
         } else {
-            self.notify_gate(s, worker, sd, skey, key, slife)
+            // The drainer knows only its own key: the policy looks up
+            // the bit index.
+            self.notify_gate(s, worker, sd, skey, key, None, slife)
         };
         if !ready {
             return;

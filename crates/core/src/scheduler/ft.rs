@@ -18,6 +18,7 @@
 //! [`FaultPlan`].
 
 use super::engine::{Engine, FtPolicy};
+use crate::bitvec::Clear;
 use crate::fault::{Fault, FaultKind};
 use crate::graph::{Key, TaskGraph};
 use crate::inject::{FaultPlan, Phase};
@@ -27,20 +28,21 @@ use ft_cmap::ShardedMap;
 use ft_steal::arena::ArenaRef;
 use ft_steal::pool::Scope;
 use ft_sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The selective localized-recovery policy: guarded accesses, bit-vector
 /// notification gating, fault-injection probes, Figure-3 recovery.
 pub struct FtRecovery {
     /// The recovery table `R`: key → most recent life whose recovery has
-    /// been initiated.
-    pub(super) rtable: ShardedMap<u64>,
+    /// been initiated. Built by the first `IsRecovering`, so a fault-free
+    /// run never pays for it.
+    pub(super) rtable: OnceLock<ShardedMap<u64>>,
     pub(super) plan: Arc<FaultPlan>,
     pub(super) trace: Option<Arc<Trace>>,
-    /// Mutation-testing switch: when set, `notify_once` ignores the bit
-    /// vector and decrements the join counter on every notification —
-    /// reintroducing exactly the duplicate-decrement bug Guarantee 3's bit
-    /// vector exists to prevent. Tests flip it to prove the trace oracle
+    /// Mutation-testing switch: when set, `notify_once` consumes a
+    /// duplicate notification as if its bit had been set — reintroducing
+    /// exactly the duplicate-decrement bug Guarantee 3's bit vector exists
+    /// to prevent. Tests flip it to prove the trace oracle
     /// catches a broken implementation. Never set in production paths.
     pub(super) sabotage_notify: AtomicBool,
     /// Mutation-testing switch for the PR-8 inline-chain path: when set,
@@ -59,7 +61,7 @@ pub struct FtRecovery {
 impl FtRecovery {
     fn new(plan: Arc<FaultPlan>, trace: Option<Arc<Trace>>) -> Self {
         FtRecovery {
-            rtable: ShardedMap::with_shards(64),
+            rtable: OnceLock::new(),
             plan,
             trace,
             sabotage_notify: AtomicBool::new(false),
@@ -110,36 +112,52 @@ impl FtPolicy for FtRecovery {
         Ok(())
     }
 
-    /// Unset the bit for `pkey`; consume only if the bit was set.
+    /// Clear the bit for `pkey`; a bit that was already clear is a
+    /// duplicate and is absorbed.
     fn consume_notification(
         engine: &Engine<Self>,
         a: &FtDesc,
         key: Key,
         pkey: Key,
+        ind: Option<usize>,
         life: u64,
         worker: Option<usize>,
-    ) -> Result<bool, Fault> {
-        let ind = a
-            .pred_index(pkey)
-            .ok_or_else(|| Fault::descriptor(key, life))?;
+    ) -> Result<Clear, Fault> {
+        let ind = match ind {
+            Some(ind) => {
+                debug_assert_eq!(a.pred_index(pkey), Some(ind), "{pkey} → {key}");
+                ind
+            }
+            None => a
+                .pred_index(pkey)
+                .ok_or_else(|| Fault::descriptor(key, life))?,
+        };
+        let cleared = a.bits.clear(ind);
+        let Clear::AlreadyClear { word_empty } = cleared else {
+            return Ok(cleared);
+        };
         // ord: Relaxed — sabotage flags are test-campaign switches set
         // before the run starts; no data is published through them.
-        let sabotaged = engine.policy.sabotage_notify.load(Ordering::Relaxed);
-        if a.bits.unset(ind) || sabotaged {
-            Ok(true)
-        } else {
-            // Duplicate notification absorbed (Guarantee 3).
-            engine.metrics.duplicate_notifications.add(worker);
-            engine.policy.emit(
-                worker,
-                Event::DuplicateNotify {
-                    key,
-                    life,
-                    pred: pkey,
-                },
-            );
-            Ok(false)
+        if engine.policy.sabotage_notify.load(Ordering::Relaxed) {
+            // Mutation testing: consume the duplicate as if its bit had
+            // been set.
+            return Ok(if word_empty {
+                Clear::Emptied
+            } else {
+                Clear::Cleared
+            });
         }
+        // Duplicate notification absorbed (Guarantee 3).
+        engine.metrics.duplicate_notifications.add(worker);
+        engine.policy.emit(
+            worker,
+            Event::DuplicateNotify {
+                key,
+                life,
+                pred: pkey,
+            },
+        );
+        Ok(cleared)
     }
 
     #[inline]
@@ -278,9 +296,9 @@ impl Engine<FtRecovery> {
 
     /// Disable the Guarantee-3 bit-vector check (mutation testing only).
     ///
-    /// With this set, duplicate notifications decrement the join counter
-    /// instead of being absorbed, so a task can become ready before all its
-    /// predecessors computed. The trace oracle must flag such a run as a
+    /// With this set, duplicate notifications are consumed as if their bit
+    /// had been set instead of being absorbed, so a task can become ready
+    /// before all its predecessors computed. The trace oracle must flag such a run as a
     /// G3 violation; see `tests/det_campaigns.rs`.
     #[doc(hidden)]
     pub fn sabotage_notify_bitvec(&self) {
@@ -315,9 +333,10 @@ impl Engine<FtRecovery> {
         self.policy.sabotage_cell.store(true, Ordering::Relaxed);
     }
 
-    /// Number of entries in the recovery table (≥1 failure observed).
+    /// Number of entries in the recovery table (≥1 failure observed); 0
+    /// until the first failure builds the table.
     pub fn recovery_table_len(&self) -> usize {
-        self.policy.rtable.len()
+        self.policy.rtable.get().map_or(0, ShardedMap::len)
     }
 
     /// Per-task execution counts N(A) after a run (Section V's `N`
@@ -460,6 +479,20 @@ mod tests {
         assert_eq!(report.re_executions, 1, "the failed task recomputes");
         assert_eq!(report.computes, 65);
         assert_eq!(report.distinct_tasks_executed, 64);
+    }
+
+    #[test]
+    fn recovery_table_is_built_by_the_first_failure() {
+        let g = Arc::new(Grid::new(8));
+        let pool = Pool::new(PoolConfig::with_threads(2));
+        let clean = FtScheduler::new(Arc::clone(&g) as _);
+        assert!(clean.run(&pool).sink_completed);
+        assert!(clean.policy.rtable.get().is_none(), "fault-free: no table");
+        assert_eq!(clean.recovery_table_len(), 0);
+        let plan = Arc::new(FaultPlan::single(27, Phase::AfterCompute));
+        let faulty = FtScheduler::with_plan(g as _, plan);
+        assert!(faulty.run(&pool).sink_completed);
+        assert_eq!(faulty.recovery_table_len(), 1);
     }
 
     #[test]

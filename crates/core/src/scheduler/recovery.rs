@@ -21,6 +21,7 @@ use crate::fault::Fault;
 use crate::graph::Key;
 use crate::task::{FtDesc, Status};
 use crate::trace::Event;
+use ft_cmap::ShardedMap;
 use ft_steal::arena::ArenaRef;
 use ft_steal::pool::Scope;
 use ft_sync::atomic::Ordering;
@@ -58,10 +59,14 @@ impl Engine<FtRecovery> {
     /// answers "already recovering" exactly as the locked update would at
     /// that instant. Only a possible claim takes the shard lock.
     pub(super) fn is_recovering(&self, key: Key, life: u64) -> bool {
-        if matches!(self.policy.rtable.get(key), Some(stored) if stored + 1 != life) {
+        let rtable = self
+            .policy
+            .rtable
+            .get_or_init(|| ShardedMap::with_shards(64));
+        if matches!(rtable.get(key), Some(stored) if stored + 1 != life) {
             return true;
         }
-        self.policy.rtable.update_cas(key, |cur| match cur {
+        rtable.update_cas(key, |cur| match cur {
             None => (Some(life), false),
             Some(&stored) if stored + 1 == life => (Some(life), false),
             Some(_) => (None, true),
@@ -192,7 +197,7 @@ impl Engine<FtRecovery> {
                 // Visited until its InitAndCompute runs — but if it ever
                 // did, delivering to S here is the correct action.
                 if self.register_notify(&t, skey)? {
-                    self.notify_once(s, w, sd, skey, key, slife);
+                    self.notify_once(s, w, sd, skey, key, Some(ind), slife);
                 }
             }
             Ok(())
@@ -217,7 +222,7 @@ impl Engine<FtRecovery> {
     /// `ResetNode(A, key, life)`: restore the join counter and bit vector,
     /// then re-explore predecessors via `InitAndCompute`. The join counter
     /// is restored *before* the bits so a racing notification cannot be
-    /// lost (a decrement can only happen after its bit is re-set).
+    /// lost (a word can only be emptied after one of its bits is re-set).
     pub(super) fn reset_node(
         &self,
         s: &Scope<'_>,

@@ -447,7 +447,9 @@ impl Descriptor for BaseDesc {
 /// cells, the 56 B predecessor list — three lines exactly.
 #[repr(C, align(64))]
 pub struct FtDesc {
-    /// Join counter (`|preds| + 1`, self-notification included).
+    /// Join counter: the number of non-empty words of `bits` (1 for every
+    /// task with ≤ 63 predecessors). The clear that empties a word
+    /// decrements it; the task is ready at zero.
     pub join: AtomicI64,
     /// Per-predecessor (plus self) notification bits; Guarantee 3.
     pub bits: AtomicBitVec,
@@ -477,13 +479,14 @@ pub struct FtDesc {
 
 impl FtDesc {
     /// Create incarnation `life` of task `key` with the given ordered
-    /// predecessor list and notify capacity (the task's out-degree). Join
-    /// counter and bit vector cover `preds` plus the self slot.
+    /// predecessor list and notify capacity (the task's out-degree). The
+    /// bit vector covers `preds` plus the self slot; the join counter, its
+    /// words.
     pub fn new(key: Key, life: u64, preds: &[Key], out_degree: usize) -> Self {
-        let n = preds.len();
+        let bits = AtomicBitVec::new_all_set(preds.len() + 1);
         FtDesc {
-            join: AtomicI64::new(n as i64 + 1),
-            bits: AtomicBitVec::new_all_set(n + 1),
+            join: AtomicI64::new(bits.words() as i64),
+            bits,
             key,
             life,
             status: AtomicU8::new(Status::Visited as u8),
@@ -538,13 +541,15 @@ impl FtDesc {
         self.preds.iter().position(|&p| p == pkey)
     }
 
-    /// `ResetNode` state restoration: join back to `|preds| + 1`, all bits
-    /// set. (The caller then re-runs `InitAndCompute`.)
+    /// `ResetNode` state restoration: join back to the word count, all
+    /// bits set. (The caller then re-runs `InitAndCompute`.) The join
+    /// counter is restored *before* the bits: a notifier can empty a word
+    /// only after seeing one of its bits set again, so its decrement always
+    /// lands on the restored count.
     pub fn reset_for_reexploration(&self) {
         // ord: Release — the restored join count publishes the reset state
         // before the node is re-announced to notifiers.
-        self.join
-            .store(self.preds.len() as i64 + 1, Ordering::Release);
+        self.join.store(self.bits.words() as i64, Ordering::Release);
         self.bits.set_all();
     }
 }
@@ -584,7 +589,7 @@ mod tests {
     fn ft_desc_initial_state() {
         let d = FtDesc::new(5, 1, &[1, 2], 2);
         assert_eq!(d.life, 1);
-        assert_eq!(d.join.load(Ordering::Relaxed), 3);
+        assert_eq!(d.join.load(Ordering::Relaxed), 1, "one non-empty word");
         assert_eq!(d.bits.len(), 3);
         assert_eq!(d.bits.count_set(), 3);
         assert!(d.check().is_ok());
@@ -811,8 +816,16 @@ mod tests {
         assert!(d.bits.unset(2));
         d.join.store(0, Ordering::Relaxed);
         d.reset_for_reexploration();
-        assert_eq!(d.join.load(Ordering::Relaxed), 3);
+        assert_eq!(d.join.load(Ordering::Relaxed), 1);
         assert_eq!(d.bits.count_set(), 3);
+        // A spilled vector restores one unit per word.
+        let preds: Vec<Key> = (100..200).collect();
+        let wide = FtDesc::new(1, 1, &preds, 1);
+        assert_eq!(wide.join.load(Ordering::Relaxed), 2);
+        wide.join.store(0, Ordering::Relaxed);
+        wide.reset_for_reexploration();
+        assert_eq!(wide.join.load(Ordering::Relaxed), 2);
+        assert_eq!(wide.bits.count_set(), 101);
     }
 
     #[test]

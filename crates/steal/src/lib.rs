@@ -24,7 +24,7 @@
 //!
 //! The pool deliberately exposes a *fire-and-forget* `spawn` rather than
 //! fork-join `join`: NABBIT's traversal routines (`InitAndCompute`,
-//! `TryInitCompute`, ...) only ever spawn children and never sync on them;
+//! `ComputeAndNotify`, ...) only ever spawn children and never sync on them;
 //! graph completion is detected when the sink task completes. This matches
 //! how the paper's scheduler uses Cilk spawns.
 //!

@@ -166,20 +166,22 @@ fn g3_ablation_bit_vector_prevents_premature_readiness() {
     // absorbed and A stays blocked on Q. Without it (raw join decrements —
     // the baseline descriptor), the join counter would hit zero and A
     // would run with Q's input missing.
+    use nabbit_ft::bitvec::Clear;
     use nabbit_ft::task::{BaseDesc, FtDesc};
     use std::sync::atomic::Ordering as O;
 
     const P: Key = 10;
     const Q: Key = 11;
 
-    // FT descriptor: second notification from P is absorbed.
+    // FT descriptor: second notification from P is absorbed. The gate is
+    // the engine's: clear the bit, and only the clear that empties its
+    // word decrements the join counter (which counts non-empty words).
     let a = FtDesc::new(1, 1, &[P, Q], 1);
     let notify = |pkey: Key| -> bool {
         let ind = a.pred_index(pkey).unwrap();
-        if a.bits.unset(ind) {
-            a.join.fetch_sub(1, O::AcqRel) - 1 == 0
-        } else {
-            false
+        match a.bits.clear(ind) {
+            Clear::Emptied => a.join.fetch_sub(1, O::AcqRel) - 1 == 0,
+            Clear::Cleared | Clear::AlreadyClear { .. } => false,
         }
     };
     assert!(!notify(1), "self notification");
