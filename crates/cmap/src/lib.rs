@@ -21,20 +21,18 @@
 //! stores the pointers to the tasks and not the tasks themselves" — so a
 //! validated read is one probe plus one `Arc` clone, no lock traffic.
 //!
-//! [`LockedMap`] is the `RwLock`-striped sibling with in-place values, for
-//! write-hot tables nobody reads concurrently (the per-task execution
-//! counters of `RunMetrics`).
-//!
 //! A dedicated [`ShardedMap::update_cas`] implements the recovery table's
 //! compare-and-swap on the stored value without the caller holding any lock
 //! across the comparison.
+//!
+//! These two maps are all the runtime keeps. Per-task execution counts
+//! (N(A) of Section V) live in the fault-tolerant task descriptors, not in
+//! a third, write-hot map.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod locked;
 pub mod map;
 
-pub use locked::LockedMap;
 pub use map::{MapStats, ShardedMap};

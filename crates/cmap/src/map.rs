@@ -34,6 +34,7 @@
 
 use ft_sync::atomic::{fence, AtomicI64, AtomicPtr, AtomicU64, Ordering};
 use parking_lot::Mutex;
+use std::sync::OnceLock;
 
 /// Multiplicative (Fibonacci) hash constant, 2^64 / φ.
 const HASH_K: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -424,12 +425,18 @@ impl<V: Clone> Default for ShardedMap<V> {
 impl<V: Clone> ShardedMap<V> {
     /// Map with a default shard count (4× available cores, rounded up to a
     /// power of two) — enough striping that the scheduler's task map is not
-    /// a bottleneck at full core count.
+    /// a bottleneck at full core count. The count is computed once per
+    /// process: `available_parallelism` reads the cgroup limits on every
+    /// call, which cost more than building the map.
     pub fn new() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(8);
-        Self::with_shards((cores * 4).next_power_of_two())
+        static DEFAULT_SHARDS: OnceLock<usize> = OnceLock::new();
+        let shards = *DEFAULT_SHARDS.get_or_init(|| {
+            let cores = std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(8);
+            (cores * 4).next_power_of_two()
+        });
+        Self::with_shards(shards)
     }
 
     /// Map with an explicit shard count (rounded up to a power of two).

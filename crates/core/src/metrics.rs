@@ -13,8 +13,15 @@
 //! cache-padded per-worker lanes selected by the worker index the engine
 //! threads through, summed only at snapshot time — and never contend
 //! cross-worker.
+//!
+//! Per-task execution counts — N(A) of Section V — are not kept here.
+//! Each fault-tolerant incarnation counts its own computes
+//! (`FtDesc::execs`), and [`RunMetrics::snapshot`] derives the report's
+//! per-task fields from `computes` and N(A) over the recovery table's
+//! keys: a task that never entered recovery ran at most once. A fault-free
+//! run, and every baseline run, therefore keeps no per-task statistics at
+//! all.
 
-use ft_cmap::LockedMap;
 use ft_steal::metrics::CachePadded;
 use ft_sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -89,52 +96,44 @@ pub struct RunMetrics {
     pub injected: AtomicU64,
     /// Evicted-version reads (each starts a producer chain re-execution).
     pub overwrite_faults: AtomicU64,
-    /// Per-task execution counts: N(A) of Section V. A [`LockedMap`]
-    /// rather than the seqlock `ShardedMap`: this map is write-hot (one
-    /// `update_cas` per compute) and only read after quiescence, so the
-    /// lock-free read path buys nothing while its copy-on-write updates
-    /// would cost an allocation per compute. (Not `std`'s `HashMap` under
-    /// key-sharded mutexes: measured 4–6 % slower on `grid_wavefront`, see
-    /// `ft_cmap::locked`.)
-    pub exec_counts: LockedMap<u64>,
 }
 
 impl RunMetrics {
     /// Fresh, zeroed metrics.
     pub fn new() -> Self {
-        RunMetrics {
-            exec_counts: LockedMap::with_shards(64),
-            ..Default::default()
-        }
+        Self::default()
     }
 
-    /// Record one successful compute of `key` from a thread outside any
-    /// pool; see [`RunMetrics::record_compute_from`].
-    pub fn record_compute(&self, key: i64) -> u64 {
-        self.record_compute_from(None, key)
-    }
-
-    /// Record one successful compute of `key` executed by `worker`; returns
-    /// the execution count N(key) *after* this execution.
-    pub fn record_compute_from(&self, worker: Option<usize>, key: i64) -> u64 {
-        self.computes.add(worker);
-        self.exec_counts.update_cas(key, |cur| {
-            let n = cur.copied().unwrap_or(0) + 1;
-            (Some(n), n)
-        })
+    /// Record one successful compute from a thread outside any pool.
+    /// `_key` is unused: per-task counts N(A) live in the fault-tolerant
+    /// descriptor (`FtDesc::execs`), not here.
+    pub fn record_compute(&self, _key: i64) {
+        self.computes.add(None);
     }
 
     /// Snapshot into a [`RunReport`] (without timing fields).
-    pub fn snapshot(&self) -> RunReport {
-        let exec: Vec<(i64, u64)> = self.exec_counts.entries();
-        let distinct = exec.len() as u64;
-        let total: u64 = exec.iter().map(|(_, n)| n).sum();
-        let max_n = exec.iter().map(|&(_, n)| n).max().unwrap_or(0);
+    ///
+    /// `recovered` yields N(A) for each key of the recovery table `R`.
+    /// Every other task has one incarnation that ran at most once, so the
+    /// per-task fields follow from `computes`: with `S` = Σ `recovered`,
+    /// the tasks outside `R` that ran number `computes − S`.
+    pub fn snapshot(&self, recovered: impl IntoIterator<Item = u64>) -> RunReport {
+        let computes = self.computes.load();
+        let (mut sum, mut ran, mut max_n) = (0u64, 0u64, 0u64);
+        for n in recovered {
+            sum += n;
+            ran += u64::from(n > 0);
+            max_n = max_n.max(n);
+        }
+        // Every count in `recovered` was also counted in `computes`, so
+        // `sum ≤ computes` and `ran ≤ sum`.
+        let once = computes - sum;
+        let distinct = once + ran;
         RunReport {
             // ord: Relaxed throughout — snapshot of statistics counters
             // taken after the run quiesces; no cross-field ordering is
             // implied.
-            computes: self.computes.load(),
+            computes,
             compute_faults: self.compute_faults.load(Ordering::Relaxed),
             recoveries: self.recoveries.load(Ordering::Relaxed),
             recoveries_suppressed: self.recoveries_suppressed.load(Ordering::Relaxed),
@@ -144,8 +143,8 @@ impl RunMetrics {
             injected: self.injected.load(Ordering::Relaxed),
             overwrite_faults: self.overwrite_faults.load(Ordering::Relaxed),
             distinct_tasks_executed: distinct,
-            re_executions: total - distinct,
-            max_executions_one_task: max_n,
+            re_executions: computes - distinct,
+            max_executions_one_task: max_n.max(u64::from(once > 0)),
             sink_completed: false,
             elapsed: Duration::ZERO,
         }
@@ -214,13 +213,23 @@ mod tests {
     #[test]
     fn record_compute_counts_per_task() {
         let m = RunMetrics::new();
-        assert_eq!(m.record_compute(1), 1);
-        assert_eq!(m.record_compute(1), 2);
-        assert_eq!(m.record_compute(2), 1);
-        let r = m.snapshot();
+        m.record_compute(1);
+        m.record_compute(1);
+        m.record_compute(2);
+        // Task 1 went through recovery and ran twice; task 2, once.
+        let r = m.snapshot([2]);
         assert_eq!(r.computes, 3);
         assert_eq!(r.distinct_tasks_executed, 2);
         assert_eq!(r.re_executions, 1);
+        assert_eq!(r.max_executions_one_task, 2);
+        // Without recovery every compute is a task of its own.
+        let clean = m.snapshot([]);
+        assert_eq!(clean.distinct_tasks_executed, 3);
+        assert_eq!(clean.re_executions, 0);
+        assert_eq!(clean.max_executions_one_task, 1);
+        // A recovered task that never computed is not a distinct one.
+        let r = m.snapshot([0, 2]);
+        assert_eq!(r.distinct_tasks_executed, 2);
         assert_eq!(r.max_executions_one_task, 2);
     }
 
@@ -253,7 +262,7 @@ mod tests {
     #[test]
     fn empty_metrics_snapshot() {
         let m = RunMetrics::new();
-        let r = m.snapshot();
+        let r = m.snapshot([]);
         assert_eq!(r.computes, 0);
         assert_eq!(r.re_executions, 0);
         assert_eq!(r.max_executions_one_task, 0);
@@ -265,7 +274,7 @@ mod tests {
         let m = RunMetrics::new();
         m.record_compute(7);
         m.injected.store(3, Ordering::Relaxed);
-        let mut r = m.snapshot();
+        let mut r = m.snapshot([]);
         r.sink_completed = true;
         let s = r.summary();
         assert!(s.contains("computes=1"));

@@ -208,6 +208,19 @@ pub trait FtPolicy: Send + Sync + Sized + 'static {
     /// into [`ComputeCtx`] so apps can distinguish recovery executions).
     fn is_recovery_exec(d: &Self::Desc) -> bool;
 
+    /// Count one successful compute of `d` toward N(A). Called by the
+    /// thread that owns the compute. No-op for the baseline.
+    #[inline]
+    fn count_exec(_d: &Self::Desc) {}
+
+    /// N(A) for every task that entered recovery (the keys of the
+    /// recovery table `R`), read after quiescence. Every other task ran at
+    /// most once; see [`RunMetrics::snapshot`]. Empty for the baseline and
+    /// for any fault-free run.
+    fn recovered_exec_counts(_engine: &Engine<Self>) -> Vec<u64> {
+        Vec::new()
+    }
+
     /// Section-VI fault-injection probe (before compute / after compute /
     /// after notify). No-op for the baseline.
     fn probe(engine: &Engine<Self>, a: &Self::Desc, key: Key, phase: Phase, worker: Option<usize>);
@@ -363,7 +376,7 @@ impl<P: FtPolicy> Engine<P> {
     /// Shared by [`Engine::run`] and the graph service's per-instance
     /// tickets (`super::service`), which finish reports asynchronously.
     pub(super) fn finish_report(&self, start: Instant) -> RunReport {
-        let mut report = self.metrics.snapshot();
+        let mut report = self.metrics.snapshot(P::recovered_exec_counts(self));
         report.sink_completed = self
             .map
             .get(self.graph.sink())
@@ -643,7 +656,8 @@ impl<P: FtPolicy> Engine<P> {
             // The compute ran to completion: count the work (even if the
             // injection right below discards it — that is exactly the
             // "work lost" the experiments measure).
-            self.metrics.record_compute_from(worker, key);
+            self.metrics.computes.add(worker);
+            P::count_exec(&a);
             self.policy.emit(worker, Event::Computed { key, life });
             // Section VI "after compute" injection point: computed, about
             // to notify successors. The guard right below observes it.

@@ -188,6 +188,24 @@ impl FtPolicy for FtRecovery {
         d.is_recovery.load(Ordering::Relaxed)
     }
 
+    #[inline]
+    fn count_exec(d: &FtDesc) {
+        // ord: Relaxed — statistics counter bumped by the compute's owner
+        // and summed at quiescence.
+        d.execs.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn recovered_exec_counts(engine: &Engine<Self>) -> Vec<u64> {
+        let Some(rtable) = engine.policy.rtable.get() else {
+            return Vec::new();
+        };
+        rtable
+            .entries()
+            .into_iter()
+            .map(|(key, _)| engine.map.get(key).map_or(0, |d| d.executions()))
+            .collect()
+    }
+
     fn probe(engine: &Engine<Self>, a: &FtDesc, key: Key, phase: Phase, worker: Option<usize>) {
         if engine.policy.plan.fire(key, phase) {
             engine.poison_task(a, phase, worker);
@@ -340,9 +358,15 @@ impl Engine<FtRecovery> {
     }
 
     /// Per-task execution counts N(A) after a run (Section V's `N`
-    /// function) — used by the Theorem 2 bound evaluation.
+    /// function) for every task that executed at least once — used by the
+    /// Theorem 2 bound evaluation. Walks the whole task map.
     pub fn exec_counts(&self) -> Vec<(Key, u64)> {
-        self.metrics.exec_counts.entries()
+        self.map
+            .entries()
+            .into_iter()
+            .map(|(key, d)| (key, d.executions()))
+            .filter(|&(_, n)| n > 0)
+            .collect()
     }
 
     /// Poison a task: descriptor flag plus every output block version ("a

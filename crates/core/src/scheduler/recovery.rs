@@ -78,14 +78,21 @@ impl Engine<FtRecovery> {
     ///
     /// The replacement descriptor lives in the same epoch arena as the one
     /// it supersedes; superseded incarnations stay allocated (handles to
-    /// them may still be in flight) and are reclaimed with the epoch.
+    /// them may still be in flight) and are reclaimed with the epoch. The
+    /// new incarnation links to the one it supersedes (`prev`) rather than
+    /// copying its execution count: the superseded incarnation may still be
+    /// computing (an input-error observer can recover a task mid-compute),
+    /// and its count is read along the chain only at quiescence.
     pub(super) fn replace_task(&self, key: Key) -> (ArenaRef<FtDesc>, u64) {
         self.map.update_cas(key, |cur| {
-            let life = cur.map(|d: &ArenaRef<FtDesc>| d.life).unwrap_or(0) + 1;
+            let prev = cur.copied();
+            let life = prev.map_or(0, |d| d.life) + 1;
             let d = with_pred_scratch(|scratch| {
                 self.graph.predecessors_into(key, scratch);
                 let out = self.graph.out_degree(key);
-                self.arena.alloc(FtDesc::new(key, life, scratch, out))
+                let mut desc = FtDesc::new(key, life, scratch, out);
+                desc.prev = prev;
+                self.arena.alloc(desc)
             });
             (Some(d), (d, life))
         })
@@ -327,6 +334,10 @@ mod tests {
         let (cur, l) = sch.get_task(0).unwrap();
         assert_eq!(l, 2);
         assert!(ArenaRef::ptr_eq(cur, d2));
+        assert!(
+            ArenaRef::ptr_eq(d2.prev.unwrap(), d1),
+            "links what it replaced"
+        );
         assert!(sch.owns_desc(d2), "incarnations live in the epoch arena");
     }
 

@@ -33,18 +33,20 @@
 //! A descriptor is written by two disjoint crowds, and each gets a cache
 //! line of its own (`#[repr(C, align(64))]`, field order below; the arena
 //! hands out 64-aligned slots): line 0 holds what the task's **notifiers**
-//! write (`join`, and under FT `bits`, next to `key`/`life`/`status` and
-//! the flags), line 1 the [`NotifyCells`] its **registrants** write, line 2
-//! the immutable [`PredList`]. An edge `B → A` therefore costs one
-//! contended line on each end under either policy. The table and the
-//! reasoning live in `docs/ALGORITHM.md`, "Descriptor line map";
-//! `descriptors_are_line_partitioned` pins the offsets.
+//! write (`join`, and under FT `bits`, next to `key`/`life`/`status`, the
+//! flags and the execution count), line 1 the [`NotifyCells`] its
+//! **registrants** write, line 2 the immutable [`PredList`] (under FT
+//! followed by the link to the superseded incarnation). An edge `B → A`
+//! therefore costs one contended line on each end under either policy. The
+//! table and the reasoning live in `docs/ALGORITHM.md`, "Descriptor line
+//! map"; `descriptors_are_line_partitioned` pins the offsets.
 
 use crate::bitvec::AtomicBitVec;
 use crate::fault::Fault;
 use crate::graph::Key;
 use crate::scheduler::engine::Descriptor;
-use ft_sync::atomic::{AtomicBool, AtomicI64, AtomicU8, Ordering};
+use ft_steal::arena::ArenaRef;
+use ft_sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU8, Ordering};
 
 /// Keys stored inline by [`PredList`] and [`NotifyCells`] before spilling
 /// to the heap. Four covers every regular kernel (grid/LCS/LU/strassen
@@ -443,8 +445,9 @@ impl Descriptor for BaseDesc {
 }
 
 /// Descriptor for the **fault-tolerant** scheduler. Field order is the
-/// module's line map: 60 B of notifier-written state, the 64 B notify
-/// cells, the 56 B predecessor list — three lines exactly.
+/// module's line map: 64 B of notifier-written state, the 64 B notify
+/// cells, the 56 B predecessor list and the 8 B `prev` link — three lines
+/// exactly.
 #[repr(C, align(64))]
 pub struct FtDesc {
     /// Join counter: the number of non-empty words of `bits` (1 for every
@@ -468,6 +471,10 @@ pub struct FtDesc {
     pub overwritten: AtomicBool,
     /// True when this incarnation was created by `RecoverTask`.
     pub is_recovery: AtomicBool,
+    /// Successful computes of *this* incarnation, bumped by the thread that
+    /// owns each compute. N(A) of Section V is the sum along the `prev`
+    /// chain, read after quiescence.
+    pub execs: AtomicU32,
     /// Successor notification cells, sized by the task's out-degree. A
     /// recovered incarnation gets a **fresh** descriptor (life+1) and
     /// therefore fresh cells — the life number doubles as the generation
@@ -475,6 +482,11 @@ pub struct FtDesc {
     pub notify: NotifyCells,
     /// Ordered immediate predecessors.
     pub preds: PredList,
+    /// The incarnation this one superseded (`None` for life 1), set by
+    /// `ReplaceTask` before the descriptor is published. Superseded
+    /// incarnations live in the same epoch arena, so the chain stays valid
+    /// for the engine's lifetime.
+    pub prev: Option<ArenaRef<FtDesc>>,
 }
 
 impl FtDesc {
@@ -493,9 +505,24 @@ impl FtDesc {
             poisoned: AtomicBool::new(false),
             overwritten: AtomicBool::new(false),
             is_recovery: AtomicBool::new(false),
+            execs: AtomicU32::new(0),
             notify: NotifyCells::new(out_degree),
             preds: PredList::new(preds),
+            prev: None,
         }
+    }
+
+    /// N(A): successful computes of this incarnation and every incarnation
+    /// it superseded. Exact only after quiescence.
+    pub fn executions(&self) -> u64 {
+        let mut n = 0;
+        let mut cur = Some(self);
+        while let Some(d) = cur {
+            // ord: Relaxed — statistics counter read at quiescence.
+            n += u64::from(d.execs.load(Ordering::Relaxed));
+            cur = d.prev.as_deref();
+        }
+        n
     }
 
     /// Guarded status read: a byte outside the three legal values means
@@ -594,6 +621,26 @@ mod tests {
         assert_eq!(d.bits.count_set(), 3);
         assert!(d.check().is_ok());
         assert!(!d.is_recovery.load(Ordering::Relaxed));
+        assert!(d.prev.is_none());
+        assert_eq!(d.executions(), 0);
+    }
+
+    #[test]
+    fn executions_sum_the_incarnation_chain() {
+        use ft_steal::arena::Arena;
+        let arena: Arena<FtDesc> = Arena::new();
+        let first = arena.alloc(FtDesc::new(4, 1, &[1], 1));
+        first.execs.fetch_add(2, Ordering::Relaxed);
+        let mut second = FtDesc::new(4, 2, &[1], 1);
+        second.prev = Some(first);
+        let second = arena.alloc(second);
+        assert_eq!(second.executions(), 2, "a fresh incarnation inherits N");
+        second.execs.fetch_add(1, Ordering::Relaxed);
+        // A compute that lands on the superseded incarnation after the
+        // replacement still counts.
+        first.execs.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(second.executions(), 4);
+        assert_eq!(first.executions(), 3);
     }
 
     /// The line map of the module docs, pinned: notifiers' words on line
@@ -622,6 +669,7 @@ mod tests {
             offset_of!(FtDesc, poisoned),
             offset_of!(FtDesc, overwritten),
             offset_of!(FtDesc, is_recovery),
+            offset_of!(FtDesc, execs),
         ] {
             assert_eq!(flag / LINE, 0);
         }
@@ -637,9 +685,12 @@ mod tests {
         assert_eq!(offset_of!(FtDesc, notify), LINE);
         assert_eq!(offset_of!(BaseDesc, notify), LINE);
 
-        // The immutable predecessor list has the last line to itself.
+        // The immutable predecessor list (and, under FT, the link to the
+        // superseded incarnation) has the last line to itself.
         assert_eq!(offset_of!(FtDesc, preds), 2 * LINE);
         assert_eq!(offset_of!(BaseDesc, preds), 2 * LINE);
+        assert_eq!(offset_of!(FtDesc, prev) / LINE, 2);
+        assert_eq!(size_of::<FtDesc>(), 3 * LINE);
     }
 
     #[test]

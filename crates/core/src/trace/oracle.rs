@@ -39,7 +39,10 @@
 //! Report cross-checks tie the counters to the event log: `computes` ==
 //! #`Computed`, `recoveries` == #`RecoveryStarted`, `notifications` ==
 //! #`Notified`, and so on — a scheduler that, say, silently skips the
-//! bit-vector test changes these invariants and is caught.
+//! bit-vector test changes these invariants and is caught. The per-task
+//! fields are checked against N(A) counted from `Computed` events per key
+//! (distinct keys, Σ (N(A) − 1), max N(A)), so a wrong re-execution count
+//! is caught too.
 //!
 //! On failure, [`FailureReport`] serializes the offending run — seed, fault
 //! plan, violations, and the full trace — as JSON so the exact interleaving
@@ -120,7 +123,8 @@ pub fn check_trace(
     let mut n_reset = 0u64;
     let mut injected_eager: HashMap<Key, u64> = HashMap::new(); // before/after-compute fires per key
     let mut recoveries_per_key: HashMap<Key, u64> = HashMap::new();
-    let mut computed_keys: HashSet<Key> = HashSet::new();
+    // N(A) as the trace shows it: `Computed` events per key.
+    let mut computed_per_key: HashMap<Key, u64> = HashMap::new();
 
     for (i, te) in events.iter().enumerate() {
         if i > 0 && events[i - 1].seq >= te.seq {
@@ -177,7 +181,7 @@ pub fn check_trace(
             }
             Event::Computed { key, life } => {
                 n_computed += 1;
-                computed_keys.insert(key);
+                *computed_per_key.entry(key).or_insert(0) += 1;
                 let ml = *max_life.get(&key).unwrap_or(&0);
                 if mode == OracleMode::Strict && (life == 0 || life > ml) {
                     push(
@@ -375,7 +379,17 @@ pub fn check_trace(
     cross(
         "distinct_tasks_executed",
         report.distinct_tasks_executed,
-        computed_keys.len() as u64,
+        computed_per_key.len() as u64,
+    );
+    cross(
+        "re_executions",
+        report.re_executions,
+        computed_per_key.values().map(|&n| n - 1).sum(),
+    );
+    cross(
+        "max_executions_one_task",
+        report.max_executions_one_task,
+        computed_per_key.values().copied().max().unwrap_or(0),
     );
     if n_completed > n_computed {
         push(
@@ -595,7 +609,7 @@ mod tests {
         for _ in 0..3 {
             m.notifications.add(None);
         }
-        let mut r = m.snapshot();
+        let mut r = m.snapshot([]);
         r.sink_completed = true;
         r
     }
@@ -760,6 +774,23 @@ mod tests {
         r.computes += 5;
         let v = check_trace(&Chain, &clean_chain_trace(), &r, OracleMode::Strict);
         assert!(v.iter().any(|v| v.guarantee == "report"), "got {v:?}");
+        // A wrong N(A) is caught even when `computes` and the distinct
+        // count agree with the trace.
+        type Tamper = fn(&mut RunReport);
+        let tampered: [(&str, Tamper); 2] = [
+            ("re_executions", |r| r.re_executions += 1),
+            ("max_executions_one_task", |r| r.max_executions_one_task = 2),
+        ];
+        for (field, tamper) in tampered {
+            let mut r = matching_report();
+            tamper(&mut r);
+            let v = check_trace(&Chain, &clean_chain_trace(), &r, OracleMode::Strict);
+            assert!(
+                v.iter()
+                    .any(|v| v.guarantee == "report" && v.message.contains(field)),
+                "{field}: got {v:?}"
+            );
+        }
     }
 
     #[test]

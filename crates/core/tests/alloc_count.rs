@@ -16,7 +16,8 @@
 //! count exactly reproducible, so a pinned per-task budget is a stable
 //! assertion rather than a flaky one. The multithreaded pool variant
 //! pins the scheduler-free spawn/steal machinery at exactly **zero**
-//! steady-state allocations.
+//! steady-state allocations, and one test pins the fixed cost the
+//! marginal counts cancel: the absolute allocations of a 2×2 grid run.
 
 use ft_det::DetPool;
 use nabbit_ft::fault::Fault;
@@ -245,6 +246,40 @@ fn traversal_allocations_are_deterministic_and_bounded() {
         ft < GRID_BUDGET,
         "ft traversal allocates {ft:.2}/task — hot-path allocation crept in"
     );
+}
+
+/// Fixed allocations of one engine: almost everything a 2×2 grid `run()`
+/// pays — engine, task map shards, arena chunk, `DetPool`, completion
+/// group — is per run, not per task. Measured at 29 (baseline) and 30
+/// (FT; a fault-free run never builds the recovery table); the budgets
+/// leave two of headroom. A per-engine side table fails here: the per-task
+/// counter map that N(A) used to live in, with its `available_parallelism`
+/// call per engine, put both runs at 112/113.
+const FIXED_BUDGET_BASE: u64 = 31;
+const FIXED_BUDGET_FT: u64 = 32;
+
+#[test]
+fn fixed_per_engine_allocations_are_pinned() {
+    let _serial = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // Warm-up: one-time process-wide initialization is not per engine.
+    for ft in [false, true] {
+        grid_allocs(Entry::Run, ft, 2);
+    }
+    for (what, ft, budget) in [
+        ("baseline", false, FIXED_BUDGET_BASE),
+        ("ft", true, FIXED_BUDGET_FT),
+    ] {
+        let allocs = grid_allocs(Entry::Run, ft, 2);
+        assert_eq!(
+            allocs,
+            grid_allocs(Entry::Run, ft, 2),
+            "{what} not deterministic"
+        );
+        assert!(
+            allocs <= budget,
+            "{what}: a 2×2 grid run allocates {allocs} times (budget {budget})"
+        );
+    }
 }
 
 /// Deterministic fan-out-heavy layered random DAG: `layers × width` nodes

@@ -5,9 +5,12 @@ use ft_apps::lu::Lu;
 use ft_apps::{AppConfig, BenchApp};
 use ft_steal::pool::{Pool, PoolConfig};
 use nabbit_ft::analysis::{completion_bound, graph_stats, work_span, BoundParams};
+use nabbit_ft::graph::Key;
 use nabbit_ft::inject::{FaultPlan, Phase};
 use nabbit_ft::scheduler::FtScheduler;
+use nabbit_ft::trace::{Event, Trace};
 use nabbit_ft::{seq, TaskGraph};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 #[test]
@@ -60,20 +63,79 @@ fn bound_grows_with_failures() {
 #[test]
 fn measured_n_matches_reported_reexecutions() {
     // The empirical N(A) recorded by the scheduler is consistent with the
-    // run report: Σ (N(A) − 1) = re_executions, max N(A) = max field.
+    // run report — Σ (N(A) − 1) = re_executions, max N(A) = max field —
+    // and with the independent `computes` counter: Σ N(A) = computes. The
+    // inputs cover a fault-free run (the recovery table is never built)
+    // and a fault at each of the three phases under LU's KeepLast(2)
+    // retention, where lost versions force overwrite recovery, on a real
+    // work-stealing pool.
     let app = Arc::new(Lu::new(AppConfig::new(96, 16)));
     let keys = app.all_tasks();
     let pool = Pool::new(PoolConfig::with_threads(4));
-    let plan = Arc::new(FaultPlan::sample(&keys, 12, Phase::AfterCompute, 31));
-    let sched = FtScheduler::with_plan(Arc::clone(&app) as Arc<dyn TaskGraph>, plan);
-    let report = sched.run(&pool);
-    assert!(report.sink_completed);
-    let counts = sched.exec_counts();
-    let total_reexec: u64 = counts.iter().map(|&(_, n)| n - 1).sum();
-    let max_n = counts.iter().map(|&(_, n)| n).max().unwrap();
-    assert_eq!(total_reexec, report.re_executions);
-    assert_eq!(max_n, report.max_executions_one_task);
-    assert_eq!(counts.len() as u64, report.distinct_tasks_executed);
+    let inputs = [
+        ("fault-free", None),
+        ("before-compute", Some((Phase::BeforeCompute, 12, 7))),
+        ("after-compute", Some((Phase::AfterCompute, 12, 31))),
+        ("after-notify", Some((Phase::AfterNotify, 12, 11))),
+    ];
+    let mut overlaps = 0usize;
+    for (label, faults) in inputs {
+        let plan = match faults {
+            None => FaultPlan::none(),
+            Some((phase, count, seed)) => FaultPlan::sample(&keys, count, phase, seed),
+        };
+        let trace = Arc::new(Trace::new());
+        let sched = FtScheduler::with_plan_traced(
+            Arc::clone(&app) as Arc<dyn TaskGraph>,
+            Arc::new(plan),
+            Arc::clone(&trace),
+        );
+        let report = sched.run(&pool);
+        assert!(report.sink_completed, "{label}");
+        if faults.is_none() {
+            assert_eq!(sched.recovery_table_len(), 0, "{label}: R was built");
+        } else {
+            assert!(report.injected > 0, "{label}: no fault fired");
+        }
+        let counts = sched.exec_counts();
+        let total: u64 = counts.iter().map(|&(_, n)| n).sum();
+        let total_reexec: u64 = counts.iter().map(|&(_, n)| n - 1).sum();
+        let max_n = counts.iter().map(|&(_, n)| n).max().unwrap();
+        assert_eq!(total, report.computes, "{label}: Σ N(A) vs computes");
+        assert_eq!(total_reexec, report.re_executions, "{label}");
+        assert_eq!(max_n, report.max_executions_one_task, "{label}");
+        assert_eq!(
+            counts.len() as u64,
+            report.distinct_tasks_executed,
+            "{label}"
+        );
+        overlaps += superseded_computes(&trace);
+    }
+    // How often a compute of an incarnation finished after that
+    // incarnation's replacement had begun (the window in which a count
+    // copied at replace time would have been lost). Reported, not
+    // asserted: it depends on the schedule.
+    eprintln!("computes finishing after their incarnation was replaced: {overlaps}");
+}
+
+/// Count `Computed { key, life }` events that follow (in trace order) the
+/// `RecoveryStarted` of a later incarnation of the same key.
+fn superseded_computes(trace: &Trace) -> usize {
+    let mut newest: HashMap<Key, u64> = HashMap::new();
+    let mut late = 0;
+    for e in trace.events() {
+        match e.event {
+            Event::RecoveryStarted { key, new_life } => {
+                let l = newest.entry(key).or_insert(0);
+                *l = (*l).max(new_life);
+            }
+            Event::Computed { key, life } if newest.get(&key).is_some_and(|&l| l > life) => {
+                late += 1;
+            }
+            _ => {}
+        }
+    }
+    late
 }
 
 #[test]
