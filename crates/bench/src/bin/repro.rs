@@ -15,7 +15,8 @@
 //!   ablation      FW one-version vs two-version recovery cost
 //!   reuse         single-assignment vs memory-reuse strategies per benchmark
 //!   bound         Section V / Theorem 2: completion-time bound vs measured
-//!   validate      correctness gauntlet: every app x phase x class, verified
+//!   validate      correctness gauntlet: every app x phase x class, verified;
+//!                 exits 1 if any run hangs or fails verification
 //!   all           everything above (except validate)
 //!
 //! options:
@@ -175,6 +176,22 @@ fn main() {
         if let Err(e) = r.save_csv(&opts.out) {
             eprintln!("warning: could not save {} CSV: {e}", r.id);
         }
+    }
+    // The correctness gauntlet gates: a hung or unverified run fails the
+    // process, after its table has been printed and saved.
+    let failed = reports
+        .iter()
+        .filter(|r| r.id == "validate")
+        .flat_map(|r| &r.rows)
+        .filter(|row| {
+            row.values
+                .last()
+                .is_some_and(|v| v == "HUNG" || v.starts_with("FAIL"))
+        })
+        .count();
+    if failed > 0 {
+        eprintln!("validate: {failed} row(s) HUNG or FAIL");
+        std::process::exit(1);
     }
 }
 
@@ -637,11 +654,11 @@ fn reuse(opts: &Opts) -> ExperimentReport {
 /// shape: measured time must be dominated by the bound's terms, and the
 /// bound must tighten (T1/P term) as P grows for work-dominated graphs.
 fn bound(opts: &Opts) -> ExperimentReport {
-    use nabbit_ft::analysis::work_span;
+    use nabbit_ft::analysis::{completion_bound, work_span, BoundParams};
     use nabbit_ft::scheduler::FtScheduler;
     // Cost of one synchronization operation (notify-array scan entry, join
-    // decrement, steal) — ~100ns on commodity hardware; the bound's
-    // contention terms are counted in this unit.
+    // decrement, steal) — ~100ns on commodity hardware. `analysis` counts
+    // every term in this unit; the report scales back to seconds.
     const SYNC: f64 = 100e-9;
     let mut r = ExperimentReport::new(
         "bound",
@@ -668,7 +685,6 @@ fn bound(opts: &Opts) -> ExperimentReport {
             t.elapsed().as_secs_f64()
         };
         let per_task = t_seq / stats.tasks as f64;
-        let all_keys = seq::discover(graph.as_ref());
         for (label, count) in [("fault-free", 0usize), ("5% faults", stats.tasks / 20)] {
             for &p in &opts.threads {
                 let pool = Pool::new(PoolConfig::with_threads(p));
@@ -685,23 +701,14 @@ fn bound(opts: &Opts) -> ExperimentReport {
                     sched.exec_counts().into_iter().collect();
                 let n_of = |k: i64| counts.get(&k).copied().unwrap_or(1) as f64;
                 let n_max = report.max_executions_one_task.max(1) as f64;
-                let g = sched.graph_ref();
-                // T1 = SUM N(A) * (W(com(A)) + |out(A)| * SYNC).
-                let t1: f64 = all_keys
-                    .iter()
-                    .map(|&k| n_of(k) * (per_task + g.successors(k).len() as f64 * SYNC))
-                    .sum();
-                // T_inf: longest path of N(X) * W(com(X)) (work_span's span
-                // term carries no notify cost).
-                let (_, t_inf) = work_span(g, |_| per_task, n_of);
-                // Theorem 2: T1/P + T_inf + lg(P/eps) + N*M*d + N*L(D),
-                // contention terms in SYNC units.
-                let d = stats.max_degree() as f64;
-                let m = stats.critical_path as f64;
-                let e = stats.edges as f64;
-                let pf = p as f64;
-                let l = (e / pf + m) * d.min(pf);
-                let b = t1 / pf + t_inf + SYNC * ((pf / 0.01).log2() + n_max * m * d + n_max * l);
+                let (t1, t_inf) = work_span(sched.graph_ref(), |_| per_task / SYNC, n_of);
+                let params = BoundParams {
+                    p,
+                    epsilon: 0.01,
+                    n_max,
+                };
+                let b = SYNC * completion_bound(&stats, t1, t_inf, &params);
+                let (t1, t_inf) = (SYNC * t1, SYNC * t_inf);
                 r.push_row(
                     format!("{} {}", kind.name(), label),
                     vec![

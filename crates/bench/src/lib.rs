@@ -1,21 +1,18 @@
 //! `ft-bench` — the experiment harness.
 //!
 //! The `repro` binary regenerates every table and figure of the paper's
-//! evaluation (Section VI); [`dag_gen`] is the seeded random-DAG family
-//! the oracle campaigns in `tests/` run. Performance is measured in one
-//! place only, the stand-alone `benchmark/` package (`BENCHMARK.json`).
+//! evaluation (Section VI). Performance is measured in one place only,
+//! the stand-alone `benchmark/` package (`BENCHMARK.json`).
 //!
 //! Scaled defaults: the paper's testbed was a 48-core machine running
 //! ~10-minute configurations (Table I); the harness defaults reproduce the
 //! same *graph shapes* at sizes that complete in seconds here, and every
 //! experiment takes `--n/--b/--loss/--reps` overrides to scale up.
 
-pub mod dag_gen;
 pub mod measure;
 pub mod registry;
 pub mod report;
 
-pub use dag_gen::{DagGenConfig, RandDag};
 pub use measure::{measure, Stats};
 pub use registry::{make_app, AppKind, APP_KINDS};
 pub use report::{ExperimentReport, Row};

@@ -10,6 +10,12 @@
 //!   `O(T1/P + T∞ + lg(P/ε) + N·M·d + N·L(D))` with
 //!   `L(D) = (|E|/P + M) · min{d, P}`, evaluated numerically so experiments
 //!   can sanity-check measured times against the theory's shape.
+//!
+//! Every term is in units of one synchronization operation: a notify scan
+//! entry costs 1, and so does each unit of the `lg`, `N·M·d` and `N·L(D)`
+//! terms. A caller with a per-operation cost `c` in seconds passes task
+//! work as `W(A) / c` and multiplies the results by `c` (`repro bound`
+//! does this with `c` = 100 ns).
 
 use crate::graph::{Key, TaskGraph};
 use crate::seq::topo_order;

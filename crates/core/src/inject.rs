@@ -229,9 +229,8 @@ impl FaultPlan {
         v
     }
 
-    /// Reset all fire budgets to their original values — *not* supported;
-    /// build a fresh plan per run instead. Present to document the
-    /// single-use contract.
+    /// Whether every site has spent its fire budget. Budgets are never
+    /// reset: a plan is single-use, so build a fresh one per run.
     pub fn is_exhausted(&self) -> bool {
         self.sites
             .values()

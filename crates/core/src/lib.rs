@@ -87,7 +87,6 @@ pub mod metrics;
 pub mod scheduler;
 pub mod seq;
 pub mod task;
-pub mod theory;
 pub mod trace;
 
 pub use fault::{Fault, FaultKind};

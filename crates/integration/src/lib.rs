@@ -8,7 +8,8 @@
 //!   a serial [`graphs::Chain`], and [`graphs::ValueDag`], a random
 //!   layered DAG whose tasks produce deterministic values and whose
 //!   outputs can be poisoned (so after-notify faults are observable by
-//!   later consumers).
+//!   later consumers). [`dag_gen`] describes its seeded Erdős–Rényi
+//!   family ([`dag_gen::DagGenConfig`]).
 //! * [`det_traced_run`] — the deterministic-exploration driver: run the
 //!   FT scheduler on an [`ft_det::DetPool`] with a seeded schedule and a
 //!   fault plan, recording an execution trace.
@@ -30,10 +31,14 @@ use nabbit_ft::scheduler::FtScheduler;
 use nabbit_ft::trace::oracle::{check_trace, FailureReport, OracleMode, Violation};
 use nabbit_ft::trace::Trace;
 
+pub mod dag_gen;
+
 pub mod graphs {
     //! Task graphs shared by the integration tests.
 
+    use crate::dag_gen::DagGenConfig;
     use ft_cmap::ShardedMap;
+    use ft_steal::rng::XorShift64Star;
     use nabbit_ft::fault::Fault;
     use nabbit_ft::graph::{ComputeCtx, Key, TaskGraph};
     use std::collections::HashMap;
@@ -108,6 +113,10 @@ pub mod graphs {
     /// A randomly generated layered DAG whose tasks compute deterministic
     /// values (a hash of predecessor values) into a concurrent map.
     ///
+    /// Two generators build it: [`ValueDag::generate`] (explicit layer
+    /// widths, 1–3 parents per node) and [`ValueDag::random`] (the seeded
+    /// Erdős–Rényi family of [`crate::dag_gen`]).
+    ///
     /// Unlike the grid, this graph has *observable data*: a fired fault
     /// poisons the task's output value ([`TaskGraph::poison_outputs`]),
     /// and any later consumer reading it reports a data fault back to the
@@ -118,6 +127,9 @@ pub mod graphs {
         preds: HashMap<Key, Vec<Key>>,
         succs: HashMap<Key, Vec<Key>>,
         sink: Key,
+        /// XORed into every task's initial hash: the structure seed for
+        /// [`ValueDag::random`], 0 for [`ValueDag::generate`].
+        salt: u64,
         values: ShardedMap<u64>,
         /// Poison marks on output values (true = corrupt).
         poisoned: ShardedMap<bool>,
@@ -173,10 +185,91 @@ pub mod graphs {
             }
             preds.insert(sink, sink_preds);
             succs.insert(sink, vec![]);
+            ValueDag::from_parts(preds, succs, sink, 0)
+        }
+
+        /// Generate the member of the random layered family that `cfg`
+        /// describes (structure in [`crate::dag_gen`]). Keys are
+        /// contiguous: inner nodes `0..n`, sink `n`. Node ids increase
+        /// with layer, so key order is a valid topological order.
+        pub fn random(cfg: &DagGenConfig) -> ValueDag {
+            let layers = cfg.layers.max(1);
+            let max_width = cfg.max_width.max(1);
+            let mut rng = XorShift64Star::new(cfg.seed ^ 0xDA61_DA61_DA61_DA61);
+            let edge_threshold = (cfg.edge_prob.clamp(0.0, 1.0) * u64::MAX as f64) as u64;
+            // Long-range edges are rare on purpose: enough to break the
+            // strict layer lattice, not enough to densify every node.
+            let long_threshold = edge_threshold / 4;
+
+            // Layer widths, then contiguous node ids layer by layer.
+            let mut layer_nodes: Vec<Vec<Key>> = Vec::with_capacity(layers);
+            let mut next_id: Key = 0;
+            for _ in 0..layers {
+                let w = 1 + rng.next_below(max_width);
+                layer_nodes.push((next_id..next_id + w as Key).collect());
+                next_id += w as Key;
+            }
+            let n_inner = next_id as usize;
+            let sink = n_inner as Key;
+
+            let mut preds: Vec<Vec<Key>> = vec![Vec::new(); n_inner + 1];
+            for l in 1..layers {
+                // Split the borrow: earlier layers are read-only here.
+                let (earlier, current) = layer_nodes.split_at(l);
+                let prev = &earlier[l - 1];
+                for &k in &current[0] {
+                    let p = &mut preds[k as usize];
+                    for &q in prev {
+                        if rng.next_u64() < edge_threshold {
+                            p.push(q);
+                        }
+                    }
+                    if p.is_empty() {
+                        // Erdős–Rényi left the node orphaned: connect it
+                        // so every non-source task has a dependence.
+                        p.push(prev[rng.next_below(prev.len())]);
+                    }
+                    if l >= 2 && rng.next_u64() < long_threshold {
+                        let ll = rng.next_below(l - 1);
+                        let q = earlier[ll][rng.next_below(earlier[ll].len())];
+                        if !p.contains(&q) {
+                            p.push(q);
+                        }
+                    }
+                }
+            }
+
+            let mut succs: Vec<Vec<Key>> = vec![Vec::new(); n_inner + 1];
+            for (k, ps) in preds.iter().enumerate().take(n_inner) {
+                for &q in ps {
+                    succs[q as usize].push(k as Key);
+                }
+            }
+            // The sink collects every childless node, making the whole
+            // graph backward-reachable from it.
+            let sink_preds: Vec<Key> = (0..n_inner as Key)
+                .filter(|&k| succs[k as usize].is_empty())
+                .collect();
+            for &q in &sink_preds {
+                succs[q as usize].push(sink);
+            }
+            preds[n_inner] = sink_preds;
+
+            let by_key = |v: Vec<Vec<Key>>| (0..).zip(v).collect::<HashMap<Key, Vec<Key>>>();
+            ValueDag::from_parts(by_key(preds), by_key(succs), sink, cfg.seed)
+        }
+
+        fn from_parts(
+            preds: HashMap<Key, Vec<Key>>,
+            succs: HashMap<Key, Vec<Key>>,
+            sink: Key,
+            salt: u64,
+        ) -> ValueDag {
             ValueDag {
                 preds,
                 succs,
                 sink,
+                salt,
                 values: ShardedMap::with_shards(16),
                 poisoned: ShardedMap::with_shards(16),
             }
@@ -198,6 +291,10 @@ pub mod graphs {
         pub fn value_of(&self, k: Key) -> Option<u64> {
             self.values.get(k)
         }
+
+        fn preds_of(&self, key: Key) -> &[Key] {
+            self.preds.get(&key).map_or(&[][..], Vec::as_slice)
+        }
     }
 
     impl TaskGraph for ValueDag {
@@ -205,14 +302,21 @@ pub mod graphs {
             self.sink
         }
         fn predecessors(&self, key: Key) -> Vec<Key> {
-            self.preds.get(&key).cloned().unwrap_or_default()
+            self.preds_of(key).to_vec()
         }
         fn successors(&self, key: Key) -> Vec<Key> {
             self.succs.get(&key).cloned().unwrap_or_default()
         }
+        fn predecessors_into(&self, key: Key, out: &mut Vec<Key>) {
+            out.clear();
+            out.extend_from_slice(self.preds_of(key));
+        }
+        fn out_degree(&self, key: Key) -> usize {
+            self.succs.get(&key).map_or(0, Vec::len)
+        }
         fn compute(&self, key: Key, _ctx: &ComputeCtx<'_>) -> Result<(), Fault> {
-            let mut h = (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            for p in self.predecessors(key) {
+            let mut h = (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ self.salt;
+            for &p in self.preds_of(key) {
                 // A poisoned input is a detected data fault in `p`.
                 if self.poisoned.get(p).unwrap_or(false) {
                     return Err(Fault::data(p));

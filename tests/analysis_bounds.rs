@@ -61,6 +61,57 @@ fn bound_grows_with_failures() {
 }
 
 #[test]
+fn sync_unit_evaluation_scales_to_seconds() {
+    // `repro bound` evaluates Theorem 2 in units of one synchronization
+    // operation (task work passed as W / SYNC) and multiplies by SYNC.
+    // That must equal the seconds-valued forms: T1 = Σ N(A)(W(A) +
+    // |out(A)|·SYNC), and the bound with its lg, N·M·d and N·L(D) terms
+    // costed at SYNC each. N(A) comes from a 5 %-fault run, so it is not
+    // uniform, and W varies per task.
+    const SYNC: f64 = 100e-9;
+    let app = Arc::new(Lu::new(AppConfig::new(96, 16)));
+    let keys = app.all_tasks();
+    let stats = graph_stats(app.as_ref());
+    let plan = FaultPlan::sample(&keys, stats.tasks / 20, Phase::AfterCompute, 5);
+    let sched = FtScheduler::with_plan(Arc::clone(&app) as Arc<dyn TaskGraph>, Arc::new(plan));
+    let report = sched.run(&Pool::new(PoolConfig::with_threads(2)));
+    assert!(report.sink_completed);
+    let counts: HashMap<Key, u64> = sched.exec_counts().into_iter().collect();
+    assert!(counts.values().any(|&n| n > 1), "no task re-executed");
+    let n_of = |k: Key| counts.get(&k).copied().unwrap_or(1) as f64;
+    let n_max = report.max_executions_one_task as f64;
+    let w = |k: Key| 1e-6 * (1 + k.rem_euclid(7)) as f64;
+
+    let (t1, t_inf) = work_span(app.as_ref(), |k| w(k) / SYNC, n_of);
+    let t1_s: f64 = seq::discover(app.as_ref())
+        .into_iter()
+        .map(|k| n_of(k) * (w(k) + app.successors(k).len() as f64 * SYNC))
+        .sum();
+    let (_, t_inf_s) = work_span(app.as_ref(), w, n_of);
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs();
+    assert!(close(SYNC * t1, t1_s), "T1 {t1} vs {t1_s}");
+    assert!(close(SYNC * t_inf, t_inf_s), "T∞ {t_inf} vs {t_inf_s}");
+
+    let (d, m, e) = (
+        stats.max_degree() as f64,
+        stats.critical_path as f64,
+        stats.edges as f64,
+    );
+    for p in [1usize, 2, 4, 48] {
+        let params = BoundParams {
+            p,
+            epsilon: 0.01,
+            n_max,
+        };
+        let b = SYNC * completion_bound(&stats, t1, t_inf, &params);
+        let pf = p as f64;
+        let l = (e / pf + m) * d.min(pf);
+        let b_s = t1_s / pf + t_inf_s + SYNC * ((pf / 0.01).log2() + n_max * m * d + n_max * l);
+        assert!(close(b, b_s), "P={p}: bound {b} vs {b_s}");
+    }
+}
+
+#[test]
 fn measured_n_matches_reported_reexecutions() {
     // The empirical N(A) recorded by the scheduler is consistent with the
     // run report — Σ (N(A) − 1) = re_executions, max N(A) = max field —

@@ -8,8 +8,8 @@
 //! JSON report with the seed and fault plan under
 //! `target/oracle-failures/`.
 
-use ft_bench::dag_gen::{DagGenConfig, RandDag};
 use ft_det::DetPool;
+use ft_integration::dag_gen::DagGenConfig;
 use ft_integration::graphs::{Chain, Grid, ValueDag};
 use ft_integration::{assert_oracle_clean, det_traced_run, oracle_violations};
 use nabbit_ft::graph::{Key, TaskGraph};
@@ -98,8 +98,8 @@ fn randdag_triple(
     cfg: &DagGenConfig,
     round: u64,
     odd: bool,
-) -> (Arc<RandDag>, Arc<FaultPlan>, u64) {
-    let dag = Arc::new(RandDag::generate(cfg.clone()));
+) -> (Arc<ValueDag>, Arc<FaultPlan>, u64) {
+    let dag = Arc::new(ValueDag::random(cfg));
     let plan = round_plan(&dag.all_keys(), round, round.wrapping_mul(2027) + ci as u64);
     (dag, plan, ((ci as u64) << 32) | (round << 1) | odd as u64)
 }
@@ -153,7 +153,7 @@ fn randdag_campaign_two_hundred_runs() {
     let mut runs = 0u64;
     for (ci, cfg) in randdag_configs().iter().enumerate() {
         let reference = {
-            let dag = RandDag::generate(cfg.clone());
+            let dag = ValueDag::random(cfg);
             seq::run(&dag).unwrap();
             dag.all_keys()
                 .into_iter()

@@ -2,12 +2,12 @@
 //! generated *jointly* so every sampled fault site names a task that
 //! actually exists in the sampled DAG (key × phase × fires).
 //!
-//! The DAGs come from the seeded generator in `ft_bench::dag_gen`
-//! ([`RandDag`]): the proptest strategy draws the generator's *config*
-//! (layer count, max width, edge probability, structure seed) rather than
-//! an ad-hoc shape, so every sampled case is a member of the same workload
-//! family the deterministic campaigns use, and a failing case shrinks
-//! toward a small config instead of a raw adjacency list.
+//! The DAGs come from the seeded generator in `ft_integration::dag_gen`
+//! ([`ValueDag::random`]): the proptest strategy draws the generator's
+//! *config* (layer count, max width, edge probability, structure seed)
+//! rather than an ad-hoc shape, so every sampled case is a member of the
+//! same workload family the deterministic campaigns use, and a failing
+//! case shrinks toward a small config instead of a raw adjacency list.
 //!
 //! For arbitrary DAG shapes and arbitrary fault injections, the
 //! fault-tolerant scheduler must (P1/Theorem 1) produce exactly the values
@@ -22,7 +22,8 @@
 //! `target/oracle-failures/` (completion and coverage checks are routed
 //! through the same dump as the G1–G6 checks, not bare asserts).
 
-use ft_bench::dag_gen::{DagGenConfig, RandDag};
+use ft_integration::dag_gen::DagGenConfig;
+use ft_integration::graphs::ValueDag;
 use ft_integration::{assert_oracle_clean, traced_run_on};
 use ft_steal::pool::{Pool, PoolConfig};
 use nabbit_ft::graph::{Key, TaskGraph};
@@ -40,7 +41,7 @@ fn shared_pool() -> &'static Pool {
 
 /// Oracle: values from a sequential fault-free execution.
 fn sequential_values(cfg: &DagGenConfig) -> HashMap<Key, u64> {
-    let dag = RandDag::generate(cfg.clone());
+    let dag = ValueDag::random(cfg);
     seq::run(&dag).unwrap();
     dag.all_keys()
         .into_iter()
@@ -81,7 +82,7 @@ fn dag_config() -> impl Strategy<Value = DagGenConfig> {
 /// at most one fault per task).
 fn dag_with_faults(max_fires: u64) -> impl Strategy<Value = DagCase> {
     dag_config().prop_flat_map(move |cfg| {
-        let keys = RandDag::generate(cfg.clone()).all_keys();
+        let keys = ValueDag::random(&cfg).all_keys();
         let n = keys.len();
         let site =
             (0..n, any_phase(), 1u64..max_fires + 1).prop_map(move |(i, phase, fires)| FaultSite {
@@ -101,9 +102,9 @@ fn dag_with_faults(max_fires: u64) -> impl Strategy<Value = DagCase> {
 /// assertions. Completion and execution-coverage
 /// failures are reported as extra `Violation`s so they reach the same
 /// `target/oracle-failures/` dump as G1–G6.
-fn run_and_check(case: &DagCase, label: &str) -> Arc<RandDag> {
+fn run_and_check(case: &DagCase, label: &str) -> Arc<ValueDag> {
     let reference = sequential_values(&case.cfg);
-    let dag = Arc::new(RandDag::generate(case.cfg.clone()));
+    let dag = Arc::new(ValueDag::random(&case.cfg));
     let keys = dag.all_keys();
     let plan = Arc::new(FaultPlan::new(case.sites.iter().copied()));
     let (_, trace, report) = traced_run_on(

@@ -9,8 +9,8 @@ use ft_apps::fw::Fw;
 use ft_apps::lu::Lu;
 use ft_apps::sw::Sw;
 use ft_apps::{AppConfig, BenchApp, VersionClass};
-use ft_bench::dag_gen::{DagGenConfig, RandDag};
-use ft_integration::graphs::Chain;
+use ft_integration::dag_gen::DagGenConfig;
+use ft_integration::graphs::{Chain, ValueDag};
 use ft_integration::{assert_oracle_clean, traced_run_on};
 use ft_steal::pool::{Pool, PoolConfig};
 use nabbit_ft::fault::Fault;
@@ -190,7 +190,7 @@ fn large_random_dag_dense_faults() {
     // the rest.
     watchdog(240, || {
         let cfg = DagGenConfig::new(30, 12, 0.25, 0x57E5);
-        let dag = Arc::new(RandDag::generate(cfg.clone()));
+        let dag = Arc::new(ValueDag::random(&cfg));
         let keys = dag.all_keys();
         let mut sites: Vec<FaultSite> = keys
             .iter()
@@ -207,7 +207,7 @@ fn large_random_dag_dense_faults() {
         assert!(report.injected > 0);
         // Fresh instance + seq reference: values must match despite the
         // fault storm.
-        let reference = RandDag::generate(cfg);
+        let reference = ValueDag::random(&cfg);
         nabbit_ft::seq::run(&reference).unwrap();
         for k in dag.all_keys() {
             assert_eq!(dag.value_of(k), reference.value_of(k), "task {k}");
