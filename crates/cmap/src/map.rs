@@ -1,39 +1,47 @@
 //! Sharded concurrent hash map with lock-free reads.
 //!
-//! Keys are `i64` task keys (the paper fixes `int64_t` keys); values are any
-//! `Clone` type — the scheduler stores `Arc`s. Each shard is an open
-//! hash table (linear probing, tombstone-less rebuild on growth) with a
-//! **seqlock read path**: readers never take a lock. A shard consists of
+//! Keys are `i64` task keys (the paper fixes `int64_t` keys); values are
+//! [`Word`]s — `Copy` values that round-trip through one `u64` — stored
+//! inline in the slot. The scheduler stores arena handles, which matches the
+//! paper's "the hash map stores the pointers to the tasks and not the tasks
+//! themselves": a validated probe returns the handle itself, with no box to
+//! follow and nothing to clone. Each shard is an open hash table (linear
+//! probing, tombstone-less rebuild on growth) with a **seqlock read path**:
+//! readers never take a lock. A shard consists of
 //!
-//! * an atomically published pointer to the current probe table,
-//! * a sequence counter (even = stable, odd = writer mutating), and
-//! * a `Mutex` serializing writers.
+//! * a sequence counter (even = stable, odd = a writer is mid-window) and
+//!   an atomically published pointer to the current probe table, on one
+//!   cache line that only table swaps (growth, `clear`) write, and
+//! * a `Mutex` serializing writers, with the entry count it guards, on the
+//!   next line — every insert writes this line, no reader loads it.
 //!
-//! Every table slot stores its key in an `AtomicI64` and its value behind
-//! an `AtomicPtr` to a heap box (`null` = empty), so a concurrent reader
-//! only ever performs atomic loads — there is no torn data to observe.
-//! `get`/`contains` probe optimistically, then validate that the sequence
-//! counter did not move during the probe; on writer interference they
-//! retry, and after a few failed attempts fall back to the writer lock
-//! (bounded, so readers cannot livelock behind a write storm). A validated
-//! hit clones the value through the still-live box without ever touching a
-//! lock — in the scheduler's case, one `Arc` refcount increment.
+//! A slot is two atomic words, `key` and `val`; `key == VACANT` (`i64::MIN`)
+//! marks it empty. That one key is still storable: it lives in a side cell
+//! in the shard header instead of a slot. A concurrent reader only ever
+//! performs atomic loads, so there is no torn data to observe. An insert
+//! stores the value word, then publishes the key (`Release`); a `replace`
+//! or `update_cas` stores the new value word in place. Either is one
+//! atomic store, so readers race both without retrying. Only a table swap
+//! opens a write window: `get`/`contains` probe optimistically, then
+//! validate that the sequence counter did not move during the probe; on
+//! interference they retry, and after a few failed attempts fall back to
+//! the writer lock (bounded, so readers cannot livelock behind a write
+//! storm).
 //!
-//! **Memory reclamation** is deferred: a displaced value box (from
-//! `replace`/`update_cas`/`clear`) and a superseded probe table (from
-//! growth) are *retired* to per-shard lists and freed only when the map is
-//! dropped, never while a reader could still hold the pointer. That makes
-//! pointer dereference after sequence validation sound without epochs or
-//! hazard pointers. The scheduler displaces a descriptor only on recovery,
-//! so retained garbage is O(#faults) boxes plus O(log n) tables — see
-//! "Hot-path anatomy & lock-freedom" in `docs/ALGORITHM.md`.
+//! **Memory reclamation:** values own nothing, so the only garbage is a
+//! probe table superseded by growth. It is *retired* to a per-shard list
+//! and freed when the map drops, never while a reader could still hold its
+//! pointer — O(log n) tables per shard, independent of how many values are
+//! replaced. See "Hot-path anatomy & lock-freedom" in `docs/ALGORITHM.md`.
 //!
 //! The shard for a key is selected by a Fibonacci-hash of the key, which
 //! also serves as the in-shard probe start; shard selection uses the high
 //! bits and probing the low bits so the two are decorrelated.
 
-use ft_sync::atomic::{fence, AtomicI64, AtomicPtr, AtomicU64, Ordering};
-use parking_lot::Mutex;
+use ft_sync::atomic::{fence, AtomicBool, AtomicI64, AtomicPtr, AtomicU64, Ordering};
+use ft_sync::Word;
+use parking_lot::{Mutex, MutexGuard};
+use std::marker::PhantomData;
 use std::sync::OnceLock;
 
 /// Multiplicative (Fibonacci) hash constant, 2^64 / φ.
@@ -42,35 +50,39 @@ const HASH_K: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Optimistic probe attempts before a reader falls back to the shard lock.
 const OPTIMISTIC_TRIES: usize = 8;
 
+/// The key word of an empty slot. The key itself is stored in the shard's
+/// side cell (`Shard::vacant_full`/`vacant_val`).
+const VACANT: i64 = i64::MIN;
+
 #[inline]
 fn hash_key(key: i64) -> u64 {
     (key as u64).wrapping_mul(HASH_K)
 }
 
-/// One slot of a probe table. `val == null` means empty; once non-null the
-/// key is immutable and the value pointer changes only under the shard's
-/// write protocol (sequence bump around the swap).
-struct Slot<V> {
+/// One slot of a probe table: 16 bytes, four to a cache line. Once `key`
+/// is published it is immutable until a `clear`; `val` changes only under
+/// the shard lock, one atomic store at a time.
+struct Slot {
     key: AtomicI64,
-    val: AtomicPtr<V>,
+    val: AtomicU64,
 }
 
 /// An immutable-capacity probe table. Replaced wholesale on growth; the
 /// superseded table is retired, never freed mid-run, so a reader holding a
 /// stale table pointer can still probe it safely (and will then fail
 /// sequence validation).
-struct Table<V> {
+struct Table {
     mask: usize,
-    slots: Box<[Slot<V>]>,
+    slots: Box<[Slot]>,
 }
 
-impl<V> Table<V> {
+impl Table {
     fn new_boxed(cap: usize) -> Box<Self> {
         debug_assert!(cap.is_power_of_two());
         let slots = (0..cap)
             .map(|_| Slot {
-                key: AtomicI64::new(0),
-                val: AtomicPtr::new(std::ptr::null_mut()),
+                key: AtomicI64::new(VACANT),
+                val: AtomicU64::new(0),
             })
             .collect::<Vec<_>>()
             .into_boxed_slice();
@@ -82,57 +94,76 @@ impl<V> Table<V> {
 }
 
 /// Writer-side shard state, serialized by the shard mutex.
-struct WriterState<V> {
+struct WriterState {
     len: usize,
-    /// Probe tables superseded by growth; freed on map drop. Their slots
-    /// alias value boxes owned by the current table, so dropping them frees
-    /// only the table structure.
-    retired_tables: Vec<*mut Table<V>>,
-    /// Value boxes displaced by `replace`/`update_cas`/`clear`; freed on
-    /// map drop (a reader may still be cloning through the pointer).
-    retired_vals: Vec<*mut V>,
+    /// Probe tables superseded by growth; freed on map drop.
+    retired_tables: Vec<*mut Table>,
 }
 
-/// A single shard.
-struct Shard<V> {
-    /// Seqlock counter: even = stable, odd = a writer is mutating.
+/// The writer mutex, alone on its cache line.
+#[repr(align(64))]
+struct WriterLine(Mutex<WriterState>);
+
+/// A single shard: the header readers load on line 0, the writer lock on
+/// line 1, so an insert's lock traffic never invalidates a reader's line.
+#[repr(C, align(64))]
+struct Shard {
+    /// Seqlock counter: even = stable, odd = a table swap is in progress.
     seq: AtomicU64,
     /// Current probe table, swapped on growth.
-    table: AtomicPtr<Table<V>>,
-    writer: Mutex<WriterState<V>>,
+    table: AtomicPtr<Table>,
+    /// Side cell for the one key a slot cannot hold (`VACANT`): whether it
+    /// is present, and its value word.
+    vacant_full: AtomicBool,
+    vacant_val: AtomicU64,
+    writer: WriterLine,
 }
 
-// SAFETY: owned value boxes and retired garbage are dropped from whichever
-// thread drops the map (`V: Send`); the raw pointers in `WriterState`/`table`
-// are owned by the shard and follow the retire-until-drop protocol
-// documented above, so moving the shard between threads transfers sole
-// ownership of every allocation it frees.
-unsafe impl<V: Send + Sync> Send for Shard<V> {}
-// SAFETY: values are shared by reference with concurrent readers
-// (`V: Sync`), all shared shard state is atomics or the writer mutex, and
-// retired allocations stay live until drop — so `&Shard` used from many
+// SAFETY: the raw table pointers in `table`/`WriterState` are owned by the
+// shard and follow the retire-until-drop protocol documented above, so
+// moving the shard between threads transfers sole ownership of every
+// allocation it frees. The shard holds no values, only their words.
+unsafe impl Send for Shard {}
+// SAFETY: all state shared between threads is atomics or the writer mutex,
+// and retired tables stay live until drop — so `&Shard` used from many
 // threads never yields a dangling or aliased-mutable access.
-unsafe impl<V: Send + Sync> Sync for Shard<V> {}
+unsafe impl Sync for Shard {}
 
 /// Outcome of one optimistic probe attempt.
-enum Probe<V> {
-    /// Validated: the key maps to this live value pointer (or a miss).
-    Valid(Option<*const V>),
+enum Probe {
+    /// Validated: the key maps to this value word (or a miss).
+    Valid(Option<u64>),
     /// A writer moved the sequence during the probe; retry.
     Interference,
 }
 
-impl<V: Clone> Shard<V> {
+impl Shard {
     fn new(cap: usize) -> Self {
         Shard {
             seq: AtomicU64::new(0),
             table: AtomicPtr::new(Box::into_raw(Table::new_boxed(cap))),
-            writer: Mutex::new(WriterState {
+            vacant_full: AtomicBool::new(false),
+            vacant_val: AtomicU64::new(0),
+            writer: WriterLine(Mutex::new(WriterState {
                 len: 0,
                 retired_tables: Vec::new(),
-                retired_vals: Vec::new(),
-            }),
+            })),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, WriterState> {
+        self.writer.0.lock()
+    }
+
+    /// The current table. The writer state is the witness that the caller
+    /// holds the lock.
+    fn table_locked<'a>(&'a self, _held: &'a WriterState) -> &'a Table {
+        // ord: Relaxed — the lock acquisition orders this load against the
+        // previous holder's swap.
+        let t = self.table.load(Ordering::Relaxed);
+        // SAFETY: tables are swapped (and the old one retired, not freed)
+        // only under the writer lock, which the caller holds for 'a.
+        unsafe { &*t }
     }
 
     /// Begin a write window: readers that overlap it will fail validation.
@@ -161,46 +192,57 @@ impl<V: Clone> Shard<V> {
     // ft-lint: hot-path begin(map-read)
 
     /// One optimistic, lock-free probe: read the published table, probe,
-    /// then validate that no writer interfered.
-    fn try_read(&self, key: i64) -> Probe<V> {
+    /// then validate that no table swap interfered.
+    fn try_read(&self, key: i64) -> Probe {
         // ord: Acquire — pairs with the Release in `write_end`: an even s1
-        // guarantees the probe sees a table state no older than that write.
+        // guarantees the probe sees a table no older than that swap.
         let s1 = self.seq.load(Ordering::Acquire);
         if s1 & 1 == 1 {
             return Probe::Interference;
         }
-        // ord: Acquire — pairs with the Release table publication in
-        // `grow_if_needed`, so the pointed-to table is fully initialized.
-        let table = self.table.load(Ordering::Acquire);
-        // SAFETY: published tables are retired on growth, never freed while
-        // the map lives, so the pointer is always dereferenceable — a stale
-        // table merely fails validation below.
-        let t = unsafe { &*table };
-        let mask = t.mask;
-        let mut i = (hash_key(key) as usize) & mask;
-        let mut found: Option<*const V> = None;
-        // Bounded probe: a consistent table has load factor < 0.7, so a
-        // full sweep without an empty slot can only mean interference.
-        for _ in 0..=mask {
-            let slot = &t.slots[i];
-            // ord: Acquire — pairs with the Release in `publish_insert`/
-            // `swap_value`: a non-null pointer implies the pointee and the
-            // slot's key store are visible.
-            let p = slot.val.load(Ordering::Acquire);
-            if p.is_null() {
-                break; // empty slot terminates the probe chain
+        let mut found = None;
+        if key == VACANT {
+            // ord: Acquire — pairs with the Release flag store in
+            // `publish_insert`: a set flag implies the side value word
+            // (and, for a handle, its pointee) is visible.
+            if self.vacant_full.load(Ordering::Acquire) {
+                // ord: Relaxed — ordered after the Acquire flag load.
+                found = Some(self.vacant_val.load(Ordering::Relaxed));
             }
-            // ord: Relaxed — the Acquire load of `val` above already orders
-            // the key store (keys are written before the value pointer).
-            if slot.key.load(Ordering::Relaxed) == key {
-                found = Some(p as *const V);
-                break;
+        } else {
+            // ord: Acquire — pairs with the Release table publication in
+            // `grow_if_needed`, so the pointed-to table is fully initialized.
+            let table = self.table.load(Ordering::Acquire);
+            // SAFETY: published tables are retired on growth, never freed
+            // while the map lives, so the pointer is always dereferenceable
+            // — a stale table merely fails validation below.
+            let t = unsafe { &*table };
+            let mask = t.mask;
+            let mut i = (hash_key(key) as usize) & mask;
+            // Bounded probe: a consistent table has load factor < 0.7, so
+            // a full sweep without an empty slot can only mean interference.
+            for _ in 0..=mask {
+                let slot = &t.slots[i];
+                // ord: Acquire — pairs with the Release key store in
+                // `publish_insert`: a published key implies its value word
+                // (and, for a handle, its pointee) is visible.
+                let k = slot.key.load(Ordering::Acquire);
+                if k == VACANT {
+                    break; // empty slot terminates the probe chain
+                }
+                if k == key {
+                    // ord: Relaxed — ordered after the Acquire key load; a
+                    // later `store_value` is paired by the fence below.
+                    found = Some(slot.val.load(Ordering::Relaxed));
+                    break;
+                }
+                i = (i + 1) & mask;
             }
-            i = (i + 1) & mask;
         }
         // ord: Acquire fence + Relaxed load — the probe loads must complete
         // before the validating sequence load; the fence upgrades the
-        // Relaxed load so it cannot be reordered before the probe.
+        // Relaxed load so it cannot be reordered before the probe, and it
+        // acquires the Release `store_value` of any value word read above.
         // sc: seqlock/reader-validate
         fence(Ordering::Acquire);
         let s2 = self.seq.load(Ordering::Relaxed);
@@ -211,96 +253,102 @@ impl<V: Clone> Shard<V> {
         }
     }
 
-    /// Lock-free read; falls back to the writer lock after repeated
-    /// interference so readers cannot starve behind a write storm.
-    fn read(&self, key: i64) -> Option<V> {
+    /// Lock-free read: `Some(found)` once a probe validates, `None` if a
+    /// write storm defeated every optimistic attempt (the caller then
+    /// decides under the writer lock).
+    fn try_get(&self, key: i64) -> Option<Option<u64>> {
         for _ in 0..OPTIMISTIC_TRIES {
             match self.try_read(key) {
-                // SAFETY: a validated pointer is live (boxes are retired,
-                // not freed) and its pointee is never mutated in place.
-                // ft-lint: allow(L9) the map stores values by value; a
-                // validated read must copy out before the box is retired.
-                Probe::Valid(found) => return found.map(|p| unsafe { (*p).clone() }),
-                Probe::Interference => std::hint::spin_loop(),
-            }
-        }
-        // ft-lint: allow(L9) anti-starvation fallback: taken only after
-        // OPTIMISTIC_TRIES failed validations under a write storm.
-        let _guard = self.writer.lock();
-        // SAFETY: the writer lock is held, so the table pointer is stable
-        // and dereferenceable (tables are only swapped under this lock).
-        // ord: Relaxed — the lock acquisition orders the table load against
-        // the previous holder's swap.
-        let t = unsafe { &*self.table.load(Ordering::Relaxed) };
-        self.probe_locked(t, key)
-            // SAFETY: `probe_locked` returned an occupied slot and the lock
-            // blocks any writer from displacing its value box.
-            // ord: Relaxed — lock-serialized; see above.
-            // ft-lint: allow(L9) value copy-out, same as the lock-free arm.
-            .map(|i| unsafe { (*t.slots[i].val.load(Ordering::Relaxed)).clone() })
-    }
-
-    /// Lock-free membership probe: `Some(present)` once a probe validates,
-    /// `None` if a write storm defeated every optimistic attempt (the
-    /// caller then decides under the writer lock).
-    fn try_contains(&self, key: i64) -> Option<bool> {
-        for _ in 0..OPTIMISTIC_TRIES {
-            match self.try_read(key) {
-                Probe::Valid(found) => return Some(found.is_some()),
+                Probe::Valid(found) => return Some(found),
                 Probe::Interference => std::hint::spin_loop(),
             }
         }
         None
     }
 
+    /// Lock-free read; falls back to the writer lock after repeated
+    /// interference so readers cannot starve behind a write storm.
+    fn read(&self, key: i64) -> Option<u64> {
+        if let Some(found) = self.try_get(key) {
+            return found;
+        }
+        // ft-lint: allow(L9) anti-starvation fallback: taken only after
+        // OPTIMISTIC_TRIES failed validations under a write storm.
+        let held = self.lock();
+        self.cell_locked(self.table_locked(&held), key)
+            // ord: Relaxed — lock-serialized, as in `cell_locked`.
+            .map(|cell| cell.load(Ordering::Relaxed))
+    }
+
     // ft-lint: hot-path end(map-read)
 
-    /// Probe under the writer lock. Returns the slot index of `key`.
-    fn probe_locked(&self, t: &Table<V>, key: i64) -> Option<usize> {
+    /// The value cell of `key`, probed under the writer lock.
+    fn cell_locked<'a>(&'a self, t: &'a Table, key: i64) -> Option<&'a AtomicU64> {
+        if key == VACANT {
+            // ord: Relaxed — caller holds the writer lock, which serializes
+            // every mutation of the side cell and the slots.
+            return self
+                .vacant_full
+                .load(Ordering::Relaxed)
+                .then_some(&self.vacant_val);
+        }
         let mut i = (hash_key(key) as usize) & t.mask;
         loop {
             let slot = &t.slots[i];
-            // ord: Relaxed — caller holds the writer lock, which serializes
-            // every mutation of the slots.
-            if slot.val.load(Ordering::Relaxed).is_null() {
-                return None;
-            }
             // ord: Relaxed — lock-serialized, as above.
-            if slot.key.load(Ordering::Relaxed) == key {
-                return Some(i);
+            match slot.key.load(Ordering::Relaxed) {
+                VACANT => return None,
+                k if k == key => return Some(&slot.val),
+                _ => i = (i + 1) & t.mask,
             }
-            i = (i + 1) & t.mask;
         }
     }
 
-    /// First empty slot on `key`'s probe chain. Caller must hold the lock
-    /// and have verified the key is absent.
-    fn find_empty(&self, t: &Table<V>, key: i64) -> usize {
-        let mut i = (hash_key(key) as usize) & t.mask;
-        // ord: Relaxed — caller holds the writer lock; see `probe_locked`.
-        while !t.slots[i].val.load(Ordering::Relaxed).is_null() {
-            i = (i + 1) & t.mask;
+    /// Insert `(key, word)` for an absent key, growing first if needed.
+    /// Caller holds the lock (`w` is its state) and has probed the key.
+    ///
+    /// No sequence bump: a concurrent reader sees the entry absent (a miss,
+    /// linearized before) or present (a hit) — both consistent states.
+    fn insert_locked(&self, w: &mut WriterState, key: i64, word: u64) {
+        if key == VACANT {
+            // ord: Relaxed — ordered by the Release flag store below.
+            self.vacant_val.store(word, Ordering::Relaxed);
+            // ord: Release — the value word and whatever it refers to are
+            // visible to a reader that Acquire-loads the flag.
+            self.vacant_full.store(true, Ordering::Release);
+        } else {
+            let t = self.grow_if_needed(w);
+            let mut i = (hash_key(key) as usize) & t.mask;
+            // ord: Relaxed — lock-serialized probe for the first empty slot.
+            while t.slots[i].key.load(Ordering::Relaxed) != VACANT {
+                i = (i + 1) & t.mask;
+            }
+            // ord: Relaxed — ordered by the Release key store below.
+            t.slots[i].val.store(word, Ordering::Relaxed);
+            // ord: Release — the value word and whatever it refers to are
+            // visible to any reader that Acquire-loads this key.
+            t.slots[i].key.store(key, Ordering::Release);
         }
-        i
+        w.len += 1;
     }
 
-    /// Publish `(key, boxed)` into an empty slot. No sequence bump needed:
-    /// concurrent readers either see the null (miss, linearized before) or
-    /// the full slot (hit) — both are consistent states.
-    fn publish_insert(&self, t: &Table<V>, key: i64, boxed: *mut V) {
-        let i = self.find_empty(t, key);
-        // ord: Relaxed — ordered by the Release store of `val` below.
-        t.slots[i].key.store(key, Ordering::Relaxed);
-        // ord: Release — the key store above and the boxed value are
-        // visible to any reader that Acquire-loads this value pointer.
-        t.slots[i].val.store(boxed, Ordering::Release);
+    /// Overwrite an occupied value cell, returning the word it held.
+    /// Caller holds the lock. One atomic store, so no write window: a
+    /// reader sees the old word or the new one, both consistent.
+    fn store_value(&self, cell: &AtomicU64, word: u64) -> u64 {
+        // ord: Relaxed — lock-serialized read of the current word.
+        let old = cell.load(Ordering::Relaxed);
+        // ord: Release — pairs with the readers' Acquire validate fence in
+        // `try_read`: a reader that reads this word sees what it refers to.
+        cell.store(word, Ordering::Release);
+        old
     }
 
     /// Grow (double) the table if the load factor reached 0.7, publishing
     /// the new table under a write window. Caller must hold the lock.
     ///
-    /// Returns the current table.
-    fn grow_if_needed(&self, w: &mut WriterState<V>) -> *mut Table<V> {
+    /// Returns the current table, live while the lock is held.
+    fn grow_if_needed(&self, w: &mut WriterState) -> &Table {
         // ord: Relaxed — caller holds the writer lock, which serializes
         // every table swap.
         let old_ptr = self.table.load(Ordering::Relaxed);
@@ -309,28 +357,28 @@ impl<V: Clone> Shard<V> {
         let old = unsafe { &*old_ptr };
         let cap = old.mask + 1;
         if w.len * 10 < cap * 7 {
-            return old_ptr;
+            return old;
         }
-        let new = Table::<V>::new_boxed(cap * 2);
+        let new = Table::new_boxed(cap * 2);
         for slot in old.slots.iter() {
             // ord: Relaxed — old-table reads are lock-serialized and the
             // new table is private until published: no reader can see
             // these loads or the stores below out of order.
-            let p = slot.val.load(Ordering::Relaxed);
-            if p.is_null() {
+            let k = slot.key.load(Ordering::Relaxed);
+            if k == VACANT {
                 continue;
             }
             // ord: Relaxed — lock-serialized old-table read, as above.
-            let k = slot.key.load(Ordering::Relaxed);
+            let v = slot.val.load(Ordering::Relaxed);
             let mut i = (hash_key(k) as usize) & new.mask;
             // ord: Relaxed — the new table is private until published.
-            while !new.slots[i].val.load(Ordering::Relaxed).is_null() {
+            while new.slots[i].key.load(Ordering::Relaxed) != VACANT {
                 i = (i + 1) & new.mask;
             }
             // ord: Relaxed — private table; the Release publication of
             // `table` below makes these stores visible to readers.
+            new.slots[i].val.store(v, Ordering::Relaxed);
             new.slots[i].key.store(k, Ordering::Relaxed);
-            new.slots[i].val.store(p, Ordering::Relaxed);
         }
         let new_ptr = Box::into_raw(new);
         self.write_begin();
@@ -339,50 +387,23 @@ impl<V: Clone> Shard<V> {
         self.table.store(new_ptr, Ordering::Release);
         self.write_end();
         w.retired_tables.push(old_ptr);
-        new_ptr
-    }
-
-    /// Swap the value pointer of an occupied slot under a write window,
-    /// retiring the displaced box. Caller must hold the lock.
-    fn swap_value(&self, t: &Table<V>, i: usize, boxed: *mut V, w: &mut WriterState<V>) -> *mut V {
-        // ord: Relaxed — caller holds the writer lock; see `probe_locked`.
-        let old = t.slots[i].val.load(Ordering::Relaxed);
-        self.write_begin();
-        // ord: Release — the new box's contents are visible to any reader
-        // that Acquire-loads this pointer in `try_read`.
-        t.slots[i].val.store(boxed, Ordering::Release);
-        self.write_end();
-        w.retired_vals.push(old);
-        old
+        // SAFETY: just published; retired only by a later grow, which
+        // needs the lock the caller holds.
+        unsafe { &*new_ptr }
     }
 }
 
-impl<V> Drop for Shard<V> {
+impl Drop for Shard {
     fn drop(&mut self) {
-        let w = self.writer.get_mut();
+        let w = self.writer.0.get_mut();
         // ord: Relaxed — `&mut self` proves exclusivity; every reader and
         // writer synchronized-with this thread before the drop.
         let t = self.table.load(Ordering::Relaxed);
-        // SAFETY: exclusive access (`&mut self`). The current table owns the
-        // live value boxes; `retired_vals` owns displaced boxes; retired
-        // tables alias boxes already freed via one of the former two, so
-        // only their table structure is freed — every allocation exactly
-        // once.
+        // SAFETY: exclusive access (`&mut self`); the current table and
+        // every retired one were each `Box::into_raw`ed exactly once and
+        // are freed exactly once here. Values own nothing.
         unsafe {
-            // Live values are owned by the current table.
-            for slot in (*t).slots.iter() {
-                // ord: Relaxed — exclusive access, as above.
-                let p = slot.val.load(Ordering::Relaxed);
-                if !p.is_null() {
-                    drop(Box::from_raw(p));
-                }
-            }
             drop(Box::from_raw(t));
-            for &p in &w.retired_vals {
-                drop(Box::from_raw(p));
-            }
-            // Retired tables alias value boxes already freed above or in
-            // retired_vals: free only the table structure.
             for &tp in &w.retired_tables {
                 drop(Box::from_raw(tp));
             }
@@ -390,11 +411,15 @@ impl<V> Drop for Shard<V> {
     }
 }
 
-/// A sharded concurrent hash map from `i64` task keys to `V`, with
-/// lock-free (seqlock-validated) reads.
+/// A sharded concurrent hash map from `i64` task keys to [`Word`] values,
+/// with lock-free (seqlock-validated) reads.
 pub struct ShardedMap<V> {
-    shards: Vec<Shard<V>>,
+    shards: Vec<Shard>,
     shift: u32,
+    /// The map moves `V`s between threads by copying their words and never
+    /// shares one by reference, so it is `Send` and `Sync` exactly when
+    /// `V: Send` — the auto-trait rule of `Mutex<V>`, which this borrows.
+    _values: PhantomData<std::sync::Mutex<V>>,
 }
 
 impl<V> std::fmt::Debug for ShardedMap<V> {
@@ -416,13 +441,13 @@ pub struct MapStats {
     pub max_shard_len: usize,
 }
 
-impl<V: Clone> Default for ShardedMap<V> {
+impl<V: Word> Default for ShardedMap<V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<V: Clone> ShardedMap<V> {
+impl<V: Word> ShardedMap<V> {
     /// Map with a default shard count (4× available cores, rounded up to a
     /// power of two) — enough striping that the scheduler's task map is not
     /// a bottleneck at full core count. The count is computed once per
@@ -445,11 +470,12 @@ impl<V: Clone> ShardedMap<V> {
         ShardedMap {
             shards: (0..shards).map(|_| Shard::new(64)).collect(),
             shift: 64 - shards.trailing_zeros(),
+            _values: PhantomData,
         }
     }
 
     #[inline]
-    fn shard_for(&self, key: i64) -> &Shard<V> {
+    fn shard_for(&self, key: i64) -> &Shard {
         // High bits pick the shard; low bits drive in-shard probing.
         let idx = if self.shards.len() == 1 {
             0
@@ -459,78 +485,68 @@ impl<V: Clone> ShardedMap<V> {
         &self.shards[idx]
     }
 
-    /// `InsertTaskIfAbsent`: atomically insert `make()` under `key` if no
-    /// entry exists. Returns `true` if this call inserted. `make` runs
-    /// under the shard lock only when an insert actually happens.
-    ///
-    /// Read before lock: a validated lock-free hit answers `false` without
-    /// touching the shard mutex — the traversal calls this once per graph
-    /// edge and finds the key present on all but the first. The hit
-    /// linearizes at the probe (the key was present then, which is all
-    /// `false` promises); only a miss takes the writer lock, and re-probes
-    /// under it.
-    pub fn insert_if_absent(&self, key: i64, make: impl FnOnce() -> V) -> bool {
-        let shard = self.shard_for(key);
-        if shard.try_contains(key) == Some(true) {
-            return false;
-        }
-        let mut w = shard.writer.lock();
-        // SAFETY: writer lock held — the table pointer is stable and live.
-        // ord: Relaxed — the lock orders the load against the last swap.
-        let t = unsafe { &*shard.table.load(Ordering::Relaxed) };
-        if shard.probe_locked(t, key).is_some() {
-            return false;
-        }
-        // SAFETY: `grow_if_needed` returns the (possibly new) current
-        // table, live for at least as long as the lock is held.
-        let t = unsafe { &*shard.grow_if_needed(&mut w) };
-        let boxed = Box::into_raw(Box::new(make()));
-        shard.publish_insert(t, key, boxed);
-        w.len += 1;
-        true
+    /// A stored word back as its value.
+    #[inline]
+    fn value(word: u64) -> V {
+        // SAFETY: every word in the map's slots and side cells was stored
+        // from `into_word` on a `V` (`get_or_insert_with`, `replace`,
+        // `update_cas` are the only stores of a value word).
+        unsafe { V::from_word(word) }
     }
 
-    /// `GetTask`: clone out the current value for `key`. Lock-free: probes
-    /// the published table and validates the shard sequence; only falls
-    /// back to the shard lock after repeated writer interference.
+    /// `InsertTaskIfAbsent` + `GetTask` in one probe: the value under
+    /// `key`, inserting `make()` first if no entry exists. Returns the
+    /// value and whether this call inserted it. `make` runs under the
+    /// shard lock only when an insert actually happens, so concurrent
+    /// callers on one key all get the single winner's value.
+    ///
+    /// Read before lock: a validated lock-free hit returns without touching
+    /// the shard mutex — the traversal calls this once per graph edge and
+    /// finds the key present on all but the first. The hit linearizes at
+    /// the probe; only a miss takes the writer lock, and re-probes under it.
+    pub fn get_or_insert_with(&self, key: i64, make: impl FnOnce() -> V) -> (V, bool) {
+        let shard = self.shard_for(key);
+        if let Some(Some(word)) = shard.try_get(key) {
+            return (Self::value(word), false);
+        }
+        let mut w = shard.lock();
+        if let Some(cell) = shard.cell_locked(shard.table_locked(&w), key) {
+            // ord: Relaxed — lock-serialized, as in `cell_locked`.
+            return (Self::value(cell.load(Ordering::Relaxed)), false);
+        }
+        let v = make();
+        shard.insert_locked(&mut w, key, v.into_word());
+        (v, true)
+    }
+
+    /// `InsertTaskIfAbsent`: [`ShardedMap::get_or_insert_with`], keeping
+    /// only whether this call inserted.
+    pub fn insert_if_absent(&self, key: i64, make: impl FnOnce() -> V) -> bool {
+        self.get_or_insert_with(key, make).1
+    }
+
+    /// `GetTask`: the current value for `key`. Lock-free: probes the
+    /// published table and validates the shard sequence; only falls back to
+    /// the shard lock after repeated writer interference.
     pub fn get(&self, key: i64) -> Option<V> {
-        self.shard_for(key).read(key)
+        self.shard_for(key).read(key).map(Self::value)
     }
 
     /// True if the map has an entry for `key`. Same lock-free path as
-    /// [`ShardedMap::get`] without cloning the value.
+    /// [`ShardedMap::get`].
     pub fn contains(&self, key: i64) -> bool {
-        let shard = self.shard_for(key);
-        if let Some(present) = shard.try_contains(key) {
-            return present;
-        }
-        let _guard = shard.writer.lock();
-        // SAFETY: writer lock held — the table pointer is stable and live.
-        // ord: Relaxed — the lock orders the load against the last swap.
-        let t = unsafe { &*shard.table.load(Ordering::Relaxed) };
-        shard.probe_locked(t, key).is_some()
+        self.shard_for(key).read(key).is_some()
     }
 
     /// `ReplaceTask`: insert or overwrite the value under `key`, returning
     /// the previous value if any.
     pub fn replace(&self, key: i64, value: V) -> Option<V> {
         let shard = self.shard_for(key);
-        let mut w = shard.writer.lock();
-        // SAFETY: writer lock held — the table pointer is stable and live.
-        // ord: Relaxed — the lock orders the load against the last swap.
-        let t = unsafe { &*shard.table.load(Ordering::Relaxed) };
-        if let Some(i) = shard.probe_locked(t, key) {
-            let boxed = Box::into_raw(Box::new(value));
-            let old = shard.swap_value(t, i, boxed, &mut w);
-            // SAFETY: the displaced box was retired, not freed (a reader
-            // may be cloning it), so it stays dereferenceable here.
-            return Some(unsafe { (*old).clone() });
+        let mut w = shard.lock();
+        if let Some(cell) = shard.cell_locked(shard.table_locked(&w), key) {
+            return Some(Self::value(shard.store_value(cell, value.into_word())));
         }
-        // SAFETY: `grow_if_needed` returns the current table, live while
-        // the lock is held.
-        let t = unsafe { &*shard.grow_if_needed(&mut w) };
-        shard.publish_insert(t, key, Box::into_raw(Box::new(value)));
-        w.len += 1;
+        shard.insert_locked(&mut w, key, value.into_word());
         None
     }
 
@@ -542,42 +558,24 @@ impl<V: Clone> ShardedMap<V> {
     /// the recovery table's `AtomicCompAndSwap(stored, life-1, life)`.
     pub fn update_cas<R>(&self, key: i64, f: impl FnOnce(Option<&V>) -> (Option<V>, R)) -> R {
         let shard = self.shard_for(key);
-        let mut w = shard.writer.lock();
-        // SAFETY: writer lock held — the table pointer is stable and live.
-        // ord: Relaxed — the lock orders the load against the last swap.
-        let t = unsafe { &*shard.table.load(Ordering::Relaxed) };
-        let slot = shard.probe_locked(t, key);
-        let (new, ret) = match slot {
-            Some(i) => {
-                // SAFETY: occupied slot and the lock blocks displacement of
-                // its value box while `cur` is borrowed.
-                // ord: Relaxed — lock-serialized, as above.
-                let cur = unsafe { &*t.slots[i].val.load(Ordering::Relaxed) };
-                f(Some(cur))
+        let mut w = shard.lock();
+        let cell = shard.cell_locked(shard.table_locked(&w), key);
+        // ord: Relaxed — lock-serialized, as in `cell_locked`.
+        let cur = cell.map(|c| Self::value(c.load(Ordering::Relaxed)));
+        let (new, ret) = f(cur.as_ref());
+        match (new, cell) {
+            (Some(v), Some(cell)) => {
+                shard.store_value(cell, v.into_word());
             }
-            None => f(None),
-        };
-        if let Some(v) = new {
-            let boxed = Box::into_raw(Box::new(v));
-            match slot {
-                Some(i) => {
-                    shard.swap_value(t, i, boxed, &mut w);
-                }
-                None => {
-                    // SAFETY: `grow_if_needed` returns the current table,
-                    // live while the lock is held.
-                    let t = unsafe { &*shard.grow_if_needed(&mut w) };
-                    shard.publish_insert(t, key, boxed);
-                    w.len += 1;
-                }
-            }
+            (Some(v), None) => shard.insert_locked(&mut w, key, v.into_word()),
+            (None, _) => {}
         }
         ret
     }
 
     /// Total number of entries (takes each shard writer lock once).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.writer.lock().len).sum()
+        self.shards.iter().map(|s| s.lock().len).sum()
     }
 
     /// True if no entries exist.
@@ -587,7 +585,7 @@ impl<V: Clone> ShardedMap<V> {
 
     /// Occupancy statistics for diagnostics/ablation.
     pub fn stats(&self) -> MapStats {
-        let lens: Vec<usize> = self.shards.iter().map(|s| s.writer.lock().len).collect();
+        let lens: Vec<usize> = self.shards.iter().map(|s| s.lock().len).collect();
         MapStats {
             len: lens.iter().sum(),
             shards: self.shards.len(),
@@ -595,26 +593,20 @@ impl<V: Clone> ShardedMap<V> {
         }
     }
 
-    /// Remove all entries, retaining shard capacity. Displaced value boxes
-    /// are retired, not freed (a concurrent reader may hold them).
+    /// Remove all entries, retaining shard capacity.
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut w = shard.writer.lock();
-            // SAFETY: writer lock held — table pointer stable and live.
-            // ord: Relaxed — lock-ordered, as in `insert_if_absent`.
-            let t = unsafe { &*shard.table.load(Ordering::Relaxed) };
+            let mut w = shard.lock();
+            let t = shard.table_locked(&w);
             shard.write_begin();
             for slot in t.slots.iter() {
                 // ord: Relaxed — inside a write window: readers that
                 // overlap these stores fail sequence validation, so only
                 // the window's Release edges need ordering.
-                let p = slot.val.load(Ordering::Relaxed);
-                if !p.is_null() {
-                    // ord: Relaxed — inside the write window, as above.
-                    slot.val.store(std::ptr::null_mut(), Ordering::Relaxed);
-                    w.retired_vals.push(p);
-                }
+                slot.key.store(VACANT, Ordering::Relaxed);
             }
+            // ord: Relaxed — inside the write window, as above.
+            shard.vacant_full.store(false, Ordering::Relaxed);
             shard.write_end();
             w.len = 0;
         }
@@ -625,20 +617,19 @@ impl<V: Clone> ShardedMap<V> {
     pub fn entries(&self) -> Vec<(i64, V)> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let _guard = shard.writer.lock();
-            // SAFETY: writer lock held — table pointer stable and live.
-            // ord: Relaxed — lock-ordered, as in `insert_if_absent`.
-            let t = unsafe { &*shard.table.load(Ordering::Relaxed) };
+            let w = shard.lock();
+            let t = shard.table_locked(&w);
             for slot in t.slots.iter() {
                 // ord: Relaxed — slot reads are lock-serialized here.
-                let p = slot.val.load(Ordering::Relaxed);
-                if !p.is_null() {
+                let k = slot.key.load(Ordering::Relaxed);
+                if k != VACANT {
                     // ord: Relaxed — lock-serialized slot read, as above.
-                    let k = slot.key.load(Ordering::Relaxed);
-                    // SAFETY: occupied slot; the lock blocks displacement
-                    // of the box while we clone through it.
-                    out.push((k, unsafe { (*p).clone() }));
+                    out.push((k, Self::value(slot.val.load(Ordering::Relaxed))));
                 }
+            }
+            if let Some(cell) = shard.cell_locked(t, VACANT) {
+                // ord: Relaxed — lock-serialized side-cell read.
+                out.push((VACANT, Self::value(cell.load(Ordering::Relaxed))));
             }
         }
         out
@@ -649,24 +640,24 @@ impl<V: Clone> ShardedMap<V> {
 mod tests {
     use super::*;
     use ft_sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
     use std::thread;
 
     #[test]
     fn insert_get_replace() {
         let m = ShardedMap::with_shards(4);
-        assert!(m.insert_if_absent(1, || "a"));
-        assert!(!m.insert_if_absent(1, || "b"));
-        assert_eq!(m.get(1), Some("a"));
-        assert_eq!(m.replace(1, "c"), Some("a"));
-        assert_eq!(m.get(1), Some("c"));
-        assert_eq!(m.replace(2, "d"), None);
+        assert!(m.insert_if_absent(1, || 10u64));
+        assert!(!m.insert_if_absent(1, || 11));
+        assert_eq!(m.get(1), Some(10));
+        assert_eq!(m.replace(1, 12), Some(10));
+        assert_eq!(m.get(1), Some(12));
+        assert_eq!(m.replace(2, 13), None);
         assert_eq!(m.len(), 2);
     }
 
     #[test]
     fn get_missing_is_none() {
-        let m: ShardedMap<u32> = ShardedMap::with_shards(2);
+        let m: ShardedMap<u64> = ShardedMap::with_shards(2);
         assert_eq!(m.get(42), None);
         assert!(!m.contains(42));
         assert!(m.is_empty());
@@ -680,6 +671,34 @@ mod tests {
             assert_eq!(m.get(k), Some(k));
         }
         assert_eq!(m.len(), 5);
+    }
+
+    #[test]
+    fn vacant_key_is_a_full_citizen() {
+        // `i64::MIN` is the empty-slot marker, so it lives in the shard's
+        // side cell: every operation must treat it like any other key,
+        // through growth and `clear`, with any value word.
+        let m: ShardedMap<u64> = ShardedMap::with_shards(1);
+        assert_eq!(m.get(VACANT), None);
+        assert_eq!(m.get_or_insert_with(VACANT, || u64::MAX), (u64::MAX, true));
+        assert_eq!(m.get_or_insert_with(VACANT, || 1), (u64::MAX, false));
+        for k in 0..1000 {
+            m.insert_if_absent(k, || k as u64);
+        }
+        assert_eq!(m.get(VACANT), Some(u64::MAX));
+        assert_eq!(m.replace(VACANT, 0), Some(u64::MAX));
+        assert_eq!(
+            m.update_cas(VACANT, |cur| (cur.map(|v| v + 5), *cur.unwrap())),
+            0
+        );
+        assert!(m.contains(VACANT));
+        assert_eq!(m.len(), 1001);
+        assert!(m.entries().contains(&(VACANT, 5)));
+        m.clear();
+        assert!(!m.contains(VACANT));
+        assert!(m.entries().is_empty());
+        assert_eq!(m.replace(VACANT, 9), None);
+        assert_eq!(m.entries(), vec![(VACANT, 9)]);
     }
 
     #[test]
@@ -702,13 +721,23 @@ mod tests {
         let calls = AtomicUsize::new(0);
         m.insert_if_absent(5, || {
             calls.fetch_add(1, Ordering::Relaxed);
-            1
+            1u64
         });
         m.insert_if_absent(5, || {
             calls.fetch_add(1, Ordering::Relaxed);
             2
         });
         assert_eq!(calls.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn get_or_insert_with_returns_the_stored_value() {
+        let m: ShardedMap<bool> = ShardedMap::with_shards(2);
+        assert_eq!(m.get_or_insert_with(3, || true), (true, true));
+        assert_eq!(m.get_or_insert_with(3, || false), (true, false));
+        assert_eq!(m.get_or_insert_with(4, || false), (false, true));
+        assert_eq!(m.get(3), Some(true));
+        assert_eq!(m.get(4), Some(false));
     }
 
     #[test]
@@ -782,11 +811,95 @@ mod tests {
     }
 
     #[test]
+    fn get_or_insert_with_on_one_key_every_caller_gets_the_winner() {
+        // N threads released together onto the same key, key after key, on
+        // one shard: exactly one inserts, and every caller — winner and
+        // losers alike — returns the winner's value.
+        const N: usize = 6;
+        const KEYS: usize = 300;
+        let m: ShardedMap<usize> = ShardedMap::with_shards(1);
+        let barrier = Barrier::new(N);
+        let got: Vec<Vec<(usize, bool)>> = thread::scope(|s| {
+            let handles: Vec<_> = (0..N)
+                .map(|tid| {
+                    let (m, barrier) = (&m, &barrier);
+                    s.spawn(move || {
+                        (0..KEYS)
+                            .map(|k| {
+                                barrier.wait();
+                                m.get_or_insert_with(k as i64, || tid)
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for k in 0..KEYS {
+            let calls: Vec<(usize, bool)> = got.iter().map(|per| per[k]).collect();
+            let winners: Vec<usize> = (0..N).filter(|&t| calls[t].1).collect();
+            assert_eq!(winners.len(), 1, "key {k}: inserters {winners:?}");
+            let winner = winners[0];
+            for (tid, &(v, _)) in calls.iter().enumerate() {
+                assert_eq!(v, winner, "key {k}: caller {tid} saw {v}, winner {winner}");
+            }
+            assert_eq!(m.get(k as i64), Some(winner));
+        }
+    }
+
+    #[test]
+    fn get_or_insert_with_races_replace() {
+        // Per key, released together: two `get_or_insert_with` callers and
+        // one `replace(k, R)`. Exactly one of the three creates the entry;
+        // an inserter that loses returns the other inserter's value or R,
+        // never anything else; `replace` displaces an inserter's value
+        // exactly when it did not create the entry; R is what stays.
+        const KEYS: i64 = 400;
+        const R: u64 = 99;
+        let m: ShardedMap<u64> = ShardedMap::with_shards(1);
+        let barrier = Barrier::new(3);
+        let created = AtomicUsize::new(0);
+        thread::scope(|s| {
+            for tid in 0..2u64 {
+                let (m, barrier, created) = (&m, &barrier, &created);
+                s.spawn(move || {
+                    for k in 0..KEYS {
+                        barrier.wait();
+                        let (v, inserted) = m.get_or_insert_with(k, || tid);
+                        if inserted {
+                            assert_eq!(v, tid);
+                            created.fetch_add(1, Ordering::Relaxed);
+                        } else {
+                            assert!(v == 1 - tid || v == R, "key {k}: saw {v}");
+                        }
+                    }
+                });
+            }
+            let (m, barrier, created) = (&m, &barrier, &created);
+            s.spawn(move || {
+                for k in 0..KEYS {
+                    barrier.wait();
+                    match m.replace(k, R) {
+                        None => {
+                            created.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Some(prev) => assert!(prev < 2, "key {k}: displaced {prev}"),
+                    }
+                }
+            });
+        });
+        assert_eq!(created.load(Ordering::Relaxed), KEYS as usize);
+        for k in 0..KEYS {
+            assert_eq!(m.get(k), Some(R));
+        }
+    }
+
+    #[test]
     fn insert_if_absent_races_inserter_and_replace_exactly_once() {
         // Per key, released together by a barrier: two `insert_if_absent`
         // callers and one `replace` (which inserts when the key is absent
-        // and otherwise opens a writer window the lock-free pre-probe must
-        // survive). One shard, so every operation interferes with every
+        // and otherwise overwrites the value the lock-free pre-probe may be
+        // reading). One shard, so every operation interferes with every
         // other. Exactly one of the three creates the entry, `make` runs
         // only for a winning `insert_if_absent`, and the losers' `false`
         // is never a lie: the key is present when they return.
@@ -795,7 +908,7 @@ mod tests {
         let made = AtomicUsize::new(0);
         let won = AtomicUsize::new(0);
         let created = AtomicUsize::new(0);
-        let barrier = std::sync::Barrier::new(3);
+        let barrier = Barrier::new(3);
         thread::scope(|s| {
             for tid in 0..2u64 {
                 let (m, made, won, created, barrier) = (&m, &made, &won, &created, &barrier);
@@ -821,7 +934,7 @@ mod tests {
                     if m.replace(k, 2).is_none() {
                         created.fetch_add(1, Ordering::Relaxed);
                     }
-                    // Churn the previous key too: a writer window on a
+                    // Churn the previous key too: a value store on a
                     // neighbouring slot while the others probe for `k`.
                     if k > 0 {
                         m.replace(k - 1, 3);
@@ -909,7 +1022,7 @@ mod tests {
     #[test]
     fn replace_churn_readers_see_monotonic_values() {
         // A writer bumps one key 0→N; readers must only ever observe values
-        // that were actually stored, never a torn or reclaimed one.
+        // that were actually stored, never a torn one.
         let m: Arc<ShardedMap<u64>> = Arc::new(ShardedMap::with_shards(1));
         m.insert_if_absent(0, || 0);
         const N: u64 = 30_000;
@@ -940,29 +1053,31 @@ mod tests {
 
     #[test]
     fn shard_count_rounds_to_power_of_two() {
-        let m: ShardedMap<u8> = ShardedMap::with_shards(5);
+        let m: ShardedMap<u64> = ShardedMap::with_shards(5);
         assert_eq!(m.stats().shards, 8);
-        let m: ShardedMap<u8> = ShardedMap::with_shards(0);
+        let m: ShardedMap<u64> = ShardedMap::with_shards(0);
         assert_eq!(m.stats().shards, 1);
     }
 
     #[test]
-    fn drop_frees_retired_garbage_exactly_once() {
-        // Arc values: every clone handed out plus every retired box must be
-        // accounted for — strong count returns to 1 at the end.
-        let probe = Arc::new(());
-        {
-            let m: ShardedMap<Arc<()>> = ShardedMap::with_shards(1);
-            for k in 0..500 {
-                m.insert_if_absent(k, || Arc::clone(&probe));
-            }
-            for k in 0..500 {
-                m.replace(k, Arc::clone(&probe)); // retires 500 boxes
-                drop(m.get(k));
-            }
-            m.clear(); // retires the rest
-            assert_eq!(Arc::strong_count(&probe), 1 + 1000);
+    fn shard_header_line_holds_no_writer_field() {
+        // A reader loads `seq` and `table` (and, for one key, the side
+        // cell); every insert locks the writer mutex and bumps `len`. The
+        // two must sit on different cache lines, or each insert would
+        // invalidate the line every reader of the shard needs.
+        use std::mem::{align_of, offset_of, size_of};
+        const LINE: usize = 64;
+        assert_eq!(align_of::<Shard>(), LINE, "shards are line-aligned");
+        for (field, off) in [
+            ("seq", offset_of!(Shard, seq)),
+            ("table", offset_of!(Shard, table)),
+            ("vacant_full", offset_of!(Shard, vacant_full)),
+            ("vacant_val", offset_of!(Shard, vacant_val)),
+        ] {
+            assert!(off < LINE, "reader field `{field}` at {off} is off line 0");
         }
-        assert_eq!(Arc::strong_count(&probe), 1);
+        assert_eq!(offset_of!(Shard, writer), LINE, "writer state on line 1");
+        assert_eq!(size_of::<Shard>(), 2 * LINE);
+        assert_eq!(size_of::<Slot>(), 16, "four slots per line");
     }
 }

@@ -6,8 +6,10 @@
 //! same lock and table, then enumerates the full (tiny) outcome space of a
 //! two-thread race: `update_cas` increments must never be lost, a
 //! `replace`/`update_cas` pair must produce one of the two linearization
-//! orders and nothing else, and an `insert_if_absent` race has exactly one
-//! winner whose value is the one stored.
+//! orders and nothing else, an `insert_if_absent` race has exactly one
+//! winner whose value is the one stored, and a `get_or_insert_with` race
+//! hands every caller that winner's value while a concurrent reader sees
+//! either nothing or the winner.
 
 #![cfg(loom)]
 
@@ -76,6 +78,36 @@ fn insert_if_absent_race_has_one_winner() {
         assert!(wa ^ wb, "exactly one insert wins");
         assert_eq!(m.get(0), Some(if wa { 1 } else { 2 }));
         assert_eq!(m.len(), 1);
+    });
+}
+
+#[test]
+fn get_or_insert_with_race_reader_sees_nothing_or_the_winner() {
+    loom::model(|| {
+        let m: Arc<ShardedMap<u64>> = Arc::new(ShardedMap::with_shards(1));
+        let inserters: Vec<_> = [1u64, 2]
+            .into_iter()
+            .map(|v| {
+                let m = Arc::clone(&m);
+                thread::spawn(move || m.get_or_insert_with(0, || v))
+            })
+            .collect();
+        let m3 = Arc::clone(&m);
+        let reader = thread::spawn(move || m3.get(0));
+        let got: Vec<(u64, bool)> = inserters.into_iter().map(|h| h.join().unwrap()).collect();
+        let seen = reader.join().unwrap();
+        let winners: Vec<u64> = got.iter().filter(|g| g.1).map(|g| g.0).collect();
+        assert_eq!(winners.len(), 1, "exactly one inserts: {got:?}");
+        let winner = winners[0];
+        assert!(
+            got.iter().all(|&(v, _)| v == winner),
+            "every caller gets the winner's value: {got:?}"
+        );
+        assert!(
+            seen.is_none() || seen == Some(winner),
+            "reader saw {seen:?}, winner {winner}"
+        );
+        assert_eq!(m.get(0), Some(winner));
     });
 }
 

@@ -313,11 +313,7 @@ impl<P: FtPolicy> Engine<P> {
     pub(super) fn root_job(&self) -> Job {
         self.job(|this, s, w| {
             let sink = this.graph.sink();
-            this.insert_if_absent(sink, w);
-            let Some((sd, life)) = this.get_task(sink) else {
-                debug_assert!(false, "sink {sink} vanished right after insertion");
-                return;
-            };
+            let (sd, life, _) = this.get_or_insert_task(sink, w);
             this.spawn_job(s, move |this, s, w| {
                 this.init_and_compute(s, w, sd, sink, life)
             });
@@ -409,9 +405,15 @@ impl<P: FtPolicy> Engine<P> {
         self.map.get(key)
     }
 
-    /// `InsertTaskIfAbsent`.
-    pub(super) fn insert_if_absent(&self, key: Key, worker: Option<usize>) -> bool {
-        let inserted = self.map.insert_if_absent(key, || {
+    /// `InsertTaskIfAbsent` + `GetTask` in one map probe: the current
+    /// incarnation of `key` (created if absent), its life number, and
+    /// whether this call inserted it.
+    pub(super) fn get_or_insert_task(
+        &self,
+        key: Key,
+        worker: Option<usize>,
+    ) -> (ArenaRef<P::Desc>, u64, bool) {
+        let (d, inserted) = self.map.get_or_insert_with(key, || {
             with_pred_scratch(|scratch| {
                 self.arena
                     .alloc(self.policy.make_desc(self.graph.as_ref(), key, scratch))
@@ -420,7 +422,7 @@ impl<P: FtPolicy> Engine<P> {
         if inserted {
             self.policy.emit(worker, Event::Inserted { key });
         }
-        inserted
+        (d, d.life(), inserted)
     }
 
     /// `GetTask`: current incarnation and its life number.
@@ -473,11 +475,7 @@ impl<P: FtPolicy> Engine<P> {
         pkey: Key,
         ind: usize,
     ) {
-        let inserted = self.insert_if_absent(pkey, w);
-        let Some((b, blife)) = self.get_task(pkey) else {
-            debug_assert!(false, "predecessor {pkey} vanished from the task map");
-            return;
-        };
+        let (b, blife, inserted) = self.get_or_insert_task(pkey, w);
         if inserted {
             self.spawn_job(s, move |this, s, w| {
                 this.init_and_compute(s, w, b, pkey, blife)

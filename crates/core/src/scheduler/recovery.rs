@@ -323,8 +323,7 @@ mod tests {
     #[test]
     fn replace_task_bumps_life() {
         let sch = scheduler();
-        sch.insert_if_absent(0, None);
-        let (d1, l1) = sch.get_task(0).unwrap();
+        let (d1, l1, _) = sch.get_or_insert_task(0, None);
         assert_eq!(l1, 1);
         d1.poisoned.store(true, Ordering::Release);
         let (d2, l2) = sch.replace_task(0);

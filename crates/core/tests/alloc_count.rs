@@ -1,12 +1,13 @@
 //! Allocation regression tests for the hot paths.
 //!
-//! Since PR 8 the traversal hot path is *allocation-free* apart from the
-//! task map's one value box per insert: descriptors live in the engine's
-//! epoch arena, spawn closures ride inline in the 64-byte `Job` cell,
+//! The traversal hot path is *allocation-free*: descriptors live in the
+//! engine's epoch arena, the task map stores their handles inline in its
+//! slots, spawn closures ride inline in the 64-byte `Job` cell,
 //! predecessor/notify/bit-vector small buffers are inlined, and the
 //! notify drain is indexed instead of copied. These tests pin that — a
-//! single reintroduced per-task allocation (a pred-list clone, a spawn
-//! box, a notify `to_vec`) moves the marginal count by ≥ 1.0 and fails.
+//! single reintroduced per-task allocation (a map value box, a pred-list
+//! clone, a spawn box, a notify `to_vec`) moves the marginal count by
+//! ≥ 1.0 and fails.
 //!
 //! Method: run the baseline and FT schedulers on wavefront grids of two
 //! sizes under the deterministic single-threaded `ft-det` executor and a
@@ -189,12 +190,12 @@ fn run_ft(n: i64) -> u64 {
     grid_allocs(Entry::Run, true, n)
 }
 
-/// Per-task budget of the grids: exactly one allocation per task (the task
-/// map's value box) with chunk-granularity headroom.
-const GRID_BUDGET: f64 = 1.15;
-/// Per-task budget of the fan-out DAG: map value box + `PredList` spill +
-/// notify spill + arena-chunk/queue-doubling drift.
-const FAN_BUDGET: f64 = 3.5;
+/// Per-task budget of the grids: zero allocations per task, with
+/// chunk-granularity headroom.
+const GRID_BUDGET: f64 = 0.15;
+/// Per-task budget of the fan-out DAG: `PredList` spill + notify spill +
+/// arena-chunk/queue-doubling drift.
+const FAN_BUDGET: f64 = 2.5;
 
 /// Marginal allocations per task between a 16×16 and a 32×32 grid.
 fn marginal_per_task(run: fn(i64) -> u64) -> f64 {
@@ -225,17 +226,17 @@ fn traversal_allocations_are_deterministic_and_bounded() {
     );
     assert_eq!(run_ft(16), run_ft(16), "ft not deterministic");
 
-    // Per-task budget, re-pinned for PR 9. The PR-8 arena/inline-job
-    // rework (epoch slab descriptors, inline 64-byte spawn cells,
-    // PredList/bitvec small-buffer inlining, scratch-filled predecessor
-    // lists) left the task map's value box as the only per-task
-    // allocation, and the PR-9 lock-free notify cells keep it that way:
-    // for out-degree ≤ INLINE_KEYS the cells are fully inline (no mutex,
-    // no list, no spill), and the drain is a slot scan, not a copy.
-    // Measured: baseline = 1.0273 allocs/task, FT = 1.0273 (the ~0.03 is
-    // arena chunks at one per ~300 descriptors plus det-queue doubling).
-    // Any new per-task allocation costs ≥ +1.0; 1.15 pins the hot path at
-    // exactly one allocation per task with chunk-granularity headroom.
+    // Per-task budget. Epoch slab descriptors, inline 64-byte spawn cells,
+    // PredList/bitvec small-buffer inlining and scratch-filled predecessor
+    // lists left the task map's value box as the only per-task allocation;
+    // storing the descriptor handle inline in the map slot removed that
+    // too. For out-degree ≤ INLINE_KEYS the notify cells are fully inline
+    // (no mutex, no list, no spill), and the drain is a slot scan, not a
+    // copy. Measured: baseline = 0.0573 allocs/task, FT = 0.0573 (arena
+    // chunks at one per ~300 descriptors plus det-queue doubling; 1.0573
+    // with a value box per insert). Any new per-task allocation costs
+    // ≥ +1.0; 0.15 pins the hot path at zero allocations per task with
+    // chunk-granularity headroom.
     let base = marginal_per_task(run_baseline);
     let ft = marginal_per_task(run_ft);
     assert!(
@@ -250,13 +251,14 @@ fn traversal_allocations_are_deterministic_and_bounded() {
 
 /// Fixed allocations of one engine: almost everything a 2×2 grid `run()`
 /// pays — engine, task map shards, arena chunk, `DetPool`, completion
-/// group — is per run, not per task. Measured at 29 (baseline) and 30
+/// group — is per run, not per task. Measured at 25 (baseline) and 26
 /// (FT; a fault-free run never builds the recovery table); the budgets
 /// leave two of headroom. A per-engine side table fails here: the per-task
 /// counter map that N(A) used to live in, with its `available_parallelism`
-/// call per engine, put both runs at 112/113.
-const FIXED_BUDGET_BASE: u64 = 31;
-const FIXED_BUDGET_FT: u64 = 32;
+/// call per engine, put both runs at 112/113, and the four map value boxes
+/// of the 2×2 grid's tasks put them at 29/30.
+const FIXED_BUDGET_BASE: u64 = 27;
+const FIXED_BUDGET_FT: u64 = 28;
 
 #[test]
 fn fixed_per_engine_allocations_are_pinned() {
@@ -376,8 +378,8 @@ fn fan_allocs(entry: Entry, layers: i64) -> u64 {
 /// PR-9 satellite: the fan-out-heavy steady state. Wide nodes legitimately
 /// spill their fixed-size small buffers (one `PredList` box past
 /// `INLINE_KEYS` predecessors, one notify-cell spill box past
-/// `INLINE_KEYS` successors), so the marginal budget here is the map's
-/// value box plus those two — and **nothing else**: no per-edge
+/// `INLINE_KEYS` successors), so the marginal budget here is those two
+/// — and **nothing else**: no map value box, no per-edge
 /// allocation, no notify-drain copy, no overflow segments (normal
 /// operation never claims past the out-degree capacity).
 #[test]
@@ -395,7 +397,7 @@ fn fanout_traversal_allocations_are_deterministic_and_bounded() {
     assert!(
         marginal < FAN_BUDGET,
         "fan-out traversal allocates {marginal:.2}/task — \
-         beyond map box + two wide-node spill buffers"
+         beyond two wide-node spill buffers"
     );
 }
 

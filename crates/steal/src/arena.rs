@@ -40,6 +40,7 @@
 //! headers are visible, drop observes every committed element).
 
 use ft_sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use ft_sync::Word;
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::marker::PhantomData;
 use std::mem::{align_of, size_of};
@@ -330,6 +331,25 @@ impl<T> ArenaRef<T> {
     /// Pointer identity: do two handles name the same allocation?
     pub fn ptr_eq(a: ArenaRef<T>, b: ArenaRef<T>) -> bool {
         a.ptr == b.ptr
+    }
+}
+
+/// A handle is one pointer word, so the task map stores it inline in its
+/// slot: a lookup returns the handle itself, with no box to follow.
+impl<T> Word for ArenaRef<T> {
+    #[inline]
+    fn into_word(self) -> u64 {
+        self.ptr.as_ptr() as usize as u64
+    }
+    // SAFETY: callers promise `w` came from `into_word` on a handle (the
+    // `Word::from_word` contract); using the result is then exactly as
+    // sound as using that handle.
+    #[inline]
+    unsafe fn from_word(w: u64) -> Self {
+        // SAFETY: per `Word::from_word`'s contract the word came from
+        // `into_word` on a handle, i.e. from a non-null arena pointer.
+        let ptr = unsafe { NonNull::new_unchecked(w as usize as *mut T) };
+        ArenaRef { ptr }
     }
 }
 

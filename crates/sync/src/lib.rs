@@ -31,6 +31,69 @@ pub use loom::sync::atomic;
 #[cfg(not(loom))]
 pub use std::sync::atomic;
 
+/// A `Copy` value that round-trips through one `u64`, so a concurrent
+/// structure can keep it in a single atomic word instead of behind a
+/// pointer. The task map (`ft-cmap`) stores its values this way; the
+/// runtime crates implement it for their handle types (`ft-steal`'s
+/// `ArenaRef`), which is why the trait lives here, below both.
+pub trait Word: Copy {
+    /// The value as one word.
+    fn into_word(self) -> u64;
+
+    /// The value back from its word.
+    ///
+    /// # Safety
+    ///
+    /// `w` must have been returned by [`Word::into_word`] on a value of
+    /// this same type. For handle types the value's own validity contract
+    /// (e.g. "the arena is alive") still applies on use.
+    unsafe fn from_word(w: u64) -> Self;
+}
+
+impl Word for u64 {
+    #[inline]
+    fn into_word(self) -> u64 {
+        self
+    }
+    #[inline]
+    unsafe fn from_word(w: u64) -> Self {
+        w
+    }
+}
+
+impl Word for i64 {
+    #[inline]
+    fn into_word(self) -> u64 {
+        self as u64
+    }
+    #[inline]
+    unsafe fn from_word(w: u64) -> Self {
+        w as i64
+    }
+}
+
+impl Word for usize {
+    #[inline]
+    fn into_word(self) -> u64 {
+        self as u64
+    }
+    #[inline]
+    unsafe fn from_word(w: u64) -> Self {
+        w as usize
+    }
+}
+
+impl Word for bool {
+    #[inline]
+    fn into_word(self) -> u64 {
+        u64::from(self)
+    }
+    #[inline]
+    unsafe fn from_word(w: u64) -> Self {
+        w != 0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
