@@ -159,7 +159,7 @@ impl FaultPlan {
         // ord: Relaxed read seeding the CAS loop; AcqRel on success so a
         // consumed budget is ordered against the fault it triggers, Relaxed
         // on failure/stat-bump — the budget is the only coupling and the
-        // sabotage path never reads other shared state through it.
+        // injection path never reads other shared state through it.
         let mut cur = site.remaining.load(Ordering::Relaxed);
         loop {
             if cur == 0 {

@@ -69,11 +69,6 @@ impl FtPolicy for NoFt {
     }
 
     #[inline]
-    fn join_underflow_ok(&self) -> bool {
-        false
-    }
-
-    #[inline]
     fn is_recovery_exec(_d: &BaseDesc) -> bool {
         false
     }

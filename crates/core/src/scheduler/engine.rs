@@ -182,25 +182,15 @@ pub trait FtPolicy: Send + Sync + Sized + 'static {
         worker: Option<usize>,
     ) -> Result<Clear, Self::Err>;
 
-    /// Whether a negative join counter is tolerated (only under the
-    /// FT policy's mutation-testing sabotage switches).
-    fn join_underflow_ok(&self) -> bool;
+    /// Whether this policy is a deliberately broken mutant, whose join
+    /// counter may underflow and whose incarnations may compute more than
+    /// once (mutation testing of the trace oracle only).
+    const MUTANT: bool = false;
 
-    /// Mutation-test switch: when true, the inline-chain notify path
-    /// skips [`FtPolicy::consume_notification`] and decrements the join
-    /// counter on every notification — a deliberately broken inline shortcut
-    /// (exactly the bug a careless chain implementation would have) that
-    /// the G1–G6 trace oracle must flag. Default: off, i.e. correct.
-    fn sabotage_chain(&self) -> bool {
-        false
-    }
-
-    /// Mutation-test switch: when true (one-shot), the next notify-cell
-    /// registration claims a slot but drops both the `Release` publish and
-    /// the self-delivery fallback — a lost notification (exactly the bug a
-    /// missing publish fence would cause) that the G3/G4 trace oracle must
-    /// flag as a quiesced-but-incomplete run. Default: off, i.e. correct.
-    fn sabotage_cell(&self) -> bool {
+    /// Whether this registration drops its notify-cell publish and the
+    /// self-delivery fallback — a lost notification (a mutant only).
+    #[inline]
+    fn drop_publish(&self) -> bool {
         false
     }
 
@@ -519,10 +509,7 @@ impl<P: FtPolicy> Engine<P> {
     pub(super) fn register_notify(&self, b: &P::Desc, key: Key) -> Result<bool, P::Err> {
         let cells = b.notify_cells();
         let slot = cells.claim();
-        if self.policy.sabotage_cell() {
-            // Mutation testing: the claim happened but the publish (and
-            // the self-delivery fallback) is dropped — a lost notification
-            // the G3/G4 trace oracle must flag.
+        if self.policy.drop_publish() {
             return Ok(false);
         }
         cells.publish(slot, key);
@@ -577,7 +564,7 @@ impl<P: FtPolicy> Engine<P> {
             // writes (Acquire).
             let val = a.join().fetch_sub(1, Ordering::AcqRel) - 1;
             debug_assert!(
-                val >= 0 || self.policy.join_underflow_ok(),
+                val >= 0 || P::MUTANT,
                 "join counter underflow on task {key} life {life}"
             );
             Ok(val == 0)
@@ -730,29 +717,9 @@ impl<P: FtPolicy> Engine<P> {
             debug_assert!(false, "successor {skey} vanished from the task map");
             return;
         };
-        let ready = if self.policy.sabotage_chain() {
-            // Deliberately broken gate (mutation testing): skips the
-            // policy's exactly-once check and decrements unconditionally.
-            // Under faults, re-delivered notifications then double-
-            // decrement — the G3 violation the trace oracle must flag.
-            self.metrics.notifications.add(worker);
-            self.policy.emit(
-                worker,
-                Event::Notified {
-                    key: skey,
-                    life: slife,
-                    pred: key,
-                },
-            );
-            // ord: AcqRel — same join-counter contract as the gate: the
-            // observer of zero acquires every predecessor's compute.
-            sd.join().fetch_sub(1, Ordering::AcqRel) - 1 == 0
-        } else {
-            // The drainer knows only its own key: the policy looks up
-            // the bit index.
-            self.notify_gate(s, worker, sd, skey, key, None, slife)
-        };
-        if !ready {
+        // The drainer knows only its own key: the policy looks up the bit
+        // index.
+        if !self.notify_gate(s, worker, sd, skey, key, None, slife) {
             return;
         }
         // Chain policy: first ready successor continues inline, bounded by

@@ -27,53 +27,64 @@ use crate::trace::{Event, Trace};
 use ft_cmap::ShardedMap;
 use ft_steal::arena::ArenaRef;
 use ft_steal::pool::Scope;
-use ft_sync::atomic::{AtomicBool, Ordering};
+use ft_sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
+
+/// A mutation of the FT policy, chosen at compile time by type: each hook
+/// is one deliberate bug the trace oracle must flag (mutants are built by
+/// [`Engine::mutant`]). [`Faithful`] takes every default, so the shipped
+/// [`FtScheduler`] compiles with none of them.
+pub trait Mutation: Send + Sync + 'static {
+    /// A duplicate notification decrements the join counter as if its
+    /// bit had been set — the bug Guarantee 3's bit vector prevents.
+    const DUPLICATES_DECREMENT: bool = false;
+    /// A notification delivered by the predecessor's drain skips the bit
+    /// vector and decrements the join counter unconditionally, while the
+    /// registrant-side deliveries stay gated.
+    const UNGATED_DRAIN: bool = false;
+    /// Whether this registration claims its notify cell but drops both
+    /// the `Release` publish and the self-delivery fallback — a lost
+    /// notification.
+    #[inline]
+    fn drop_publish(&self) -> bool {
+        false
+    }
+}
+
+/// The shipped FT policy's mutation: none.
+pub struct Faithful;
+
+impl Mutation for Faithful {}
 
 /// The selective localized-recovery policy: guarded accesses, bit-vector
 /// notification gating, fault-injection probes, Figure-3 recovery.
-pub struct FtRecovery {
+pub struct FtRecovery<M: Mutation = Faithful> {
     /// The recovery table `R`: key → most recent life whose recovery has
     /// been initiated. Built by the first `IsRecovering`, so a fault-free
     /// run never pays for it.
     pub(super) rtable: OnceLock<ShardedMap<u64>>,
     pub(super) plan: Arc<FaultPlan>,
     pub(super) trace: Option<Arc<Trace>>,
-    /// Mutation-testing switch: when set, `notify_once` consumes a
-    /// duplicate notification as if its bit had been set — reintroducing
-    /// exactly the duplicate-decrement bug Guarantee 3's bit vector exists
-    /// to prevent. Tests flip it to prove the trace oracle
-    /// catches a broken implementation. Never set in production paths.
-    pub(super) sabotage_notify: AtomicBool,
-    /// Mutation-testing switch for the PR-8 inline-chain path: when set,
-    /// the engine's in-place successor notification skips
-    /// `consume_notification` entirely — the bug a chain implementation
-    /// that forgot the Guarantee-3 gate would have. Tests flip it to prove
-    /// the oracle flags a broken inline-notify path.
-    pub(super) sabotage_chain: AtomicBool,
-    /// One-shot mutation-testing switch for the PR-9 notify cells: when
-    /// set, the next registration claims its slot but drops the `Release`
-    /// publish and the self-delivery fallback — a lost notification. Tests
-    /// flip it to prove the oracle flags a quiesced-but-incomplete run.
-    pub(super) sabotage_cell: AtomicBool,
+    mutation: M,
 }
 
-impl FtRecovery {
-    fn new(plan: Arc<FaultPlan>, trace: Option<Arc<Trace>>) -> Self {
+impl<M: Mutation> FtRecovery<M> {
+    fn new(plan: Arc<FaultPlan>, trace: Option<Arc<Trace>>, mutation: M) -> Self {
         FtRecovery {
             rtable: OnceLock::new(),
             plan,
             trace,
-            sabotage_notify: AtomicBool::new(false),
-            sabotage_chain: AtomicBool::new(false),
-            sabotage_cell: AtomicBool::new(false),
+            mutation,
         }
     }
 }
 
-impl FtPolicy for FtRecovery {
+impl<M: Mutation> FtPolicy for FtRecovery<M> {
     type Desc = FtDesc;
     type Err = Fault;
+    // A lost notification (`drop_publish`) strands its successor; it can
+    // neither underflow a join counter nor compute an incarnation twice.
+    const MUTANT: bool = M::DUPLICATES_DECREMENT || M::UNGATED_DRAIN;
 
     fn make_desc(&self, graph: &dyn TaskGraph, key: Key, scratch: &mut Vec<Key>) -> FtDesc {
         graph.predecessors_into(key, scratch);
@@ -128,6 +139,11 @@ impl FtPolicy for FtRecovery {
                 debug_assert_eq!(a.pred_index(pkey), Some(ind), "{pkey} → {key}");
                 ind
             }
+            // The drainer is the only caller that does not know the bit
+            // index, so `None` singles out its deliveries. Once the
+            // drainer learns the index, this mutant needs another way to
+            // tell them apart.
+            None if M::UNGATED_DRAIN => return Ok(Clear::Emptied),
             None => a
                 .pred_index(pkey)
                 .ok_or_else(|| Fault::descriptor(key, life))?,
@@ -136,11 +152,7 @@ impl FtPolicy for FtRecovery {
         let Clear::AlreadyClear { word_empty } = cleared else {
             return Ok(cleared);
         };
-        // ord: Relaxed — sabotage flags are test-campaign switches set
-        // before the run starts; no data is published through them.
-        if engine.policy.sabotage_notify.load(Ordering::Relaxed) {
-            // Mutation testing: consume the duplicate as if its bit had
-            // been set.
+        if M::DUPLICATES_DECREMENT {
             return Ok(if word_empty {
                 Clear::Emptied
             } else {
@@ -161,24 +173,8 @@ impl FtPolicy for FtRecovery {
     }
 
     #[inline]
-    fn join_underflow_ok(&self) -> bool {
-        // ord: Relaxed — mutation-testing switches set before the run.
-        self.sabotage_notify.load(Ordering::Relaxed) || self.sabotage_chain.load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    fn sabotage_chain(&self) -> bool {
-        // ord: Relaxed — mutation-testing switch set before the run.
-        self.sabotage_chain.load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    fn sabotage_cell(&self) -> bool {
-        // One-shot: exactly one registration loses its publish.
-        // ord: Relaxed — single mutation-testing flag; the swap only
-        // guarantees at-most-one winner, no data is released through it.
-        self.sabotage_cell.load(Ordering::Relaxed)
-            && self.sabotage_cell.swap(false, Ordering::Relaxed)
+    fn drop_publish(&self) -> bool {
+        self.mutation.drop_publish()
     }
 
     #[inline]
@@ -192,7 +188,13 @@ impl FtPolicy for FtRecovery {
     fn count_exec(d: &FtDesc) {
         // ord: Relaxed — statistics counter bumped by the compute's owner
         // and summed at quiescence.
-        d.execs.fetch_add(1, Ordering::Relaxed);
+        let prev = d.execs.fetch_add(1, Ordering::Relaxed);
+        debug_assert!(
+            Self::MUTANT || prev == 0,
+            "task {} life {} computed twice",
+            d.key,
+            d.life
+        );
     }
 
     fn recovered_exec_counts(engine: &Engine<Self>) -> Vec<u64> {
@@ -300,7 +302,7 @@ impl Engine<FtRecovery> {
 
     /// Scheduler with a fault-injection plan. One scheduler = one run.
     pub fn with_plan(graph: Arc<dyn TaskGraph>, plan: Arc<FaultPlan>) -> Arc<Self> {
-        Engine::with_policy(graph, FtRecovery::new(plan, None))
+        Engine::with_policy(graph, FtRecovery::new(plan, None, Faithful))
     }
 
     /// Scheduler with a fault plan and an execution trace recorder.
@@ -309,46 +311,21 @@ impl Engine<FtRecovery> {
         plan: Arc<FaultPlan>,
         trace: Arc<Trace>,
     ) -> Arc<Self> {
-        Engine::with_policy(graph, FtRecovery::new(plan, Some(trace)))
+        Engine::with_policy(graph, FtRecovery::new(plan, Some(trace), Faithful))
     }
+}
 
-    /// Disable the Guarantee-3 bit-vector check (mutation testing only).
-    ///
-    /// With this set, duplicate notifications are consumed as if their bit
-    /// had been set instead of being absorbed, so a task can become ready
-    /// before all its predecessors computed. The trace oracle must flag such a run as a
-    /// G3 violation; see `tests/det_campaigns.rs`.
+impl<M: Mutation> Engine<FtRecovery<M>> {
+    /// A traced scheduler running the mutant `mutation` (mutation
+    /// testing of the trace oracle only; see `tests/det_campaigns.rs`).
     #[doc(hidden)]
-    pub fn sabotage_notify_bitvec(&self) {
-        // ord: Relaxed — mutation-testing switch armed before the run.
-        self.policy.sabotage_notify.store(true, Ordering::Relaxed);
-    }
-
-    /// Break the inline-chain notification gate (mutation testing only).
-    ///
-    /// With this set, the engine's in-place delivery of notify-array
-    /// entries (the PR-8 inline-chain site) bypasses the bit-vector check,
-    /// so re-delivered notifications under faults double-decrement the
-    /// join counter. The trace oracle must flag such a run as a G3
-    /// violation; see `tests/det_campaigns.rs`.
-    #[doc(hidden)]
-    pub fn sabotage_inline_chain(&self) {
-        // ord: Relaxed — mutation-testing switch armed before the run.
-        self.policy.sabotage_chain.store(true, Ordering::Relaxed);
-    }
-
-    /// Drop one notify-cell publish (mutation testing only).
-    ///
-    /// With this set, exactly one registration claims its slot in the
-    /// predecessor's notify cells but never publishes its key — and skips
-    /// the self-delivery fallback — so one notification is lost and the
-    /// successor's join counter never reaches zero. The run quiesces with
-    /// an incomplete sink; the trace oracle must flag it as a G4
-    /// violation; see `tests/det_campaigns.rs`.
-    #[doc(hidden)]
-    pub fn sabotage_notify_cell(&self) {
-        // ord: Relaxed — mutation-testing switch armed before the run.
-        self.policy.sabotage_cell.store(true, Ordering::Relaxed);
+    pub fn mutant(
+        graph: Arc<dyn TaskGraph>,
+        plan: Arc<FaultPlan>,
+        trace: Arc<Trace>,
+        mutation: M,
+    ) -> Arc<Self> {
+        Engine::with_policy(graph, FtRecovery::new(plan, Some(trace), mutation))
     }
 
     /// Number of entries in the recovery table (≥1 failure observed); 0

@@ -26,7 +26,7 @@ pub mod service;
 
 pub use baseline::{BaselineScheduler, NoFt};
 pub use engine::{Descriptor, Engine, FtPolicy};
-pub use ft::{FtRecovery, FtScheduler};
+pub use ft::{Faithful, FtRecovery, FtScheduler, Mutation};
 pub use service::{
     Backpressure, BackpressureReason, GraphService, InstanceReport, InstanceTicket, ServiceConfig,
     ServiceStats,

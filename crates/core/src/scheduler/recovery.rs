@@ -16,7 +16,7 @@
 //!   its join counter and bit vector and re-traverses its predecessors.
 
 use super::engine::{with_pred_scratch, Engine, FtPolicy};
-use super::ft::FtRecovery;
+use super::ft::{FtRecovery, Mutation};
 use crate::fault::Fault;
 use crate::graph::Key;
 use crate::task::{FtDesc, Status};
@@ -26,7 +26,7 @@ use ft_steal::arena::ArenaRef;
 use ft_steal::pool::Scope;
 use ft_sync::atomic::Ordering;
 
-impl Engine<FtRecovery> {
+impl<M: Mutation> Engine<FtRecovery<M>> {
     /// `RecoverTaskOnce(key, life)`.
     pub(super) fn recover_task_once(&self, s: &Scope<'_>, w: Option<usize>, key: Key, life: u64) {
         if !self.is_recovering(key, life) {

@@ -8,15 +8,17 @@
 //! single-threaded `DetPool`, shows that the same `(graph, fault plan,
 //! seed)` triple replays the identical trace while a different seed
 //! explores a different interleaving, and demonstrates the trace oracle
-//! catching a deliberately broken notify bit vector (with the JSON
-//! failure report a failing campaign would dump).
+//! catching a deliberately broken notify bit vector on every seed (with
+//! the JSON failure report a failing campaign would dump). Each claim it
+//! prints is also asserted.
 
 use ft_det::DetPool;
 use ft_integration::graphs::{Grid, ValueDag};
+use ft_integration::mutants::DuplicatesDecrement;
 use ft_integration::{det_traced_run, failure_dump_dir, oracle_violations};
 use nabbit_ft::graph::TaskGraph;
 use nabbit_ft::inject::{FaultPlan, FaultSite, Phase};
-use nabbit_ft::scheduler::FtScheduler;
+use nabbit_ft::scheduler::Engine;
 use nabbit_ft::trace::oracle::{FailureReport, OracleMode};
 use nabbit_ft::trace::Trace;
 use std::sync::Arc;
@@ -57,22 +59,25 @@ fn main() {
         seed + 1
     );
     println!("first events: {:?}\n", &run_a[..4.min(run_a.len())]);
+    assert!(same, "seed {seed} must replay identically");
+    assert!(differs, "seed {} must schedule differently", seed + 1);
 
     println!("== the oracle catches a broken notify bit vector ==\n");
     let g = Arc::new(Grid { n: 3 });
-    let plan = Arc::new(FaultPlan::new(
-        [4, 5, 7, 8].map(|k| FaultSite::once(k, Phase::BeforeCompute)),
-    ));
     let mut caught = 0usize;
     let mut dumped = None;
     for s in 0..32u64 {
+        // A fresh plan per seed: a run consumes its plan's fire budgets.
+        let plan = Arc::new(FaultPlan::new(
+            [4, 5, 7, 8].map(|k| FaultSite::once(k, Phase::BeforeCompute)),
+        ));
         let trace = Arc::new(Trace::new());
-        let sched = FtScheduler::with_plan_traced(
+        let sched = Engine::mutant(
             Arc::clone(&g) as Arc<dyn TaskGraph>,
             Arc::clone(&plan),
             Arc::clone(&trace),
+            DuplicatesDecrement,
         );
-        sched.sabotage_notify_bitvec();
         let report = sched.run(&DetPool::new(s));
         let violations = oracle_violations(g.as_ref(), &trace, &report, OracleMode::Strict);
         if !violations.is_empty() {
@@ -81,7 +86,7 @@ fn main() {
                 let sites = plan.sites();
                 let events = trace.events();
                 let failure = FailureReport {
-                    label: "det-replay-sabotage-demo".to_string(),
+                    label: "det-replay-mutant-demo".to_string(),
                     seed: s,
                     sites: &sites,
                     violations: &violations,
@@ -97,8 +102,9 @@ fn main() {
             }
         }
     }
-    println!("sabotaged runs flagged: {caught}/32");
+    println!("mutant runs flagged: {caught}/32");
     if let Some(path) = dumped {
         println!("replayable JSON report: {}", path.display());
     }
+    assert_eq!(caught, 32, "the oracle must flag every mutant run");
 }

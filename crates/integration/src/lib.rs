@@ -18,6 +18,9 @@
 //!   failure report (graph label + schedule seed + fault plan + full
 //!   trace) under `target/oracle-failures/`.
 //!
+//! * [`mutants`] — the deliberately broken FT policies the mutation
+//!   campaigns run to prove the oracle flags a broken scheduler.
+//!
 //! A failure therefore reproduces from `(graph, fault plan, seed)` alone;
 //! the JSON report names all three.
 
@@ -334,6 +337,49 @@ pub mod graphs {
         }
         fn poison_outputs(&self, key: Key) {
             self.poisoned.replace(key, true);
+        }
+    }
+}
+
+pub mod mutants {
+    //! Mutations of the FT policy ([`Mutation`]), one bug each. Build a
+    //! mutant scheduler with `Engine::mutant(graph, plan, trace, M)`.
+
+    use nabbit_ft::scheduler::Mutation;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// Duplicate notifications decrement the join counter: the bit
+    /// vector no longer enforces Guarantee 3.
+    pub struct DuplicatesDecrement;
+
+    impl Mutation for DuplicatesDecrement {
+        const DUPLICATES_DECREMENT: bool = true;
+    }
+
+    /// Deliveries from a predecessor's drain bypass the bit vector;
+    /// registrant-side deliveries stay gated.
+    pub struct UngatedDrain;
+
+    impl Mutation for UngatedDrain {
+        const UNGATED_DRAIN: bool = true;
+    }
+
+    /// Exactly one registration (the first to ask) claims its notify cell
+    /// but never publishes it, so one notification is lost.
+    pub struct DropOnePublish(AtomicBool);
+
+    impl DropOnePublish {
+        /// Armed: the next registration loses its publish.
+        pub fn armed() -> Self {
+            DropOnePublish(AtomicBool::new(true))
+        }
+    }
+
+    impl Mutation for DropOnePublish {
+        fn drop_publish(&self) -> bool {
+            // Relaxed: the swap only elects one registration; nothing is
+            // published through the flag.
+            self.0.swap(false, Ordering::Relaxed)
         }
     }
 }

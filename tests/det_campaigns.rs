@@ -1,20 +1,22 @@
 //! Deterministic schedule-exploration campaigns.
 //!
-//! Every test here runs the *unmodified* FT scheduler on the seeded
-//! single-threaded [`DetPool`], so each `(graph, fault plan, seed)` triple
-//! is one fully replayable interleaving. Recorded traces are validated
-//! against the Section-IV guarantee oracle in `Strict` mode (exact
-//! counting applies on a deterministic trace), and failing runs dump a
-//! JSON report with the seed and fault plan under
+//! Every test here runs the FT scheduler on the seeded single-threaded
+//! [`DetPool`], so each `(graph, fault plan, seed)` triple is one fully
+//! replayable interleaving. The three `broken_*` tests run mutants
+//! ([`ft_integration::mutants`]) and require the oracle to flag them.
+//! Recorded traces are validated against the Section-IV guarantee oracle
+//! in `Strict` mode (exact counting applies on a deterministic trace), and
+//! failing runs dump a JSON report with the seed and fault plan under
 //! `target/oracle-failures/`.
 
 use ft_det::DetPool;
 use ft_integration::dag_gen::DagGenConfig;
 use ft_integration::graphs::{Chain, Grid, ValueDag};
+use ft_integration::mutants::{DropOnePublish, DuplicatesDecrement, UngatedDrain};
 use ft_integration::{assert_oracle_clean, det_traced_run, oracle_violations};
 use nabbit_ft::graph::{Key, TaskGraph};
 use nabbit_ft::inject::{FaultPlan, FaultSite, Phase};
-use nabbit_ft::scheduler::FtScheduler;
+use nabbit_ft::scheduler::Engine;
 use nabbit_ft::seq;
 use nabbit_ft::trace::oracle::{check_result_equivalence, OracleMode};
 use nabbit_ft::trace::{Event, Trace};
@@ -316,22 +318,22 @@ fn broken_notify_bitvec_is_caught_by_oracle() {
         let g = Arc::new(Grid { n: 3 });
         let plan = Arc::new(FaultPlan::new(sites()));
         let trace = Arc::new(Trace::new());
-        let sched = FtScheduler::with_plan_traced(
+        let sched = Engine::mutant(
             Arc::clone(&g) as Arc<dyn TaskGraph>,
             Arc::clone(&plan),
             Arc::clone(&trace),
+            DuplicatesDecrement,
         );
-        sched.sabotage_notify_bitvec();
         let report = sched.run(&DetPool::new(seed));
         let violations = oracle_violations(g.as_ref(), &trace, &report, OracleMode::Strict);
         if violations.iter().any(|v| v.guarantee == "G3") {
             caught += 1;
         }
     }
-    assert!(
-        caught > 0,
-        "sabotaged bit vector produced no G3 violation in {SEEDS} seeds — \
-         the oracle would miss a broken implementation"
+    assert_eq!(
+        caught, SEEDS,
+        "duplicate-decrement mutant escaped the G3 check on some of {SEEDS} \
+         seeds — the oracle would miss a broken implementation"
     );
 
     // Control: the intact scheduler is clean on every one of those seeds.
@@ -357,16 +359,15 @@ fn broken_notify_bitvec_is_caught_by_oracle() {
     }
 }
 
-/// Mutation test for the PR-8 inline-chain path: break the bit-vector
-/// gate **only on the inline delivery site** (`notify_entry`'s in-place
-/// chain notification) and verify the oracle flags the resulting traces
-/// as G3 violations. Recovery re-registers a failed task's incarnations
-/// with its predecessors, so the predecessor's drain — which runs through
-/// the inline gate — delivers duplicate notifications; with the gate
-/// sabotaged each duplicate decrements the join counter. The spawned
-/// delivery path (`notify_once`) stays intact, so a catch here proves the
-/// campaigns exercise the inline path specifically, not just the legacy
-/// spawn path.
+/// Mutation test for drain-side delivery: break the bit-vector gate
+/// **only for notifications a predecessor's drain delivers**
+/// (`notify_entry`) and verify the oracle flags the resulting traces as
+/// G3 violations. Recovery re-registers a failed task's incarnations with
+/// its predecessors, so the predecessor's drain delivers duplicate
+/// notifications; with the drain ungated each one decrements the join
+/// counter. Registrant-side deliveries (a registrant that finds its
+/// predecessor computed, and the self-notification) stay gated, so a
+/// catch here proves the campaigns exercise the drain side specifically.
 #[test]
 fn broken_inline_chain_is_caught_by_oracle() {
     // Same fault geometry as the bit-vector mutation above: before-compute
@@ -380,22 +381,22 @@ fn broken_inline_chain_is_caught_by_oracle() {
         let g = Arc::new(Grid { n: 3 });
         let plan = Arc::new(FaultPlan::new(sites()));
         let trace = Arc::new(Trace::new());
-        let sched = FtScheduler::with_plan_traced(
+        let sched = Engine::mutant(
             Arc::clone(&g) as Arc<dyn TaskGraph>,
             Arc::clone(&plan),
             Arc::clone(&trace),
+            UngatedDrain,
         );
-        sched.sabotage_inline_chain();
         let report = sched.run(&DetPool::new(seed));
         let violations = oracle_violations(g.as_ref(), &trace, &report, OracleMode::Strict);
         if violations.iter().any(|v| v.guarantee == "G3") {
             caught += 1;
         }
     }
-    assert!(
-        caught > 0,
-        "sabotaged inline-chain gate produced no G3 violation in {SEEDS} seeds — \
-         the oracle would miss a broken inline-notify path"
+    assert_eq!(
+        caught, SEEDS,
+        "ungated-drain mutant escaped the G3 check on some of {SEEDS} \
+         seeds — the oracle would miss a broken drain-side delivery"
     );
 
     // Control: the intact scheduler (inline chains enabled, gate intact)
@@ -423,7 +424,7 @@ fn broken_inline_chain_is_caught_by_oracle() {
 }
 
 /// Mutation test for the PR-9 lock-free notify cells: drop a single
-/// Release publish (the sabotaged registrant claims its slot but never
+/// Release publish (the mutant's registrant claims its slot but never
 /// stores its key, and skips the self-delivery fallback too). The drain
 /// scan sees an empty cell and skips it, so one notification is lost and
 /// the successor's join counter never reaches zero: the run quiesces with
@@ -445,15 +446,15 @@ fn broken_notify_cell_is_caught_by_oracle() {
         let g = Arc::new(Grid { n: 3 });
         let plan = Arc::new(FaultPlan::none());
         let trace = Arc::new(Trace::new());
-        let sched = FtScheduler::with_plan_traced(
+        let sched = Engine::mutant(
             Arc::clone(&g) as Arc<dyn TaskGraph>,
             Arc::clone(&plan),
             Arc::clone(&trace),
+            DropOnePublish::armed(),
         );
-        sched.sabotage_notify_cell();
         let report = sched.run(&DetPool::new(seed));
         // Do NOT assert sink_completed here — the whole point is that the
-        // sabotaged run strands the graph.
+        // mutant run strands the graph.
         let violations = oracle_violations(g.as_ref(), &trace, &report, OracleMode::Strict);
         if violations
             .iter()
