@@ -2,7 +2,7 @@
 //! mixed workloads — the operations the FT scheduler's recovery table and
 //! task-map incarnation swap are built on.
 //!
-//! The sequential semantics are covered by the proptest model in
+//! The sequential semantics are covered by the model tests in
 //! `map_model.rs`; these tests hammer the same operations from many
 //! threads and assert the linearizability-shaped invariants that recovery
 //! correctness depends on: no lost `update_cas` read-modify-writes, each

@@ -1,12 +1,16 @@
 //! Property tests for the sharded concurrent map: sequential equivalence
 //! with `HashMap` under random operation sequences, plus the recovery-table
 //! protocol as a state machine.
+//!
+//! Each property runs 256 cases; case `i` draws its input from
+//! `StdRng::seed_from_u64(BASE + i)` and names that seed when it fails.
 
 use ft_cmap::ShardedMap;
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngCore, RngExt, SeedableRng};
 use std::collections::HashMap;
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     InsertIfAbsent(i64, u64),
     Get(i64),
@@ -15,52 +19,50 @@ enum Op {
     UpdateAddOne(i64),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    // Small key space so operations collide often.
-    let key = -8i64..8;
-    prop_oneof![
-        (key.clone(), any::<u64>()).prop_map(|(k, v)| Op::InsertIfAbsent(k, v)),
-        key.clone().prop_map(Op::Get),
-        (key.clone(), any::<u64>()).prop_map(|(k, v)| Op::Replace(k, v)),
-        key.clone().prop_map(Op::Contains),
-        key.prop_map(Op::UpdateAddOne),
-    ]
+/// One op, the five kinds equally likely, over a small key space
+/// (−8..8) so operations collide often.
+fn op(rng: &mut StdRng) -> Op {
+    let key = rng.random_range(-8i64..8);
+    match rng.random_range(0..5) {
+        0 => Op::InsertIfAbsent(key, rng.next_u64()),
+        1 => Op::Get(key),
+        2 => Op::Replace(key, rng.next_u64()),
+        3 => Op::Contains(key),
+        _ => Op::UpdateAddOne(key),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
-
-    #[test]
-    fn matches_hashmap_model(
-        shards in 1usize..32,
-        ops in prop::collection::vec(op_strategy(), 0..200),
-    ) {
+#[test]
+fn matches_hashmap_model() {
+    const BASE: u64 = 0xC0_0000;
+    for seed in BASE..BASE + 256 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shards = rng.random_range(1..32);
+        let len = rng.random_range(0..200);
+        let ops: Vec<Op> = (0..len).map(|_| op(&mut rng)).collect();
         let m: ShardedMap<u64> = ShardedMap::with_shards(shards);
         let mut model: HashMap<i64, u64> = HashMap::new();
         for op in ops {
             match op {
                 Op::InsertIfAbsent(k, v) => {
                     let inserted = m.insert_if_absent(k, || v);
-                    let model_inserted = if let std::collections::hash_map::Entry::Vacant(e) =
-                        model.entry(k)
-                    {
-                        e.insert(v);
-                        true
-                    } else {
-                        false
-                    };
-                    prop_assert_eq!(inserted, model_inserted);
+                    let model_inserted =
+                        if let std::collections::hash_map::Entry::Vacant(e) = model.entry(k) {
+                            e.insert(v);
+                            true
+                        } else {
+                            false
+                        };
+                    assert_eq!(inserted, model_inserted, "seed {seed}");
                 }
-                Op::Get(k) => {
-                    prop_assert_eq!(m.get(k), model.get(&k).copied());
-                }
+                Op::Get(k) => assert_eq!(m.get(k), model.get(&k).copied(), "seed {seed}"),
                 Op::Replace(k, v) => {
                     let prev = m.replace(k, v);
                     let model_prev = model.insert(k, v);
-                    prop_assert_eq!(prev, model_prev);
+                    assert_eq!(prev, model_prev, "seed {seed}");
                 }
                 Op::Contains(k) => {
-                    prop_assert_eq!(m.contains(k), model.contains_key(&k));
+                    assert_eq!(m.contains(k), model.contains_key(&k), "seed {seed}")
                 }
                 Op::UpdateAddOne(k) => {
                     let got = m.update_cas(k, |cur| match cur {
@@ -71,30 +73,33 @@ proptest! {
                         *v += 1;
                         *v
                     });
-                    prop_assert_eq!(got, model_got);
+                    assert_eq!(got, model_got, "seed {seed}");
                 }
             }
-            prop_assert_eq!(m.len(), model.len());
+            assert_eq!(m.len(), model.len(), "seed {seed}");
         }
         // Final content equivalence.
         let mut entries = m.entries();
         entries.sort();
         let mut model_entries: Vec<(i64, u64)> = model.into_iter().collect();
         model_entries.sort();
-        prop_assert_eq!(entries, model_entries);
+        assert_eq!(entries, model_entries, "seed {seed}");
     }
+}
 
-    /// The IsRecovering protocol of Figure 3 as a property. In a real run
-    /// lives are observed in order (an incarnation exists only after the
-    /// previous one's recovery), possibly many times each (multiple
-    /// observers), with stale re-observations of old lives mixed in.
-    /// Exactly the first observation of each life claims the recovery.
-    #[test]
-    fn recovery_table_claims_once_per_life(
-        max_life in 1u64..15,
-        observers in 1usize..5,
-        stale_looks in 0usize..4,
-    ) {
+/// The IsRecovering protocol of Figure 3 as a property. In a real run
+/// lives are observed in order (an incarnation exists only after the
+/// previous one's recovery), possibly many times each (multiple
+/// observers), with stale re-observations of old lives mixed in.
+/// Exactly the first observation of each life claims the recovery.
+#[test]
+fn recovery_table_claims_once_per_life() {
+    const BASE: u64 = 0xC1_0000;
+    for seed in BASE..BASE + 256 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let max_life: u64 = rng.random_range(1..15);
+        let observers: usize = rng.random_range(1..5);
+        let stale_looks: usize = rng.random_range(0..4);
         let r: ShardedMap<u64> = ShardedMap::with_shards(4);
         let key = 5i64;
         let is_recovering = |life: u64| -> bool {
@@ -109,12 +114,15 @@ proptest! {
             // the first claims (Guarantee 1).
             for obs in 0..observers {
                 let claimed = !is_recovering(life);
-                prop_assert_eq!(claimed, obs == 0, "life {} observer {}", life, obs);
+                assert_eq!(claimed, obs == 0, "seed {seed}: life {life} observer {obs}");
             }
             // Stale observers of earlier incarnations never claim.
             for s in 0..stale_looks {
                 let stale = 1 + (s as u64 % life);
-                prop_assert!(is_recovering(stale), "stale life {} must not claim", stale);
+                assert!(
+                    is_recovering(stale),
+                    "seed {seed}: stale life {stale} must not claim"
+                );
             }
         }
     }

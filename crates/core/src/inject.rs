@@ -213,22 +213,6 @@ impl FaultPlan {
             .sum()
     }
 
-    /// Keys of sites that never fired (diagnostics: e.g. after-notify sites
-    /// whose task was never revisited are *expected* to fire but possibly
-    /// never be observed; a site that did not fire means the task's
-    /// lifecycle point was never reached).
-    pub fn unfired_keys(&self) -> Vec<Key> {
-        let mut v: Vec<Key> = self
-            .sites
-            .iter()
-            // ord: Relaxed — diagnostics read after the run quiesces.
-            .filter(|(_, s)| s.fired.load(Ordering::Relaxed) == 0)
-            .map(|(&k, _)| k)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Whether every site has spent its fire budget. Budgets are never
     /// reset: a plan is single-use, so build a fresh one per run.
     pub fn is_exhausted(&self) -> bool {
@@ -280,16 +264,16 @@ mod tests {
     #[test]
     fn sample_is_deterministic_and_distinct() {
         let candidates: Vec<Key> = (0..100).collect();
-        let a = FaultPlan::sample(&candidates, 10, Phase::AfterCompute, 42);
-        let b = FaultPlan::sample(&candidates, 10, Phase::AfterCompute, 42);
-        assert_eq!(a.planned(), 10);
-        let mut ka = a.unfired_keys();
-        let kb = b.unfired_keys();
-        assert_eq!(ka, kb, "same seed, same sample");
+        let keys = |seed| -> Vec<Key> {
+            let plan = FaultPlan::sample(&candidates, 10, Phase::AfterCompute, seed);
+            assert_eq!(plan.planned(), 10);
+            plan.sites().iter().map(|s| s.key).collect()
+        };
+        let mut ka = keys(42);
+        assert_eq!(ka, keys(42), "same seed, same sample");
         ka.dedup();
         assert_eq!(ka.len(), 10, "distinct keys");
-        let c = FaultPlan::sample(&candidates, 10, Phase::AfterCompute, 43);
-        assert_ne!(a.unfired_keys(), c.unfired_keys(), "different seed differs");
+        assert_ne!(keys(42), keys(43), "different seed differs");
     }
 
     #[test]
@@ -330,7 +314,10 @@ mod tests {
             FaultSite::once(1, Phase::AfterCompute),
             FaultSite::once(2, Phase::AfterCompute),
         ]);
-        p.fire(1, Phase::AfterCompute);
-        assert_eq!(p.unfired_keys(), vec![2]);
+        assert!(p.fire(1, Phase::AfterCompute));
+        assert!(!p.fire(1, Phase::AfterCompute), "site 1 is spent");
+        assert_eq!(p.fired(), 1);
+        assert!(p.fire(2, Phase::AfterCompute), "site 2 never fired");
+        assert_eq!(p.fired(), 2);
     }
 }

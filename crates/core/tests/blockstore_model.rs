@@ -1,9 +1,13 @@
 //! Property tests for the versioned block store: retention semantics match
 //! a sequential model, and every read is attributed to the right producer.
+//!
+//! Each property runs 256 cases; case `i` draws its input from
+//! `StdRng::seed_from_u64(BASE + i)` and names that seed when it fails.
 
 use nabbit_ft::blocks::{BlockError, BlockStore, Retention, Version};
-use proptest::prelude::*;
-use std::collections::BTreeMap;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Sequential model of one block under `KeepLast(k)` with
 /// recovery-resident semantics.
@@ -60,27 +64,45 @@ impl BlockModel {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     Publish(Version, i64),
     Read(Version),
 }
 
-fn ops() -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(
-        prop_oneof![
-            (0u64..12, 0i64..100).prop_map(|(v, p)| Op::Publish(v, p)),
-            (0u64..14).prop_map(Op::Read),
-        ],
-        0..120,
-    )
+/// A script of 0..120 ops, publishes and reads equally likely.
+fn ops(rng: &mut StdRng) -> Vec<Op> {
+    let len = rng.random_range(0..120);
+    (0..len)
+        .map(|_| {
+            if rng.random_bool(0.5) {
+                Op::Publish(rng.random_range(0..12), rng.random_range(0..100))
+            } else {
+                Op::Read(rng.random_range(0..14))
+            }
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
-
-    #[test]
-    fn retention_matches_model(keep in 1u64..4, script in ops(), pin_v0 in any::<bool>()) {
+#[test]
+fn retention_matches_model() {
+    const BASE: u64 = 0xB0_0000;
+    // A recorded regression first: a publish over pinned v0 is ignored,
+    // and the publish of v3 that slides `KeepLast(3)` past v0 must not
+    // evict it.
+    let recorded = (
+        "the recorded case".to_string(),
+        3,
+        vec![Op::Publish(0, 0), Op::Publish(3, 0)],
+        true,
+    );
+    let fresh = (BASE..BASE + 256).map(|seed| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let keep = rng.random_range(1..4);
+        let script = ops(&mut rng);
+        (format!("seed {seed}"), keep, script, rng.random_bool(0.5))
+    });
+    for (case, keep, script, pin_v0) in std::iter::once(recorded).chain(fresh) {
         let store: BlockStore<i64> = BlockStore::new(1, Retention::KeepLast(keep));
         let mut model = BlockModel::default();
         if pin_v0 {
@@ -94,29 +116,29 @@ proptest! {
                     store.publish(0, v, p, vec![p]);
                     model.publish(v, p, keep);
                 }
-                Op::Read(v) => {
-                    let got = store.read(0, v);
-                    let want = model.read(v);
-                    match (got, want) {
-                        (Ok(data), Ok(producer)) => {
-                            // Data written by the recorded producer (pinned
-                            // inputs carry the sentinel data).
-                            if producer != nabbit_ft::blocks::RESILIENT_PRODUCER {
-                                prop_assert_eq!(data[0], producer);
-                            }
+                Op::Read(v) => match (store.read(0, v), model.read(v)) {
+                    (Ok(data), Ok(producer)) => {
+                        // Data written by the recorded producer (pinned
+                        // inputs carry the sentinel data).
+                        if producer != nabbit_ft::blocks::RESILIENT_PRODUCER {
+                            assert_eq!(data[0], producer, "{case}");
                         }
-                        (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                        (g, w) => prop_assert!(false, "store {:?} vs model {:?}", g.map(|d| d[0]), w),
                     }
-                }
+                    (Err(a), Err(b)) => assert_eq!(a, b, "{case}"),
+                    (g, w) => panic!("{case}: store {:?} vs model {w:?}", g.map(|d| d[0])),
+                },
             }
-            prop_assert_eq!(store.latest_version(0), model.latest);
-            prop_assert_eq!(store.resident_versions(0), model.resident.len());
+            assert_eq!(store.latest_version(0), model.latest, "{case}");
+            assert_eq!(store.resident_versions(0), model.resident.len(), "{case}");
         }
     }
+}
 
-    #[test]
-    fn keep_all_never_loses(script in ops()) {
+#[test]
+fn keep_all_never_loses() {
+    const BASE: u64 = 0xB1_0000;
+    for seed in BASE..BASE + 256 {
+        let script = ops(&mut StdRng::seed_from_u64(seed));
         let store: BlockStore<i64> = BlockStore::new(1, Retention::KeepAll);
         let mut published = BTreeMap::new();
         for op in script {
@@ -125,31 +147,39 @@ proptest! {
                 published.insert(v, p);
             }
         }
-        prop_assert_eq!(store.evictions(), 0);
+        assert_eq!(store.evictions(), 0, "seed {seed}");
         for (&v, &p) in &published {
-            prop_assert_eq!(store.read(0, v).unwrap()[0], p);
+            assert_eq!(store.read(0, v).unwrap()[0], p, "seed {seed}");
         }
     }
+}
 
-    #[test]
-    fn poison_then_republish_clears(
-        versions in prop::collection::btree_set(0u64..10, 1..8),
-    ) {
+#[test]
+fn poison_then_republish_clears() {
+    const BASE: u64 = 0xB2_0000;
+    for seed in BASE..BASE + 256 {
+        // 1..8 distinct versions out of 0..10.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let want = rng.random_range(1..8);
+        let mut versions = BTreeSet::new();
+        while versions.len() < want {
+            versions.insert(rng.random_range(0u64..10));
+        }
         let store: BlockStore<i64> = BlockStore::new(1, Retention::KeepAll);
         for &v in &versions {
             store.publish(0, v, v as i64, vec![v as i64]);
         }
         for &v in &versions {
-            prop_assert!(store.poison(0, v));
+            assert!(store.poison(0, v), "seed {seed}");
             let read = store.read(0, v);
-            prop_assert!(
+            assert!(
                 matches!(read, Err(BlockError::Poisoned { producer }) if producer == v as i64),
-                "expected poisoned read, got {:?}",
+                "seed {seed}: expected poisoned read, got {:?}",
                 read.map(|d| d[0])
             );
             // The recovered producer republished: data readable again.
             store.publish(0, v, v as i64, vec![v as i64 + 1000]);
-            prop_assert_eq!(store.read(0, v).unwrap()[0], v as i64 + 1000);
+            assert_eq!(store.read(0, v).unwrap()[0], v as i64 + 1000, "seed {seed}");
         }
     }
 }

@@ -58,8 +58,6 @@ pub struct DetPool {
     /// The group of every job not submitted as an instance (jobs stamped
     /// with no group); its first panic is re-raised when the queue drains.
     resident: Group,
-    /// Jobs executed across all runs on this pool (diagnostics).
-    executed: Cell<u64>,
     /// True while the drain loop is running (jobs see `worker_index() == 0`).
     draining: Cell<bool>,
 }
@@ -72,7 +70,6 @@ impl DetPool {
             queue: RefCell::new(Vec::new()),
             rng: RefCell::new(XorShift64Star::new(seed)),
             resident: Group::resident(),
-            executed: Cell::new(0),
             draining: Cell::new(false),
         }
     }
@@ -80,11 +77,6 @@ impl DetPool {
     /// The seed this pool was built with (for failure reports).
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Total jobs executed on this pool so far.
-    pub fn jobs_executed(&self) -> u64 {
-        self.executed.get()
     }
 
     /// Run `f` (which spawns the root work) and drain every transitively
@@ -129,7 +121,6 @@ impl DetPool {
                 let idx = self.rng.borrow_mut().next_below(q.len());
                 q.swap_remove(idx)
             };
-            self.executed.set(self.executed.get() + 1);
             let group = self.group_of(&job);
             // SAFETY: the job holds a unit of its group (enrolled by
             // `spawn_job` or `Group::open`) until the release below,
@@ -273,7 +264,6 @@ mod tests {
             scope.spawn(move |s| fanout(s, 10, c));
         });
         assert_eq!(count.load(Ordering::Relaxed), 2047);
-        assert_eq!(pool.jobs_executed(), 2047);
     }
 
     #[test]

@@ -1,35 +1,43 @@
 //! Property tests for the Chase–Lev deque (invariant P5 of DESIGN.md):
 //! under any operation sequence, no element is lost or duplicated, and
 //! owner-side semantics match a sequential deque model.
+//!
+//! Each property runs 256 cases; case `i` draws its input from
+//! `StdRng::seed_from_u64(BASE + i)` and names that seed when it fails.
 
 use ft_steal::deque::{deque, Steal};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngCore, RngExt, SeedableRng};
 use std::collections::{HashSet, VecDeque};
 
 /// Operations the owner and a (sequentialized) thief can perform.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     Push(u64),
     Pop,
     Steal,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        3 => any::<u64>().prop_map(Op::Push),
-        2 => Just(Op::Pop),
-        2 => Just(Op::Steal),
-    ]
+/// A script of 0..200 ops, push/pop/steal weighted 3:2:2.
+fn script(rng: &mut StdRng) -> Vec<Op> {
+    let len = rng.random_range(0..200);
+    (0..len)
+        .map(|_| match rng.random_range(0..7) {
+            0..3 => Op::Push(rng.next_u64()),
+            3..5 => Op::Pop,
+            _ => Op::Steal,
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
-
-    /// Sequential model equivalence: running the ops single-threaded, the
-    /// deque must behave exactly like a VecDeque (push/pop at the back,
-    /// steal from the front).
-    #[test]
-    fn matches_sequential_model(ops in prop::collection::vec(op_strategy(), 0..200)) {
+/// Sequential model equivalence: running the ops single-threaded, the
+/// deque must behave exactly like a VecDeque (push/pop at the back,
+/// steal from the front).
+#[test]
+fn matches_sequential_model() {
+    const BASE: u64 = 0xD0_0000;
+    for seed in BASE..BASE + 256 {
+        let ops = script(&mut StdRng::seed_from_u64(seed));
         let (w, s) = deque::<u64>();
         let mut model: VecDeque<u64> = VecDeque::new();
         for op in ops {
@@ -38,29 +46,30 @@ proptest! {
                     w.push(v);
                     model.push_back(v);
                 }
-                Op::Pop => {
-                    prop_assert_eq!(w.pop(), model.pop_back());
-                }
+                Op::Pop => assert_eq!(w.pop(), model.pop_back(), "seed {seed}"),
                 Op::Steal => {
                     let got = match s.steal() {
                         Steal::Success(v) => Some(v),
                         Steal::Empty => None,
                         Steal::Retry => None, // cannot happen single-threaded
                     };
-                    prop_assert_eq!(got, model.pop_front());
+                    assert_eq!(got, model.pop_front(), "seed {seed}");
                 }
             }
-            prop_assert_eq!(w.len(), model.len());
+            assert_eq!(w.len(), model.len(), "seed {seed}");
         }
     }
+}
 
-    /// Exactly-once delivery under a concurrent thief: every pushed element
-    /// is obtained by exactly one of {owner pop, thief steal}.
-    #[test]
-    fn concurrent_no_loss_no_dup(
-        n in 1usize..2000,
-        pop_every in 1usize..7,
-    ) {
+/// Exactly-once delivery under a concurrent thief: every pushed element
+/// is obtained by exactly one of {owner pop, thief steal}.
+#[test]
+fn concurrent_no_loss_no_dup() {
+    const BASE: u64 = 0xD1_0000;
+    for seed in BASE..BASE + 256 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n: usize = rng.random_range(1..2000);
+        let pop_every: usize = rng.random_range(1..7);
         let (w, s) = deque::<usize>();
         let seen_thief = std::thread::scope(|scope| {
             let handle = scope.spawn(move || {
@@ -116,9 +125,13 @@ proptest! {
         let (owner, thief) = seen_thief;
         let mut all: Vec<usize> = owner;
         all.extend(thief);
-        prop_assert_eq!(all.len(), n, "every element delivered exactly once");
+        assert_eq!(
+            all.len(),
+            n,
+            "seed {seed}: every element delivered exactly once"
+        );
         let set: HashSet<usize> = all.iter().copied().collect();
-        prop_assert_eq!(set.len(), n, "no duplicates");
+        assert_eq!(set.len(), n, "seed {seed}: no duplicates");
     }
 }
 
