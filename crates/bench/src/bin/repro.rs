@@ -12,7 +12,6 @@
 //!   table2        after-notify re-execution statistics per task type
 //!   fig6          after-notify recovery overheads
 //!   fig7          overhead vs thread count (constant loss and 5% loss)
-//!   ablation      FW one-version vs two-version recovery cost
 //!   reuse         single-assignment vs memory-reuse strategies per benchmark
 //!   bound         Section V / Theorem 2: completion-time bound vs measured
 //!   validate      correctness gauntlet: every app x phase x class, verified;
@@ -24,13 +23,19 @@
 //!   --threads 1,2,4,8              thread counts for sweeps (default: 1,2,4,<cores>)
 //!   --reps N                       repetitions per measurement (default 5)
 //!   --loss N                       constant-loss task count (default 32; paper: 512)
-//!   --quick                        quarter-size configs, reps<=3
+//!   --quick                        half n and half b (same tile count), reps<=3
 //!   --out DIR                      JSON output directory (default results/)
 //! ```
 
-use ft_apps::{AppConfig, VersionClass};
+use ft_apps::cholesky::Cholesky;
+use ft_apps::fw::Fw;
+use ft_apps::lu::Lu;
+use ft_apps::sw::Sw;
+use ft_apps::{AppConfig, BenchApp, VersionClass};
+use ft_bench::measure::count_stats;
 use ft_bench::report::{fmt_pct, fmt_time};
-use ft_bench::{make_app, measure, run_baseline, run_ft, AppKind, ExperimentReport};
+use ft_bench::APP_KINDS;
+use ft_bench::{make_app, measure, run_baseline, run_ft, AppKind, ExperimentReport, Stats};
 use ft_steal::pool::{Pool, PoolConfig};
 use nabbit_ft::analysis;
 use nabbit_ft::inject::{FaultPlan, Phase};
@@ -55,13 +60,7 @@ impl Opts {
             .map(|n| n.get())
             .unwrap_or(4);
         let mut opts = Opts {
-            apps: vec![
-                AppKind::Lcs,
-                AppKind::Lu,
-                AppKind::Cholesky,
-                AppKind::Fw,
-                AppKind::Sw,
-            ],
+            apps: APP_KINDS.to_vec(),
             threads: {
                 let mut t = vec![1, 2, 4];
                 if cores > 4 {
@@ -75,54 +74,43 @@ impl Opts {
             out: PathBuf::from("results"),
         };
         let mut cmd = String::from("all");
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            let mut value = || {
+                rest.next()
+                    .unwrap_or_else(|| panic!("missing value for {arg}"))
+            };
+            match arg.as_str() {
                 "--apps" => {
-                    i += 1;
-                    opts.apps = args[i]
+                    opts.apps = value()
                         .split(',')
                         .map(|s| AppKind::parse(s).unwrap_or_else(|| panic!("unknown app {s}")))
-                        .collect();
+                        .collect()
                 }
                 "--threads" => {
-                    i += 1;
-                    opts.threads = args[i]
+                    opts.threads = value()
                         .split(',')
                         .map(|s| s.parse().expect("thread count"))
-                        .collect();
+                        .collect()
                 }
-                "--reps" => {
-                    i += 1;
-                    opts.reps = args[i].parse().expect("reps");
-                }
-                "--loss" => {
-                    i += 1;
-                    opts.loss = args[i].parse().expect("loss");
-                }
-                "--quick" => {
-                    opts.quick = true;
-                    opts.reps = opts.reps.min(3);
-                }
-                "--out" => {
-                    i += 1;
-                    opts.out = PathBuf::from(&args[i]);
-                }
+                "--reps" => opts.reps = value().parse().expect("reps"),
+                "--loss" => opts.loss = value().parse().expect("loss"),
+                "--quick" => opts.quick = true,
+                "--out" => opts.out = PathBuf::from(value()),
                 other if !other.starts_with("--") => cmd = other.to_string(),
                 other => panic!("unknown option {other}"),
             }
-            i += 1;
+        }
+        if opts.quick {
+            opts.reps = opts.reps.min(3);
         }
         (cmd, opts)
     }
 
     fn config(&self, kind: AppKind) -> AppConfig {
         let c = kind.default_config();
-        if self.quick {
-            AppConfig::new(c.n / 2, c.b / 2)
-        } else {
-            c
-        }
+        let halve = if self.quick { 2 } else { 1 };
+        AppConfig::new(c.n / halve, c.b / halve)
     }
 
     fn max_threads(&self) -> usize {
@@ -142,26 +130,14 @@ fn main() {
         "table2" => vec![table2_fig6(&opts).0],
         "fig6" => vec![table2_fig6(&opts).1],
         "fig7" => vec![fig7(&opts)],
-        "ablation" => vec![ablation(&opts)],
         "reuse" => vec![reuse(&opts)],
         "bound" => vec![bound(&opts)],
         "validate" => vec![validate(&opts)],
         "all" => {
-            let mut v = vec![
-                table1(&opts),
-                fig4(&opts),
-                fig5a(&opts),
-                fig5b(&opts),
-                small_counts(&opts),
-            ];
+            let first = [table1, fig4, fig5a, fig5b, small_counts].map(|f| f(&opts));
             let (t2, f6) = table2_fig6(&opts);
-            v.push(t2);
-            v.push(f6);
-            v.push(fig7(&opts));
-            v.push(ablation(&opts));
-            v.push(reuse(&opts));
-            v.push(bound(&opts));
-            v
+            let last = [fig7, reuse, bound].map(|f| f(&opts));
+            first.into_iter().chain([t2, f6]).chain(last).collect()
         }
         other => {
             eprintln!("unknown experiment '{other}'; see source header for usage");
@@ -205,9 +181,7 @@ fn table1(opts: &Opts) -> ExperimentReport {
     );
     for &kind in &opts.apps {
         let cfg = opts.config(kind);
-        let app = make_app(kind, cfg);
-        let graph: Arc<dyn nabbit_ft::TaskGraph> = app;
-        let s = analysis::graph_stats(graph.as_ref());
+        let s = analysis::graph_stats(make_app(kind, cfg).as_ref());
         r.push_row(
             kind.name(),
             vec![
@@ -248,19 +222,16 @@ fn fig4(opts: &Opts) -> ExperimentReport {
     );
     for &kind in &opts.apps {
         let cfg = opts.config(kind);
-        let seq_stats = measure(opts.reps, || {
-            let app = make_app(kind, cfg);
-            let graph: Arc<dyn nabbit_ft::TaskGraph> = app;
-            seq::run(graph.as_ref()).expect("sequential run");
+        let new_app = |_| make_app(kind, cfg);
+        let seq_stats = measure(opts.reps, new_app, |app| {
+            seq::run(app.as_ref()).expect("sequential run");
         });
         for &p in &opts.threads {
             let pool = Pool::new(PoolConfig::with_threads(p));
-            let base = measure(opts.reps, || {
-                let app = make_app(kind, cfg);
+            let base = measure(opts.reps, new_app, |app| {
                 assert!(run_baseline(&pool, app).sink_completed);
             });
-            let ft = measure(opts.reps, || {
-                let app = make_app(kind, cfg);
+            let ft = measure(opts.reps, new_app, |app| {
                 assert!(run_ft(&pool, app, FaultPlan::none()).sink_completed);
             });
             r.push_row(
@@ -281,85 +252,150 @@ fn fig4(opts: &Opts) -> ExperimentReport {
     r
 }
 
-/// One fault-injection overhead scenario.
+/// One fault-injection scenario: `count` faults among the `class` tasks,
+/// each fired once at `phase`.
+#[derive(Clone, Copy)]
 struct FaultScenario {
-    label: String,
     class: VersionClass,
     phase: Phase,
     count: CountSpec,
 }
 
+/// How many faults a scenario plans: a constant, or a fraction of all tasks.
 #[derive(Clone, Copy)]
 enum CountSpec {
     Const(usize),
     Pct(f64),
 }
 
+impl FaultScenario {
+    fn new(class: VersionClass, phase: Phase, count: CountSpec) -> Self {
+        FaultScenario {
+            class,
+            phase,
+            count,
+        }
+    }
+
+    /// The plan for one run of `app`: the count, capped at the candidates,
+    /// sampled with `seed`. After-notify faults spare the sink, where they
+    /// are unobservable inside a run.
+    fn plan(&self, app: &dyn BenchApp, seed: u64) -> FaultPlan {
+        let mut candidates = app.tasks_of_class(self.class);
+        if self.phase == Phase::AfterNotify {
+            let sink = app.sink();
+            candidates.retain(|&k| k != sink);
+        }
+        let count = match self.count {
+            CountSpec::Const(c) => c,
+            CountSpec::Pct(f) => (app.all_tasks().len() as f64 * f) as usize,
+        };
+        FaultPlan::sample(&candidates, count.min(candidates.len()), self.phase, seed)
+    }
+}
+
+/// The paper's recovery measurement for one scenario: faults planned per
+/// run, fault-free and faulty FT times, and tasks re-executed per rep.
+struct Overhead {
+    faults: usize,
+    ft0: Stats,
+    faulty: Stats,
+    reexecs: Vec<u64>,
+}
+
+impl Overhead {
+    /// The `ft0(s)`, `faulty(s)` and `ovh` columns.
+    fn times(&self) -> [String; 3] {
+        [
+            fmt_time(&self.ft0),
+            fmt_time(&self.faulty),
+            fmt_pct(self.faulty.overhead_pct(&self.ft0)),
+        ]
+    }
+
+    /// A row under [`overhead_headers`], after its `bench` cell.
+    fn row(&self, scenario: &str) -> Vec<String> {
+        let mut row = vec![scenario.to_string(), self.faults.to_string()];
+        row.extend(self.times());
+        row.push(format!("{:.0}", count_stats(&self.reexecs).mean));
+        row
+    }
+}
+
+/// Columns of an overhead table whose second column names the scenario.
+fn overhead_headers(scenario: &str) -> [&str; 7] {
+    [
+        "bench",
+        scenario,
+        "faults",
+        "ft0(s)",
+        "faulty(s)",
+        "ovh",
+        "re-exec(avg)",
+    ]
+}
+
+/// The one fault-overhead measurement: time fault-free FT runs of fresh
+/// `make()` instances, then each scenario's runs with seeds `1..=reps`.
+/// Every instance and plan is built before its clock starts.
+fn fault_overheads(
+    pool: &Pool,
+    reps: usize,
+    make: impl Fn() -> Arc<dyn BenchApp>,
+    scenarios: &[FaultScenario],
+) -> Vec<Overhead> {
+    let ft0 = measure(
+        reps,
+        |_| make(),
+        |app| assert!(run_ft(pool, app, FaultPlan::none()).sink_completed),
+    );
+    scenarios
+        .iter()
+        .map(|sc| {
+            let mut faults = 0;
+            let mut reexecs = Vec::with_capacity(reps);
+            let faulty = measure(
+                reps,
+                |rep| {
+                    let app = make();
+                    let plan = sc.plan(app.as_ref(), rep as u64 + 1);
+                    faults = plan.planned();
+                    (app, plan)
+                },
+                |(app, plan)| {
+                    let report = run_ft(pool, app, plan);
+                    assert!(report.sink_completed, "{:?} faults hung", sc.phase);
+                    reexecs.push(report.re_executions);
+                },
+            );
+            Overhead {
+                faults,
+                ft0,
+                faulty,
+                reexecs,
+            }
+        })
+        .collect()
+}
+
 fn run_fault_scenarios(
     opts: &Opts,
-    scenarios: &[FaultScenario],
+    scenarios: &[(String, FaultScenario)],
     id: &str,
     title: &str,
 ) -> (ExperimentReport, BTreeMap<(String, String), Vec<u64>>) {
-    let mut r = ExperimentReport::new(
-        id,
-        title,
-        &[
-            "bench",
-            "scenario",
-            "faults",
-            "ft0(s)",
-            "faulty(s)",
-            "ovh",
-            "re-exec(avg)",
-        ],
-    );
+    let mut r = ExperimentReport::new(id, title, &overhead_headers("scenario"));
     let mut reexec_samples: BTreeMap<(String, String), Vec<u64>> = BTreeMap::new();
     let p = opts.max_threads();
     let pool = Pool::new(PoolConfig::with_threads(p));
+    let (labels, scs): (Vec<&String>, Vec<FaultScenario>) =
+        scenarios.iter().map(|(l, sc)| (l, *sc)).unzip();
     for &kind in &opts.apps {
         let cfg = opts.config(kind);
-        let ft0 = measure(opts.reps, || {
-            let app = make_app(kind, cfg);
-            assert!(run_ft(&pool, app, FaultPlan::none()).sink_completed);
-        });
-        for sc in scenarios {
-            let probe = make_app(kind, cfg);
-            let mut candidates = probe.tasks_of_class(sc.class);
-            // After-notify faults on the sink are unobservable inside a run.
-            if sc.phase == Phase::AfterNotify {
-                let sink = probe.sink();
-                candidates.retain(|&k| k != sink);
-            }
-            let total_tasks = probe.all_tasks().len();
-            drop(probe);
-            let count = match sc.count {
-                CountSpec::Const(c) => c.min(candidates.len()),
-                CountSpec::Pct(f) => (((total_tasks as f64) * f) as usize).min(candidates.len()),
-            };
-            let mut reexecs = Vec::with_capacity(opts.reps);
-            let mut seed = 0u64;
-            let faulty = measure(opts.reps, || {
-                seed += 1;
-                let app = make_app(kind, cfg);
-                let plan = FaultPlan::sample(&candidates, count, sc.phase, seed);
-                let report = run_ft(&pool, app, plan);
-                assert!(report.sink_completed, "{} {}", kind.name(), sc.label);
-                reexecs.push(report.re_executions);
-            });
-            let reexec_avg = reexecs.iter().sum::<u64>() as f64 / reexecs.len().max(1) as f64;
-            reexec_samples.insert((kind.name().to_string(), sc.label.clone()), reexecs);
-            r.push_row(
-                kind.name(),
-                vec![
-                    sc.label.clone(),
-                    count.to_string(),
-                    fmt_time(&ft0),
-                    fmt_time(&faulty),
-                    fmt_pct(faulty.overhead_pct(&ft0)),
-                    format!("{reexec_avg:.0}"),
-                ],
-            );
+        let overheads = fault_overheads(&pool, opts.reps, || make_app(kind, cfg), &scs);
+        for (label, o) in labels.iter().zip(overheads) {
+            r.push_row(kind.name(), o.row(label));
+            reexec_samples.insert((kind.name().to_string(), label.to_string()), o.reexecs);
         }
     }
     r.note(format!("threads = {p}, reps = {}", opts.reps));
@@ -368,7 +404,7 @@ fn run_fault_scenarios(
 
 /// Fig. 5(a): constant loss, before/after compute × task type.
 fn fig5a(opts: &Opts) -> ExperimentReport {
-    let scenarios: Vec<FaultScenario> = [
+    let scenarios: Vec<_> = [
         ("before,v=0", VersionClass::First, Phase::BeforeCompute),
         ("after,v=0", VersionClass::First, Phase::AfterCompute),
         ("before,v=rand", VersionClass::Rand, Phase::BeforeCompute),
@@ -377,11 +413,9 @@ fn fig5a(opts: &Opts) -> ExperimentReport {
         ("after,v=last", VersionClass::Last, Phase::AfterCompute),
     ]
     .into_iter()
-    .map(|(l, c, ph)| FaultScenario {
-        label: l.to_string(),
-        class: c,
-        phase: ph,
-        count: CountSpec::Const(opts.loss),
+    .map(|(l, c, ph)| {
+        let count = CountSpec::Const(opts.loss);
+        (l.to_string(), FaultScenario::new(c, ph, count))
     })
     .collect();
     let (mut r, _) = run_fault_scenarios(
@@ -400,18 +434,16 @@ fn fig5a(opts: &Opts) -> ExperimentReport {
 
 /// Fig. 5(b): 2% and 5% of tasks re-executed, v=rand.
 fn fig5b(opts: &Opts) -> ExperimentReport {
-    let scenarios: Vec<FaultScenario> = [
+    let scenarios: Vec<_> = [
         ("2%,before", 0.02, Phase::BeforeCompute),
         ("2%,after", 0.02, Phase::AfterCompute),
         ("5%,before", 0.05, Phase::BeforeCompute),
         ("5%,after", 0.05, Phase::AfterCompute),
     ]
     .into_iter()
-    .map(|(l, f, ph)| FaultScenario {
-        label: l.to_string(),
-        class: VersionClass::Rand,
-        phase: ph,
-        count: CountSpec::Pct(f),
+    .map(|(l, f, ph)| {
+        let sc = FaultScenario::new(VersionClass::Rand, ph, CountSpec::Pct(f));
+        (l.to_string(), sc)
     })
     .collect();
     let (mut r, _) = run_fault_scenarios(
@@ -426,13 +458,12 @@ fn fig5b(opts: &Opts) -> ExperimentReport {
 
 /// Section VI-B text: 1, 8, 64 task re-executions — no significant overhead.
 fn small_counts(opts: &Opts) -> ExperimentReport {
-    let scenarios: Vec<FaultScenario> = [1usize, 8, 64]
+    let scenarios: Vec<_> = [1usize, 8, 64]
         .into_iter()
-        .map(|c| FaultScenario {
-            label: format!("after,{c} tasks"),
-            class: VersionClass::Rand,
-            phase: Phase::AfterCompute,
-            count: CountSpec::Const(c),
+        .map(|c| {
+            let count = CountSpec::Const(c);
+            let sc = FaultScenario::new(VersionClass::Rand, Phase::AfterCompute, count);
+            (format!("after,{c} tasks"), sc)
         })
         .collect();
     let (mut r, _) = run_fault_scenarios(
@@ -447,31 +478,20 @@ fn small_counts(opts: &Opts) -> ExperimentReport {
 
 /// Table II + Fig. 6: after-notify faults per task type.
 fn table2_fig6(opts: &Opts) -> (ExperimentReport, ExperimentReport) {
-    let mut scenarios: Vec<FaultScenario> = [
-        ("v=0", VersionClass::First),
-        ("v=last", VersionClass::Last),
-        ("v=rand", VersionClass::Rand),
+    let loss = CountSpec::Const(opts.loss);
+    let scenarios: Vec<_> = [
+        ("v=0", VersionClass::First, loss),
+        ("v=last", VersionClass::Last, loss),
+        ("v=rand", VersionClass::Rand, loss),
+        ("2%,v=rand", VersionClass::Rand, CountSpec::Pct(0.02)),
+        ("5%,v=rand", VersionClass::Rand, CountSpec::Pct(0.05)),
     ]
     .into_iter()
-    .map(|(l, c)| FaultScenario {
-        label: l.to_string(),
-        class: c,
-        phase: Phase::AfterNotify,
-        count: CountSpec::Const(opts.loss),
+    .map(|(l, c, count)| {
+        let sc = FaultScenario::new(c, Phase::AfterNotify, count);
+        (l.to_string(), sc)
     })
     .collect();
-    scenarios.push(FaultScenario {
-        label: "2%,v=rand".to_string(),
-        class: VersionClass::Rand,
-        phase: Phase::AfterNotify,
-        count: CountSpec::Pct(0.02),
-    });
-    scenarios.push(FaultScenario {
-        label: "5%,v=rand".to_string(),
-        class: VersionClass::Rand,
-        phase: Phase::AfterNotify,
-        count: CountSpec::Pct(0.05),
-    });
     let (fig6, samples) = run_fault_scenarios(
         opts,
         &scenarios,
@@ -484,7 +504,7 @@ fn table2_fig6(opts: &Opts) -> (ExperimentReport, ExperimentReport) {
         &["bench", "scenario", "avg", "min", "max", "std"],
     );
     for ((bench, scenario), reexecs) in &samples {
-        let s = ft_bench::measure::count_stats(reexecs);
+        let s = count_stats(reexecs);
         t2.push_row(
             bench.clone(),
             vec![
@@ -508,39 +528,17 @@ fn fig7(opts: &Opts) -> ExperimentReport {
         "recovery overhead vs thread count (after-compute, v=rand)",
         &["bench", "P", "scenario", "ft0(s)", "faulty(s)", "ovh"],
     );
+    let scenarios = [CountSpec::Const(opts.loss), CountSpec::Pct(0.05)]
+        .map(|count| FaultScenario::new(VersionClass::Rand, Phase::AfterCompute, count));
     for &kind in &opts.apps {
         let cfg = opts.config(kind);
-        let probe = make_app(kind, cfg);
-        let candidates = probe.tasks_of_class(VersionClass::Rand);
-        let total = probe.all_tasks().len();
-        drop(probe);
         for &p in &opts.threads {
             let pool = Pool::new(PoolConfig::with_threads(p));
-            let ft0 = measure(opts.reps, || {
-                let app = make_app(kind, cfg);
-                assert!(run_ft(&pool, app, FaultPlan::none()).sink_completed);
-            });
-            for (label, count) in [
-                ("const", opts.loss.min(candidates.len())),
-                ("5%", ((total as f64 * 0.05) as usize).min(candidates.len())),
-            ] {
-                let mut seed = p as u64 * 1000;
-                let faulty = measure(opts.reps, || {
-                    seed += 1;
-                    let app = make_app(kind, cfg);
-                    let plan = FaultPlan::sample(&candidates, count, Phase::AfterCompute, seed);
-                    assert!(run_ft(&pool, app, plan).sink_completed);
-                });
-                r.push_row(
-                    kind.name(),
-                    vec![
-                        p.to_string(),
-                        label.to_string(),
-                        fmt_time(&ft0),
-                        fmt_time(&faulty),
-                        fmt_pct(faulty.overhead_pct(&ft0)),
-                    ],
-                );
+            let overheads = fault_overheads(&pool, opts.reps, || make_app(kind, cfg), &scenarios);
+            for (label, o) in ["const", "5%"].into_iter().zip(overheads) {
+                let mut row = vec![p.to_string(), label.to_string()];
+                row.extend(o.times());
+                r.push_row(kind.name(), row);
             }
         }
     }
@@ -549,100 +547,53 @@ fn fig7(opts: &Opts) -> ExperimentReport {
     r
 }
 
+/// Builds one variant of a benchmark.
+type AppCtor = fn(AppConfig) -> Arc<dyn BenchApp>;
+
+/// `reuse`'s variants of each benchmark, in report order. FW's `reuse(1v)`
+/// keeps one version per block, where the paper kept two.
+const STRATEGIES: &[(AppKind, &str, AppCtor)] = &[
+    (AppKind::Sw, "reuse", |c| Arc::new(Sw::new(c))),
+    (AppKind::Sw, "single-assign", |c| {
+        Arc::new(Sw::single_assignment(c))
+    }),
+    (AppKind::Fw, "reuse(2v)", |c| Arc::new(Fw::new(c))),
+    (AppKind::Fw, "reuse(1v)", |c| {
+        Arc::new(Fw::with_single_version(c))
+    }),
+    (AppKind::Fw, "single-assign", |c| {
+        Arc::new(Fw::single_assignment(c))
+    }),
+    (AppKind::Lu, "reuse(2v)", |c| Arc::new(Lu::new(c))),
+    (AppKind::Lu, "single-assign", |c| {
+        Arc::new(Lu::single_assignment(c))
+    }),
+    (AppKind::Cholesky, "reuse(2v)", |c| {
+        Arc::new(Cholesky::new(c))
+    }),
+    (AppKind::Cholesky, "single-assign", |c| {
+        Arc::new(Cholesky::single_assignment(c))
+    }),
+];
+
 /// Section VI strategy comparison: single-assignment vs memory reuse.
 /// The paper used reuse for SW/FW/LU/Cholesky ("resulted in improved
 /// performance") while expecting *lower FT overheads* for
 /// single-assignment; this experiment shows both effects.
 fn reuse(opts: &Opts) -> ExperimentReport {
-    use ft_apps::cholesky::Cholesky;
-    use ft_apps::fw::Fw;
-    use ft_apps::lu::Lu;
-    use ft_apps::sw::Sw;
-    use ft_apps::BenchApp;
     let mut r = ExperimentReport::new(
         "reuse-strategies",
         "single-assignment vs memory reuse: fault-free time and v=last recovery",
-        &[
-            "bench",
-            "strategy",
-            "faults",
-            "ft0(s)",
-            "faulty(s)",
-            "ovh",
-            "re-exec(avg)",
-        ],
+        &overhead_headers("strategy"),
     );
-    let p = opts.max_threads();
-    let pool = Pool::new(PoolConfig::with_threads(p));
-    let faults = (opts.loss / 4).max(1);
-    type AppCtor = Box<dyn Fn() -> Arc<dyn BenchApp>>;
-    let entries: Vec<(&str, &str, AppCtor)> = vec![
-        ("SW", "reuse", {
-            let c = opts.config(AppKind::Sw);
-            Box::new(move || Arc::new(Sw::new(c)) as _)
-        }),
-        ("SW", "single-assign", {
-            let c = opts.config(AppKind::Sw);
-            Box::new(move || Arc::new(Sw::single_assignment(c)) as _)
-        }),
-        ("FW", "reuse(2v)", {
-            let c = opts.config(AppKind::Fw);
-            Box::new(move || Arc::new(Fw::new(c)) as _)
-        }),
-        ("FW", "reuse(1v)", {
-            let c = opts.config(AppKind::Fw);
-            Box::new(move || Arc::new(Fw::with_single_version(c)) as _)
-        }),
-        ("FW", "single-assign", {
-            let c = opts.config(AppKind::Fw);
-            Box::new(move || Arc::new(Fw::single_assignment(c)) as _)
-        }),
-        ("LU", "reuse(2v)", {
-            let c = opts.config(AppKind::Lu);
-            Box::new(move || Arc::new(Lu::new(c)) as _)
-        }),
-        ("LU", "single-assign", {
-            let c = opts.config(AppKind::Lu);
-            Box::new(move || Arc::new(Lu::single_assignment(c)) as _)
-        }),
-        ("Cholesky", "reuse(2v)", {
-            let c = opts.config(AppKind::Cholesky);
-            Box::new(move || Arc::new(Cholesky::new(c)) as _)
-        }),
-        ("Cholesky", "single-assign", {
-            let c = opts.config(AppKind::Cholesky);
-            Box::new(move || Arc::new(Cholesky::single_assignment(c)) as _)
-        }),
-    ];
-    for (bench, strategy, make) in entries {
-        let ft0 = measure(opts.reps, || {
-            assert!(run_ft(&pool, make(), FaultPlan::none()).sink_completed);
-        });
-        let probe = make();
-        let candidates = probe.tasks_of_class(VersionClass::Last);
-        drop(probe);
-        let count = faults.min(candidates.len());
-        let mut reexecs = Vec::new();
-        let mut seed = 0u64;
-        let faulty = measure(opts.reps, || {
-            seed += 1;
-            let plan = FaultPlan::sample(&candidates, count, Phase::AfterCompute, seed);
-            let report = run_ft(&pool, make(), plan);
-            assert!(report.sink_completed);
-            reexecs.push(report.re_executions);
-        });
-        let avg = reexecs.iter().sum::<u64>() as f64 / reexecs.len() as f64;
-        r.push_row(
-            bench,
-            vec![
-                strategy.to_string(),
-                count.to_string(),
-                fmt_time(&ft0),
-                fmt_time(&faulty),
-                fmt_pct(faulty.overhead_pct(&ft0)),
-                format!("{avg:.0}"),
-            ],
-        );
+    let pool = Pool::new(PoolConfig::with_threads(opts.max_threads()));
+    let count = CountSpec::Const((opts.loss / 4).max(1));
+    let v_last = FaultScenario::new(VersionClass::Last, Phase::AfterCompute, count);
+    for &(kind, strategy, new) in STRATEGIES.iter().filter(|(k, ..)| opts.apps.contains(k)) {
+        let cfg = opts.config(kind);
+        for o in fault_overheads(&pool, opts.reps, || new(cfg), &[v_last]) {
+            r.push_row(kind.name(), o.row(strategy));
+        }
     }
     r.note("paper: reuse is faster fault-free; single-assignment recovers cheaper");
     r
@@ -677,22 +628,21 @@ fn bound(opts: &Opts) -> ExperimentReport {
     for &kind in &opts.apps {
         let cfg = opts.config(kind);
         let app = make_app(kind, cfg);
-        let graph: Arc<dyn nabbit_ft::TaskGraph> = app;
-        let stats = analysis::graph_stats(graph.as_ref());
+        let stats = analysis::graph_stats(app.as_ref());
         let t_seq = {
             let t = std::time::Instant::now();
-            seq::run(graph.as_ref()).expect("seq run");
+            seq::run(app.as_ref()).expect("seq run");
             t.elapsed().as_secs_f64()
         };
         let per_task = t_seq / stats.tasks as f64;
-        for (label, count) in [("fault-free", 0usize), ("5% faults", stats.tasks / 20)] {
+        let five_pct = CountSpec::Const(stats.tasks / 20);
+        for (label, count) in [("fault-free", CountSpec::Const(0)), ("5% faults", five_pct)] {
             for &p in &opts.threads {
                 let pool = Pool::new(PoolConfig::with_threads(p));
                 let app = make_app(kind, cfg);
-                let candidates = app.tasks_of_class(VersionClass::Rand);
-                let graph: Arc<dyn nabbit_ft::TaskGraph> = app;
-                let plan = FaultPlan::sample(&candidates, count, Phase::AfterCompute, p as u64);
-                let sched = FtScheduler::with_plan(graph, Arc::new(plan));
+                let sc = FaultScenario::new(VersionClass::Rand, Phase::AfterCompute, count);
+                let plan = sc.plan(app.as_ref(), p as u64);
+                let sched = FtScheduler::with_plan(app, Arc::new(plan));
                 let report = sched.run(&pool);
                 assert!(report.sink_completed);
                 let measured = report.elapsed.as_secs_f64();
@@ -746,13 +696,9 @@ fn validate(opts: &Opts) -> ExperimentReport {
         ] {
             for class in [VersionClass::First, VersionClass::Last, VersionClass::Rand] {
                 let app = make_app(kind, cfg);
-                let mut cand = app.tasks_of_class(class);
-                if phase == Phase::AfterNotify {
-                    let sink = app.sink();
-                    cand.retain(|&k| k != sink);
-                }
-                let count = opts.loss.min(cand.len());
-                let plan = FaultPlan::sample(&cand, count, phase, 4242);
+                let sc = FaultScenario::new(class, phase, CountSpec::Const(opts.loss));
+                let plan = sc.plan(app.as_ref(), 4242);
+                let count = plan.planned();
                 let report = run_ft(&pool, Arc::clone(&app), plan);
                 let verdict = if !report.sink_completed {
                     "HUNG".to_string()
@@ -780,54 +726,90 @@ fn validate(opts: &Opts) -> ExperimentReport {
     r
 }
 
-/// Ablation: FW with one vs two retained versions under v=last faults.
-fn ablation(opts: &Opts) -> ExperimentReport {
-    let mut r = ExperimentReport::new(
-        "ablation-fw-versions",
-        "FW: recovery cost with 1 vs 2 retained versions (paper kept 2)",
-        &[
-            "config",
-            "faults",
-            "ft0(s)",
-            "faulty(s)",
-            "ovh",
-            "re-exec(avg)",
-        ],
-    );
-    let p = opts.max_threads();
-    let pool = Pool::new(PoolConfig::with_threads(p));
-    for kind in [AppKind::Fw, AppKind::FwSingleVersion] {
-        let cfg = opts.config(AppKind::Fw);
-        let probe = make_app(kind, cfg);
-        let candidates = probe.tasks_of_class(VersionClass::Last);
-        drop(probe);
-        let count = (opts.loss / 4).max(1).min(candidates.len());
-        let ft0 = measure(opts.reps, || {
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const PHASES: [Phase; 3] = [
+        Phase::BeforeCompute,
+        Phase::AfterCompute,
+        Phase::AfterNotify,
+    ];
+    const CLASSES: [VersionClass; 3] =
+        [VersionClass::First, VersionClass::Last, VersionClass::Rand];
+
+    fn parse(line: &str) -> (String, Opts) {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        Opts::parse(&args)
+    }
+
+    #[test]
+    fn quick_caps_reps_in_either_order() {
+        for line in ["fig4 --reps 10 --quick", "fig4 --quick --reps 10"] {
+            let (cmd, opts) = parse(line);
+            assert_eq!((cmd.as_str(), opts.reps), ("fig4", 3), "{line}");
+        }
+        assert_eq!(parse("--reps 2 --quick").1.reps, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "missing value for --apps")]
+    fn trailing_flag_names_its_missing_value() {
+        parse("fig4 --apps");
+    }
+
+    #[test]
+    fn plans_cap_at_candidates_and_spare_the_sink_after_notify() {
+        let pool = Pool::new(PoolConfig::with_threads(2));
+        let cfg = AppConfig::new(64, 16);
+        // FW's synthetic sink is in no class; the other apps offer theirs.
+        let mut sink_spared = 0;
+        for &kind in APP_KINDS {
             let app = make_app(kind, cfg);
-            assert!(run_ft(&pool, app, FaultPlan::none()).sink_completed);
-        });
-        let mut reexecs = Vec::new();
-        let mut seed = 0;
-        let faulty = measure(opts.reps, || {
-            seed += 1;
-            let app = make_app(kind, cfg);
-            let plan = FaultPlan::sample(&candidates, count, Phase::AfterCompute, seed);
-            let report = run_ft(&pool, app, plan);
-            assert!(report.sink_completed);
-            reexecs.push(report.re_executions);
-        });
-        let avg = reexecs.iter().sum::<u64>() as f64 / reexecs.len() as f64;
-        r.push_row(
-            kind.name(),
-            vec![
-                count.to_string(),
-                fmt_time(&ft0),
-                fmt_time(&faulty),
-                fmt_pct(faulty.overhead_pct(&ft0)),
-                format!("{avg:.0}"),
-            ],
+            let sink = app.sink();
+            for phase in PHASES {
+                for class in CLASSES {
+                    let mut candidates = app.tasks_of_class(class);
+                    if phase == Phase::AfterNotify && candidates.contains(&sink) {
+                        candidates.retain(|&k| k != sink);
+                        sink_spared += 1;
+                    }
+                    let counts = [3, usize::MAX];
+                    let scenarios =
+                        counts.map(|c| FaultScenario::new(class, phase, CountSpec::Const(c)));
+                    let overheads = fault_overheads(&pool, 1, || make_app(kind, cfg), &scenarios);
+                    for ((c, sc), o) in counts.iter().zip(&scenarios).zip(&overheads) {
+                        let what = format!("{kind:?} {phase:?} {class:?} count {c}");
+                        assert_eq!(o.faults, (*c).min(candidates.len()), "{what}");
+                        let sites = sc.plan(app.as_ref(), 1).sites();
+                        assert!(sites.iter().all(|s| candidates.contains(&s.key)), "{what}");
+                    }
+                }
+            }
+        }
+        assert!(
+            sink_spared > 0,
+            "no app offers its sink as a fault candidate"
         );
     }
-    r.note("expected: single-version FW re-executes far more tasks per fault");
-    r
+
+    #[test]
+    fn one_version_fw_reexecutes_more_than_two_versions() {
+        let pool = Pool::new(PoolConfig::with_threads(2));
+        let cfg = AppConfig::new(64, 16);
+        let count = CountSpec::Const(2);
+        let v_last = FaultScenario::new(VersionClass::Last, Phase::AfterCompute, count);
+        let run = |strategy: &str| {
+            let (_, _, new) = STRATEGIES
+                .iter()
+                .find(|(k, s, _)| *k == AppKind::Fw && *s == strategy)
+                .expect("FW strategy");
+            let o = fault_overheads(&pool, 3, || new(cfg), &[v_last]).remove(0);
+            (o.faults, o.reexecs.iter().sum::<u64>())
+        };
+        let (two_faults, two) = run("reuse(2v)");
+        let (one_faults, one) = run("reuse(1v)");
+        assert_eq!(one_faults, two_faults);
+        assert!(one > two, "FW(1v) re-executed {one}, FW(2v) {two}");
+    }
 }

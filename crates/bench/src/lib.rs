@@ -7,7 +7,7 @@
 //! Scaled defaults: the paper's testbed was a 48-core machine running
 //! ~10-minute configurations (Table I); the harness defaults reproduce the
 //! same *graph shapes* at sizes that complete in seconds here, and every
-//! experiment takes `--n/--b/--loss/--reps` overrides to scale up.
+//! experiment takes `--loss/--reps/--threads` overrides to scale up.
 
 pub mod measure;
 pub mod registry;

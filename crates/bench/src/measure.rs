@@ -47,13 +47,20 @@ impl Stats {
     }
 }
 
-/// Time `reps` executions of `f` (seconds each), returning statistics.
-pub fn measure<F: FnMut()>(reps: usize, mut f: F) -> Stats {
+/// Time `reps` executions of `body` (seconds each), returning statistics.
+/// `setup(rep)` builds each execution's input before its clock starts, so
+/// constructing an instance is never counted as run time.
+pub fn measure<S>(
+    reps: usize,
+    mut setup: impl FnMut(usize) -> S,
+    mut body: impl FnMut(S),
+) -> Stats {
     assert!(reps > 0);
     let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
+    for rep in 0..reps {
+        let input = setup(rep);
         let t = Instant::now();
-        f();
+        body(input);
         samples.push(t.elapsed().as_secs_f64());
     }
     Stats::from_samples(&samples)
@@ -105,8 +112,8 @@ mod tests {
     #[test]
     fn measure_runs_reps() {
         let mut n = 0;
-        let s = measure(5, || n += 1);
-        assert_eq!(n, 5);
+        let s = measure(5, |rep| rep, |rep| n += rep);
+        assert_eq!(n, 1 + 2 + 3 + 4);
         assert_eq!(s.reps, 5);
         assert!(s.mean >= 0.0);
     }

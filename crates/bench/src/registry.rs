@@ -12,7 +12,7 @@ use ft_apps::sw::Sw;
 use ft_apps::{AppConfig, BenchApp};
 use std::sync::Arc;
 
-/// The five paper benchmarks (plus the FW single-version ablation).
+/// The five paper benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AppKind {
     /// Longest common subsequence (single-assignment).
@@ -21,8 +21,6 @@ pub enum AppKind {
     Sw,
     /// Floyd-Warshall, two versions per block (paper configuration).
     Fw,
-    /// Floyd-Warshall, one version per block (ablation).
-    FwSingleVersion,
     /// LU decomposition.
     Lu,
     /// Cholesky factorization.
@@ -45,7 +43,6 @@ impl AppKind {
             AppKind::Lcs => "LCS",
             AppKind::Sw => "SW",
             AppKind::Fw => "FW",
-            AppKind::FwSingleVersion => "FW(1v)",
             AppKind::Lu => "LU",
             AppKind::Cholesky => "Cholesky",
         }
@@ -58,7 +55,7 @@ impl AppKind {
             // Wavefront DP: 24x24 tiles of 512x512 cells.
             AppKind::Lcs | AppKind::Sw => AppConfig::new(12288, 512),
             // nb = 12 rounds of 48x48 tiles.
-            AppKind::Fw | AppKind::FwSingleVersion => AppConfig::new(576, 48),
+            AppKind::Fw => AppConfig::new(576, 48),
             // nb = 20 tiles of 48x48.
             AppKind::Lu | AppKind::Cholesky => AppConfig::new(960, 48),
         }
@@ -70,7 +67,6 @@ impl AppKind {
             "lcs" => Some(AppKind::Lcs),
             "sw" => Some(AppKind::Sw),
             "fw" => Some(AppKind::Fw),
-            "fw1v" | "fw-1v" => Some(AppKind::FwSingleVersion),
             "lu" => Some(AppKind::Lu),
             "cholesky" | "chol" => Some(AppKind::Cholesky),
             _ => None,
@@ -84,7 +80,6 @@ pub fn make_app(kind: AppKind, cfg: AppConfig) -> Arc<dyn BenchApp> {
         AppKind::Lcs => Arc::new(Lcs::new(cfg)),
         AppKind::Sw => Arc::new(Sw::new(cfg)),
         AppKind::Fw => Arc::new(Fw::new(cfg)),
-        AppKind::FwSingleVersion => Arc::new(Fw::with_single_version(cfg)),
         AppKind::Lu => Arc::new(Lu::new(cfg)),
         AppKind::Cholesky => Arc::new(Cholesky::new(cfg)),
     }
@@ -100,7 +95,6 @@ mod tests {
             assert_eq!(AppKind::parse(kind.name()), Some(*kind));
         }
         assert_eq!(AppKind::parse("nope"), None);
-        assert_eq!(AppKind::parse("fw1v"), Some(AppKind::FwSingleVersion));
     }
 
     #[test]
@@ -113,14 +107,7 @@ mod tests {
 
     #[test]
     fn make_app_constructs_every_kind() {
-        for kind in [
-            AppKind::Lcs,
-            AppKind::Sw,
-            AppKind::Fw,
-            AppKind::FwSingleVersion,
-            AppKind::Lu,
-            AppKind::Cholesky,
-        ] {
+        for &kind in APP_KINDS {
             let app = make_app(kind, AppConfig::new(64, 16));
             assert!(!app.all_tasks().is_empty());
         }
