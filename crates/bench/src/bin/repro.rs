@@ -304,13 +304,25 @@ struct Overhead {
 }
 
 impl Overhead {
-    /// The `ft0(s)`, `faulty(s)` and `ovh` columns.
-    fn times(&self) -> [String; 3] {
+    /// The `ft0(s)`, `faulty(s)`, `ovh` and `us/fault` columns.
+    fn times(&self) -> [String; 4] {
         [
             fmt_time(&self.ft0),
             fmt_time(&self.faulty),
             fmt_pct(self.faulty.overhead_pct(&self.ft0)),
+            self.us_per_fault(),
         ]
+    }
+
+    /// The absolute cost of one fault: the mean time the faulty runs add
+    /// over the fault-free ones, in µs per planned fault (`-` when the
+    /// scenario plans none).
+    fn us_per_fault(&self) -> String {
+        if self.faults == 0 {
+            return "-".to_string();
+        }
+        let secs = (self.faulty.mean - self.ft0.mean) / self.faults as f64;
+        format!("{:.1}", secs * 1e6)
     }
 
     /// A row under [`overhead_headers`], after its `bench` cell.
@@ -323,7 +335,7 @@ impl Overhead {
 }
 
 /// Columns of an overhead table whose second column names the scenario.
-fn overhead_headers(scenario: &str) -> [&str; 7] {
+fn overhead_headers(scenario: &str) -> [&str; 8] {
     [
         "bench",
         scenario,
@@ -331,6 +343,7 @@ fn overhead_headers(scenario: &str) -> [&str; 7] {
         "ft0(s)",
         "faulty(s)",
         "ovh",
+        "us/fault",
         "re-exec(avg)",
     ]
 }
@@ -526,7 +539,15 @@ fn fig7(opts: &Opts) -> ExperimentReport {
     let mut r = ExperimentReport::new(
         "fig7",
         "recovery overhead vs thread count (after-compute, v=rand)",
-        &["bench", "P", "scenario", "ft0(s)", "faulty(s)", "ovh"],
+        &[
+            "bench",
+            "P",
+            "scenario",
+            "ft0(s)",
+            "faulty(s)",
+            "ovh",
+            "us/fault",
+        ],
     );
     let scenarios = [CountSpec::Const(opts.loss), CountSpec::Pct(0.05)]
         .map(|count| FaultScenario::new(VersionClass::Rand, Phase::AfterCompute, count));
@@ -750,6 +771,20 @@ mod tests {
             assert_eq!((cmd.as_str(), opts.reps), ("fig4", 3), "{line}");
         }
         assert_eq!(parse("--reps 2 --quick").1.reps, 2);
+    }
+
+    #[test]
+    fn overhead_rows_fill_their_headers_and_charge_each_fault() {
+        let o = |faults, faulty| Overhead {
+            faults,
+            ft0: Stats::from_samples(&[0.010]),
+            faulty: Stats::from_samples(&[faulty]),
+            reexecs: vec![faults as u64],
+        };
+        let row = o(4, 0.012).row("s");
+        assert_eq!(row.len() + 1, overhead_headers("scenario").len());
+        assert_eq!(row[5], "500.0", "2 ms over 4 faults");
+        assert_eq!(o(0, 0.010).row("s")[5], "-");
     }
 
     #[test]

@@ -122,7 +122,8 @@ pub trait Descriptor: Send + Sync + 'static {
     /// [`FtPolicy::consume_notification`]); the task is ready at zero.
     fn join(&self) -> &AtomicI64;
     /// Lock-free successor notification cells (PR 9): slots claimed by
-    /// registrants, scanned by this task's completion drain.
+    /// registrants that find this task not yet computed, scanned by its
+    /// completion drain.
     fn notify_cells(&self) -> &NotifyCells;
     /// Store a new status.
     fn set_status(&self, s: Status);
@@ -472,7 +473,7 @@ impl<P: FtPolicy> Engine<P> {
             });
         }
 
-        // try { check B; register; self-deliver if B already computed }
+        // try { check B; if B computed, self-deliver; else register }
         let attempt: Result<bool, P::Err> = (|| {
             P::check_dependable(&b)?;
             self.register_notify(&b, key)
@@ -491,22 +492,31 @@ impl<P: FtPolicy> Engine<P> {
         }
     }
 
-    /// Lock-free registration of successor `key` in `b`'s notify cells
-    /// (PR 9). Claims a slot, publishes the key, then — after an SC fence —
-    /// re-reads `b`'s status: if `b` has already computed, the drainer's
+    /// Lock-free registration of successor `key` in `b`'s notify cells,
+    /// in Figure 2's order: status first. If `b` has already
+    /// computed, nothing is claimed and the caller self-delivers. Otherwise
+    /// it claims a slot, publishes the key, then — after an SC fence —
+    /// re-reads `b`'s status: if `b` has computed meanwhile, the drainer's
     /// scan may have missed the publish, so the registrant takes its own
     /// slot back via CAS and delivers the notification itself. Returns
-    /// `Ok(true)` iff the caller must self-deliver (it won the slot).
+    /// `Ok(true)` iff the caller must self-deliver.
     ///
-    /// Exactly-once: the slot's `key → TAKEN` CAS has one winner, whichever
-    /// side it is. No-loss (Dekker over SC fences): if the drainer's scan
-    /// load missed the publish, the drainer's fence precedes the
-    /// registrant's in the SC order, so this status read observes
+    /// Exactly-once: a registration that skips the claim has no cell, so
+    /// no drain can deliver it; a claimed slot's `key → TAKEN` CAS has one
+    /// winner, whichever side it is. No-loss (Dekker over SC fences): if
+    /// the drainer's scan load missed the publish, the drainer's fence
+    /// precedes the registrant's in the SC order, so the re-read observes
     /// `≥ Computed` and the registrant self-delivers; conversely a
-    /// registrant that reads `< Computed` has its fence first, so the
+    /// registrant that re-reads `< Computed` has its fence first, so the
     /// drainer's scan observes the published key.
     // ft-lint: hot-path begin(notify)
     pub(super) fn register_notify(&self, b: &P::Desc, key: Key) -> Result<bool, P::Err> {
+        // `if (B.status < Computed)`: a computed predecessor is notified
+        // directly. The guarded read is `Acquire`, so the caller's delivery
+        // is ordered after `b`'s compute.
+        if P::read_status(b)? >= Status::Computed {
+            return Ok(true);
+        }
         let cells = b.notify_cells();
         let slot = cells.claim();
         if self.policy.drop_publish() {
@@ -734,4 +744,62 @@ impl<P: FtPolicy> Engine<P> {
         }
     }
     // ft-lint: hot-path end(notify)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scheduler::{BaselineScheduler, FtScheduler};
+    use crate::task::{BaseDesc, FtDesc};
+
+    /// Two tasks, `0 → 1`: enough graph to build an engine around.
+    struct Edge;
+
+    impl TaskGraph for Edge {
+        fn sink(&self) -> Key {
+            1
+        }
+        fn predecessors(&self, k: Key) -> Vec<Key> {
+            if k == 1 {
+                vec![0]
+            } else {
+                vec![]
+            }
+        }
+        fn successors(&self, k: Key) -> Vec<Key> {
+            if k == 0 {
+                vec![1]
+            } else {
+                vec![]
+            }
+        }
+        fn compute(&self, _: Key, _: &ComputeCtx<'_>) -> Result<(), Fault> {
+            Ok(())
+        }
+    }
+
+    /// `register_notify(b, 1)` for `b` in each status: whether the caller
+    /// self-delivers, and how many cells the call claimed.
+    fn registrations<P: FtPolicy>(
+        engine: &Engine<P>,
+        desc: impl Fn() -> P::Desc,
+    ) -> [(bool, usize); 3] {
+        [Status::Visited, Status::Computed, Status::Completed].map(|status| {
+            let b = desc();
+            b.set_status(status);
+            let deliver = engine.register_notify(&b, 1).ok().expect("uncorrupted");
+            (deliver, b.notify_cells().len())
+        })
+    }
+
+    #[test]
+    fn computed_predecessor_is_notified_without_a_claim() {
+        // A `Visited` predecessor gets one claimed cell and delivers
+        // through its drain; a computed one is notified directly.
+        let want = [(false, 1), (true, 0), (true, 0)];
+        let base = BaselineScheduler::new(Arc::new(Edge));
+        assert_eq!(registrations(&base, || BaseDesc::new(0, &[], 1)), want);
+        let ft = FtScheduler::new(Arc::new(Edge));
+        assert_eq!(registrations(&ft, || FtDesc::new(0, 1, &[], 1)), want);
+    }
 }

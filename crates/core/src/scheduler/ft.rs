@@ -61,7 +61,8 @@ impl Mutation for Faithful {}
 pub struct FtRecovery<M: Mutation = Faithful> {
     /// The recovery table `R`: key → most recent life whose recovery has
     /// been initiated. Built by the first `IsRecovering`, so a fault-free
-    /// run never pays for it.
+    /// run never pays for it, and striped like the task map: a faulted
+    /// run builds it once, so a wider table costs every such run.
     pub(super) rtable: OnceLock<ShardedMap<u64>>,
     pub(super) plan: Arc<FaultPlan>,
     pub(super) trace: Option<Arc<Trace>>,

@@ -59,10 +59,7 @@ impl<M: Mutation> Engine<FtRecovery<M>> {
     /// answers "already recovering" exactly as the locked update would at
     /// that instant. Only a possible claim takes the shard lock.
     pub(super) fn is_recovering(&self, key: Key, life: u64) -> bool {
-        let rtable = self
-            .policy
-            .rtable
-            .get_or_init(|| ShardedMap::with_shards(64));
+        let rtable = self.policy.rtable.get_or_init(ShardedMap::new);
         if matches!(rtable.get(key), Some(stored) if stored + 1 != life) {
             return true;
         }

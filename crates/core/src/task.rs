@@ -22,11 +22,13 @@
 //! fixed-capacity cell array (capacity = the task's out-degree, known from
 //! the graph) whose slots are claimed by `fetch_add` and published with a
 //! `Release` store, plus a CAS-installed overflow chain for the recovery
-//! path's re-registrations. Delivery is arbitrated per slot by a
-//! `key → TAKEN` compare-exchange, so registrant (self-delivery) and
+//! path's re-registrations. Only a registrant that finds the task not yet
+//! computed claims a slot; one that reads `≥ Computed` first notifies
+//! itself and leaves the cells alone. Delivery is arbitrated per slot by
+//! a `key → TAKEN` compare-exchange, so registrant (self-delivery) and
 //! drainer (completion scan) deliver each notification exactly once
-//! without a mutex. See `docs/ALGORITHM.md` "Lock-free notification
-//! (PR 9)" for the protocol and its ordering table.
+//! without a mutex. See `docs/ALGORITHM.md` "Atomic notify cells" for the
+//! protocol and its ordering table.
 //!
 //! # Line map
 //!
@@ -157,10 +159,12 @@ impl OverflowSeg {
 
 /// Lock-free successor notification cells ("notifyArray", PR 9).
 ///
-/// A registrant (successor `A` registering on predecessor `B`) claims a
-/// slot index with `fetch_add`, publishes its key with a `Release` store,
-/// then — after an SC fence — re-reads `B.status` and self-delivers if
-/// `B` already computed. The drainer (`B`'s `ComputeAndNotify`) publishes
+/// A registrant (successor `A` registering on predecessor `B`) first reads
+/// `B.status`; if `B` already computed, it notifies `A` itself and never
+/// touches these cells. Otherwise it claims a slot index with
+/// `fetch_add`, publishes its key with a `Release` store, then — after an
+/// SC fence — re-reads `B.status` and self-delivers if `B` has computed
+/// meanwhile. The drainer (`B`'s `ComputeAndNotify`) publishes
 /// `Computed`, fences, and scans every claimed slot; a `key → TAKEN` CAS
 /// arbitrates so each notification is delivered exactly once. An `EMPTY`
 /// slot at scan time means the registrant's fence is ordered after the

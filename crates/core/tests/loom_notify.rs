@@ -8,13 +8,13 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p nabbit-ft --test loom_notify
 //! ```
 //!
-//! The models replay the exact engine-side protocol (`register_notify` /
-//! the `compute_and_notify_step` drain, see `scheduler/engine.rs`) against
-//! a bare status byte, so every atomic in the cell array — the `claims`
-//! counter, the slot publishes, the paired SeqCst fences, and the
-//! take-CAS — is a model-exploration point. `LOOM_MAX_ITERS` /
-//! `LOOM_SEED` control the exploration budget and make failures
-//! replayable.
+//! The models replay the exact engine-side protocol (`register_notify`
+//! with its status pre-check / the `compute_and_notify_step` drain, see
+//! `scheduler/engine.rs`) against a bare status byte, so both status
+//! reads and every atomic in the cell array — the `claims` counter, the
+//! slot publishes, the paired SeqCst fences, and the take-CAS — are
+//! model-exploration points. `LOOM_MAX_ITERS` / `LOOM_SEED` control the
+//! exploration budget and make failures replayable.
 #![cfg(loom)]
 
 use ft_sync::atomic::{fence, AtomicU8, AtomicUsize, Ordering};
@@ -24,10 +24,16 @@ use std::sync::Arc;
 const VISITED: u8 = 0;
 const COMPUTED: u8 = 1;
 
-/// The engine's registration path (`register_notify`): claim a slot,
-/// publish the key, fence, then re-check the producer's status and
-/// self-deliver on a won CAS. Returns 1 if this side delivered.
+/// The engine's registration path (`register_notify`): read the
+/// producer's status first and self-deliver without a claim if it has
+/// computed; otherwise claim a slot, publish the key, fence, then
+/// re-check the status and self-deliver on a won CAS. Returns 1 if this
+/// side delivered.
 fn register(cells: &NotifyCells, status: &AtomicU8, key: i64) -> usize {
+    // ord: Acquire pairs with the drainer's Release `Computed` store.
+    if status.load(Ordering::Acquire) >= COMPUTED {
+        return 1;
+    }
     let slot = cells.claim();
     cells.publish(slot, key);
     // ord: Dekker pairing with the drainer's fence (see engine.rs).
@@ -88,6 +94,38 @@ fn registrant_racing_drainer_delivers_exactly_once() {
             1,
             "exactly-once delivery violated: drain={delivered:?}, self={self_delivered}"
         );
+    });
+}
+
+/// The status pre-check races the drainer's `Computed` store, with the
+/// drain on its own thread. A registrant whose pre-check sees `Computed`
+/// claims nothing, so the drain has no cell to deliver it from; one whose
+/// pre-check misses the store takes the full claim protocol. Either way
+/// the key is delivered exactly once, and a registration that left no
+/// cell delivered it itself.
+#[test]
+fn precheck_racing_computed_store_delivers_exactly_once() {
+    loom::model(|| {
+        let cells = Arc::new(NotifyCells::new(1));
+        let status = Arc::new(AtomicU8::new(VISITED));
+        let (c2, s2) = (Arc::clone(&cells), Arc::clone(&status));
+        let drainer = loom::thread::spawn(move || {
+            let mut delivered = Vec::new();
+            drain(&c2, &s2, &mut delivered);
+            delivered
+        });
+
+        let self_delivered = register(&cells, &status, 7);
+        let drained = drainer.join().unwrap();
+
+        assert_eq!(
+            drained.len() + self_delivered,
+            1,
+            "exactly-once delivery violated: drain={drained:?}, self={self_delivered}"
+        );
+        if cells.is_empty() {
+            assert_eq!(self_delivered, 1, "no cell claimed, yet not self-delivered");
+        }
     });
 }
 

@@ -364,8 +364,9 @@ pub mod mutants {
         const UNGATED_DRAIN: bool = true;
     }
 
-    /// Exactly one registration (the first to ask) claims its notify cell
-    /// but never publishes it, so one notification is lost.
+    /// Exactly one registration (the first to claim a notify cell, that
+    /// is, the first to find its predecessor not yet computed) never
+    /// publishes it, so one notification is lost.
     pub struct DropOnePublish(AtomicBool);
 
     impl DropOnePublish {

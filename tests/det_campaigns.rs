@@ -424,12 +424,13 @@ fn broken_inline_chain_is_caught_by_oracle() {
 }
 
 /// Mutation test for the PR-9 lock-free notify cells: drop a single
-/// Release publish (the mutant's registrant claims its slot but never
-/// stores its key, and skips the self-delivery fallback too). The drain
-/// scan sees an empty cell and skips it, so one notification is lost and
-/// the successor's join counter never reaches zero: the run quiesces with
-/// tasks stranded mid-graph and the sink incomplete, which the oracle
-/// flags as a G4 violation. The same campaign with the publish intact
+/// Release publish (the first registrant to find its predecessor not yet
+/// computed claims its slot but never stores its key, and skips the
+/// self-delivery fallback too). The drain scan sees an empty cell and
+/// skips it, so one notification is lost and the successor's join
+/// counter never reaches zero: the run quiesces with tasks stranded
+/// mid-graph and the sink incomplete, which the oracle flags as a G4
+/// violation. The same campaign with the publish intact
 /// must be clean, so the detection is the oracle's doing, not noise.
 ///
 /// The campaign runs **fault-free**: an injected fault on the affected
