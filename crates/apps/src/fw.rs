@@ -27,19 +27,12 @@ use crate::common::{keys, AppConfig, BenchApp, VerifyOutcome, VersionClass};
 use nabbit_ft::blocks::{BlockError, BlockStore, Retention};
 use nabbit_ft::fault::Fault;
 use nabbit_ft::graph::{ComputeCtx, Key, TaskGraph};
-use std::sync::Arc;
 
 /// Blocked Floyd-Warshall benchmark instance.
 pub struct Fw {
     cfg: AppConfig,
     /// Retained versions per block (2 = paper configuration, 1 = ablation).
     keep: usize,
-    /// First round this instance executes (0 for a fresh run; > 0 when
-    /// resumed from a checkpoint snapshot — the checkpointing complement
-    /// the paper's related-work section positions against).
-    first_round: usize,
-    /// Last round this instance executes (defaults to nb − 1).
-    last_round: usize,
     store: BlockStore<f64>,
 }
 
@@ -83,59 +76,7 @@ impl Fw {
                 store.publish_pinned(ti * nb + tj, 0, tile);
             }
         }
-        let last_round = nb - 1;
-        Fw {
-            cfg,
-            keep,
-            first_round: 0,
-            last_round,
-            store,
-        }
-    }
-
-    /// Resume from a checkpoint: `tiles[bid]` is the state of each block
-    /// *entering* round `first_round` (as returned by
-    /// [`Fw::snapshot_tiles`] on an instance that ran the earlier rounds).
-    /// The restored state is pinned (resilient), exactly like fresh inputs.
-    pub fn resumed(cfg: AppConfig, first_round: usize, tiles: Vec<Vec<f64>>) -> Self {
-        let nb = cfg.nb();
-        assert!(first_round < nb, "first_round {first_round} out of range");
-        assert_eq!(tiles.len(), nb * nb, "one tile per block");
-        let store = BlockStore::new(nb * nb, Retention::KeepLast(2));
-        for (bid, tile) in tiles.into_iter().enumerate() {
-            assert_eq!(tile.len(), cfg.b * cfg.b, "tile {bid} has wrong shape");
-            store.publish_pinned(bid, first_round as u64, tile);
-        }
-        Fw {
-            cfg,
-            keep: 2,
-            first_round,
-            last_round: nb - 1,
-            store,
-        }
-    }
-
-    /// Snapshot the state entering `round`: version `round` of every block.
-    /// Valid while those versions are resident (run the instance only up to
-    /// round `round − 1`, or snapshot promptly under `KeepLast(2)`).
-    /// Returns `None` if any needed version has been evicted or poisoned.
-    pub fn snapshot_tiles(&self, round: usize) -> Option<Vec<Vec<f64>>> {
-        let nb = self.nb();
-        let mut out = Vec::with_capacity(nb * nb);
-        for bid in 0..nb * nb {
-            out.push(self.store.read(bid, round as u64).ok()?.as_ref().clone());
-        }
-        Some(out)
-    }
-
-    /// Build an instance that only executes rounds `0..=last_round` (for
-    /// producing checkpoints). Retention must keep the final versions:
-    /// the run ends with every block at version `last_round + 1`.
-    pub fn prefix(cfg: AppConfig, last_round: usize) -> Self {
-        let mut fw = Self::with_keep(cfg, 2);
-        assert!(last_round < cfg.nb());
-        fw.last_round = last_round;
-        fw
+        Fw { cfg, keep, store }
     }
 
     fn nb(&self) -> usize {
@@ -148,14 +89,6 @@ impl Fw {
 
     fn key(k: usize, i: usize, j: usize) -> Key {
         keys::encode(0, k, i, j)
-    }
-
-    /// Read a final-round tile (version `last_round + 1`). `None` before
-    /// completion.
-    pub fn final_tile(&self, i: usize, j: usize) -> Option<Arc<Vec<f64>>> {
-        self.store
-            .read(self.bid(i, j), (self.last_round + 1) as u64)
-            .ok()
     }
 
     /// Independent reference: unblocked Floyd-Warshall on the same input.
@@ -203,37 +136,36 @@ impl TaskGraph for Fw {
         let nb = self.nb();
         if tag == 1 {
             // Synthetic sink: depends on every last-round task.
-            let k = self.last_round;
+            let k = nb - 1;
             out.extend((0..nb).flat_map(|i| (0..nb).map(move |j| Self::key(k, i, j))));
             return;
         }
-        let base = self.first_round;
-        // Data-flow predecessors (round `base` reads pinned restored state).
+        // Data-flow predecessors (round 0 reads the pinned input).
         if i == k && j == k {
-            if k > base {
+            if k > 0 {
                 out.push(Self::key(k - 1, k, k));
             }
         } else if i == k {
             out.push(Self::key(k, k, k));
-            if k > base {
+            if k > 0 {
                 out.push(Self::key(k - 1, k, j));
             }
         } else if j == k {
             out.push(Self::key(k, k, k));
-            if k > base {
+            if k > 0 {
                 out.push(Self::key(k - 1, i, k));
             }
         } else {
             out.push(Self::key(k, i, k));
             out.push(Self::key(k, k, j));
-            if k > base {
+            if k > 0 {
                 out.push(Self::key(k - 1, i, j));
             }
         }
         // Anti-dependence predecessors: we evict version (k+1) − keep of
         // block (i,j); its round-(k−keep) readers must have finished.
         // (Single-assignment — keep == 0 — never evicts, so no anti edges.)
-        if self.keep > 0 && k >= base + self.keep {
+        if self.keep > 0 && k >= self.keep {
             let kr = k - self.keep; // reader round
             if i == kr {
                 for r in 0..nb {
@@ -287,7 +219,7 @@ impl TaskGraph for Fw {
                 }
             }
         }
-        if k < self.last_round {
+        if k < nb - 1 {
             let q = Self::key(k + 1, i, j);
             if !s.contains(&q) {
                 s.push(q);
@@ -299,7 +231,7 @@ impl TaskGraph for Fw {
         // row/col-k blocks; the evictors at round k + keep in our row or
         // column depend on us.
         let ke = k + self.keep; // evictor round
-        if self.keep > 0 && ke <= self.last_round {
+        if self.keep > 0 && ke < nb {
             let q = Self::key(ke, k, j);
             if !s.contains(&q) {
                 s.push(q);
@@ -328,7 +260,7 @@ impl TaskGraph for Fw {
         // the ones `successors` deduplicates: with keep == 1 an evictor in
         // our own row/column *is* the round-(k+1) task counted above, and on
         // the diagonal the two evictors are one task.
-        let evictors = if self.keep > 0 && k + self.keep <= self.last_round {
+        let evictors = if self.keep > 0 && k + self.keep < self.nb() {
             let row_dup = self.keep == 1 && i == k;
             let col_dup = (self.keep == 1 || i == k) && j == k;
             usize::from(!row_dup) + usize::from(!col_dup)
@@ -439,7 +371,7 @@ impl BenchApp for Fw {
 
     fn all_tasks(&self) -> Vec<Key> {
         let nb = self.nb();
-        let mut v: Vec<Key> = (self.first_round..=self.last_round)
+        let mut v: Vec<Key> = (0..nb)
             .flat_map(|k| (0..nb).flat_map(move |i| (0..nb).map(move |j| Self::key(k, i, j))))
             .collect();
         v.push(self.sink());
@@ -453,26 +385,14 @@ impl BenchApp for Fw {
                 .flat_map(|i| (0..nb).map(move |j| Self::key(k, i, j)))
                 .collect()
         };
-        let _ = nb;
         match class {
-            VersionClass::First => round(self.first_round),
-            VersionClass::Last => round(self.last_round),
-            VersionClass::Rand => {
-                let mut v = Vec::new();
-                for k in self.first_round..=self.last_round {
-                    v.extend(round(k));
-                }
-                v
-            }
+            VersionClass::First => round(0),
+            VersionClass::Last => round(nb - 1),
+            VersionClass::Rand => (0..nb).flat_map(round).collect(),
         }
     }
 
     fn verify_detailed(&self) -> Result<VerifyOutcome, String> {
-        assert!(
-            self.first_round == 0 && self.last_round == self.nb() - 1,
-            "verify() is defined for full runs; compare resumed runs \
-             tile-by-tile against a full run instead"
-        );
         let reference = self.reference();
         let nb = self.nb();
         let b = self.cfg.b;
@@ -508,6 +428,7 @@ mod tests {
     use nabbit_ft::inject::{FaultPlan, Phase};
     use nabbit_ft::scheduler::{BaselineScheduler, FtScheduler};
     use nabbit_ft::seq;
+    use std::sync::Arc;
 
     #[test]
     fn sequential_matches_reference() {
@@ -645,109 +566,5 @@ mod tests {
         seq::run(app.as_ref()).unwrap();
         assert!(app.store.evictions() > 0, "two-version reuse must evict");
         app.verify().unwrap();
-    }
-}
-
-#[cfg(test)]
-mod checkpoint_tests {
-    use super::*;
-    use ft_steal::pool::{Pool, PoolConfig};
-    use nabbit_ft::inject::{FaultPlan, Phase};
-    use nabbit_ft::scheduler::FtScheduler;
-
-    /// Run rounds 0..=r-1, snapshot, resume a fresh instance from round r,
-    /// and compare against an uninterrupted full run.
-    #[test]
-    fn checkpoint_resume_matches_full_run() {
-        let cfg = AppConfig::new(96, 16); // nb = 6
-        let split = 3;
-        let pool = Pool::new(PoolConfig::with_threads(4));
-
-        // Uninterrupted full run (the oracle).
-        let full = Arc::new(Fw::new(cfg));
-        assert!(
-            FtScheduler::new(Arc::clone(&full) as _)
-                .run(&pool)
-                .sink_completed
-        );
-        full.verify().unwrap();
-
-        // Phase 1: rounds 0..=split-1, then checkpoint the state entering
-        // round `split`.
-        let prefix = Arc::new(Fw::prefix(cfg, split - 1));
-        assert!(
-            FtScheduler::new(Arc::clone(&prefix) as _)
-                .run(&pool)
-                .sink_completed
-        );
-        let snapshot = prefix
-            .snapshot_tiles(split)
-            .expect("version `split` resident after prefix run");
-
-        // Phase 2: resume from the checkpoint ("increase the time between
-        // checkpoints" — recovery handles faults inside the segment).
-        let resumed = Arc::new(Fw::resumed(cfg, split, snapshot));
-        let keys = resumed.tasks_of_class(VersionClass::Rand);
-        let plan = Arc::new(FaultPlan::sample(&keys, 6, Phase::AfterCompute, 77));
-        let report = FtScheduler::with_plan(Arc::clone(&resumed) as _, plan).run(&pool);
-        assert!(report.sink_completed);
-        assert_eq!(
-            report.injected, 6,
-            "faults inside the segment are recovered"
-        );
-
-        // Final tiles of the resumed run match the uninterrupted run.
-        let nb = cfg.nb();
-        for ti in 0..nb {
-            for tj in 0..nb {
-                let a = full.final_tile(ti, tj).expect("full tile");
-                let b = resumed.final_tile(ti, tj).expect("resumed tile");
-                let diff = crate::common::max_abs_diff(&a, &b);
-                assert!(diff <= 1e-12, "tile ({ti},{tj}) differs by {diff}");
-            }
-        }
-    }
-
-    #[test]
-    fn prefix_run_produces_resident_snapshot() {
-        let cfg = AppConfig::new(64, 16); // nb = 4
-        let pool = Pool::new(PoolConfig::with_threads(2));
-        let prefix = Arc::new(Fw::prefix(cfg, 1)); // rounds 0..=1
-        assert!(
-            FtScheduler::new(Arc::clone(&prefix) as _)
-                .run(&pool)
-                .sink_completed
-        );
-        // Versions 2 (and 1) are within the retention window.
-        assert!(prefix.snapshot_tiles(2).is_some());
-        // Version 0 is pinned input, always available.
-        assert!(prefix.snapshot_tiles(0).is_some());
-    }
-
-    #[test]
-    fn resumed_graph_shape_is_consistent() {
-        let cfg = AppConfig::new(96, 16); // nb = 6
-        let tiles = vec![vec![0.0; 16 * 16]; 36];
-        let fw = Fw::resumed(cfg, 2, tiles);
-        // Symmetry of pred/succ still holds on the truncated graph.
-        for &k in &fw.all_tasks() {
-            for p in fw.predecessors(k) {
-                assert!(fw.successors(p).contains(&k), "pred/succ: {p} -> {k}");
-            }
-            for su in fw.successors(k) {
-                assert!(fw.predecessors(su).contains(&k), "succ/pred: {k} -> {su}");
-            }
-        }
-        // Round-2 tasks have no round-1 predecessors.
-        let t = Fw::key(2, 3, 4);
-        assert!(fw.predecessors(t).iter().all(|&p| keys::decode(p).1 >= 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn resume_rejects_bad_round() {
-        let cfg = AppConfig::new(64, 16);
-        let tiles = vec![vec![0.0; 256]; 16];
-        let _ = Fw::resumed(cfg, 99, tiles);
     }
 }

@@ -64,14 +64,13 @@ mod tests {
         // 4×4 and 5×5 tiles: a square and a non-square tile count.
         for nb in [4, 5] {
             let cfg = AppConfig::new(nb * 4, 4);
-            let graphs: [(&str, Box<dyn TaskGraph>); 9] = [
+            let graphs: [(&str, Box<dyn TaskGraph>); 8] = [
                 ("lcs", Box::new(lcs::Lcs::new(cfg))),
                 ("sw", Box::new(sw::Sw::new(cfg))),
                 ("sw-sa", Box::new(sw::Sw::single_assignment(cfg))),
                 ("fw", Box::new(fw::Fw::new(cfg))),
                 ("fw-1v", Box::new(fw::Fw::with_single_version(cfg))),
                 ("fw-sa", Box::new(fw::Fw::single_assignment(cfg))),
-                ("fw-prefix", Box::new(fw::Fw::prefix(cfg, nb - 2))),
                 ("lu", Box::new(lu::Lu::new(cfg))),
                 ("cholesky", Box::new(cholesky::Cholesky::new(cfg))),
             ];

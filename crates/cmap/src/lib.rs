@@ -38,4 +38,4 @@
 
 pub mod map;
 
-pub use map::{MapStats, ShardedMap};
+pub use map::ShardedMap;

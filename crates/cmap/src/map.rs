@@ -430,17 +430,6 @@ impl<V> std::fmt::Debug for ShardedMap<V> {
     }
 }
 
-/// Occupancy statistics, for the shard-count ablation bench.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MapStats {
-    /// Total entries across shards.
-    pub len: usize,
-    /// Number of shards.
-    pub shards: usize,
-    /// Maximum entries in any one shard (imbalance indicator).
-    pub max_shard_len: usize,
-}
-
 impl<V: Word> Default for ShardedMap<V> {
     fn default() -> Self {
         Self::new()
@@ -583,16 +572,6 @@ impl<V: Word> ShardedMap<V> {
         self.len() == 0
     }
 
-    /// Occupancy statistics for diagnostics/ablation.
-    pub fn stats(&self) -> MapStats {
-        let lens: Vec<usize> = self.shards.iter().map(|s| s.lock().len).collect();
-        MapStats {
-            len: lens.iter().sum(),
-            shards: self.shards.len(),
-            max_shard_len: lens.into_iter().max().unwrap_or(0),
-        }
-    }
-
     /// Remove all entries, retaining shard capacity.
     pub fn clear(&self) {
         for shard in &self.shards {
@@ -710,9 +689,7 @@ mod tests {
         for k in 0..10_000i64 {
             assert_eq!(m.get(k), Some(k * 2), "key {k}");
         }
-        let stats = m.stats();
-        assert_eq!(stats.len, 10_000);
-        assert_eq!(stats.shards, 1);
+        assert_eq!(m.len(), 10_000);
     }
 
     #[test]
@@ -1054,9 +1031,9 @@ mod tests {
     #[test]
     fn shard_count_rounds_to_power_of_two() {
         let m: ShardedMap<u64> = ShardedMap::with_shards(5);
-        assert_eq!(m.stats().shards, 8);
+        assert_eq!(m.shards.len(), 8);
         let m: ShardedMap<u64> = ShardedMap::with_shards(0);
-        assert_eq!(m.stats().shards, 1);
+        assert_eq!(m.shards.len(), 1);
     }
 
     #[test]

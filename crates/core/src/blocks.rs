@@ -22,21 +22,22 @@
 //! suggests ("could be ameliorated by retaining the intermediate versions
 //! in memory") and which guarantees recovery chains terminate.
 //!
-//! ## Wait-free reads (PR 9)
+//! ## Wait-free reads
 //!
-//! Reads never take a lock. Each block publishes an **immutable version
-//! table** through an [`AtomicPtr`] plus a
-//! `latest` version counter (`version + 1`, 0 = none), mirroring the
-//! copy-on-write discipline of `ft-cmap` (PR 4): writers serialize on a
-//! per-block mutex, build a fresh table, and publish it with a Release
-//! store *before* bumping `latest` (also Release). A reader that
-//! Acquire-loads `latest` and then Acquire-loads the table is therefore
-//! guaranteed to find the version `latest` names — the table can only be
-//! *newer* than the counter, never older. Retired tables are parked in a
-//! graveyard guarded by the writer mutex and freed when the store drops,
-//! so a table pointer loaded by any reader stays valid for the store's
-//! lifetime (no hazard pointers or epochs needed at this version-grained
-//! churn rate; tables are small — one slot per version ever published).
+//! Reads never take a lock. A block's only shared state is an **immutable
+//! version table** published through an [`AtomicPtr`], mirroring the
+//! copy-on-write discipline of `ft-cmap`: every writer (`publish`,
+//! `publish_pinned`, `poison`) goes through one path, `Block::write`,
+//! which serializes on a per-block mutex, builds a fresh table from the
+//! current one, and publishes it with a Release swap. A reader
+//! Acquire-loads the pointer and binary-searches a consistent snapshot.
+//! Slots are never removed (eviction leaves a tombstone), so a table's last
+//! slot is the highest version ever published: "latest" needs no second
+//! atomic. Retired tables are parked in a graveyard guarded by the writer
+//! mutex and freed when the store drops, so a table pointer loaded by any
+//! reader stays valid for the store's lifetime (no hazard pointers or
+//! epochs needed at this version-grained churn rate; tables are small —
+//! one slot per version ever published).
 
 use crate::fault::Fault;
 use crate::graph::Key;
@@ -120,6 +121,18 @@ impl<T> Clone for Slot<T> {
     }
 }
 
+impl<T> Slot<T> {
+    /// A version holding its payload (not an eviction tombstone).
+    fn resident(&self) -> bool {
+        self.data.is_some()
+    }
+
+    /// A pinned (resilient input) version: never evicted nor poisoned.
+    fn pinned(&self) -> bool {
+        self.producer == RESILIENT_PRODUCER && self.resident()
+    }
+}
+
 /// An immutable snapshot of every version ever published to one block,
 /// sorted by version number. Writers replace the whole table; readers
 /// binary-search a consistent snapshot without synchronizing with writers.
@@ -134,11 +147,19 @@ impl<T> Table<T> {
             .ok()
             .map(|i| &self.slots[i])
     }
+
+    /// The slots with `slot` put in its version's place.
+    fn with(&self, slot: Slot<T>) -> Vec<Slot<T>> {
+        let mut slots = self.slots.clone();
+        match slots.binary_search_by_key(&slot.version, |s| s.version) {
+            Ok(i) => slots[i] = slot,
+            Err(i) => slots.insert(i, slot),
+        }
+        slots
+    }
 }
 
 struct Block<T> {
-    /// Latest published version + 1 (0 = nothing published yet).
-    latest: AtomicU64,
     /// Current table. Writers store with Release after building the new
     /// snapshot; readers load with Acquire and dereference lock-free.
     table: AtomicPtr<Table<T>>,
@@ -163,7 +184,6 @@ unsafe impl<T: Send + Sync> Sync for Block<T> {}
 impl<T> Block<T> {
     fn new() -> Self {
         Block {
-            latest: AtomicU64::new(0),
             table: AtomicPtr::new(Box::into_raw(Box::new(Table { slots: Vec::new() }))),
             writer: Mutex::new(Vec::new()),
         }
@@ -179,14 +199,21 @@ impl<T> Block<T> {
         unsafe { &*p }
     }
 
-    /// Writer-side: replace the table, retiring the old one. Must be
-    /// called with the `writer` lock held (the guard proves it).
-    fn install(&self, graveyard: &mut Vec<*mut Table<T>>, next: Table<T>) {
-        let next = Box::into_raw(Box::new(next));
+    /// The one write path. Under the writer lock, `next` sees the current
+    /// table and returns the slots of its successor, which replaces it (the
+    /// old table is retired), or `None` to leave the block as it is.
+    /// Returns whether a table was installed.
+    fn write(&self, next: impl FnOnce(&Table<T>) -> Option<Vec<Slot<T>>>) -> bool {
+        let mut graveyard = self.writer.lock();
+        let Some(slots) = next(self.snapshot()) else {
+            return false;
+        };
+        let next = Box::into_raw(Box::new(Table { slots }));
         // ord: Release publishes the fully built table to readers; the
         // writer lock serializes with other writers, so no CAS is needed.
         let old = self.table.swap(next, Ordering::Release);
         graveyard.push(old);
+        true
     }
 }
 
@@ -212,7 +239,6 @@ pub struct BlockStore<T> {
     blocks: Vec<Block<T>>,
     retention: Retention,
     evictions: AtomicU64,
-    republishes: AtomicU64,
 }
 
 impl<T: Send> BlockStore<T> {
@@ -225,7 +251,6 @@ impl<T: Send> BlockStore<T> {
             blocks: (0..nblocks).map(|_| Block::new()).collect(),
             retention,
             evictions: AtomicU64::new(0),
-            republishes: AtomicU64::new(0),
         }
     }
 
@@ -242,95 +267,58 @@ impl<T: Send> BlockStore<T> {
     /// as recovery-resident. Re-publishing an existing version replaces its
     /// data and clears any poison (the recovered producer recreated it).
     pub fn publish(&self, block: BlockId, version: Version, producer: Key, data: Vec<T>) {
-        let blk = &self.blocks[block];
-        let mut graveyard = blk.writer.lock();
-        let cur = blk.snapshot();
-        // Pinned versions are resilient inputs: no task legitimately
-        // redefines them, and they must stay pinned. Ignore such writes.
-        if matches!(cur.find(version), Some(s) if s.producer == RESILIENT_PRODUCER && s.data.is_some())
-        {
-            return;
-        }
-        // ord: Relaxed — `latest` is only written under the writer lock we
-        // hold, so this read cannot race a store.
-        let latest = blk.latest.load(Ordering::Relaxed);
-        let is_new_latest = latest == 0 || version + 1 > latest;
-        // Recovery-resident iff re-instating a version that is currently
-        // *not* resident (evicted tombstone or never seen below latest).
-        let recovery_resident =
-            !is_new_latest && !matches!(cur.find(version), Some(s) if s.data.is_some());
-        if !is_new_latest {
-            // ord: Relaxed — statistics counter, read at quiescence.
-            self.republishes.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut slots = cur.slots.clone();
-        let slot = Slot {
-            version,
-            producer,
-            poisoned: false,
-            recovery_resident,
-            data: Some(Arc::new(data)),
-        };
-        match slots.binary_search_by_key(&version, |s| s.version) {
-            Ok(i) => slots[i] = slot,
-            Err(i) => slots.insert(i, slot),
-        }
-        if is_new_latest {
-            if let Retention::KeepLast(k) = self.retention {
+        self.blocks[block].write(|cur| {
+            let old = cur.find(version);
+            // Pinned versions are resilient inputs: no task legitimately
+            // redefines them, and they must stay pinned. Ignore such writes.
+            if old.is_some_and(Slot::pinned) {
+                return None;
+            }
+            // The last slot is the highest version ever published.
+            let is_new_latest = cur.slots.last().is_none_or(|s| version > s.version);
+            let mut slots = cur.with(Slot {
+                version,
+                producer,
+                poisoned: false,
+                // Re-instating a version that is not resident (an evicted
+                // tombstone, or never seen below latest).
+                recovery_resident: !is_new_latest && !old.is_some_and(Slot::resident),
+                data: Some(Arc::new(data)),
+            });
+            if let (true, Retention::KeepLast(k)) = (is_new_latest, self.retention) {
                 // The version sliding out of the window. Pinned (resilient)
                 // and recovery-resident versions are exempt.
-                if version >= k {
-                    let out = version - k;
-                    if let Ok(i) = slots.binary_search_by_key(&out, |s| s.version) {
-                        let s = &mut slots[i];
-                        if s.data.is_some()
-                            && !s.recovery_resident
-                            && s.producer != RESILIENT_PRODUCER
-                        {
-                            // Tombstone: drop the payload, keep producer
-                            // attribution for Overwritten errors.
-                            s.data = None;
-                            // ord: Relaxed — statistics counter.
-                            self.evictions.fetch_add(1, Ordering::Relaxed);
-                        }
+                let out = version.checked_sub(k);
+                if let Some(i) =
+                    out.and_then(|v| slots.binary_search_by_key(&v, |s| s.version).ok())
+                {
+                    let s = &mut slots[i];
+                    if s.resident() && !s.recovery_resident && !s.pinned() {
+                        // Tombstone: drop the payload, keep producer
+                        // attribution for Overwritten errors.
+                        s.data = None;
+                        // ord: Relaxed — statistics counter.
+                        self.evictions.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }
-        }
-        blk.install(&mut graveyard, Table { slots });
-        if is_new_latest {
-            // ord: Release *after* the table store — a reader that
-            // Acquire-loads this counter is guaranteed to find `version`
-            // in whatever table it subsequently loads.
-            blk.latest.store(version + 1, Ordering::Release);
-        }
+            Some(slots)
+        });
     }
 
     /// Publish a pinned version that is never evicted nor poisoned — used
     /// for initial inputs, which the paper assumes are "made resilient
     /// through other means".
     pub fn publish_pinned(&self, block: BlockId, version: Version, data: Vec<T>) {
-        let blk = &self.blocks[block];
-        let mut graveyard = blk.writer.lock();
-        let cur = blk.snapshot();
-        let mut slots = cur.slots.clone();
-        let slot = Slot {
-            version,
-            producer: RESILIENT_PRODUCER,
-            poisoned: false,
-            recovery_resident: false,
-            data: Some(Arc::new(data)),
-        };
-        match slots.binary_search_by_key(&version, |s| s.version) {
-            Ok(i) => slots[i] = slot,
-            Err(i) => slots.insert(i, slot),
-        }
-        blk.install(&mut graveyard, Table { slots });
-        // ord: Relaxed load is writer-private (see `publish`); Release
-        // store pairs with reader Acquire loads.
-        if version + 1 > blk.latest.load(Ordering::Relaxed) {
-            blk.latest.store(version + 1, Ordering::Release);
-        }
+        self.blocks[block].write(|cur| {
+            Some(cur.with(Slot {
+                version,
+                producer: RESILIENT_PRODUCER,
+                poisoned: false,
+                recovery_resident: false,
+                data: Some(Arc::new(data)),
+            }))
+        });
     }
 
     // ft-lint: hot-path begin(block-read)
@@ -358,10 +346,7 @@ impl<T: Send> BlockStore<T> {
     ///
     /// Version and payload come from one table snapshot — the slots are
     /// version-sorted and the highest version ever published is never
-    /// evicted, so the last slot *is* the latest version. (Reading the
-    /// `latest` counter and then the table would not be atomic: a
-    /// concurrent publish could evict the counter's version from the
-    /// newer snapshot.)
+    /// evicted, so the last slot *is* the latest version.
     pub fn read_latest(&self, block: BlockId) -> Result<(Version, Arc<Vec<T>>), BlockError> {
         match self.blocks[block].snapshot().slots.last() {
             Some(s) if s.poisoned => Err(BlockError::Poisoned {
@@ -377,11 +362,11 @@ impl<T: Send> BlockStore<T> {
 
     /// Latest published version of `block`, if any. Wait-free.
     pub fn latest_version(&self, block: BlockId) -> Option<Version> {
-        // ord: Acquire pairs with the publisher's Release store.
-        match self.blocks[block].latest.load(Ordering::Acquire) {
-            0 => None,
-            l => Some(l - 1),
-        }
+        self.blocks[block]
+            .snapshot()
+            .slots
+            .last()
+            .map(|s| s.version)
     }
 
     // ft-lint: hot-path end(block-read)
@@ -390,29 +375,26 @@ impl<T: Send> BlockStore<T> {
     /// versions are resilient and ignore poisoning. Returns true if a
     /// resident version was poisoned.
     pub fn poison(&self, block: BlockId, version: Version) -> bool {
-        let blk = &self.blocks[block];
-        let mut graveyard = blk.writer.lock();
-        let cur = blk.snapshot();
-        let resident = matches!(
-            cur.find(version),
-            Some(s) if s.producer != RESILIENT_PRODUCER && s.data.is_some()
-        );
-        if !resident {
-            return false;
-        }
-        let mut slots = cur.slots.clone();
-        if let Ok(i) = slots.binary_search_by_key(&version, |s| s.version) {
+        self.blocks[block].write(|cur| {
+            let i = cur
+                .slots
+                .binary_search_by_key(&version, |s| s.version)
+                .ok()?;
+            let s = &cur.slots[i];
+            if !s.resident() || s.pinned() {
+                return None;
+            }
+            let mut slots = cur.slots.clone();
             slots[i].poisoned = true;
-        }
-        blk.install(&mut graveyard, Table { slots });
-        true
+            Some(slots)
+        })
     }
 
     /// True if `block` currently holds `version` un-poisoned. Wait-free.
     pub fn is_live(&self, block: BlockId, version: Version) -> bool {
         matches!(
             self.blocks[block].snapshot().find(version),
-            Some(s) if !s.poisoned && s.data.is_some()
+            Some(s) if !s.poisoned && s.resident()
         )
     }
 
@@ -422,45 +404,14 @@ impl<T: Send> BlockStore<T> {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Total recovery republishes of old versions.
-    pub fn republishes(&self) -> u64 {
-        // ord: Relaxed — statistics read at quiescence.
-        self.republishes.load(Ordering::Relaxed)
-    }
-
     /// Number of resident versions of `block` (diagnostics). Wait-free.
     pub fn resident_versions(&self, block: BlockId) -> usize {
         self.blocks[block]
             .snapshot()
             .slots
             .iter()
-            .filter(|s| s.data.is_some())
+            .filter(|s| s.resident())
             .count()
-    }
-}
-
-impl<T: Send + Clone> BlockStore<T> {
-    /// Export the latest un-poisoned version of every block — the generic
-    /// checkpoint primitive behind application-level snapshot/resume
-    /// (see `Fw::snapshot_tiles`). Blocks whose latest version is poisoned
-    /// or missing are skipped (their producers would be re-executed on
-    /// restore anyway).
-    pub fn export_latest(&self) -> Vec<(BlockId, Version, Vec<T>)> {
-        let mut out = Vec::new();
-        for bid in 0..self.blocks.len() {
-            if let Ok((latest, data)) = self.read_latest(bid) {
-                out.push((bid, latest, data.as_ref().clone()));
-            }
-        }
-        out
-    }
-
-    /// Import a checkpoint produced by [`BlockStore::export_latest`] into a
-    /// fresh store: every entry becomes a pinned (resilient) version.
-    pub fn import_pinned(&self, snapshot: Vec<(BlockId, Version, Vec<T>)>) {
-        for (bid, version, data) in snapshot {
-            self.publish_pinned(bid, version, data);
-        }
     }
 }
 
@@ -523,7 +474,6 @@ mod tests {
         s.publish(0, 0, 100, vec![0]);
         s.publish(0, 1, 101, vec![1]); // evicts v0
         s.publish(0, 0, 100, vec![0]); // recovery republish
-        assert_eq!(s.republishes(), 1);
         assert!(s.read(0, 0).is_ok());
         s.publish(0, 2, 102, vec![2]); // evicts v1, NOT the resident v0
         assert!(s.read(0, 0).is_ok(), "recovery-resident version survives");
@@ -588,30 +538,6 @@ mod tests {
         assert!(s.is_live(0, 0));
         s.poison(0, 0);
         assert!(!s.is_live(0, 0));
-    }
-
-    #[test]
-    fn export_import_roundtrip() {
-        let a: BlockStore<u32> = BlockStore::new(3, Retention::KeepLast(2));
-        a.publish(0, 0, 10, vec![1]);
-        a.publish(0, 1, 11, vec![2]);
-        a.publish(1, 5, 15, vec![3]);
-        // Block 2 never published; block 0 latest poisoned.
-        a.publish(2, 0, 20, vec![9]);
-        a.poison(2, 0);
-        let snap = a.export_latest();
-        assert_eq!(snap.len(), 2, "poisoned/missing latests skipped");
-
-        let b: BlockStore<u32> = BlockStore::new(3, Retention::KeepLast(2));
-        b.import_pinned(snap);
-        assert_eq!(&*b.read(0, 1).unwrap(), &vec![2]);
-        assert_eq!(&*b.read(1, 5).unwrap(), &vec![3]);
-        assert!(b.read(2, 0).is_err());
-        // Imported versions are pinned: survive later eviction pressure.
-        b.publish(0, 2, 30, vec![4]);
-        b.publish(0, 3, 31, vec![5]);
-        b.publish(0, 4, 32, vec![6]);
-        assert!(b.read(0, 1).is_ok(), "pinned checkpoint survives");
     }
 
     #[test]

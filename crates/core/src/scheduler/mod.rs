@@ -28,6 +28,5 @@ pub use baseline::{BaselineScheduler, NoFt};
 pub use engine::{Descriptor, Engine, FtPolicy};
 pub use ft::{Faithful, FtRecovery, FtScheduler, Mutation};
 pub use service::{
-    Backpressure, BackpressureReason, GraphService, InstanceReport, InstanceTicket, ServiceConfig,
-    ServiceStats,
+    Backpressure, GraphService, InstanceReport, InstanceTicket, ServiceConfig, ServiceStats,
 };

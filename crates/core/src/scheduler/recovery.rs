@@ -85,9 +85,8 @@ impl<M: Mutation> Engine<FtRecovery<M>> {
             let prev = cur.copied();
             let life = prev.map_or(0, |d| d.life) + 1;
             let d = with_pred_scratch(|scratch| {
-                self.graph.predecessors_into(key, scratch);
-                let out = self.graph.out_degree(key);
-                let mut desc = FtDesc::new(key, life, scratch, out);
+                let mut desc = self.policy.make_desc(self.graph.as_ref(), key, scratch);
+                desc.life = life;
                 desc.prev = prev;
                 self.arena.alloc(desc)
             });

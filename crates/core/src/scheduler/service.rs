@@ -14,11 +14,11 @@
 //! graph only; co-resident instances observe nothing).
 //!
 //! Admission control is explicit: a bounded in-flight-instance budget
-//! (an [`AdmissionGate`]) plus a queued-jobs watermark turn `submit` into
-//! `Err(`[`Backpressure`]`)` instead of unbounded queue growth. The slot is
-//! returned by the instance's quiesce hook — run by the thread that trips
-//! the instance's latch, after its last job — so occupancy tracks actual
-//! execution, not ticket lifetimes.
+//! (an [`AdmissionGate`]) turns `submit` into `Err(`[`Backpressure`]`)`
+//! instead of unbounded queue growth. The slot is returned by the
+//! instance's quiesce hook — run by the thread that trips the instance's
+//! latch, after its last job — so occupancy tracks actual execution, not
+//! ticket lifetimes.
 //!
 //! The service works over any [`Executor`]: the multithreaded pool (whose
 //! workers drain instances autonomously) and the deterministic
@@ -37,59 +37,31 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Maximum instances admitted but not yet quiesced. Submissions beyond
-    /// this budget get [`Backpressure`] with
-    /// [`BackpressureReason::InFlightBudget`].
+    /// this budget get [`Backpressure`].
     pub max_in_flight: usize,
-    /// Refuse admission while the executor's queues already hold at least
-    /// this many jobs ([`BackpressureReason::QueueDepth`]). The default is
-    /// high enough that the in-flight budget is normally the binding
-    /// constraint.
-    pub queued_jobs_watermark: u64,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig {
-            max_in_flight: 16,
-            queued_jobs_watermark: 100_000,
-        }
+        ServiceConfig { max_in_flight: 16 }
     }
 }
 
-/// Which admission bound a rejected submission hit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackpressureReason {
-    /// The bounded in-flight-instance budget is exhausted.
-    InFlightBudget,
-    /// The executor's queues are above the configured watermark.
-    QueueDepth,
-}
-
-/// A submission was refused; retry after draining some in-flight work.
+/// A submission was refused because the in-flight-instance budget is
+/// exhausted; retry after draining some in-flight work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Backpressure {
-    /// Which bound rejected the submission.
-    pub reason: BackpressureReason,
     /// Instances in flight at rejection time.
     pub in_flight: u64,
-    /// Jobs visible in the executor's queues at rejection time.
-    pub queued: u64,
 }
 
 impl std::fmt::Display for Backpressure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.reason {
-            BackpressureReason::InFlightBudget => write!(
-                f,
-                "backpressure: in-flight instance budget exhausted ({} in flight)",
-                self.in_flight
-            ),
-            BackpressureReason::QueueDepth => write!(
-                f,
-                "backpressure: executor queue depth {} above watermark",
-                self.queued
-            ),
-        }
+        write!(
+            f,
+            "backpressure: in-flight instance budget exhausted ({} in flight)",
+            self.in_flight
+        )
     }
 }
 
@@ -121,7 +93,6 @@ pub struct ServiceStats {
 /// A resident front end over one long-lived executor; see the module docs.
 pub struct GraphService<'e> {
     exec: &'e dyn Executor,
-    watermark: u64,
     next_id: AtomicU64,
     shared: Arc<ServiceShared>,
 }
@@ -144,7 +115,6 @@ impl<'e> GraphService<'e> {
     pub fn with_config(exec: &'e dyn Executor, cfg: ServiceConfig) -> Self {
         GraphService {
             exec,
-            watermark: cfg.queued_jobs_watermark.max(1),
             next_id: AtomicU64::new(0),
             shared: Arc::new(ServiceShared {
                 gate: AdmissionGate::new(cfg.max_in_flight),
@@ -166,25 +136,11 @@ impl<'e> GraphService<'e> {
         &self,
         engine: &Arc<Engine<P>>,
     ) -> Result<InstanceTicket<P>, Backpressure> {
-        let queued = self.exec.queued_jobs();
-        if queued >= self.watermark {
+        if let Err(held) = self.shared.gate.try_acquire() {
             // ord: the counters in this file are Relaxed — statistics only;
             // admission correctness lives in the gate's SeqCst protocol.
             self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(Backpressure {
-                reason: BackpressureReason::QueueDepth,
-                in_flight: self.shared.gate.in_flight(),
-                queued,
-            });
-        }
-        if let Err(held) = self.shared.gate.try_acquire() {
-            // ord: Relaxed — statistics counter read at quiescence.
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(Backpressure {
-                reason: BackpressureReason::InFlightBudget,
-                in_flight: held,
-                queued,
-            });
+            return Err(Backpressure { in_flight: held });
         }
         // ord: Relaxed — submitted is a statistics counter; next_id only
         // needs uniqueness, which the RMW provides at any ordering.

@@ -183,3 +183,94 @@ fn poison_then_republish_clears() {
         }
     }
 }
+
+/// The retention model plus poison, as the store applies it: a resident,
+/// unpinned version can be poisoned; it reads `Poisoned` (evicted or not)
+/// until its producer publishes it again.
+#[derive(Default)]
+struct PoisonModel {
+    block: BlockModel,
+    poisoned: BTreeSet<Version>,
+}
+
+impl PoisonModel {
+    fn publish(&mut self, v: Version, producer: i64, keep: u64) {
+        if !self.block.pinned.contains_key(&v) {
+            self.poisoned.remove(&v);
+        }
+        self.block.publish(v, producer, keep);
+    }
+
+    fn poison(&mut self, v: Version) -> bool {
+        let hit = self.block.resident.contains_key(&v) && !self.block.pinned.contains_key(&v);
+        if hit {
+            self.poisoned.insert(v);
+        }
+        hit
+    }
+
+    fn read(&self, v: Version) -> Result<i64, BlockError> {
+        if self.poisoned.contains(&v) {
+            return Err(BlockError::Poisoned {
+                producer: self.block.producers[&v],
+            });
+        }
+        self.block.read(v)
+    }
+}
+
+#[test]
+fn poison_matches_model_under_reuse() {
+    const BASE: u64 = 0xB3_0000;
+    for seed in BASE..BASE + 256 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let keep = rng.random_range(1..4);
+        let pin_v0 = rng.random_bool(0.5);
+        let store: BlockStore<i64> = BlockStore::new(1, Retention::KeepLast(keep));
+        let mut model = PoisonModel::default();
+        if pin_v0 {
+            store.publish_pinned(0, 0, vec![-1]);
+            model
+                .block
+                .publish_pinned(0, nabbit_ft::blocks::RESILIENT_PRODUCER);
+        }
+        for _ in 0..rng.random_range(0..120) {
+            match rng.random_range(0..3) {
+                0 => {
+                    let (v, p) = (rng.random_range(0..12), rng.random_range(0..100));
+                    store.publish(0, v, p, vec![p]);
+                    model.publish(v, p, keep);
+                }
+                1 => {
+                    let v = rng.random_range(0..14);
+                    assert_eq!(
+                        store.poison(0, v),
+                        model.poison(v),
+                        "seed {seed}: poison v{v}"
+                    );
+                }
+                _ => {
+                    let v = rng.random_range(0..14);
+                    match (store.read(0, v), model.read(v)) {
+                        (Ok(data), Ok(producer)) => {
+                            if producer != nabbit_ft::blocks::RESILIENT_PRODUCER {
+                                assert_eq!(data[0], producer, "seed {seed}: read v{v}");
+                            }
+                        }
+                        (Err(a), Err(b)) => assert_eq!(a, b, "seed {seed}: read v{v}"),
+                        (g, w) => panic!(
+                            "seed {seed}: read v{v}: store {:?} vs model {w:?}",
+                            g.map(|d| d[0])
+                        ),
+                    }
+                }
+            }
+            assert_eq!(store.latest_version(0), model.block.latest, "seed {seed}");
+            assert_eq!(
+                store.resident_versions(0),
+                model.block.resident.len(),
+                "seed {seed}"
+            );
+        }
+    }
+}

@@ -1,7 +1,6 @@
-//! Loom model tests for the PR-9 wait-free block reads
+//! Loom model tests for the wait-free block reads
 //! ([`nabbit_ft::blocks::BlockStore`]): readers racing writers through
-//! copy-on-write table replacement, eviction tombstoning, and the
-//! `latest` counter publication.
+//! copy-on-write table replacement and eviction tombstoning.
 //!
 //! Build and run with:
 //!
@@ -10,8 +9,8 @@
 //! ```
 //!
 //! Under `--cfg loom` the store compiles against `loom::sync::atomic`, so
-//! the table-pointer swap and the `latest` Release store / Acquire load
-//! pair are model-exploration points. `LOOM_MAX_ITERS` / `LOOM_SEED`
+//! the table-pointer Release swap / Acquire load pair is a
+//! model-exploration point. `LOOM_MAX_ITERS` / `LOOM_SEED`
 //! control the exploration budget and make failures replayable.
 #![cfg(loom)]
 
@@ -20,9 +19,9 @@ use std::sync::Arc;
 
 /// A reader loops `read_latest` while a writer publishes versions 0..=3.
 /// Every observation must be a version the writer actually published,
-/// carrying that version's payload (publish order: table first, then
-/// `latest` — a torn pair would surface as Missing or a payload mismatch),
-/// and the observed latest version must be monotone.
+/// carrying that version's payload (version and payload come from one
+/// table snapshot — a torn pair would surface as Missing or a payload
+/// mismatch), and the observed latest version must be monotone.
 #[test]
 fn read_latest_races_publish() {
     const LAST: u64 = 3;

@@ -184,10 +184,6 @@ unsafe impl Executor for DetPool {
         handle
     }
 
-    fn queued_jobs(&self) -> u64 {
-        self.queue.borrow().len() as u64
-    }
-
     /// Drain every pending job (all submitted instances interleaved) in
     /// seeded-random order on the calling thread. Instance panics stay in
     /// their handles; panics of plain `spawn`ed jobs are re-raised here

@@ -88,11 +88,6 @@ pub unsafe trait Executor {
     /// last job, before the handle reports `done`.
     fn submit_instance(&self, root: Job, on_quiesce: Option<QuiesceHook>) -> InstanceHandle;
 
-    /// Number of jobs currently visible in this executor's queues (a sum
-    /// of racy queue lengths). The service layer uses it as an admission
-    /// watermark; a racy snapshot is fine for that purpose.
-    fn queued_jobs(&self) -> u64;
-
     /// Run pending instance work to quiescence on executors that have no
     /// autonomous worker threads (the deterministic single-threaded pool);
     /// a no-op on threaded pools, whose workers drain instances on their
@@ -257,8 +252,8 @@ impl PoolState {
 
     /// Racy total of the queue lengths: a sweep of the injector and every
     /// worker's deque, O(workers). Paid only by a worker that is about to
-    /// park, or that acquired a job while others are parked, and by the
-    /// service's admission watermark — never on the all-busy path.
+    /// park, or that acquired a job while others are parked — never on the
+    /// all-busy path.
     fn queued_jobs(&self) -> u64 {
         let local: usize = self.stealers.iter().map(Stealer::len).sum();
         (self.injector.len() + local) as u64
@@ -458,10 +453,6 @@ unsafe impl Executor for Pool {
         self.state.injector.push(job);
         self.state.parker.notify_one();
         handle
-    }
-
-    fn queued_jobs(&self) -> u64 {
-        self.state.queued_jobs()
     }
 }
 

@@ -59,13 +59,7 @@ impl TaskGraph for Grid {
 fn main() {
     // One resident pool for the whole program: no per-graph spin-up.
     let pool = Pool::new(PoolConfig::with_threads(4));
-    let service = GraphService::with_config(
-        &pool,
-        ServiceConfig {
-            max_in_flight: 8,
-            ..ServiceConfig::default()
-        },
-    );
+    let service = GraphService::with_config(&pool, ServiceConfig { max_in_flight: 8 });
 
     println!("== one resident pool, six concurrent graph instances ==\n");
 

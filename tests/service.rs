@@ -15,9 +15,7 @@ use ft_steal::pool::{Pool, PoolConfig};
 use nabbit_ft::fault::Fault;
 use nabbit_ft::graph::{ComputeCtx, Key, TaskGraph};
 use nabbit_ft::inject::{FaultPlan, Phase};
-use nabbit_ft::scheduler::{
-    BackpressureReason, FtScheduler, GraphService, InstanceTicket, ServiceConfig,
-};
+use nabbit_ft::scheduler::{FtScheduler, GraphService, InstanceTicket, ServiceConfig};
 use nabbit_ft::seq;
 use nabbit_ft::trace::oracle::{check_result_equivalence, OracleMode};
 use nabbit_ft::trace::{Event, Trace};
@@ -159,7 +157,6 @@ fn det_concurrent_instances_oracle_campaign() {
             &pool,
             ServiceConfig {
                 max_in_flight: TENANTS as usize + 2,
-                queued_jobs_watermark: u64::MAX,
             },
         );
         let tenants: Vec<Tenant> = (0..TENANTS).map(|i| make_tenant(i, round)).collect();
@@ -210,7 +207,6 @@ fn real_pool_concurrent_instances_oracle() {
         &pool,
         ServiceConfig {
             max_in_flight: TENANTS as usize,
-            queued_jobs_watermark: u64::MAX,
         },
     );
     let tenants: Vec<Tenant> = (0..TENANTS).map(|i| make_tenant(i, 77)).collect();
@@ -246,13 +242,7 @@ fn real_pool_concurrent_instances_oracle() {
 #[test]
 fn backpressure_in_flight_budget() {
     let pool = DetPool::new(9);
-    let service = GraphService::with_config(
-        &pool,
-        ServiceConfig {
-            max_in_flight: 3,
-            queued_jobs_watermark: u64::MAX,
-        },
-    );
+    let service = GraphService::with_config(&pool, ServiceConfig { max_in_flight: 3 });
     let tenants: Vec<Tenant> = (0..4).map(|i| make_tenant(i, 0)).collect();
     let mut tickets = Vec::new();
     for t in &tenants[..3] {
@@ -261,7 +251,6 @@ fn backpressure_in_flight_budget() {
     let bp = service
         .submit(&tenants[3].sched)
         .expect_err("budget exhausted");
-    assert_eq!(bp.reason, BackpressureReason::InFlightBudget);
     assert_eq!(bp.in_flight, 3);
     assert_eq!(service.stats().rejected, 1);
 
@@ -275,36 +264,6 @@ fn backpressure_in_flight_budget() {
         .expect("slot available after quiescence");
     service.drive();
     assert!(ticket.wait().report.sink_completed);
-}
-
-/// Backpressure: the queued-jobs watermark refuses admission while the
-/// executor's queues are deep, independent of the instance budget.
-#[test]
-fn backpressure_queue_watermark() {
-    let pool = DetPool::new(11);
-    let service = GraphService::with_config(
-        &pool,
-        ServiceConfig {
-            max_in_flight: 64,
-            queued_jobs_watermark: 1,
-        },
-    );
-    let tenants: Vec<Tenant> = (0..2).map(|i| make_tenant(i, 1)).collect();
-    // First submission: queues are empty, admitted.
-    let t0 = service.submit(&tenants[0].sched).expect("empty queues");
-    // Its root job is parked undrained in the DetPool queue, so the
-    // watermark now rejects.
-    let bp = service
-        .submit(&tenants[1].sched)
-        .expect_err("queue depth above watermark");
-    assert_eq!(bp.reason, BackpressureReason::QueueDepth);
-    assert!(bp.queued >= 1);
-    service.drive();
-    assert!(t0.wait().report.sink_completed);
-    // Drained queues re-admit.
-    let t1 = service.submit(&tenants[1].sched).expect("drained queues");
-    service.drive();
-    assert!(t1.wait().report.sink_completed);
 }
 
 /// A single-task graph whose compute blocks on a shared gate — used to
@@ -342,7 +301,6 @@ fn bounded_in_flight_under_saturating_stream() {
         &pool,
         ServiceConfig {
             max_in_flight: BUDGET as usize,
-            queued_jobs_watermark: u64::MAX,
         },
     );
 
@@ -361,7 +319,6 @@ fn bounded_in_flight_under_saturating_stream() {
     let bp = service
         .submit(&FtScheduler::new(Arc::new(PanicGraph) as Arc<dyn TaskGraph>))
         .expect_err("budget pinned by blocked instances");
-    assert_eq!(bp.reason, BackpressureReason::InFlightBudget);
     assert_eq!(bp.in_flight, BUDGET);
     gate.set();
     for h in holders {
@@ -377,7 +334,6 @@ fn bounded_in_flight_under_saturating_stream() {
             match service.submit(&tenant.sched) {
                 Ok(t) => break t,
                 Err(bp) => {
-                    assert_eq!(bp.reason, BackpressureReason::InFlightBudget);
                     assert!(bp.in_flight <= BUDGET, "budget exceeded: {}", bp.in_flight);
                     pushed_back += 1;
                     std::thread::yield_now();
@@ -416,7 +372,6 @@ fn epoch_arenas_are_isolated_across_concurrent_instances() {
         &pool,
         ServiceConfig {
             max_in_flight: TENANTS as usize,
-            queued_jobs_watermark: u64::MAX,
         },
     );
     let tenants: Vec<Tenant> = (0..TENANTS).map(|i| make_tenant(i, 13)).collect();
