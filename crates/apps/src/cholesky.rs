@@ -25,7 +25,6 @@ const UPDATE: u8 = 3; // tile (i,j), k < j <= i
 pub struct Cholesky {
     cfg: AppConfig,
     store: BlockStore<f64>,
-    input: Vec<f64>,
 }
 
 impl Cholesky {
@@ -43,24 +42,32 @@ impl Cholesky {
 
     /// Explicit retention policy.
     pub fn with_retention(cfg: AppConfig, retention: Retention) -> Self {
-        let n = cfg.n;
-        let raw = crate::common::random_matrix(n, 0.1, 1.0, cfg.seed);
-        let mut input = vec![0.0; n * n];
-        for r in 0..n {
-            for c in 0..n {
-                input[r * n + c] = 0.5 * (raw[r * n + c] + raw[c * n + r]);
-            }
-            input[r * n + r] += n as f64;
-        }
+        let input = Self::input(&cfg);
         let nb = cfg.nb();
         let store = BlockStore::new(nb * nb, retention);
         for ti in 0..nb {
             for tj in 0..=ti {
-                let tile = crate::common::extract_tile(&input, n, cfg.b, ti, tj);
+                let tile = crate::common::extract_tile(&input, cfg.n, cfg.b, ti, tj);
                 store.publish_pinned(ti * nb + tj, 0, tile);
             }
         }
-        Cholesky { cfg, store, input }
+        Cholesky { cfg, store }
+    }
+
+    /// The input matrix: random, symmetric and diagonally dominant (so
+    /// positive definite), drawn from `cfg.seed`. Not kept: the pinned v0
+    /// tiles hold it for the run, and `reference` draws it again.
+    fn input(cfg: &AppConfig) -> Vec<f64> {
+        let n = cfg.n;
+        let raw = crate::common::random_matrix(n, 0.1, 1.0, cfg.seed);
+        let mut a = vec![0.0; n * n];
+        for r in 0..n {
+            for c in 0..n {
+                a[r * n + c] = 0.5 * (raw[r * n + c] + raw[c * n + r]);
+            }
+            a[r * n + r] += n as f64;
+        }
+        a
     }
 
     fn nb(&self) -> usize {
@@ -84,7 +91,7 @@ impl Cholesky {
     /// Independent reference: unblocked lower Cholesky on the same input.
     pub fn reference(&self) -> Vec<f64> {
         let n = self.cfg.n;
-        let mut a = self.input.clone();
+        let mut a = Self::input(&self.cfg);
         for t in 0..n {
             a[t * n + t] = a[t * n + t].sqrt();
             let d = a[t * n + t];
@@ -546,6 +553,7 @@ mod kernel_tests {
         let n = 32;
         let reference = app.reference();
         // Rebuild A from the unblocked reference L and compare to input.
+        let input = Cholesky::input(&app.cfg);
         let mut rebuilt = vec![0.0f64; n * n];
         for i in 0..n {
             for j in 0..=i {
@@ -558,7 +566,7 @@ mod kernel_tests {
         }
         for i in 0..n {
             for j in 0..=i {
-                let want = app.input[i * n + j];
+                let want = input[i * n + j];
                 let got = rebuilt[i * n + j];
                 assert!(
                     (got - want).abs() < 1e-8 * n as f64,

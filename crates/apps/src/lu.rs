@@ -29,8 +29,6 @@ const GEMM: u8 = 4; // updates trailing tile (i,j), i,j > k
 pub struct Lu {
     cfg: AppConfig,
     store: BlockStore<f64>,
-    /// The input matrix (resilient; used only by `reference`).
-    input: Vec<f64>,
 }
 
 impl Lu {
@@ -50,20 +48,28 @@ impl Lu {
 
     /// Explicit retention policy.
     pub fn with_retention(cfg: AppConfig, retention: Retention) -> Self {
-        let n = cfg.n;
-        let mut input = crate::common::random_matrix(n, 0.1, 1.0, cfg.seed);
-        for d in 0..n {
-            input[d * n + d] += n as f64;
-        }
+        let input = Self::input(&cfg);
         let nb = cfg.nb();
         let store = BlockStore::new(nb * nb, retention);
         for ti in 0..nb {
             for tj in 0..nb {
-                let tile = crate::common::extract_tile(&input, n, cfg.b, ti, tj);
+                let tile = crate::common::extract_tile(&input, cfg.n, cfg.b, ti, tj);
                 store.publish_pinned(ti * nb + tj, 0, tile);
             }
         }
-        Lu { cfg, store, input }
+        Lu { cfg, store }
+    }
+
+    /// The input matrix: random and diagonally dominant, drawn from
+    /// `cfg.seed`. Not kept: the pinned v0 tiles hold it for the run, and
+    /// `reference` draws it again.
+    fn input(cfg: &AppConfig) -> Vec<f64> {
+        let n = cfg.n;
+        let mut a = crate::common::random_matrix(n, 0.1, 1.0, cfg.seed);
+        for d in 0..n {
+            a[d * n + d] += n as f64;
+        }
+        a
     }
 
     fn nb(&self) -> usize {
@@ -89,7 +95,7 @@ impl Lu {
     /// Independent reference: unblocked in-place LU without pivoting.
     pub fn reference(&self) -> Vec<f64> {
         let n = self.cfg.n;
-        let mut a = self.input.clone();
+        let mut a = Self::input(&self.cfg);
         for t in 0..n {
             let piv = a[t * n + t];
             for u in t + 1..n {

@@ -24,24 +24,33 @@
 //!
 //! ## Wait-free reads
 //!
-//! Reads never take a lock. A block's only shared state is an **immutable
+//! Reads never take a lock. A block's shared state is an **immutable
 //! version table** published through an [`AtomicPtr`], mirroring the
 //! copy-on-write discipline of `ft-cmap`: every writer (`publish`,
 //! `publish_pinned`, `poison`) goes through one path, `Block::write`,
 //! which serializes on a per-block mutex, builds a fresh table from the
-//! current one, and publishes it with a Release swap. A reader
-//! Acquire-loads the pointer and binary-searches a consistent snapshot.
-//! Slots are never removed (eviction leaves a tombstone), so a table's last
-//! slot is the highest version ever published: "latest" needs no second
-//! atomic. Retired tables are parked in a graveyard guarded by the writer
-//! mutex and freed when the store drops, so a table pointer loaded by any
-//! reader stays valid for the store's lifetime (no hazard pointers or
-//! epochs needed at this version-grained churn rate; tables are small —
-//! one slot per version ever published).
+//! current one, and swaps it in. Slots are never removed (eviction leaves
+//! a tombstone), so a table's last slot is the highest version ever
+//! published: "latest" needs no second atomic.
+//!
+//! ## Reclamation
+//!
+//! Every reader goes through `Block::with`, which brackets its load,
+//! search and `Arc` clone with an increment and a decrement of the
+//! block's `readers` count. A writer parks the table it replaced in a
+//! graveyard and, right after its swap, frees the whole graveyard if it
+//! reads `readers == 0`; otherwise the next write (or `Drop`) tries again.
+//! The increment, the reader's table load, the writer's swap and its
+//! count load are all `SeqCst`, so they fall in one total order: a reader
+//! whose increment comes first holds the free off, and a reader whose
+//! increment comes later loads the new table, which is not in the
+//! graveyard. Freeing a retired table drops its `Arc` clones, so an
+//! evicted payload is freed as soon as no table and no reader's clone
+//! names it — eviction saves the memory the reuse policy promises.
 
 use crate::fault::Fault;
 use crate::graph::Key;
-use ft_sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use ft_sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -135,7 +144,7 @@ impl<T> Slot<T> {
 
 /// An immutable snapshot of every version ever published to one block,
 /// sorted by version number. Writers replace the whole table; readers
-/// binary-search a consistent snapshot without synchronizing with writers.
+/// binary-search a consistent snapshot without waiting for writers.
 struct Table<T> {
     slots: Vec<Slot<T>>,
 }
@@ -160,22 +169,27 @@ impl<T> Table<T> {
 }
 
 struct Block<T> {
-    /// Current table. Writers store with Release after building the new
-    /// snapshot; readers load with Acquire and dereference lock-free.
+    /// Current table. Replaced by a `SeqCst` swap after the new snapshot
+    /// is built; readers load it inside [`Block::with`] only.
     table: AtomicPtr<Table<T>>,
+    /// Readers inside [`Block::with`], counted from before their load of
+    /// `table` to after their last use of it. A writer frees retired
+    /// tables only when it reads 0 here after its swap.
+    readers: AtomicUsize,
     /// Writer serialization. The guarded vec is the graveyard of retired
-    /// tables: readers may still hold references into them, so they are
-    /// only freed in `Drop`, under exclusive access.
+    /// tables that a reader may still be searching; it is emptied by the
+    /// first write that sees no reader, or in `Drop`.
     writer: Mutex<Vec<*mut Table<T>>>,
 }
 
 // SAFETY: the only fields the auto-trait derivation cannot see are the raw
 // `Table` pointers (current and retired). Tables are created by writers,
-// published via the AtomicPtr, and freed exactly once under `&mut self` in
-// `Drop`; between publication and drop they are immutable and live, so
-// sharing `&Block<T>` across threads hands out only `&Table<T>` /
-// `Arc<Vec<T>>` views, which requires `T: Send + Sync` (the same bound the
-// pre-PR9 `Mutex<BTreeMap>` layout imposed structurally).
+// published via the AtomicPtr, and freed exactly once — by a writer that
+// saw no reader in flight, or under `&mut self` in `Drop`; between
+// publication and free they are immutable, so sharing `&Block<T>` across
+// threads hands out only `&Table<T>` / `Arc<Vec<T>>` views, which
+// requires `T: Send + Sync` (the same bound the pre-PR9
+// `Mutex<BTreeMap>` layout imposed structurally).
 unsafe impl<T: Send + Sync> Send for Block<T> {}
 // SAFETY: see the `Send` impl above — all shared access is to immutable
 // published tables.
@@ -185,17 +199,47 @@ impl<T> Block<T> {
     fn new() -> Self {
         Block {
             table: AtomicPtr::new(Box::into_raw(Box::new(Table { slots: Vec::new() }))),
+            readers: AtomicUsize::new(0),
             writer: Mutex::new(Vec::new()),
         }
     }
 
-    /// Reader-side snapshot of the current table.
-    fn snapshot(&self) -> &Table<T> {
-        // ord: Acquire pairs with the writer's Release publish so the
-        // table's slots (built before the store) are visible.
-        let p = self.table.load(Ordering::Acquire);
-        // SAFETY: `p` was published from `Box::into_raw` and is freed only
-        // in `Drop` (retired tables included), so it outlives this `&self`.
+    // ft-lint: hot-path begin(block-window)
+
+    /// The one way a reader reaches a table: run `f` on the current table
+    /// inside the counted window. The reference cannot outlive `f`, so it
+    /// cannot leave the window that keeps its table alive.
+    fn with<R>(&self, f: impl FnOnce(&Table<T>) -> R) -> R {
+        // ord: SeqCst — increment, then load: the reader's half of the
+        // Dekker pair with `write`'s swap-then-count, all four in the one
+        // SeqCst total order (the load also acquires the built table).
+        self.readers.fetch_add(1, Ordering::SeqCst);
+        let p = self.table.load(Ordering::SeqCst);
+        // SAFETY: `p` was published from `Box::into_raw`. A writer frees
+        // it only after reading `readers == 0` later in the SeqCst order
+        // than its swap; our increment precedes our load, so either the
+        // writer reads our increment (and frees nothing) or our load
+        // follows its swap (and `p` is not retired). `Drop` needs `&mut`.
+        let r = f(unsafe { &*p });
+        // ord: Release — orders `f`'s reads of the table before the free
+        // by a writer whose SeqCst (acquiring) count load reads this
+        // decrement or a later value of `readers`.
+        self.readers.fetch_sub(1, Ordering::Release);
+        r
+    }
+
+    // ft-lint: hot-path end(block-window)
+
+    /// The current table, for the writer: `_held` borrows the writer
+    /// lock's graveyard, so the reference cannot outlive the lock, and
+    /// only the lock holder frees tables — never the current one.
+    fn snapshot<'g>(&self, _held: &'g Vec<*mut Table<T>>) -> &'g Table<T> {
+        // ord: Relaxed — the table was installed by an earlier holder of
+        // the writer lock, whose release/acquire orders it before this.
+        let p = self.table.load(Ordering::Relaxed);
+        // SAFETY: `p` came from `Box::into_raw`; the current table is
+        // never in the graveyard, and only the lock holder (us, for `'g`)
+        // retires or frees tables.
         unsafe { &*p }
     }
 
@@ -205,14 +249,27 @@ impl<T> Block<T> {
     /// Returns whether a table was installed.
     fn write(&self, next: impl FnOnce(&Table<T>) -> Option<Vec<Slot<T>>>) -> bool {
         let mut graveyard = self.writer.lock();
-        let Some(slots) = next(self.snapshot()) else {
+        let Some(slots) = next(self.snapshot(&graveyard)) else {
             return false;
         };
         let next = Box::into_raw(Box::new(Table { slots }));
-        // ord: Release publishes the fully built table to readers; the
-        // writer lock serializes with other writers, so no CAS is needed.
-        let old = self.table.swap(next, Ordering::Release);
+        // ord: SeqCst — swap, then read the count: the writer's half of
+        // the Dekker pair with `with`. The swap also releases the built
+        // table; the count load acquires every finished reader's decrement.
+        let old = self.table.swap(next, Ordering::SeqCst);
+        let quiet = self.readers.load(Ordering::SeqCst) == 0;
         graveyard.push(old);
+        if quiet {
+            for p in graveyard.drain(..) {
+                // SAFETY: every graveyard pointer came from `Box::into_raw`
+                // and is retired (not current). Any reader that loaded it
+                // incremented `readers` before that load, and we read 0
+                // after the swap that retired the newest of them, so every
+                // such reader has decremented (see `with`). The lock means
+                // no other writer frees it too.
+                unsafe { drop(Box::from_raw(p)) };
+            }
+        }
         true
     }
 }
@@ -223,8 +280,8 @@ impl<T> Drop for Block<T> {
         let cur = self.table.load(Ordering::Relaxed);
         // SAFETY: `cur` and every graveyard pointer came from
         // `Box::into_raw`, each is freed exactly once (a pointer is either
-        // current or retired, never both), and exclusive access means no
-        // reader still holds a reference.
+        // current or retired, never both, and a freed one leaves the
+        // graveyard), and exclusive access means no reader is in flight.
         unsafe {
             drop(Box::from_raw(cur));
             for p in self.writer.get_mut().drain(..) {
@@ -327,7 +384,7 @@ impl<T: Send> BlockStore<T> {
     /// the version is poisoned or was evicted. **Wait-free**: never blocks
     /// on concurrent publishers.
     pub fn read(&self, block: BlockId, version: Version) -> Result<Arc<Vec<T>>, BlockError> {
-        match self.blocks[block].snapshot().find(version) {
+        self.blocks[block].with(|t| match t.find(version) {
             Some(s) if s.poisoned => Err(BlockError::Poisoned {
                 producer: s.producer,
             }),
@@ -338,7 +395,7 @@ impl<T: Send> BlockStore<T> {
                 }),
             },
             None => Err(BlockError::Missing),
-        }
+        })
     }
 
     /// Read the *latest* version of `block` (diagnostics/verification).
@@ -348,7 +405,7 @@ impl<T: Send> BlockStore<T> {
     /// version-sorted and the highest version ever published is never
     /// evicted, so the last slot *is* the latest version.
     pub fn read_latest(&self, block: BlockId) -> Result<(Version, Arc<Vec<T>>), BlockError> {
-        match self.blocks[block].snapshot().slots.last() {
+        self.blocks[block].with(|t| match t.slots.last() {
             Some(s) if s.poisoned => Err(BlockError::Poisoned {
                 producer: s.producer,
             }),
@@ -357,16 +414,12 @@ impl<T: Send> BlockStore<T> {
                 None => Err(BlockError::Missing),
             },
             None => Err(BlockError::Missing),
-        }
+        })
     }
 
     /// Latest published version of `block`, if any. Wait-free.
     pub fn latest_version(&self, block: BlockId) -> Option<Version> {
-        self.blocks[block]
-            .snapshot()
-            .slots
-            .last()
-            .map(|s| s.version)
+        self.blocks[block].with(|t| t.slots.last().map(|s| s.version))
     }
 
     // ft-lint: hot-path end(block-read)
@@ -392,10 +445,8 @@ impl<T: Send> BlockStore<T> {
 
     /// True if `block` currently holds `version` un-poisoned. Wait-free.
     pub fn is_live(&self, block: BlockId, version: Version) -> bool {
-        matches!(
-            self.blocks[block].snapshot().find(version),
-            Some(s) if !s.poisoned && s.resident()
-        )
+        self.blocks[block]
+            .with(|t| matches!(t.find(version), Some(s) if !s.poisoned && s.resident()))
     }
 
     /// Total evictions performed (memory-reuse overwrites).
@@ -406,18 +457,14 @@ impl<T: Send> BlockStore<T> {
 
     /// Number of resident versions of `block` (diagnostics). Wait-free.
     pub fn resident_versions(&self, block: BlockId) -> usize {
-        self.blocks[block]
-            .snapshot()
-            .slots
-            .iter()
-            .filter(|s| s.resident())
-            .count()
+        self.blocks[block].with(|t| t.slots.iter().filter(|s| s.resident()).count())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ft_sync::atomic::AtomicBool;
 
     #[test]
     fn publish_and_read_roundtrip() {
@@ -559,5 +606,142 @@ mod tests {
         for b in 0..4 {
             assert_eq!(s.latest_version(b), Some(99));
         }
+    }
+
+    /// A payload that counts how many of its kind are alive.
+    struct Live {
+        version: Version,
+        alive: Arc<AtomicUsize>,
+    }
+
+    impl Live {
+        fn new(version: Version, alive: &Arc<AtomicUsize>) -> Vec<Live> {
+            // ord: Relaxed — a test counter, read by the thread that
+            // publishes or after a join.
+            alive.fetch_add(1, Ordering::Relaxed);
+            vec![Live {
+                version,
+                alive: Arc::clone(alive),
+            }]
+        }
+    }
+
+    impl Drop for Live {
+        fn drop(&mut self) {
+            // ord: Relaxed — see `Live::new`.
+            self.alive.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The reclamation gate: with no reader in flight, a block holds
+    /// exactly the payloads its policy retains — the window, the pinned
+    /// input and the recovery-resident republish — and every evicted one
+    /// is freed during the run, not when the store drops.
+    #[test]
+    fn eviction_frees_payloads_with_no_reader_in_flight() {
+        for retention in [
+            Retention::KeepLast(1),
+            Retention::KeepLast(2),
+            Retention::KeepAll,
+        ] {
+            for (pinned, recovery) in [(false, false), (true, false), (false, true), (true, true)] {
+                let case = format!("{retention:?} pinned={pinned} recovery={recovery}");
+                let alive = Arc::new(AtomicUsize::new(0));
+                // ord: Relaxed — single-threaded test.
+                let count = || alive.load(Ordering::Relaxed);
+                let s = BlockStore::new(1, retention);
+                let first = Version::from(pinned);
+                if pinned {
+                    s.publish_pinned(0, 0, Live::new(0, &alive));
+                }
+                let mut recovered = 0;
+                for (n, v) in (first..first + 10).enumerate() {
+                    s.publish(0, v, 100 + v as Key, Live::new(v, &alive));
+                    if recovery && v == first + 5 {
+                        // Recovery re-executes the producer of an evicted
+                        // version (under KeepAll it is still resident, and
+                        // the republish replaces it).
+                        s.publish(0, first + 1, 101, Live::new(first + 1, &alive));
+                        recovered = usize::from(retention != Retention::KeepAll);
+                    }
+                    let window = match retention {
+                        Retention::KeepLast(k) => (n + 1).min(k as usize),
+                        Retention::KeepAll => n + 1,
+                    };
+                    let want = window + usize::from(pinned) + recovered;
+                    assert_eq!(count(), want, "{case}: alive after publishing v{v}");
+                    assert_eq!(s.resident_versions(0), want, "{case}: resident after v{v}");
+                }
+
+                // A reader's clone outlives the eviction of its version and
+                // the freeing of every table that named it.
+                let latest = first + 9;
+                let held = s.read(0, latest).unwrap();
+                let before = count();
+                for v in latest + 1..latest + 4 {
+                    s.publish(0, v, 100 + v as Key, Live::new(v, &alive));
+                }
+                assert_eq!(held[0].version, latest, "{case}: held payload intact");
+                let evicted = matches!(retention, Retention::KeepLast(k) if k < 3);
+                assert_eq!(
+                    count(),
+                    before + if evicted { 1 } else { 3 },
+                    "{case}: only the held clone outlives its eviction"
+                );
+                drop(held);
+                assert_eq!(count(), before + if evicted { 0 } else { 3 }, "{case}");
+                drop(s);
+                assert_eq!(count(), 0, "{case}: the store leaks no payload");
+            }
+        }
+    }
+
+    /// Readers race a writer that reclaims on every publish it can: every
+    /// read sees its version's payload or its tombstone, and nothing
+    /// leaks. (The nightly Miri step runs this for use-after-free.)
+    #[test]
+    fn reads_race_reclaiming_writer() {
+        const LAST: Version = 100;
+        let alive = Arc::new(AtomicUsize::new(0));
+        let s = BlockStore::new(1, Retention::KeepLast(1));
+        s.publish(0, 0, 100, Live::new(0, &alive));
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| loop {
+                    // ord: Relaxed — only ends the loop; join orders the rest.
+                    let finished = done.load(Ordering::Relaxed);
+                    let (v, data) = s.read_latest(0).unwrap();
+                    assert_eq!(data[0].version, v, "latest pairs version and payload");
+                    for w in v.saturating_sub(1)..=v {
+                        match s.read(0, w) {
+                            Ok(d) => assert_eq!(d[0].version, w),
+                            Err(e) => assert_eq!(
+                                e,
+                                BlockError::Overwritten {
+                                    producer: 100 + w as Key
+                                }
+                            ),
+                        }
+                        s.is_live(0, w);
+                    }
+                    if finished {
+                        break;
+                    }
+                });
+            }
+            for v in 1..=LAST {
+                s.publish(0, v, 100 + v as Key, Live::new(v, &alive));
+            }
+            // ord: Relaxed — see the readers.
+            done.store(true, Ordering::Relaxed);
+        });
+        // With the readers gone, the next publish frees every retired
+        // table: only the window's payload is left.
+        s.publish(0, LAST + 1, 0, Live::new(LAST + 1, &alive));
+        // ord: Relaxed — after the scope's joins.
+        assert_eq!(alive.load(Ordering::Relaxed), 1);
+        drop(s);
+        assert_eq!(alive.load(Ordering::Relaxed), 0);
     }
 }

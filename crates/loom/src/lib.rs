@@ -620,6 +620,8 @@ pub mod sync {
                 let loc = lock(&self.1);
                 let v = self.0.load(order);
                 load_clock(&loc, order);
+                drop(loc);
+                super::super::maybe_yield();
                 v
             }
 
@@ -639,6 +641,8 @@ pub mod sync {
                 let mut loc = lock(&self.1);
                 let r = self.0.swap(v, order);
                 rmw_clock(&mut loc, order);
+                drop(loc);
+                super::super::maybe_yield();
                 r
             }
         }
@@ -660,6 +664,8 @@ pub mod sync {
                 let loc = lock(&self.1);
                 let v = self.0.load(order);
                 load_clock(&loc, order);
+                drop(loc);
+                super::super::maybe_yield();
                 v
             }
 
@@ -679,6 +685,8 @@ pub mod sync {
                 let mut loc = lock(&self.1);
                 let r = self.0.swap(p, order);
                 rmw_clock(&mut loc, order);
+                drop(loc);
+                super::super::maybe_yield();
                 r
             }
 
