@@ -12,17 +12,18 @@
 //!   `IsRecovering`).
 //!
 //! [`ShardedMap`] provides exactly those operations over `S` shards (power
-//! of two), each an open-addressing table with a **seqlock read path**:
-//! `get`/`contains` are lock-free optimistic reads (probe the atomically
-//! published table, validate a per-shard sequence counter, retry only when
-//! a table swap interferes), while writers serialize on a per-shard mutex and
-//! bump the sequence around a table swap. Values are
-//! [`Word`](ft_sync::Word)s stored inline in the slot; the scheduler stores
-//! `ArenaRef` descriptor handles, matching the paper's "the hash map stores
-//! the pointers to the tasks and not the tasks themselves" — so a validated
-//! read is one probe that returns the handle itself: no box to follow, no
-//! clone, no lock traffic. [`ShardedMap::get_or_insert_with`] is
-//! `InsertTaskIfAbsent` and `GetTask` in that one probe.
+//! of two), each an open-addressing table with **write-once keys**: neither
+//! map ever removes an entry, so a published slot key never changes and a
+//! table retired by growth is frozen. `get`/`contains` are therefore
+//! lock-free, wait-free reads — one `Acquire` load of the published table
+//! pointer and one probe, with no retry — while writers serialize on a
+//! per-shard mutex. Values are [`Word`](ft_sync::Word)s stored inline in
+//! the slot; the scheduler stores `ArenaRef` descriptor handles, matching
+//! the paper's "the hash map stores the pointers to the tasks and not the
+//! tasks themselves" — so a read is one probe that returns the handle
+//! itself: no box to follow, no clone, no lock traffic.
+//! [`ShardedMap::get_or_insert_with`] is `InsertTaskIfAbsent` and
+//! `GetTask` in that one probe.
 //!
 //! A dedicated [`ShardedMap::update_cas`] implements the recovery table's
 //! compare-and-swap on the stored value without the caller holding any lock

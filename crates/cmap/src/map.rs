@@ -4,41 +4,43 @@
 //! [`Word`]s — `Copy` values that round-trip through one `u64` — stored
 //! inline in the slot. The scheduler stores arena handles, which matches the
 //! paper's "the hash map stores the pointers to the tasks and not the tasks
-//! themselves": a validated probe returns the handle itself, with no box to
-//! follow and nothing to clone. Each shard is an open hash table (linear
-//! probing, tombstone-less rebuild on growth) with a **seqlock read path**:
-//! readers never take a lock. A shard consists of
+//! themselves": a probe returns the handle itself, with no box to follow
+//! and nothing to clone. Each shard is an open hash table (linear probing,
+//! rebuilt on growth) whose readers never take a lock. A shard consists of
 //!
-//! * a sequence counter (even = stable, odd = a writer is mid-window) and
-//!   an atomically published pointer to the current probe table, on one
-//!   cache line that only table swaps (growth, `clear`) write, and
+//! * an atomically published pointer to the current probe table, on one
+//!   cache line that only growth writes, and
 //! * a `Mutex` serializing writers, with the entry count it guards, on the
 //!   next line — every insert writes this line, no reader loads it.
 //!
 //! A slot is two atomic words, `key` and `val`; `key == VACANT` (`i64::MIN`)
 //! marks it empty. That one key is still storable: it lives in a side cell
-//! in the shard header instead of a slot. A concurrent reader only ever
-//! performs atomic loads, so there is no torn data to observe. An insert
+//! in the shard header instead of a slot. **Keys are write-once**: the map
+//! inserts, gets and replaces, and never removes an entry (Figures 2–3
+//! never remove a task), so a published key never changes. An insert
 //! stores the value word, then publishes the key (`Release`); a `replace`
-//! or `update_cas` stores the new value word in place. Either is one
-//! atomic store, so readers race both without retrying. Only a table swap
-//! opens a write window: `get`/`contains` probe optimistically, then
-//! validate that the sequence counter did not move during the probe; on
-//! interference they retry, and after a few failed attempts fall back to
-//! the writer lock (bounded, so readers cannot livelock behind a write
-//! storm).
+//! or `update_cas` is one `Release` store of the new value word in place. A
+//! read is one `Acquire` load of the table pointer and one probe that
+//! `Acquire`-loads keys and, on a hit, the value word: it sees each store
+//! whole or not at all, so it never retries.
+//!
+//! Growth builds the doubled table privately, publishes it (`Release`) and
+//! retires the old one. Every writer locks and works on the current table,
+//! so a retired table is frozen: a reader still probing it returns the
+//! entry as it stood at some instant between its table load and the swap,
+//! and a reader that happens-after a write loads that write's table (see
+//! `#map-publish` in `docs/ALGORITHM.md`).
 //!
 //! **Memory reclamation:** values own nothing, so the only garbage is a
-//! probe table superseded by growth. It is *retired* to a per-shard list
-//! and freed when the map drops, never while a reader could still hold its
-//! pointer — O(log n) tables per shard, independent of how many values are
-//! replaced. See "Hot-path anatomy & lock-freedom" in `docs/ALGORITHM.md`.
+//! retired probe table. It goes on a per-shard list and is freed when the
+//! map drops, never while a reader could still hold its pointer — O(log n)
+//! tables per shard, independent of how many values are replaced.
 //!
 //! The shard for a key is selected by a Fibonacci-hash of the key, which
 //! also serves as the in-shard probe start; shard selection uses the high
 //! bits and probing the low bits so the two are decorrelated.
 
-use ft_sync::atomic::{fence, AtomicBool, AtomicI64, AtomicPtr, AtomicU64, Ordering};
+use ft_sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU64, Ordering};
 use ft_sync::Word;
 use parking_lot::{Mutex, MutexGuard};
 use std::marker::PhantomData;
@@ -46,9 +48,6 @@ use std::sync::OnceLock;
 
 /// Multiplicative (Fibonacci) hash constant, 2^64 / φ.
 const HASH_K: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Optimistic probe attempts before a reader falls back to the shard lock.
-const OPTIMISTIC_TRIES: usize = 8;
 
 /// The key word of an empty slot. The key itself is stored in the shard's
 /// side cell (`Shard::vacant_full`/`vacant_val`).
@@ -60,17 +59,16 @@ fn hash_key(key: i64) -> u64 {
 }
 
 /// One slot of a probe table: 16 bytes, four to a cache line. Once `key`
-/// is published it is immutable until a `clear`; `val` changes only under
-/// the shard lock, one atomic store at a time.
+/// is published it never changes; `val` changes only under the shard
+/// lock, one atomic store at a time.
 struct Slot {
     key: AtomicI64,
     val: AtomicU64,
 }
 
 /// An immutable-capacity probe table. Replaced wholesale on growth; the
-/// superseded table is retired, never freed mid-run, so a reader holding a
-/// stale table pointer can still probe it safely (and will then fail
-/// sequence validation).
+/// superseded table is retired, never freed mid-run, and no writer touches
+/// it again, so a reader holding its pointer probes a frozen table.
 struct Table {
     mask: usize,
     slots: Box<[Slot]>,
@@ -96,7 +94,7 @@ impl Table {
 /// Writer-side shard state, serialized by the shard mutex.
 struct WriterState {
     len: usize,
-    /// Probe tables superseded by growth; freed on map drop.
+    /// Tables superseded by growth; freed on map drop.
     retired_tables: Vec<*mut Table>,
 }
 
@@ -108,8 +106,6 @@ struct WriterLine(Mutex<WriterState>);
 /// line 1, so an insert's lock traffic never invalidates a reader's line.
 #[repr(C, align(64))]
 struct Shard {
-    /// Seqlock counter: even = stable, odd = a table swap is in progress.
-    seq: AtomicU64,
     /// Current probe table, swapped on growth.
     table: AtomicPtr<Table>,
     /// Side cell for the one key a slot cannot hold (`VACANT`): whether it
@@ -129,18 +125,9 @@ unsafe impl Send for Shard {}
 // threads never yields a dangling or aliased-mutable access.
 unsafe impl Sync for Shard {}
 
-/// Outcome of one optimistic probe attempt.
-enum Probe {
-    /// Validated: the key maps to this value word (or a miss).
-    Valid(Option<u64>),
-    /// A writer moved the sequence during the probe; retry.
-    Interference,
-}
-
 impl Shard {
     fn new(cap: usize) -> Self {
         Shard {
-            seq: AtomicU64::new(0),
             table: AtomicPtr::new(Box::into_raw(Table::new_boxed(cap))),
             vacant_full: AtomicBool::new(false),
             vacant_val: AtomicU64::new(0),
@@ -166,137 +153,45 @@ impl Shard {
         unsafe { &*t }
     }
 
-    /// Begin a write window: readers that overlap it will fail validation.
-    /// Caller must hold the writer lock.
-    fn write_begin(&self) {
-        // ord: Relaxed load/store — only writers mutate `seq` and the
-        // caller holds the writer lock; ordering comes from the fence below.
-        let s = self.seq.load(Ordering::Relaxed);
-        self.seq.store(s.wrapping_add(1), Ordering::Relaxed);
-        // ord: Release fence — the odd sequence must be visible before any
-        // mutation store; pairs with the readers' Acquire fence/loads in
-        // `try_read`.
-        // sc: seqlock/writer-begin
-        fence(Ordering::Release);
-    }
-
-    /// End a write window. Caller must hold the writer lock.
-    fn write_end(&self) {
-        // ord: Relaxed — lock-serialized writer-only read; see write_begin.
-        let s = self.seq.load(Ordering::Relaxed);
-        // ord: Release — all mutation stores are visible before the even
-        // sequence; pairs with the readers' s1 Acquire load in `try_read`.
-        self.seq.store(s.wrapping_add(1), Ordering::Release);
-    }
-
     // ft-lint: hot-path begin(map-read)
 
-    /// One optimistic, lock-free probe: read the published table, probe,
-    /// then validate that no table swap interfered.
-    fn try_read(&self, key: i64) -> Probe {
-        // ord: Acquire — pairs with the Release in `write_end`: an even s1
-        // guarantees the probe sees a table no older than that swap.
-        let s1 = self.seq.load(Ordering::Acquire);
-        if s1 & 1 == 1 {
-            return Probe::Interference;
-        }
-        let mut found = None;
+    /// Lock-free read: load the published table, probe it, and load the
+    /// value word of a hit.
+    fn read(&self, key: i64) -> Option<u64> {
+        // ord: Acquire — pairs with the Release table publication in
+        // `grow_if_needed`, so the pointed-to table is fully initialized.
+        let table = self.table.load(Ordering::Acquire);
+        // SAFETY: published tables are retired on growth, never freed
+        // while the map lives, so the pointer is always dereferenceable;
+        // a retired table is frozen, so probing it is a consistent read.
+        let t = unsafe { &*table };
+        // ord: Acquire — pairs with the Release store that wrote the word
+        // (`store_value`, or the insert the key load already acquired):
+        // a reader of the word sees what it refers to.
+        self.cell(t, key).map(|cell| cell.load(Ordering::Acquire))
+    }
+
+    /// The value cell of `key` in `t` (or in the side cell), if present.
+    /// Lock-free; writers call it under the lock with the current table.
+    fn cell<'a>(&'a self, t: &'a Table, key: i64) -> Option<&'a AtomicU64> {
         if key == VACANT {
             // ord: Acquire — pairs with the Release flag store in
-            // `publish_insert`: a set flag implies the side value word
-            // (and, for a handle, its pointee) is visible.
-            if self.vacant_full.load(Ordering::Acquire) {
-                // ord: Relaxed — ordered after the Acquire flag load.
-                found = Some(self.vacant_val.load(Ordering::Relaxed));
-            }
-        } else {
-            // ord: Acquire — pairs with the Release table publication in
-            // `grow_if_needed`, so the pointed-to table is fully initialized.
-            let table = self.table.load(Ordering::Acquire);
-            // SAFETY: published tables are retired on growth, never freed
-            // while the map lives, so the pointer is always dereferenceable
-            // — a stale table merely fails validation below.
-            let t = unsafe { &*table };
-            let mask = t.mask;
-            let mut i = (hash_key(key) as usize) & mask;
-            // Bounded probe: a consistent table has load factor < 0.7, so
-            // a full sweep without an empty slot can only mean interference.
-            for _ in 0..=mask {
-                let slot = &t.slots[i];
-                // ord: Acquire — pairs with the Release key store in
-                // `publish_insert`: a published key implies its value word
-                // (and, for a handle, its pointee) is visible.
-                let k = slot.key.load(Ordering::Acquire);
-                if k == VACANT {
-                    break; // empty slot terminates the probe chain
-                }
-                if k == key {
-                    // ord: Relaxed — ordered after the Acquire key load; a
-                    // later `store_value` is paired by the fence below.
-                    found = Some(slot.val.load(Ordering::Relaxed));
-                    break;
-                }
-                i = (i + 1) & mask;
-            }
-        }
-        // ord: Acquire fence + Relaxed load — the probe loads must complete
-        // before the validating sequence load; the fence upgrades the
-        // Relaxed load so it cannot be reordered before the probe, and it
-        // acquires the Release `store_value` of any value word read above.
-        // sc: seqlock/reader-validate
-        fence(Ordering::Acquire);
-        let s2 = self.seq.load(Ordering::Relaxed);
-        if s1 == s2 {
-            Probe::Valid(found)
-        } else {
-            Probe::Interference
-        }
-    }
-
-    /// Lock-free read: `Some(found)` once a probe validates, `None` if a
-    /// write storm defeated every optimistic attempt (the caller then
-    /// decides under the writer lock).
-    fn try_get(&self, key: i64) -> Option<Option<u64>> {
-        for _ in 0..OPTIMISTIC_TRIES {
-            match self.try_read(key) {
-                Probe::Valid(found) => return Some(found),
-                Probe::Interference => std::hint::spin_loop(),
-            }
-        }
-        None
-    }
-
-    /// Lock-free read; falls back to the writer lock after repeated
-    /// interference so readers cannot starve behind a write storm.
-    fn read(&self, key: i64) -> Option<u64> {
-        if let Some(found) = self.try_get(key) {
-            return found;
-        }
-        // ft-lint: allow(L9) anti-starvation fallback: taken only after
-        // OPTIMISTIC_TRIES failed validations under a write storm.
-        let held = self.lock();
-        self.cell_locked(self.table_locked(&held), key)
-            // ord: Relaxed — lock-serialized, as in `cell_locked`.
-            .map(|cell| cell.load(Ordering::Relaxed))
-    }
-
-    // ft-lint: hot-path end(map-read)
-
-    /// The value cell of `key`, probed under the writer lock.
-    fn cell_locked<'a>(&'a self, t: &'a Table, key: i64) -> Option<&'a AtomicU64> {
-        if key == VACANT {
-            // ord: Relaxed — caller holds the writer lock, which serializes
-            // every mutation of the side cell and the slots.
+            // `insert_locked`: a set flag implies the side value word (and,
+            // for a handle, its pointee) is visible.
             return self
                 .vacant_full
-                .load(Ordering::Relaxed)
+                .load(Ordering::Acquire)
                 .then_some(&self.vacant_val);
         }
         let mut i = (hash_key(key) as usize) & t.mask;
+        // A table's load factor stays below 0.7 and keys are never
+        // removed, so every probe chain ends in an empty slot.
         loop {
             let slot = &t.slots[i];
-            // ord: Relaxed — lock-serialized, as above.
-            match slot.key.load(Ordering::Relaxed) {
+            // ord: Acquire — pairs with the Release key store in
+            // `insert_locked`: a published key implies its value word (and,
+            // for a handle, its pointee) is visible.
+            match slot.key.load(Ordering::Acquire) {
                 VACANT => return None,
                 k if k == key => return Some(&slot.val),
                 _ => i = (i + 1) & t.mask,
@@ -304,11 +199,12 @@ impl Shard {
         }
     }
 
+    // ft-lint: hot-path end(map-read)
+
     /// Insert `(key, word)` for an absent key, growing first if needed.
     /// Caller holds the lock (`w` is its state) and has probed the key.
-    ///
-    /// No sequence bump: a concurrent reader sees the entry absent (a miss,
-    /// linearized before) or present (a hit) — both consistent states.
+    /// A concurrent reader sees the entry absent (a miss, linearized
+    /// before) or present (a hit).
     fn insert_locked(&self, w: &mut WriterState, key: i64, word: u64) {
         if key == VACANT {
             // ord: Relaxed — ordered by the Release flag store below.
@@ -333,19 +229,20 @@ impl Shard {
     }
 
     /// Overwrite an occupied value cell, returning the word it held.
-    /// Caller holds the lock. One atomic store, so no write window: a
-    /// reader sees the old word or the new one, both consistent.
+    /// Caller holds the lock. One atomic store: a reader sees the old word
+    /// or the new one.
     fn store_value(&self, cell: &AtomicU64, word: u64) -> u64 {
         // ord: Relaxed — lock-serialized read of the current word.
         let old = cell.load(Ordering::Relaxed);
-        // ord: Release — pairs with the readers' Acquire validate fence in
-        // `try_read`: a reader that reads this word sees what it refers to.
+        // ord: Release — pairs with the readers' Acquire load of the value
+        // word in `read`: a reader that reads this word sees what it
+        // refers to.
         cell.store(word, Ordering::Release);
         old
     }
 
     /// Grow (double) the table if the load factor reached 0.7, publishing
-    /// the new table under a write window. Caller must hold the lock.
+    /// the new table and retiring the old one. Caller must hold the lock.
     ///
     /// Returns the current table, live while the lock is held.
     fn grow_if_needed(&self, w: &mut WriterState) -> &Table {
@@ -381,11 +278,9 @@ impl Shard {
             new.slots[i].key.store(k, Ordering::Relaxed);
         }
         let new_ptr = Box::into_raw(new);
-        self.write_begin();
         // ord: Release — publishes the fully populated table to readers'
-        // Acquire load in `try_read`.
+        // Acquire load in `read`. From here on no writer touches `old`.
         self.table.store(new_ptr, Ordering::Release);
-        self.write_end();
         w.retired_tables.push(old_ptr);
         // SAFETY: just published; retired only by a later grow, which
         // needs the lock the caller holds.
@@ -412,7 +307,7 @@ impl Drop for Shard {
 }
 
 /// A sharded concurrent hash map from `i64` task keys to [`Word`] values,
-/// with lock-free (seqlock-validated) reads.
+/// with lock-free reads over write-once keys.
 pub struct ShardedMap<V> {
     shards: Vec<Shard>,
     shift: u32,
@@ -489,18 +384,19 @@ impl<V: Word> ShardedMap<V> {
     /// shard lock only when an insert actually happens, so concurrent
     /// callers on one key all get the single winner's value.
     ///
-    /// Read before lock: a validated lock-free hit returns without touching
-    /// the shard mutex — the traversal calls this once per graph edge and
+    /// Read before lock: a lock-free hit returns without touching the
+    /// shard mutex — the traversal calls this once per graph edge and
     /// finds the key present on all but the first. The hit linearizes at
     /// the probe; only a miss takes the writer lock, and re-probes under it.
     pub fn get_or_insert_with(&self, key: i64, make: impl FnOnce() -> V) -> (V, bool) {
         let shard = self.shard_for(key);
-        if let Some(Some(word)) = shard.try_get(key) {
+        if let Some(word) = shard.read(key) {
             return (Self::value(word), false);
         }
         let mut w = shard.lock();
-        if let Some(cell) = shard.cell_locked(shard.table_locked(&w), key) {
-            // ord: Relaxed — lock-serialized, as in `cell_locked`.
+        if let Some(cell) = shard.cell(shard.table_locked(&w), key) {
+            // ord: Relaxed — lock-serialized: every store of a value word
+            // happens under the lock this caller holds.
             return (Self::value(cell.load(Ordering::Relaxed)), false);
         }
         let v = make();
@@ -514,9 +410,8 @@ impl<V: Word> ShardedMap<V> {
         self.get_or_insert_with(key, make).1
     }
 
-    /// `GetTask`: the current value for `key`. Lock-free: probes the
-    /// published table and validates the shard sequence; only falls back to
-    /// the shard lock after repeated writer interference.
+    /// `GetTask`: the current value for `key`. Lock-free and wait-free:
+    /// one table load and one probe.
     pub fn get(&self, key: i64) -> Option<V> {
         self.shard_for(key).read(key).map(Self::value)
     }
@@ -532,7 +427,7 @@ impl<V: Word> ShardedMap<V> {
     pub fn replace(&self, key: i64, value: V) -> Option<V> {
         let shard = self.shard_for(key);
         let mut w = shard.lock();
-        if let Some(cell) = shard.cell_locked(shard.table_locked(&w), key) {
+        if let Some(cell) = shard.cell(shard.table_locked(&w), key) {
             return Some(Self::value(shard.store_value(cell, value.into_word())));
         }
         shard.insert_locked(&mut w, key, value.into_word());
@@ -548,8 +443,8 @@ impl<V: Word> ShardedMap<V> {
     pub fn update_cas<R>(&self, key: i64, f: impl FnOnce(Option<&V>) -> (Option<V>, R)) -> R {
         let shard = self.shard_for(key);
         let mut w = shard.lock();
-        let cell = shard.cell_locked(shard.table_locked(&w), key);
-        // ord: Relaxed — lock-serialized, as in `cell_locked`.
+        let cell = shard.cell(shard.table_locked(&w), key);
+        // ord: Relaxed — lock-serialized, as in `get_or_insert_with`.
         let cur = cell.map(|c| Self::value(c.load(Ordering::Relaxed)));
         let (new, ret) = f(cur.as_ref());
         match (new, cell) {
@@ -572,25 +467,6 @@ impl<V: Word> ShardedMap<V> {
         self.len() == 0
     }
 
-    /// Remove all entries, retaining shard capacity.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut w = shard.lock();
-            let t = shard.table_locked(&w);
-            shard.write_begin();
-            for slot in t.slots.iter() {
-                // ord: Relaxed — inside a write window: readers that
-                // overlap these stores fail sequence validation, so only
-                // the window's Release edges need ordering.
-                slot.key.store(VACANT, Ordering::Relaxed);
-            }
-            // ord: Relaxed — inside the write window, as above.
-            shard.vacant_full.store(false, Ordering::Relaxed);
-            shard.write_end();
-            w.len = 0;
-        }
-    }
-
     /// Snapshot of all `(key, value)` pairs. Not atomic across shards; used
     /// only after quiescence (metrics, verification).
     pub fn entries(&self) -> Vec<(i64, V)> {
@@ -606,7 +482,7 @@ impl<V: Word> ShardedMap<V> {
                     out.push((k, Self::value(slot.val.load(Ordering::Relaxed))));
                 }
             }
-            if let Some(cell) = shard.cell_locked(t, VACANT) {
+            if let Some(cell) = shard.cell(t, VACANT) {
                 // ord: Relaxed — lock-serialized side-cell read.
                 out.push((VACANT, Self::value(cell.load(Ordering::Relaxed))));
             }
@@ -656,7 +532,7 @@ mod tests {
     fn vacant_key_is_a_full_citizen() {
         // `i64::MIN` is the empty-slot marker, so it lives in the shard's
         // side cell: every operation must treat it like any other key,
-        // through growth and `clear`, with any value word.
+        // through growth, with any value word.
         let m: ShardedMap<u64> = ShardedMap::with_shards(1);
         assert_eq!(m.get(VACANT), None);
         assert_eq!(m.get_or_insert_with(VACANT, || u64::MAX), (u64::MAX, true));
@@ -673,11 +549,9 @@ mod tests {
         assert!(m.contains(VACANT));
         assert_eq!(m.len(), 1001);
         assert!(m.entries().contains(&(VACANT, 5)));
-        m.clear();
-        assert!(!m.contains(VACANT));
-        assert!(m.entries().is_empty());
-        assert_eq!(m.replace(VACANT, 9), None);
-        assert_eq!(m.entries(), vec![(VACANT, 9)]);
+        assert_eq!(m.replace(VACANT, 9), Some(5));
+        assert_eq!(m.get(VACANT), Some(9));
+        assert!(m.entries().contains(&(VACANT, 9)));
     }
 
     #[test]
@@ -735,20 +609,6 @@ mod tests {
         assert!(!is_recovering(2), "first observer of life 2 recovers");
         assert!(is_recovering(2));
         assert!(is_recovering(2));
-    }
-
-    #[test]
-    fn clear_empties_map() {
-        let m = ShardedMap::with_shards(4);
-        for k in 0..100 {
-            m.insert_if_absent(k, || k);
-        }
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.get(5), None);
-        // Reusable after clear.
-        assert!(m.insert_if_absent(5, || 50));
-        assert_eq!(m.get(5), Some(50));
     }
 
     #[test]
@@ -962,7 +822,7 @@ mod tests {
     fn readers_never_block_through_growth_churn() {
         // One shard so every write interferes with every read: growth and
         // replace storms must still leave readers returning consistent
-        // values (the seqlock fallback path is exercised here too).
+        // values, whether they probe the current table or a retired one.
         let m: Arc<ShardedMap<u64>> = Arc::new(ShardedMap::with_shards(1));
         m.insert_if_absent(-1, || 7);
         let stop = Arc::new(ft_sync::atomic::AtomicBool::new(false));
@@ -999,10 +859,16 @@ mod tests {
     #[test]
     fn replace_churn_readers_see_monotonic_values() {
         // A writer bumps one key 0→N; readers must only ever observe values
-        // that were actually stored, never a torn one.
+        // that were actually stored, never a torn one. Every `EVERY`
+        // replaces the writer first inserts a fresh key, so the single
+        // shard grows six times (64 → 4096 slots) mid-churn: readers keep
+        // probing tables that a swap has retired while later replaces land
+        // in the new one. A reader that sees `v` happens-after the insert
+        // of key `v / EVERY`, so its next read must find that key too.
         let m: Arc<ShardedMap<u64>> = Arc::new(ShardedMap::with_shards(1));
         m.insert_if_absent(0, || 0);
         const N: u64 = 30_000;
+        const EVERY: u64 = 20;
         thread::scope(|s| {
             for _ in 0..3 {
                 let m = Arc::clone(&m);
@@ -1012,6 +878,10 @@ mod tests {
                         let v = m.get(0).expect("key 0 always present");
                         assert!(v >= last, "value went backwards: {last} -> {v}");
                         assert!(v <= N);
+                        let k = v / EVERY;
+                        if k > 0 {
+                            assert_eq!(m.get(k as i64), Some(k), "saw {v}, key {k} missing");
+                        }
                         last = v;
                         if v == N {
                             break;
@@ -1022,10 +892,14 @@ mod tests {
             let m2 = Arc::clone(&m);
             s.spawn(move || {
                 for v in 1..=N {
+                    if v % EVERY == 0 {
+                        m2.insert_if_absent((v / EVERY) as i64, || v / EVERY);
+                    }
                     m2.replace(0, v);
                 }
             });
         });
+        assert_eq!(m.len(), 1 + (N / EVERY) as usize);
     }
 
     #[test]
@@ -1038,15 +912,14 @@ mod tests {
 
     #[test]
     fn shard_header_line_holds_no_writer_field() {
-        // A reader loads `seq` and `table` (and, for one key, the side
-        // cell); every insert locks the writer mutex and bumps `len`. The
+        // A reader loads `table` (and, for one key, the side cell); every
+        // insert locks the writer mutex and bumps `len`. The
         // two must sit on different cache lines, or each insert would
         // invalidate the line every reader of the shard needs.
         use std::mem::{align_of, offset_of, size_of};
         const LINE: usize = 64;
         assert_eq!(align_of::<Shard>(), LINE, "shards are line-aligned");
         for (field, off) in [
-            ("seq", offset_of!(Shard, seq)),
             ("table", offset_of!(Shard, table)),
             ("vacant_full", offset_of!(Shard, vacant_full)),
             ("vacant_val", offset_of!(Shard, vacant_val)),

@@ -4,7 +4,7 @@
 //! structure. [`ValueDag::random`] generates *irregular* fan-in/fan-out: a
 //! layered Erdős–Rényi DAG — the graphs where the paper's
 //! selective-recovery guarantees (notify bit vector, recovery table,
-//! seqlock map) are hardest to uphold. The oracle-checked random-DAG
+//! write-once task map) are hardest to uphold. The oracle-checked random-DAG
 //! campaigns and property tests in `tests/` run it.
 //!
 //! Everything is a pure function of [`DagGenConfig`]: the same config

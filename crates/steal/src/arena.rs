@@ -33,8 +33,8 @@
 //!   walked, live elements dropped, chunks freed.
 //!
 //! Publication of element *contents* to other threads is deliberately not
-//! the arena's job: descriptors travel through the task map's seqlock or
-//! the pool's queue protocols, which carry the necessary Release/Acquire
+//! the arena's job: descriptors travel through the task map's
+//! Release-published slots or the pool's queue protocols, which carry the necessary Release/Acquire
 //! edges. The loom model in `crates/steal/tests/loom_arena.rs` checks the
 //! claim/install handshake (no two claimants share a slot, installed
 //! headers are visible, drop observes every committed element).

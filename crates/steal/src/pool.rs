@@ -103,9 +103,13 @@ pub struct PoolConfig {
     pub threads: usize,
     /// Seed for the per-worker victim-selection RNGs.
     pub seed: u64,
-    /// How many full steal sweeps an idle worker performs before parking.
-    pub steal_rounds: u32,
 }
+
+/// How many full steal sweeps an idle worker performs before parking:
+/// enough to ride out short gaps on real multicore, small enough that
+/// oversubscribed workers (threads > cores) don't burn the cores the
+/// runnable workers need.
+const STEAL_ROUNDS: u32 = 8;
 
 impl PoolConfig {
     /// Config with `threads` workers and default tuning.
@@ -113,10 +117,6 @@ impl PoolConfig {
         PoolConfig {
             threads: threads.max(1),
             seed: 0x5EED_CAFE,
-            // Sweeps before parking: enough to ride out short gaps on real
-            // multicore, small enough that oversubscribed workers (threads
-            // > cores) don't burn the cores the runnable workers need.
-            steal_rounds: 8,
         }
     }
 }
@@ -143,7 +143,6 @@ struct PoolState {
     metrics: Vec<CachePadded<WorkerMetrics>>,
     shutdown: AtomicBool,
     threads: usize,
-    steal_rounds: u32,
 }
 
 /// Handle for spawning work into an executor from inside a job or from the
@@ -343,7 +342,6 @@ impl Pool {
             metrics,
             shutdown: AtomicBool::new(false),
             threads,
-            steal_rounds: config.steal_rounds.max(1),
         });
         let mut handles = Vec::with_capacity(threads);
         for (index, w) in workers.into_iter().enumerate() {
@@ -534,7 +532,7 @@ fn worker_main(state: Arc<PoolState>, deque: Worker<Job>, index: usize, seed: u6
 }
 
 /// One attempt to obtain a job: own deque, injector batch, then
-/// `steal_rounds` sweeps over random victims. Leaving the worker's own
+/// `STEAL_ROUNDS` sweeps over random victims. Leaving the worker's own
 /// deque — the point where it stops being self-sufficient — is where its
 /// quiescence credits are flushed.
 fn find_job(
@@ -551,7 +549,7 @@ fn find_job(
         return Some(job);
     }
     let n = state.threads;
-    for _ in 0..state.steal_rounds {
+    for _ in 0..STEAL_ROUNDS {
         // Random starting victim, then sweep all others once.
         let start = rng.next_below(n.max(1));
         for off in 0..n {

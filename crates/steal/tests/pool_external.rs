@@ -145,9 +145,7 @@ fn single_jobs_against_parking_workers_never_lose_a_wakeup() {
     // job would strand it: the round would never complete.
     const ROUNDS: u64 = 100_000;
     under_watchdog(120, "park/wake rounds", || {
-        let mut config = PoolConfig::with_threads(2);
-        config.steal_rounds = 1;
-        let pool = Pool::new(config);
+        let pool = Pool::new(PoolConfig::with_threads(2));
         let done = Arc::new(AtomicUsize::new(0));
         let mut parks_seen = pool.metrics().sleeps;
         for round in 1..=ROUNDS as usize {
