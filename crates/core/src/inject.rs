@@ -94,8 +94,8 @@ struct SiteState {
     phase: Phase,
     /// Original fire budget (immutable; lets the plan be re-serialized).
     budget: u64,
+    /// Fires left; `budget - remaining` have fired.
     remaining: AtomicU64,
-    fired: AtomicU64,
 }
 
 /// An immutable set of planned fault sites with atomic fire bookkeeping.
@@ -122,7 +122,6 @@ impl FaultPlan {
                     phase: s.phase,
                     budget: s.fires,
                     remaining: AtomicU64::new(s.fires),
-                    fired: AtomicU64::new(0),
                 },
             );
         }
@@ -158,8 +157,8 @@ impl FaultPlan {
         // Atomically consume one fire if any remain.
         // ord: Relaxed read seeding the CAS loop; AcqRel on success so a
         // consumed budget is ordered against the fault it triggers, Relaxed
-        // on failure/stat-bump — the budget is the only coupling and the
-        // injection path never reads other shared state through it.
+        // on failure — the budget is the only coupling and the injection
+        // path never reads other shared state through it.
         let mut cur = site.remaining.load(Ordering::Relaxed);
         loop {
             if cur == 0 {
@@ -173,11 +172,7 @@ impl FaultPlan {
                 Ordering::AcqRel,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => {
-                    // ord: Relaxed — statistics counter.
-                    site.fired.fetch_add(1, Ordering::Relaxed);
-                    return true;
-                }
+                Ok(_) => return true,
                 Err(actual) => cur = actual,
             }
         }
@@ -204,22 +199,14 @@ impl FaultPlan {
         v
     }
 
-    /// Total faults fired so far.
+    /// Total faults fired so far: the budget spent. Budgets are never
+    /// reset: a plan is single-use, so build a fresh one per run.
     pub fn fired(&self) -> u64 {
         self.sites
             .values()
             // ord: Relaxed — statistics read after the run quiesces.
-            .map(|s| s.fired.load(Ordering::Relaxed))
+            .map(|s| s.budget - s.remaining.load(Ordering::Relaxed))
             .sum()
-    }
-
-    /// Whether every site has spent its fire budget. Budgets are never
-    /// reset: a plan is single-use, so build a fresh one per run.
-    pub fn is_exhausted(&self) -> bool {
-        self.sites
-            .values()
-            // ord: Relaxed — diagnostics read after the run quiesces.
-            .all(|s| s.remaining.load(Ordering::Relaxed) == 0)
     }
 }
 
@@ -233,7 +220,6 @@ mod tests {
         assert!(!p.fire(1, Phase::BeforeCompute));
         assert_eq!(p.planned(), 0);
         assert_eq!(p.fired(), 0);
-        assert!(p.is_exhausted());
     }
 
     #[test]
@@ -244,7 +230,6 @@ mod tests {
         assert!(p.fire(5, Phase::AfterCompute));
         assert!(!p.fire(5, Phase::AfterCompute), "budget spent");
         assert_eq!(p.fired(), 1);
-        assert!(p.is_exhausted());
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl FtPolicy for NoFt {
     }
 
     #[inline]
-    fn is_recovery_exec(_d: &BaseDesc) -> bool {
-        false
-    }
-
-    #[inline]
     fn probe(
         _engine: &Engine<Self>,
         _a: &BaseDesc,

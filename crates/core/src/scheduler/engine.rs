@@ -195,10 +195,6 @@ pub trait FtPolicy: Send + Sync + Sized + 'static {
         false
     }
 
-    /// Whether this incarnation was created by `RecoverTask` (threaded
-    /// into [`ComputeCtx`] so apps can distinguish recovery executions).
-    fn is_recovery_exec(d: &Self::Desc) -> bool;
-
     /// Count one successful compute of `d` toward N(A). Called by the
     /// thread that owns the compute. No-op for the baseline.
     #[inline]
@@ -644,7 +640,9 @@ impl<P: FtPolicy> Engine<P> {
         let mut chain: Option<(ArenaRef<P::Desc>, Key, u64)> = None;
         let attempt: Result<(), P::Err> = (|| {
             P::check(&a)?;
-            let ctx = ComputeCtx::new(life, P::is_recovery_exec(&a), worker);
+            // Only `ReplaceTask` makes a life above 1, so `life > 1` is
+            // exactly "this incarnation was created by `RecoverTask`".
+            let ctx = ComputeCtx::new(life, life > 1, worker);
             if let Err(f) = self.graph.compute(key, &ctx) {
                 return Err(P::compute_error(self, f));
             }

@@ -179,13 +179,6 @@ impl<M: Mutation> FtPolicy for FtRecovery<M> {
     }
 
     #[inline]
-    fn is_recovery_exec(d: &FtDesc) -> bool {
-        // ord: Relaxed — set before the recovery descriptor is published
-        // to the scheduler; readers piggyback on that Release edge.
-        d.is_recovery.load(Ordering::Relaxed)
-    }
-
-    #[inline]
     fn count_exec(d: &FtDesc) {
         // ord: Relaxed — statistics counter bumped by the compute's owner
         // and summed at quiescence.
@@ -284,6 +277,10 @@ impl<M: Mutation> FtPolicy for FtRecovery<M> {
                     }
                     sl
                 }
+                // Unreachable: a block's producer is in the task map before
+                // it publishes, and pinned inputs never fault. Were it
+                // reached, the recovery would run at life 1 and its
+                // `ComputeCtx::is_recovery` would read false.
                 None => f.life.max(1),
             };
             engine.recover_task_once(s, w, f.source, src_life);
@@ -378,6 +375,8 @@ mod tests {
     struct Grid {
         n: i64,
         computed: Mutex<Vec<Key>>,
+        /// `(key, life)` of every compute whose context says recovery.
+        recovery_computes: Mutex<Vec<(Key, u64)>>,
     }
 
     impl Grid {
@@ -385,6 +384,7 @@ mod tests {
             Grid {
                 n,
                 computed: Mutex::new(Vec::new()),
+                recovery_computes: Mutex::new(Vec::new()),
             }
         }
     }
@@ -415,8 +415,11 @@ mod tests {
             }
             su
         }
-        fn compute(&self, k: Key, _ctx: &ComputeCtx<'_>) -> Result<(), Fault> {
+        fn compute(&self, k: Key, ctx: &ComputeCtx<'_>) -> Result<(), Fault> {
             self.computed.lock().push(k);
+            if ctx.is_recovery {
+                self.recovery_computes.lock().push((k, ctx.life));
+            }
             Ok(())
         }
     }
@@ -481,6 +484,21 @@ mod tests {
         assert_eq!(report.re_executions, 1, "the failed task recomputes");
         assert_eq!(report.computes, 65);
         assert_eq!(report.distinct_tasks_executed, 64);
+    }
+
+    #[test]
+    fn only_recovered_incarnations_compute_as_recovery() {
+        let pool = Pool::new(PoolConfig::with_threads(2));
+        let clean = Arc::new(Grid::new(8));
+        FtScheduler::new(Arc::clone(&clean) as _).run(&pool);
+        assert!(clean.recovery_computes.lock().is_empty());
+        for phase in [Phase::BeforeCompute, Phase::AfterCompute] {
+            let g = Arc::new(Grid::new(8));
+            let plan = Arc::new(FaultPlan::single(27, phase));
+            let report = FtScheduler::with_plan(Arc::clone(&g) as _, plan).run(&pool);
+            assert_eq!(report.recoveries, 1);
+            assert_eq!(*g.recovery_computes.lock(), [(27, 2)], "{phase:?}");
+        }
     }
 
     #[test]

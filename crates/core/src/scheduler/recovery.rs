@@ -104,9 +104,6 @@ impl<M: Mutation> Engine<FtRecovery<M>> {
             // ord: Relaxed — statistics counter read at quiescence.
             self.metrics.recoveries.fetch_add(1, Ordering::Relaxed);
             let (t, life) = self.replace_task(key);
-            // ord: Release — the recovery mark must be visible to whoever
-            // acquires the replacement descriptor via the block table.
-            t.is_recovery.store(true, Ordering::Release);
             self.policy.emit(
                 w,
                 Event::RecoveryStarted {

@@ -27,7 +27,7 @@
 
 use super::engine::{Engine, FtPolicy};
 use crate::metrics::RunReport;
-use ft_steal::instance::{AdmissionGate, InstanceHandle, InstanceStats, QuiesceHook};
+use ft_steal::instance::{AdmissionGate, InstanceHandle, QuiesceHook};
 use ft_steal::pool::Executor;
 use ft_sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -70,7 +70,6 @@ impl std::error::Error for Backpressure {}
 /// Counters shared with instance quiesce hooks (hence `'static` + `Arc`).
 struct ServiceShared {
     gate: AdmissionGate,
-    submitted: AtomicU64,
     completed: AtomicU64,
     rejected: AtomicU64,
 }
@@ -118,7 +117,6 @@ impl<'e> GraphService<'e> {
             next_id: AtomicU64::new(0),
             shared: Arc::new(ServiceShared {
                 gate: AdmissionGate::new(cfg.max_in_flight),
-                submitted: AtomicU64::new(0),
                 completed: AtomicU64::new(0),
                 rejected: AtomicU64::new(0),
             }),
@@ -142,9 +140,8 @@ impl<'e> GraphService<'e> {
             self.shared.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(Backpressure { in_flight: held });
         }
-        // ord: Relaxed — submitted is a statistics counter; next_id only
-        // needs uniqueness, which the RMW provides at any ordering.
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
+        // ord: Relaxed — next_id only needs uniqueness, which the RMW
+        // provides at any ordering; it doubles as the admitted count.
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
 
@@ -185,7 +182,7 @@ impl<'e> GraphService<'e> {
         ServiceStats {
             // ord: Relaxed — monitoring snapshot; counters are commutative
             // fetch_adds and the snapshot makes no cross-field promises.
-            submitted: self.shared.submitted.load(Ordering::Relaxed),
+            submitted: self.next_id.load(Ordering::Relaxed),
             completed: self.shared.completed.load(Ordering::Relaxed),
             rejected: self.shared.rejected.load(Ordering::Relaxed),
             in_flight: self.shared.gate.in_flight(),
@@ -244,13 +241,12 @@ impl<P: FtPolicy> InstanceTicket<P> {
         InstanceReport {
             id: self.id,
             report: self.engine.finish_report(self.start),
-            jobs: self.handle.stats(),
         }
     }
 }
 
 /// Per-instance outcome: the epoch's own [`RunReport`] (fault, recovery
-/// and re-execution counters included) plus its job statistics.
+/// and re-execution counters included).
 #[derive(Debug, Clone)]
 pub struct InstanceReport {
     /// Service-assigned instance id.
@@ -258,6 +254,4 @@ pub struct InstanceReport {
     /// The instance's run report — same shape as [`Engine::run`] returns,
     /// with `elapsed` measured from submission to report creation.
     pub report: RunReport,
-    /// Executor-side job statistics for the instance.
-    pub jobs: InstanceStats,
 }

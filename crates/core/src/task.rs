@@ -473,8 +473,6 @@ pub struct FtDesc {
     /// True once a data-block version produced by this task was evicted and
     /// is again needed — the task must be re-executed as if it failed.
     pub overwritten: AtomicBool,
-    /// True when this incarnation was created by `RecoverTask`.
-    pub is_recovery: AtomicBool,
     /// Successful computes of *this* incarnation, bumped by the thread that
     /// owns each compute. N(A) of Section V is the sum along the `prev`
     /// chain, read after quiescence.
@@ -508,7 +506,6 @@ impl FtDesc {
             status: AtomicU8::new(Status::Visited as u8),
             poisoned: AtomicBool::new(false),
             overwritten: AtomicBool::new(false),
-            is_recovery: AtomicBool::new(false),
             execs: AtomicU32::new(0),
             notify: NotifyCells::new(out_degree),
             preds: PredList::new(preds),
@@ -624,7 +621,6 @@ mod tests {
         assert_eq!(d.bits.len(), 3);
         assert_eq!(d.bits.count_set(), 3);
         assert!(d.check().is_ok());
-        assert!(!d.is_recovery.load(Ordering::Relaxed));
         assert!(d.prev.is_none());
         assert_eq!(d.executions(), 0);
     }
@@ -672,7 +668,6 @@ mod tests {
             offset_of!(FtDesc, status),
             offset_of!(FtDesc, poisoned),
             offset_of!(FtDesc, overwritten),
-            offset_of!(FtDesc, is_recovery),
             offset_of!(FtDesc, execs),
         ] {
             assert_eq!(flag / LINE, 0);

@@ -10,17 +10,22 @@
 //! same `(graph, fault plan, seed)` triple replays the identical schedule
 //! every time.
 //!
-//! The FT scheduler runs on it unmodified:
+//! It runs instances only: work enters through
+//! [`Executor::submit_instance`], [`Executor::drive`] runs every pending
+//! instance, and each [`InstanceHandle`] then reports its own completion
+//! and panic. The FT scheduler runs on it unmodified (`Engine::run` is
+//! exactly that sequence):
 //!
 //! ```
 //! use ft_det::DetPool;
+//! use ft_steal::pool::{Executor, Job};
 //! use std::sync::atomic::{AtomicUsize, Ordering};
 //! use std::sync::Arc;
 //!
 //! let pool = DetPool::new(42);
 //! let hits = Arc::new(AtomicUsize::new(0));
 //! let h = Arc::clone(&hits);
-//! pool.run_until_complete(move |scope| {
+//! let root = Job::new(move |scope| {
 //!     for _ in 0..10 {
 //!         let h = Arc::clone(&h);
 //!         scope.spawn(move |_| {
@@ -28,6 +33,9 @@
 //!         });
 //!     }
 //! });
+//! let instance = pool.submit_instance(root, None);
+//! pool.drive();
+//! instance.wait();
 //! assert_eq!(hits.load(Ordering::Relaxed), 10);
 //! ```
 //!
@@ -55,9 +63,6 @@ pub struct DetPool {
     seed: u64,
     queue: RefCell<Vec<Job>>,
     rng: RefCell<XorShift64Star>,
-    /// The group of every job not submitted as an instance (jobs stamped
-    /// with no group); its first panic is re-raised when the queue drains.
-    resident: Group,
     /// True while the drain loop is running (jobs see `worker_index() == 0`).
     draining: Cell<bool>,
 }
@@ -69,7 +74,6 @@ impl DetPool {
             seed,
             queue: RefCell::new(Vec::new()),
             rng: RefCell::new(XorShift64Star::new(seed)),
-            resident: Group::resident(),
             draining: Cell::new(false),
         }
     }
@@ -78,73 +82,20 @@ impl DetPool {
     pub fn seed(&self) -> u64 {
         self.seed
     }
-
-    /// Run `f` (which spawns the root work) and drain every transitively
-    /// spawned job in seeded-random order. Mirrors
-    /// [`ft_steal::pool::Pool::run_until_complete`]: if `f` or any job
-    /// panicked, the remaining jobs still run and the first payload is
-    /// re-raised here — nothing `f` spawned is left queued when this
-    /// unwinds.
-    pub fn run_until_complete<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'_>),
-    {
-        let scope = Scope::for_host(self);
-        let submitted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&scope)));
-        self.drain();
-        if let Some(payload) = submitted.err().or(self.resident.take_panic()) {
-            std::panic::resume_unwind(payload);
-        }
-    }
-
-    /// The group `job` is counted in: its stamp, or — unstamped — the
-    /// resident group (never stamped, so no job points into this struct).
-    fn group_of(&self, job: &Job) -> *const Group {
-        if job.group().is_null() {
-            &self.resident
-        } else {
-            job.group()
-        }
-    }
-
-    fn drain(&self) {
-        self.draining.set(true);
-        loop {
-            // Pick-and-pop inside a short borrow so jobs can spawn freely.
-            // The seeded RNG picks uniformly, so the whole schedule is a
-            // pure function of the seed.
-            let job = {
-                let mut q = self.queue.borrow_mut();
-                if q.is_empty() {
-                    break;
-                }
-                let idx = self.rng.borrow_mut().next_below(q.len());
-                q.swap_remove(idx)
-            };
-            let group = self.group_of(&job);
-            // SAFETY: the job holds a unit of its group (enrolled by
-            // `spawn_job` or `Group::open`) until the release below,
-            // which keeps a per-instance group alive.
-            let scope = unsafe { Scope::for_group(self, job.group()) };
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                job.run(&scope);
-            }));
-            if let Err(payload) = result {
-                // SAFETY: as above — the job's unit is still held.
-                unsafe { (*group).record_panic(payload) };
-            }
-            // SAFETY: the unit of the job that just finished.
-            unsafe { Group::release(group, 1) };
-        }
-        self.draining.set(false);
-    }
 }
 
 impl SpawnHost for DetPool {
     fn spawn_job(&self, job: Job) {
+        let group = job.group();
+        assert!(
+            !group.is_null(),
+            "DetPool runs instances only: this job belongs to no completion \
+             group (spawned through `Scope::for_host`?); submit it with \
+             `Executor::submit_instance`"
+        );
         // SAFETY: a stamped job is spawned by a running job of the same
-        // group (through the scope `drain` built), whose unit keeps it alive.
-        unsafe { (*self.group_of(&job)).enroll() };
+        // group (through the scope `drive` built), whose unit keeps it alive.
+        unsafe { (*group).enroll() };
         self.queue.borrow_mut().push(job);
     }
 
@@ -161,12 +112,12 @@ impl SpawnHost for DetPool {
     }
 }
 
-// SAFETY: every job holds a unit of its group's latch from `spawn_job`
-// (or `Group::open`, for a root) until `drain` has run its body, so an
-// instance's latch trips — hook, then `done` — only after its last job
-// finished (`ft_steal::instance`). `drive` drains the ready list before it
-// re-raises anything. A job is only ever run once (by `drain`) or dropped
-// with the pool.
+// SAFETY: every job holds a unit of its group's latch from `Group::open`
+// (the root) or `spawn_job` (every other job) until `drive` has run its
+// body, so an instance's latch trips — hook, then `done` — only after its
+// last job finished (`ft_steal::instance`). `drive` catches every job's
+// panic, so it never unwinds. A job is only ever run once (by `drive`) or
+// dropped with the pool.
 unsafe impl Executor for DetPool {
     fn num_threads(&self) -> usize {
         1
@@ -185,14 +136,38 @@ unsafe impl Executor for DetPool {
     }
 
     /// Drain every pending job (all submitted instances interleaved) in
-    /// seeded-random order on the calling thread. Instance panics stay in
-    /// their handles; panics of plain `spawn`ed jobs are re-raised here
-    /// like in [`DetPool::run_until_complete`].
+    /// seeded-random order on the calling thread. A panic stays in its
+    /// instance's handle.
     fn drive(&self) {
-        self.drain();
-        if let Some(payload) = self.resident.take_panic() {
-            std::panic::resume_unwind(payload);
+        self.draining.set(true);
+        loop {
+            // Pick-and-pop inside a short borrow so jobs can spawn freely.
+            // The seeded RNG picks uniformly, so the whole schedule is a
+            // pure function of the seed.
+            let job = {
+                let mut q = self.queue.borrow_mut();
+                if q.is_empty() {
+                    break;
+                }
+                let idx = self.rng.borrow_mut().next_below(q.len());
+                q.swap_remove(idx)
+            };
+            let group = job.group();
+            // SAFETY: the job holds a unit of its group (enrolled by
+            // `spawn_job` or `Group::open`) until the release below,
+            // which keeps the group alive.
+            let scope = unsafe { Scope::for_group(self, group) };
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                job.run(&scope);
+            }));
+            if let Err(payload) = result {
+                // SAFETY: as above — the job's unit is still held.
+                unsafe { (*group).record_panic(payload) };
+            }
+            // SAFETY: the unit of the job that just finished.
+            unsafe { Group::release(group, 1) };
         }
+        self.draining.set(false);
     }
 }
 
@@ -203,12 +178,24 @@ mod tests {
     use parking_lot::Mutex;
     use std::sync::Arc;
 
+    /// Submit `root` as an instance and drive the pool to quiescence;
+    /// returns the handle, for its panic.
+    fn run(pool: &DetPool, root: impl FnOnce(&Scope<'_>) + Send + 'static) -> InstanceHandle {
+        let instance = pool.submit_instance(Job::new(root), None);
+        pool.drive();
+        assert!(
+            instance.is_done(),
+            "drive returns with the instance quiesced"
+        );
+        instance
+    }
+
     /// Record the order in which numbered jobs run under `seed`.
     fn order_for(seed: u64, n: usize) -> Vec<usize> {
         let pool = DetPool::new(seed);
         let order = Arc::new(Mutex::new(Vec::new()));
         let o = Arc::clone(&order);
-        pool.run_until_complete(move |scope: &Scope<'_>| {
+        run(&pool, move |scope| {
             for i in 0..n {
                 let o = Arc::clone(&o);
                 scope.spawn(move |_| o.lock().push(i));
@@ -256,22 +243,26 @@ mod tests {
             }
         }
         let c = Arc::clone(&count);
-        pool.run_until_complete(move |scope: &Scope<'_>| {
-            scope.spawn(move |s| fanout(s, 10, c));
-        });
+        run(&pool, move |scope| fanout(scope, 10, c));
         assert_eq!(count.load(Ordering::Relaxed), 2047);
     }
 
     #[test]
     fn worker_index_inside_jobs_only() {
         let pool = DetPool::new(5);
-        pool.run_until_complete(|scope: &Scope<'_>| {
-            assert_eq!(scope.worker_index(), None, "submitter is not a worker");
+        assert_eq!(
+            SpawnHost::worker_index(&pool),
+            None,
+            "submitter is not a worker"
+        );
+        run(&pool, |scope| {
+            assert_eq!(scope.worker_index(), Some(0));
             assert_eq!(scope.num_threads(), 1);
             scope.spawn(|s| {
                 assert_eq!(s.worker_index(), Some(0));
             });
         });
+        assert_eq!(SpawnHost::worker_index(&pool), None);
     }
 
     #[test]
@@ -279,23 +270,30 @@ mod tests {
         let pool = DetPool::new(3);
         let ran = Arc::new(AtomicU64::new(0));
         let r = Arc::clone(&ran);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run_until_complete(move |scope: &Scope<'_>| {
-                scope.spawn(|_| panic!("boom"));
-                for _ in 0..10 {
-                    let r = Arc::clone(&r);
-                    scope.spawn(move |_| {
-                        r.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        }));
-        assert!(result.is_err());
-        // Like the multithreaded pool, remaining jobs still ran.
-        assert_eq!(ran.load(Ordering::Relaxed), 10);
-        // Pool is reusable afterwards.
-        pool.run_until_complete(|scope: &Scope<'_>| {
-            scope.spawn(|_| {});
+        let clean = pool.submit_instance(Job::new(|s| s.spawn(|_| {})), None);
+        let instance = run(&pool, move |scope| {
+            scope.spawn(|_| panic!("boom"));
+            for _ in 0..10 {
+                let r = Arc::clone(&r);
+                scope.spawn(move |_| {
+                    r.fetch_add(1, Ordering::Relaxed);
+                });
+            }
         });
+        assert!(instance.take_panic().is_some());
+        // Like the multithreaded pool, the remaining jobs still ran, and a
+        // neighbor driven in the same drain saw nothing.
+        assert_eq!(ran.load(Ordering::Relaxed), 10);
+        assert!(clean.is_done());
+        assert!(clean.take_panic().is_none());
+        // Pool is reusable afterwards.
+        assert!(run(&pool, |s| s.spawn(|_| {})).take_panic().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "DetPool runs instances only")]
+    fn a_job_outside_any_instance_is_refused() {
+        let pool = DetPool::new(4);
+        Scope::for_host(&pool).spawn(|_| {});
     }
 }

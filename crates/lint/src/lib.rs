@@ -32,7 +32,8 @@
 //! * **L8** — `docs/LOOM_COVERAGE.toml` entries carry a fingerprint of the
 //!   claimed file's protocol lines (atomics/orderings/fences/unsafe);
 //!   editing those lines without re-stamping via `ft-lint --restamp`
-//!   fails, killing silently-stale loom claims.
+//!   fails, killing silently-stale loom claims. Every model an entry names
+//!   must exist.
 //! * **L9** — inside `ft-lint: hot-path begin(..)/end(..)` regions,
 //!   allocation (`Box::new`, `vec!`, `format!`, `.clone()`, ...),
 //!   blocking (`Mutex`, `.lock()`, `sleep`, `println!`) and
@@ -738,6 +739,21 @@ pub fn global_pass(scan: &WorkspaceScan, inputs: &GlobalInputs<'_>, report: &mut
 
     // --- L8: freshness ---------------------------------------------------
     for entry in &inputs.loom.entries {
+        for model in &entry.models {
+            if (inputs.read)(model).is_none() {
+                finding(
+                    report,
+                    "L8",
+                    inputs.loom_rel,
+                    entry.line,
+                    format!(
+                        "entry for `{}`: loom model `{model}` does not exist",
+                        entry.path
+                    ),
+                    None,
+                );
+            }
+        }
         let Some(src) = (inputs.read)(&entry.path) else {
             finding(
                 report,

@@ -354,6 +354,43 @@ fn l8_fingerprint_freshness() {
 }
 
 #[test]
+fn bad_l8_missing_model() {
+    let src = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/good/l8_claimed_source.rs"),
+    )
+    .expect("fixture readable");
+    let fresh = protocol_fingerprint(&src);
+    let model = "crates/steal/tests/loom_models.rs";
+    let files = [
+        ("good/l8_claimed_source.rs", src.as_str()),
+        (model, "// a loom suite"),
+    ];
+    let ws = WorkspaceScan::default();
+    let entry = |models: &str| {
+        format!(
+            "[[entry]]\npath = \"good/l8_claimed_source.rs\"\nfingerprint = \"{fresh}\"\nmodels = [{models}]\nnotes = \"fixture\"\n"
+        )
+    };
+
+    // Every named model exists: clean.
+    let r = run_global(&ws, "", &entry(&format!("\"{model}\"")), None, &files);
+    assert!(r.violations.is_empty(), "{}", r.render_human());
+
+    // A stale model name next to a live one: flagged, at the entry.
+    let loom = entry(&format!(
+        "\"{model}\", \"crates/steal/tests/loom_ghost.rs\""
+    ));
+    let r = run_global(&ws, "", &loom, None, &files);
+    assert_eq!(r.violations.len(), 1, "{}", r.render_human());
+    let v = &r.violations[0];
+    assert_eq!(v.rule, "L8");
+    assert_eq!(v.file, "docs/LOOM_COVERAGE.toml");
+    assert_eq!(v.line, 1, "span points at the entry");
+    assert!(v.message.contains("loom_ghost.rs"), "{}", v.message);
+    assert!(v.message.contains("does not exist"), "{}", v.message);
+}
+
+#[test]
 fn bad_l9_impure_hot_path() {
     let r = lint_fixture("bad/l9_impure_hot_path.rs", false, false, true);
     assert_eq!(r.violations.len(), 3, "{:?}", r.violations);

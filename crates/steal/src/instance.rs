@@ -8,13 +8,14 @@
 //! spawns, and the executor's run loop — the only place a job body runs —
 //! files a panic in *that job's* group and returns the job's unit to it.
 //!
-//! Two kinds, one type. A **resident** group ([`Group::resident`]) is a
-//! field of its executor, reused run after run (`Pool::run_until_complete`,
-//! `Pool::spawn`). A **per-instance** group ([`Group::open`]) lives on the
-//! heap, one per submitted root; its latch owns one strong reference, which
-//! the thread that trips the latch gives back as its last access, so a job
+//! Every executor runs **per-instance** groups ([`Group::open`]): one on
+//! the heap per submitted root, whose latch owns one strong reference that
+//! the thread tripping the latch gives back as its last access, so a job
 //! may hold a plain pointer and a dropped [`InstanceHandle`] cannot free a
-//! group whose jobs still run.
+//! group whose jobs still run. The one other kind is the **resident**
+//! group (`Group::resident`): a field of [`Pool`](crate::pool::Pool),
+//! reused by every `Pool::run_until_complete`, whose caller waits on its
+//! latch.
 //!
 //! # Invariants
 //!
@@ -55,7 +56,6 @@ pub struct Group {
     panic: Mutex<Option<Box<dyn Any + Send>>>,
     /// Fired exactly once, by the subtraction that trips the latch.
     on_quiesce: Mutex<Option<QuiesceHook>>,
-    panics: AtomicU64,
     /// Per-instance groups only: the latch owns one strong reference of the
     /// `Arc` this group lives in, given back by [`Group::release`]'s trip.
     latch_owned: bool,
@@ -77,14 +77,13 @@ impl Group {
             done: Flag::new(),
             panic: Mutex::new(None),
             on_quiesce: Mutex::new(on_quiesce),
-            panics: AtomicU64::new(0),
             latch_owned,
         }
     }
 
-    /// A group owned by an executor and reused across runs; its owner waits
-    /// on the latch and must outlive every job counted in it.
-    pub fn resident() -> Self {
+    /// The group of `Pool::run_until_complete`, reused across runs; the
+    /// pool waits on the latch and outlives every job counted in it.
+    pub(crate) fn resident() -> Self {
         Group::new(None, false)
     }
 
@@ -116,9 +115,6 @@ impl Group {
     /// File the panic of one of this group's jobs; the first payload is
     /// kept. Call before the job's unit is released (invariant 5).
     pub fn record_panic(&self, payload: Box<dyn Any + Send>) {
-        // ord: Relaxed — diagnostic counter; the payload hand-off is
-        // ordered by the mutex.
-        self.panics.fetch_add(1, Ordering::Relaxed);
         let mut slot = self.panic.lock();
         if slot.is_none() {
             *slot = Some(payload);
@@ -162,13 +158,6 @@ impl Group {
     }
 }
 
-/// Statistics of one instance's jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct InstanceStats {
-    /// Jobs whose body panicked.
-    pub panics: u64,
-}
-
 /// Awaitable/pollable handle to one submitted instance (a per-instance
 /// [`Group`]).
 ///
@@ -185,7 +174,6 @@ impl std::fmt::Debug for InstanceHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InstanceHandle")
             .field("done", &self.is_done())
-            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -207,14 +195,6 @@ impl InstanceHandle {
     /// sees it.
     pub fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
         self.inst.take_panic()
-    }
-
-    /// Job statistics so far.
-    pub fn stats(&self) -> InstanceStats {
-        InstanceStats {
-            // ord: Relaxed — diagnostic counter, racy reads are fine.
-            panics: self.inst.panics.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -316,7 +296,7 @@ mod tests {
         assert!(handle.is_done());
         assert_eq!(counted.load(Ordering::Relaxed), 64);
         assert_eq!(fired.load(Ordering::SeqCst), 1);
-        assert_eq!(handle.stats().panics, 0);
+        assert!(handle.take_panic().is_none());
         // The latch gives its reference back (after `done`, as the tripping
         // thread's last access): the handle's becomes the only one.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
@@ -336,14 +316,14 @@ mod tests {
             }),
             None,
         );
+        // A run that may share the workers with the instance, and one after
+        // it quiesced: neither sees its panic.
+        pool.run_until_complete(|scope| scope.spawn(|_| {}));
         handle.wait();
-        assert_eq!(handle.stats().panics, 1);
-        assert!(handle.take_panic().is_some());
+        pool.run_until_complete(|scope| scope.spawn(|_| {}));
+        let payload = handle.take_panic().expect("the instance's own panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"instance boom"));
         assert!(handle.take_panic().is_none(), "payload taken once");
-        // The pool's resident group is untouched: a plain run sees no panic.
-        pool.run_until_complete(|scope| {
-            scope.spawn(|_| {});
-        });
     }
 
     #[test]

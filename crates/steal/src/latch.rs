@@ -68,12 +68,12 @@ impl Flag {
 
 /// Counts outstanding work items; trips when the count returns to zero.
 ///
-/// The count starts at zero and the latch is considered tripped only after
-/// at least one increment has happened and the count has returned to zero
-/// (the usual "started then quiesced" semantics a pool scope needs).
+/// The count starts at zero, and a latch at zero is quiescent: a waiter
+/// enrolls a unit of its own before it waits (`Pool::run_until_complete`'s
+/// sentinel; `Group::open` enrolls an instance's root before anyone can
+/// see it), so nobody sees zero before the work is counted.
 pub struct CountLatch {
     count: AtomicIsize,
-    started: AtomicBool,
     lock: Mutex<()>,
     condvar: Condvar,
 }
@@ -97,7 +97,6 @@ impl CountLatch {
     pub fn new() -> Self {
         CountLatch {
             count: AtomicIsize::new(0),
-            started: AtomicBool::new(false),
             lock: Mutex::new(()),
             condvar: Condvar::new(),
         }
@@ -109,13 +108,6 @@ impl CountLatch {
     /// worker-local credits`, not one RMW per job.
     pub fn add(&self, n: isize) {
         debug_assert!(n >= 1, "CountLatch::add of {n}");
-        // ord: Relaxed — `started` is monotone (false→true once) and only
-        // gates quiescence together with the count; the AcqRel RMW below
-        // orders it for any observer that sees the raised count. Tested
-        // before it is set so a started latch's flag is only ever read.
-        if !self.started.load(Ordering::Relaxed) {
-            self.started.store(true, Ordering::Relaxed);
-        }
         // ord: AcqRel — additions and subtractions form a single release
         // sequence so the final subtraction observes all prior updates.
         self.count.fetch_add(n, Ordering::AcqRel);
@@ -160,10 +152,9 @@ impl CountLatch {
         self.count.load(Ordering::Acquire)
     }
 
-    /// True if at least one item was registered and all have completed.
+    /// True if no item is outstanding.
     pub fn is_quiescent(&self) -> bool {
-        // ord: Relaxed — monotone flag; see `add`.
-        self.started.load(Ordering::Relaxed) && self.outstanding() == 0
+        self.outstanding() == 0
     }
 
     /// Block until quiescent.
@@ -318,7 +309,6 @@ mod tests {
     #[test]
     fn count_latch_trips_at_zero() {
         let l = CountLatch::new();
-        assert!(!l.is_quiescent(), "never-started latch is not quiescent");
         l.increment();
         l.increment();
         assert_eq!(l.outstanding(), 2);

@@ -15,7 +15,8 @@
 //!   deque; idle workers steal from random victims and park — after a
 //!   sweep of every queue — when the system has no work.
 //! * [`instance::Group`] — the completion group every job is counted in
-//!   (one per submitted instance, one resident per executor), over
+//!   (one per submitted instance, plus the one [`pool::Pool`] keeps for
+//!   its `run_until_complete`), over
 //!   [`latch::CountLatch`] / [`latch::Flag`] and worker-local
 //!   [`latch::Credits`]: completion detection for fire-and-forget task
 //!   DAGs.
@@ -65,6 +66,6 @@ pub mod priority;
 pub mod rng;
 
 pub use arena::{Arena, ArenaRef};
-pub use instance::{AdmissionGate, InstanceHandle, InstanceStats, QuiesceHook};
+pub use instance::{AdmissionGate, InstanceHandle, QuiesceHook};
 pub use latch::{CountLatch, Flag};
 pub use pool::{Executor, Job, Pool, PoolConfig, Scope, SpawnHost};

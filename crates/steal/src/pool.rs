@@ -11,9 +11,9 @@
 //! NABBIT's routines only ever spawn and never join, and a task-graph run
 //! is over when every spawned traversal job has drained (by which time the
 //! sink task has completed). Every job is counted in the completion
-//! [`Group`] it carries: the pool's resident one
-//! ([`Pool::run_until_complete`], [`Pool::spawn`]) or one per submitted
-//! root ([`Executor::submit_instance`]).
+//! [`Group`] it carries: one per submitted root
+//! ([`Executor::submit_instance`], the way every engine runs), or the
+//! pool's resident one, which only [`Pool::run_until_complete`] uses.
 //!
 //! Panics inside jobs are caught by the worker loop, the only place a job
 //! body runs; the first payload is kept in the job's own group and
@@ -101,9 +101,10 @@ pub unsafe trait Executor {
 pub struct PoolConfig {
     /// Number of worker threads.
     pub threads: usize,
-    /// Seed for the per-worker victim-selection RNGs.
-    pub seed: u64,
 }
+
+/// Seed of the per-worker victim-selection RNGs (worker `i` mixes in `i`).
+const SEED: u64 = 0x5EED_CAFE;
 
 /// How many full steal sweeps an idle worker performs before parking:
 /// enough to ride out short gaps on real multicore, small enough that
@@ -116,7 +117,6 @@ impl PoolConfig {
     pub fn with_threads(threads: usize) -> Self {
         PoolConfig {
             threads: threads.max(1),
-            seed: 0x5EED_CAFE,
         }
     }
 }
@@ -136,9 +136,9 @@ struct PoolState {
     stealers: Vec<Stealer<Job>>,
     injector: Injector<Job>,
     parker: Parker,
-    /// The group of everything not submitted as an instance (plus the
-    /// sentinel of a `run_until_complete` in progress). Lives as long as
-    /// the workers, which hold the `Arc` this state sits in.
+    /// The group of every `run_until_complete` (plus its sentinel while
+    /// one is in progress). Lives as long as the workers, which hold the
+    /// `Arc` this state sits in.
     resident: Group,
     metrics: Vec<CachePadded<WorkerMetrics>>,
     shutdown: AtomicBool,
@@ -149,8 +149,8 @@ struct PoolState {
 /// submitting thread.
 pub struct Scope<'a> {
     host: &'a dyn SpawnHost,
-    /// Stamped on every job spawned through this scope (null: the host
-    /// decides, or does not count at all).
+    /// Stamped on every job spawned through this scope (null: counted in
+    /// no group, which only a host that counts nothing accepts).
     group: *const Group,
 }
 
@@ -164,8 +164,9 @@ impl std::fmt::Debug for Scope<'_> {
 }
 
 impl<'a> Scope<'a> {
-    /// Build a scope over any spawn host, spawning into no particular
-    /// group. Jobs only ever receive a ready-made `&Scope`.
+    /// Build a scope over any spawn host, spawning into no group — for
+    /// hosts that count nothing (`DetPool` refuses such jobs). Jobs only
+    /// ever receive a ready-made `&Scope`.
     pub fn for_host(host: &'a dyn SpawnHost) -> Self {
         Scope {
             host,
@@ -346,9 +347,7 @@ impl Pool {
         let mut handles = Vec::with_capacity(threads);
         for (index, w) in workers.into_iter().enumerate() {
             let state = Arc::clone(&state);
-            let seed = config
-                .seed
-                .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index as u64 + 1));
+            let seed = SEED.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index as u64 + 1));
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("ft-steal-worker-{index}"))
@@ -362,13 +361,6 @@ impl Pool {
     /// Number of worker threads.
     pub fn num_threads(&self) -> usize {
         self.state.threads
-    }
-
-    /// A scope that spawns into the pool's resident group.
-    fn resident_scope(&self) -> Scope<'_> {
-        let state = &*self.state;
-        // SAFETY: the resident group is a field of the host itself.
-        unsafe { Scope::for_group(state, &state.resident) }
     }
 
     /// Run `f` (which spawns the root work) and block until the pool's
@@ -385,10 +377,11 @@ impl Pool {
     {
         let state = &*self.state;
         let group = &state.resident;
-        let scope = self.resident_scope();
-        // Sentinel unit: guarantees the latch "starts" even if `f` spawns
-        // nothing, and holds the count above zero while `f` is still
-        // submitting.
+        // SAFETY: the resident group is a field of the host itself.
+        let scope = unsafe { Scope::for_group(state, group) };
+        // Sentinel unit: holds the count above zero while `f` is still
+        // submitting, so the wait below cannot see a zero that precedes
+        // the run's jobs.
         group.enroll();
         let submitted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&scope)));
         // A caller that is itself a worker of this pool spawned on credit;
@@ -404,15 +397,6 @@ impl Pool {
         if let Some(payload) = submitted.err().or(group.take_panic()) {
             std::panic::resume_unwind(payload);
         }
-    }
-
-    /// Spawn a single fire-and-forget job from outside any run. Prefer
-    /// [`Pool::run_until_complete`] for bounded work.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'_>) + Send + 'static,
-    {
-        self.resident_scope().spawn(f);
     }
 
     /// Aggregate the per-worker metrics.

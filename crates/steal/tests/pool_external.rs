@@ -2,7 +2,7 @@
 //! APIs — the paths `run_until_complete` does not exercise.
 
 use ft_steal::latch::{CountLatch, Flag};
-use ft_steal::pool::{Pool, PoolConfig};
+use ft_steal::pool::{Executor, Job, Pool, PoolConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -11,7 +11,7 @@ fn external_spawn_executes_without_run() {
     let pool = Pool::new(PoolConfig::with_threads(2));
     let done = Arc::new(Flag::new());
     let d = Arc::clone(&done);
-    pool.spawn(move |_| d.set());
+    pool.submit_instance(Job::new(move |_| d.set()), None);
     done.wait();
     assert!(done.is_set());
 }
@@ -27,7 +27,7 @@ fn external_spawn_can_fan_out() {
     for _ in 0..50 {
         let latch = Arc::clone(&latch);
         let counter = Arc::clone(&counter);
-        pool.spawn(move |s| {
+        let root = Job::new(move |s| {
             // Jobs spawned from workers fan out further.
             let inner_latch = Arc::clone(&latch);
             let inner_counter = Arc::clone(&counter);
@@ -36,6 +36,7 @@ fn external_spawn_can_fan_out() {
                 inner_latch.decrement();
             });
         });
+        pool.submit_instance(root, None);
     }
     latch.wait();
     assert_eq!(counter.load(Ordering::Relaxed), 50);
@@ -49,7 +50,7 @@ fn injector_path_used_for_external_submissions() {
     pool.reset_metrics();
     let flag = Arc::new(Flag::new());
     let f = Arc::clone(&flag);
-    pool.spawn(move |_| f.set());
+    pool.submit_instance(Job::new(move |_| f.set()), None);
     flag.wait();
     let m = pool.metrics();
     assert!(m.executed >= 1);
@@ -150,9 +151,8 @@ fn single_jobs_against_parking_workers_never_lose_a_wakeup() {
         let mut parks_seen = pool.metrics().sleeps;
         for round in 1..=ROUNDS as usize {
             let d = Arc::clone(&done);
-            pool.spawn(move |_| {
-                d.store(round, Ordering::Release);
-            });
+            let job = Job::new(move |_| d.store(round, Ordering::Release));
+            pool.submit_instance(job, None);
             while done.load(Ordering::Acquire) != round {
                 std::hint::spin_loop();
             }
