@@ -12,6 +12,7 @@
 //! naturally safe, and `v=last` failures cascade down the update chain.
 
 use crate::common::{keys, AppConfig, BenchApp, VerifyOutcome, VersionClass};
+use crate::tile;
 use nabbit_ft::blocks::{BlockError, BlockStore, Retention};
 use nabbit_ft::fault::Fault;
 use nabbit_ft::graph::{ComputeCtx, Key, TaskGraph};
@@ -126,35 +127,28 @@ fn kernel_potrf(a: &mut [f64], b: usize) {
     }
 }
 
-/// Panel solve `X = A · L⁻ᵀ` against the factored diagonal tile, column by
-/// column in elimination order.
+/// Panel solve `X = A · L⁻ᵀ` against the factored diagonal tile, in
+/// elimination order per element.
 fn kernel_trsm(a: &mut [f64], diag: &[f64], b: usize) {
-    for t in 0..b {
-        let d = diag[t * b + t];
-        for u in 0..b {
-            a[u * b + t] /= d;
-        }
-        for v in t + 1..b {
-            let l = diag[v * b + t];
-            for u in 0..b {
-                a[u * b + v] -= l * a[u * b + t];
-            }
-        }
-    }
+    let u = tile::transpose(diag, b);
+    tile::dispatch(tile::SolveUpper { a, u: &u, b });
 }
 
-/// Trailing update `C −= L_i · L_jᵀ`, per elimination step `t` in order.
-fn kernel_update(c: &mut [f64], li: &[f64], lj: &[f64], b: usize, syrk: bool) {
-    for t in 0..b {
-        for row in 0..b {
-            let lv = li[row * b + t];
-            // For the diagonal (SYRK) tile only the lower part is live.
-            let cols = if syrk { row + 1 } else { b };
-            for col in 0..cols {
-                c[row * b + col] -= lv * lj[col * b + t];
-            }
-        }
-    }
+/// Trailing update `C − L_i · L_jᵀ` into a fresh tile, per elimination step
+/// `t` in order. For the diagonal (SYRK) tile only the lower part is live;
+/// the upper part is copied from `c`.
+fn kernel_update(c: &[f64], li: &[f64], lj: &[f64], b: usize, syrk: bool) -> Vec<f64> {
+    let ljt = tile::transpose(lj, b);
+    let mut out = vec![0.0; b * b];
+    tile::dispatch(tile::Gemm {
+        out: &mut out,
+        c,
+        a: li,
+        bt: &ljt,
+        b,
+        lower: syrk,
+    });
+    out
 }
 
 impl TaskGraph for Cholesky {
@@ -264,14 +258,14 @@ impl TaskGraph for Cholesky {
                 self.store.publish(self.bid(i, k), v + 1, key, a);
             }
             UPDATE => {
-                let mut c = read(i, j, v)?.as_ref().clone();
+                let c = read(i, j, v)?;
                 let li = read(i, k, v + 1)?;
-                if i == j {
-                    kernel_update(&mut c, &li, &li, b, true);
+                let c = if i == j {
+                    kernel_update(&c, &li, &li, b, true)
                 } else {
                     let lj = read(j, k, v + 1)?;
-                    kernel_update(&mut c, &li, &lj, b, false);
-                }
+                    kernel_update(&c, &li, &lj, b, false)
+                };
                 self.store.publish(self.bid(i, j), v + 1, key, c);
             }
             _ => unreachable!("bad Cholesky task tag"),
@@ -503,6 +497,97 @@ mod tests {
 #[cfg(test)]
 mod kernel_tests {
     use super::*;
+    use crate::tile::testing::{assert_same_bits, random_tile, SIZES};
+    use crate::tile::Kernel;
+
+    /// The triple-loop kernels the tile kernels replaced, kept verbatim as
+    /// the bitwise oracle.
+    mod oracle {
+        /// Panel solve `X = A · L⁻ᵀ` against the factored diagonal tile, column by
+        /// column in elimination order.
+        pub(super) fn kernel_trsm(a: &mut [f64], diag: &[f64], b: usize) {
+            for t in 0..b {
+                let d = diag[t * b + t];
+                for u in 0..b {
+                    a[u * b + t] /= d;
+                }
+                for v in t + 1..b {
+                    let l = diag[v * b + t];
+                    for u in 0..b {
+                        a[u * b + v] -= l * a[u * b + t];
+                    }
+                }
+            }
+        }
+
+        /// Trailing update `C −= L_i · L_jᵀ`, per elimination step `t` in order.
+        pub(super) fn kernel_update(c: &mut [f64], li: &[f64], lj: &[f64], b: usize, syrk: bool) {
+            for t in 0..b {
+                for row in 0..b {
+                    let lv = li[row * b + t];
+                    // For the diagonal (SYRK) tile only the lower part is live.
+                    let cols = if syrk { row + 1 } else { b };
+                    for col in 0..cols {
+                        c[row * b + col] -= lv * lj[col * b + t];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every tile kernel, portable and dispatched, gives the oracle's bits;
+    /// SYRK leaves the upper triangle of `c` as it was.
+    #[test]
+    fn tile_kernels_equal_triple_loops_bitwise() {
+        for (i, &b) in SIZES.iter().enumerate() {
+            let seed = 0xC4_0000 + 3 * i as u64;
+            let (c, li, lj) = (
+                random_tile(b, seed),
+                random_tile(b, seed + 1),
+                random_tile(b, seed + 2),
+            );
+
+            for (syrk, lj) in [(false, &lj), (true, &li)] {
+                let mut want = c.clone();
+                oracle::kernel_update(&mut want, &li, lj, b, syrk);
+                let mut portable = vec![0.0; b * b];
+                tile::Gemm {
+                    out: &mut portable,
+                    c: &c,
+                    a: &li,
+                    bt: &tile::transpose(lj, b),
+                    b,
+                    lower: syrk,
+                }
+                .run();
+                assert_same_bits(
+                    &portable,
+                    &want,
+                    &format!("update portable, b={b} syrk={syrk}"),
+                );
+                let got = kernel_update(&c, &li, lj, b, syrk);
+                assert_same_bits(
+                    &got,
+                    &want,
+                    &format!("update dispatched, b={b} syrk={syrk}"),
+                );
+            }
+
+            let mut want = c.clone();
+            oracle::kernel_trsm(&mut want, &lj, b);
+            let mut portable = c.clone();
+            tile::SolveUpper {
+                a: &mut portable,
+                u: &tile::transpose(&lj, b),
+                b,
+            }
+            .run();
+            assert_same_bits(&portable, &want, &format!("TRSM portable, b={b}"));
+            let mut got = c.clone();
+            kernel_trsm(&mut got, &lj, b);
+            assert_same_bits(&got, &want, &format!("TRSM dispatched, b={b}"));
+        }
+    }
 
     /// 2×2 Cholesky by hand: A = [[4,2],[2,5]] → L = [[2,0],[1,2]].
     #[test]
@@ -533,14 +618,14 @@ mod kernel_tests {
         // GEMM: C -= Li·Ljᵀ with Li = I → C -= Ljᵀ.
         let li = vec![1.0, 0.0, 0.0, 1.0];
         let lj = vec![1.0, 2.0, 3.0, 4.0]; // Ljᵀ = [[1,3],[2,4]]
-        let mut c = vec![10.0, 10.0, 10.0, 10.0];
-        kernel_update(&mut c, &li, &lj, 2, false);
+        let c = vec![10.0, 10.0, 10.0, 10.0];
+        let c = kernel_update(&c, &li, &lj, 2, false);
         assert_eq!(c, vec![9.0, 7.0, 8.0, 6.0]);
 
         // SYRK touches only the lower triangle.
-        let mut c = vec![10.0, 99.0, 10.0, 10.0];
+        let c = vec![10.0, 99.0, 10.0, 10.0];
         let l = vec![1.0, 0.0, 2.0, 1.0];
-        kernel_update(&mut c, &l, &l, 2, true);
+        let c = kernel_update(&c, &l, &l, 2, true);
         // C -= L·Lᵀ (lower): c00 -= 1, c10 -= 2, c11 -= 5.
         assert_eq!(c, vec![9.0, 99.0, 8.0, 5.0]);
     }

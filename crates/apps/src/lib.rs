@@ -34,6 +34,7 @@ pub mod fw;
 pub mod lcs;
 pub mod lu;
 pub mod sw;
+mod tile;
 
 pub use common::{AppConfig, BenchApp, VersionClass};
 

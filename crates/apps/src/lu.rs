@@ -15,6 +15,7 @@
 //! shows LU `v=last` averaging ~3,600 re-executions for 512 intended).
 
 use crate::common::{keys, AppConfig, BenchApp, VerifyOutcome, VersionClass};
+use crate::tile;
 use nabbit_ft::blocks::{BlockError, BlockStore, Retention};
 use nabbit_ft::fault::Fault;
 use nabbit_ft::graph::{ComputeCtx, Key, TaskGraph};
@@ -124,46 +125,32 @@ fn kernel_getrf(a: &mut [f64], b: usize) {
     }
 }
 
-/// L-panel solve: replay the elimination of the diagonal tile's U on a
-/// sub-diagonal tile — column `t` divides by `U[t][t]` then updates the
-/// trailing columns, matching the unblocked elimination order exactly.
+/// L-panel solve `X · U = A` against the diagonal tile's U, matching the
+/// unblocked elimination order exactly.
 fn kernel_trsm_l(a: &mut [f64], diag: &[f64], b: usize) {
-    for t in 0..b {
-        let piv = diag[t * b + t];
-        for u in 0..b {
-            a[u * b + t] /= piv;
-            let l = a[u * b + t];
-            for v in t + 1..b {
-                a[u * b + v] -= l * diag[t * b + v];
-            }
-        }
-    }
+    tile::dispatch(tile::SolveUpper { a, u: diag, b });
 }
 
 /// U-panel solve: apply the diagonal tile's unit-L elimination to a
 /// right-of-diagonal tile.
 fn kernel_trsm_u(a: &mut [f64], diag: &[f64], b: usize) {
-    for t in 0..b {
-        for u in t + 1..b {
-            let l = diag[u * b + t];
-            for v in 0..b {
-                a[u * b + v] -= l * a[t * b + v];
-            }
-        }
-    }
+    tile::dispatch(tile::SolveUnitLower { a, l: diag, b });
 }
 
-/// Trailing update `C -= L · U`, accumulating per elimination step `t` in
-/// order (bit-compatible with the unblocked elimination).
-fn kernel_gemm(c: &mut [f64], l: &[f64], u: &[f64], b: usize) {
-    for t in 0..b {
-        for row in 0..b {
-            let lv = l[row * b + t];
-            for col in 0..b {
-                c[row * b + col] -= lv * u[t * b + col];
-            }
-        }
-    }
+/// Trailing update `C − L · U` into a fresh tile, accumulating per
+/// elimination step `t` in order (bit-compatible with the unblocked
+/// elimination).
+fn kernel_gemm(c: &[f64], l: &[f64], u: &[f64], b: usize) -> Vec<f64> {
+    let mut out = vec![0.0; b * b];
+    tile::dispatch(tile::Gemm {
+        out: &mut out,
+        c,
+        a: l,
+        bt: u,
+        b,
+        lower: false,
+    });
+    out
 }
 
 impl TaskGraph for Lu {
@@ -288,10 +275,10 @@ impl TaskGraph for Lu {
                 self.store.publish(self.bid(k, j), v + 1, key, a);
             }
             GEMM => {
-                let mut c = read(i, j, v)?.as_ref().clone();
+                let c = read(i, j, v)?;
                 let l = read(i, k, v + 1)?;
                 let u = read(k, j, v + 1)?;
-                kernel_gemm(&mut c, &l, &u, b);
+                let c = kernel_gemm(&c, &l, &u, b);
                 self.store.publish(self.bid(i, j), v + 1, key, c);
             }
             _ => unreachable!("bad LU task tag"),
@@ -541,6 +528,111 @@ mod tests {
 #[cfg(test)]
 mod kernel_tests {
     use super::*;
+    use crate::tile::testing::{assert_same_bits, random_tile, SIZES};
+    use crate::tile::Kernel;
+
+    /// The triple-loop kernels the tile kernels replaced, kept verbatim as
+    /// the bitwise oracle.
+    mod oracle {
+        /// L-panel solve: replay the elimination of the diagonal tile's U on a
+        /// sub-diagonal tile — column `t` divides by `U[t][t]` then updates the
+        /// trailing columns, matching the unblocked elimination order exactly.
+        pub(super) fn kernel_trsm_l(a: &mut [f64], diag: &[f64], b: usize) {
+            for t in 0..b {
+                let piv = diag[t * b + t];
+                for u in 0..b {
+                    a[u * b + t] /= piv;
+                    let l = a[u * b + t];
+                    for v in t + 1..b {
+                        a[u * b + v] -= l * diag[t * b + v];
+                    }
+                }
+            }
+        }
+
+        /// U-panel solve: apply the diagonal tile's unit-L elimination to a
+        /// right-of-diagonal tile.
+        pub(super) fn kernel_trsm_u(a: &mut [f64], diag: &[f64], b: usize) {
+            for t in 0..b {
+                for u in t + 1..b {
+                    let l = diag[u * b + t];
+                    for v in 0..b {
+                        a[u * b + v] -= l * a[t * b + v];
+                    }
+                }
+            }
+        }
+
+        /// Trailing update `C -= L · U`, accumulating per elimination step `t` in
+        /// order (bit-compatible with the unblocked elimination).
+        pub(super) fn kernel_gemm(c: &mut [f64], l: &[f64], u: &[f64], b: usize) {
+            for t in 0..b {
+                for row in 0..b {
+                    let lv = l[row * b + t];
+                    for col in 0..b {
+                        c[row * b + col] -= lv * u[t * b + col];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every tile kernel, portable and dispatched, gives the oracle's bits.
+    #[test]
+    fn tile_kernels_equal_triple_loops_bitwise() {
+        for (i, &b) in SIZES.iter().enumerate() {
+            let seed = 0x1E_0000 + 3 * i as u64;
+            let (c, l, u) = (
+                random_tile(b, seed),
+                random_tile(b, seed + 1),
+                random_tile(b, seed + 2),
+            );
+
+            let mut want = c.clone();
+            oracle::kernel_gemm(&mut want, &l, &u, b);
+            let mut portable = vec![0.0; b * b];
+            tile::Gemm {
+                out: &mut portable,
+                c: &c,
+                a: &l,
+                bt: &u,
+                b,
+                lower: false,
+            }
+            .run();
+            assert_same_bits(&portable, &want, &format!("GEMM portable, b={b}"));
+            let got = kernel_gemm(&c, &l, &u, b);
+            assert_same_bits(&got, &want, &format!("GEMM dispatched, b={b}"));
+
+            let mut want = c.clone();
+            oracle::kernel_trsm_l(&mut want, &u, b);
+            let mut portable = c.clone();
+            tile::SolveUpper {
+                a: &mut portable,
+                u: &u,
+                b,
+            }
+            .run();
+            assert_same_bits(&portable, &want, &format!("TRSM_L portable, b={b}"));
+            let mut got = c.clone();
+            kernel_trsm_l(&mut got, &u, b);
+            assert_same_bits(&got, &want, &format!("TRSM_L dispatched, b={b}"));
+
+            let mut want = c.clone();
+            oracle::kernel_trsm_u(&mut want, &l, b);
+            let mut portable = c.clone();
+            tile::SolveUnitLower {
+                a: &mut portable,
+                l: &l,
+                b,
+            }
+            .run();
+            assert_same_bits(&portable, &want, &format!("TRSM_U portable, b={b}"));
+            let mut got = c.clone();
+            kernel_trsm_u(&mut got, &l, b);
+            assert_same_bits(&got, &want, &format!("TRSM_U dispatched, b={b}"));
+        }
+    }
 
     /// 2×2 LU by hand: A = [[4,2],[6,5]] → L = [[1,0],[1.5,1]],
     /// U = [[4,2],[0,2]] packed as [[4,2],[1.5,2]].
@@ -584,8 +676,8 @@ mod kernel_tests {
         // C -= L·U with L = I → C -= U.
         let l = vec![1.0, 0.0, 0.0, 1.0];
         let u = vec![1.0, 2.0, 3.0, 4.0];
-        let mut c = vec![10.0, 10.0, 10.0, 10.0];
-        kernel_gemm(&mut c, &l, &u, 2);
+        let c = vec![10.0, 10.0, 10.0, 10.0];
+        let c = kernel_gemm(&c, &l, &u, 2);
         assert_eq!(c, vec![9.0, 8.0, 7.0, 6.0]);
     }
 

@@ -371,6 +371,13 @@ impl Pool {
     /// If `f` or any job panicked, the first panic payload is re-raised
     /// here — after quiescence either way, so nothing spawned by a
     /// panicking `f` is still running when this unwinds.
+    ///
+    /// The panic slot is the resident group's, shared like its count: a
+    /// caller whose own `f` and jobs are clean can re-raise a panic from a
+    /// job another concurrent caller spawned. Callers that must not see
+    /// each other's panics submit their work with
+    /// [`Executor::submit_instance`], which gives each submission its own
+    /// completion group.
     pub fn run_until_complete<F>(&self, f: F)
     where
         F: FnOnce(&Scope<'_>),
