@@ -112,19 +112,7 @@ impl Cholesky {
 
 /// In-place lower Cholesky of a `b×b` tile (upper part left untouched).
 fn kernel_potrf(a: &mut [f64], b: usize) {
-    for t in 0..b {
-        a[t * b + t] = a[t * b + t].sqrt();
-        let d = a[t * b + t];
-        for u in t + 1..b {
-            a[u * b + t] /= d;
-        }
-        for u in t + 1..b {
-            let l = a[u * b + t];
-            for v in t + 1..=u {
-                a[u * b + v] -= l * a[v * b + t];
-            }
-        }
-    }
+    tile::dispatch(tile::Potrf { a, b });
 }
 
 /// Panel solve `X = A · L⁻ᵀ` against the factored diagonal tile, in
@@ -497,12 +485,29 @@ mod tests {
 #[cfg(test)]
 mod kernel_tests {
     use super::*;
-    use crate::tile::testing::{assert_same_bits, random_tile, SIZES};
-    use crate::tile::Kernel;
+    use crate::tile::testing::{assert_same_bits, random_tile, Arm, SIZES};
 
-    /// The triple-loop kernels the tile kernels replaced, kept verbatim as
-    /// the bitwise oracle.
+    /// The triple-loop kernels the tile kernels replaced (and POTRF as it
+    /// was before it went through `dispatch`), kept verbatim as the bitwise
+    /// oracle.
     mod oracle {
+        /// In-place lower Cholesky of a `b×b` tile (upper part left untouched).
+        pub(super) fn kernel_potrf(a: &mut [f64], b: usize) {
+            for t in 0..b {
+                a[t * b + t] = a[t * b + t].sqrt();
+                let d = a[t * b + t];
+                for u in t + 1..b {
+                    a[u * b + t] /= d;
+                }
+                for u in t + 1..b {
+                    let l = a[u * b + t];
+                    for v in t + 1..=u {
+                        a[u * b + v] -= l * a[v * b + t];
+                    }
+                }
+            }
+        }
+
         /// Panel solve `X = A · L⁻ᵀ` against the factored diagonal tile, column by
         /// column in elimination order.
         pub(super) fn kernel_trsm(a: &mut [f64], diag: &[f64], b: usize) {
@@ -535,10 +540,12 @@ mod kernel_tests {
         }
     }
 
-    /// Every tile kernel, portable and dispatched, gives the oracle's bits;
-    /// SYRK leaves the upper triangle of `c` as it was.
+    /// Every tile kernel gives the oracle's bits, through every arm this CPU
+    /// can run and through `dispatch` (the app's wrappers); SYRK leaves the
+    /// upper triangle of `c` as it was.
     #[test]
     fn tile_kernels_equal_triple_loops_bitwise() {
+        let arms = Arm::available();
         for (i, &b) in SIZES.iter().enumerate() {
             let seed = 0xC4_0000 + 3 * i as u64;
             let (c, li, lj) = (
@@ -550,21 +557,19 @@ mod kernel_tests {
             for (syrk, lj) in [(false, &lj), (true, &li)] {
                 let mut want = c.clone();
                 oracle::kernel_update(&mut want, &li, lj, b, syrk);
-                let mut portable = vec![0.0; b * b];
-                tile::Gemm {
-                    out: &mut portable,
-                    c: &c,
-                    a: &li,
-                    bt: &tile::transpose(lj, b),
-                    b,
-                    lower: syrk,
+                let ljt = tile::transpose(lj, b);
+                for &arm in &arms {
+                    let mut got = vec![0.0; b * b];
+                    arm.run(tile::Gemm {
+                        out: &mut got,
+                        c: &c,
+                        a: &li,
+                        bt: &ljt,
+                        b,
+                        lower: syrk,
+                    });
+                    assert_same_bits(&got, &want, &format!("update {arm:?}, b={b} syrk={syrk}"));
                 }
-                .run();
-                assert_same_bits(
-                    &portable,
-                    &want,
-                    &format!("update portable, b={b} syrk={syrk}"),
-                );
                 let got = kernel_update(&c, &li, lj, b, syrk);
                 assert_same_bits(
                     &got,
@@ -573,19 +578,30 @@ mod kernel_tests {
                 );
             }
 
-            let mut want = c.clone();
-            oracle::kernel_trsm(&mut want, &lj, b);
-            let mut portable = c.clone();
-            tile::SolveUpper {
-                a: &mut portable,
-                u: &tile::transpose(&lj, b),
-                b,
+            let mut trsm = c.clone();
+            oracle::kernel_trsm(&mut trsm, &lj, b);
+            let mut potrf = c.clone();
+            oracle::kernel_potrf(&mut potrf, b);
+            let ljt = tile::transpose(&lj, b);
+            for &arm in &arms {
+                let mut got = c.clone();
+                arm.run(tile::SolveUpper {
+                    a: &mut got,
+                    u: &ljt,
+                    b,
+                });
+                assert_same_bits(&got, &trsm, &format!("TRSM {arm:?}, b={b}"));
+
+                let mut got = c.clone();
+                arm.run(tile::Potrf { a: &mut got, b });
+                assert_same_bits(&got, &potrf, &format!("POTRF {arm:?}, b={b}"));
             }
-            .run();
-            assert_same_bits(&portable, &want, &format!("TRSM portable, b={b}"));
             let mut got = c.clone();
             kernel_trsm(&mut got, &lj, b);
-            assert_same_bits(&got, &want, &format!("TRSM dispatched, b={b}"));
+            assert_same_bits(&got, &trsm, &format!("TRSM dispatched, b={b}"));
+            let mut got = c.clone();
+            kernel_potrf(&mut got, b);
+            assert_same_bits(&got, &potrf, &format!("POTRF dispatched, b={b}"));
         }
     }
 

@@ -53,7 +53,10 @@ pub struct AppConfig {
 impl AppConfig {
     /// Config with `n`, `b` and a default seed.
     pub fn new(n: usize, b: usize) -> Self {
-        assert!(b > 0 && n % b == 0, "block size {b} must divide N {n}");
+        assert!(
+            b > 0 && n.is_multiple_of(b),
+            "block size {b} must divide N {n}"
+        );
         AppConfig {
             n,
             b,

@@ -113,16 +113,7 @@ impl Lu {
 
 /// In-place unpivoted LU of a `b×b` tile.
 fn kernel_getrf(a: &mut [f64], b: usize) {
-    for t in 0..b {
-        let piv = a[t * b + t];
-        for u in t + 1..b {
-            a[u * b + t] /= piv;
-            let l = a[u * b + t];
-            for v in t + 1..b {
-                a[u * b + v] -= l * a[t * b + v];
-            }
-        }
-    }
+    tile::dispatch(tile::Getrf { a, b });
 }
 
 /// L-panel solve `X · U = A` against the diagonal tile's U, matching the
@@ -528,12 +519,26 @@ mod tests {
 #[cfg(test)]
 mod kernel_tests {
     use super::*;
-    use crate::tile::testing::{assert_same_bits, random_tile, SIZES};
-    use crate::tile::Kernel;
+    use crate::tile::testing::{assert_same_bits, random_tile, Arm, SIZES};
 
-    /// The triple-loop kernels the tile kernels replaced, kept verbatim as
-    /// the bitwise oracle.
+    /// The triple-loop kernels the tile kernels replaced (and GETRF as it
+    /// was before it went through `dispatch`), kept verbatim as the bitwise
+    /// oracle.
     mod oracle {
+        /// In-place unpivoted LU of a `b×b` tile.
+        pub(super) fn kernel_getrf(a: &mut [f64], b: usize) {
+            for t in 0..b {
+                let piv = a[t * b + t];
+                for u in t + 1..b {
+                    a[u * b + t] /= piv;
+                    let l = a[u * b + t];
+                    for v in t + 1..b {
+                        a[u * b + v] -= l * a[t * b + v];
+                    }
+                }
+            }
+        }
+
         /// L-panel solve: replay the elimination of the diagonal tile's U on a
         /// sub-diagonal tile — column `t` divides by `U[t][t]` then updates the
         /// trailing columns, matching the unblocked elimination order exactly.
@@ -577,9 +582,11 @@ mod kernel_tests {
         }
     }
 
-    /// Every tile kernel, portable and dispatched, gives the oracle's bits.
+    /// Every tile kernel gives the oracle's bits, through every arm this CPU
+    /// can run and through `dispatch` (the app's wrappers).
     #[test]
     fn tile_kernels_equal_triple_loops_bitwise() {
+        let arms = Arm::available();
         for (i, &b) in SIZES.iter().enumerate() {
             let seed = 0x1E_0000 + 3 * i as u64;
             let (c, l, u) = (
@@ -587,50 +594,59 @@ mod kernel_tests {
                 random_tile(b, seed + 1),
                 random_tile(b, seed + 2),
             );
+            let mut gemm = c.clone();
+            oracle::kernel_gemm(&mut gemm, &l, &u, b);
+            let mut trsm_l = c.clone();
+            oracle::kernel_trsm_l(&mut trsm_l, &u, b);
+            let mut trsm_u = c.clone();
+            oracle::kernel_trsm_u(&mut trsm_u, &l, b);
+            let mut getrf = c.clone();
+            oracle::kernel_getrf(&mut getrf, b);
 
-            let mut want = c.clone();
-            oracle::kernel_gemm(&mut want, &l, &u, b);
-            let mut portable = vec![0.0; b * b];
-            tile::Gemm {
-                out: &mut portable,
-                c: &c,
-                a: &l,
-                bt: &u,
-                b,
-                lower: false,
+            for &arm in &arms {
+                let mut got = vec![0.0; b * b];
+                arm.run(tile::Gemm {
+                    out: &mut got,
+                    c: &c,
+                    a: &l,
+                    bt: &u,
+                    b,
+                    lower: false,
+                });
+                assert_same_bits(&got, &gemm, &format!("GEMM {arm:?}, b={b}"));
+
+                let mut got = c.clone();
+                arm.run(tile::SolveUpper {
+                    a: &mut got,
+                    u: &u,
+                    b,
+                });
+                assert_same_bits(&got, &trsm_l, &format!("TRSM_L {arm:?}, b={b}"));
+
+                let mut got = c.clone();
+                arm.run(tile::SolveUnitLower {
+                    a: &mut got,
+                    l: &l,
+                    b,
+                });
+                assert_same_bits(&got, &trsm_u, &format!("TRSM_U {arm:?}, b={b}"));
+
+                let mut got = c.clone();
+                arm.run(tile::Getrf { a: &mut got, b });
+                assert_same_bits(&got, &getrf, &format!("GETRF {arm:?}, b={b}"));
             }
-            .run();
-            assert_same_bits(&portable, &want, &format!("GEMM portable, b={b}"));
+
             let got = kernel_gemm(&c, &l, &u, b);
-            assert_same_bits(&got, &want, &format!("GEMM dispatched, b={b}"));
-
-            let mut want = c.clone();
-            oracle::kernel_trsm_l(&mut want, &u, b);
-            let mut portable = c.clone();
-            tile::SolveUpper {
-                a: &mut portable,
-                u: &u,
-                b,
-            }
-            .run();
-            assert_same_bits(&portable, &want, &format!("TRSM_L portable, b={b}"));
+            assert_same_bits(&got, &gemm, &format!("GEMM dispatched, b={b}"));
             let mut got = c.clone();
             kernel_trsm_l(&mut got, &u, b);
-            assert_same_bits(&got, &want, &format!("TRSM_L dispatched, b={b}"));
-
-            let mut want = c.clone();
-            oracle::kernel_trsm_u(&mut want, &l, b);
-            let mut portable = c.clone();
-            tile::SolveUnitLower {
-                a: &mut portable,
-                l: &l,
-                b,
-            }
-            .run();
-            assert_same_bits(&portable, &want, &format!("TRSM_U portable, b={b}"));
+            assert_same_bits(&got, &trsm_l, &format!("TRSM_L dispatched, b={b}"));
             let mut got = c.clone();
             kernel_trsm_u(&mut got, &l, b);
-            assert_same_bits(&got, &want, &format!("TRSM_U dispatched, b={b}"));
+            assert_same_bits(&got, &trsm_u, &format!("TRSM_U dispatched, b={b}"));
+            let mut got = c.clone();
+            kernel_getrf(&mut got, b);
+            assert_same_bits(&got, &getrf, &format!("GETRF dispatched, b={b}"));
         }
     }
 

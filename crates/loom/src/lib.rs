@@ -65,9 +65,9 @@ fn rng_next() -> u64 {
 /// different iterations see different interleavings.
 fn maybe_yield() {
     let r = rng_next();
-    if r % 13 == 0 {
+    if r.is_multiple_of(13) {
         std::thread::yield_now();
-    } else if r % 29 == 0 {
+    } else if r.is_multiple_of(29) {
         std::hint::spin_loop();
     }
 }
