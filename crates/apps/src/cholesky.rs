@@ -11,9 +11,9 @@
 //! per update round, finishing at version `j + 1`; `KeepLast(2)` reuse is
 //! naturally safe, and `v=last` failures cascade down the update chain.
 
-use crate::common::{keys, AppConfig, BenchApp, VerifyOutcome, VersionClass};
+use crate::common::{keys, verify_tiles, AppConfig, BenchApp, Region, VerifyOutcome, VersionClass};
 use crate::tile;
-use nabbit_ft::blocks::{BlockError, BlockStore, Retention};
+use nabbit_ft::blocks::{BlockStore, Retention};
 use nabbit_ft::fault::Fault;
 use nabbit_ft::graph::{ComputeCtx, Key, TaskGraph};
 use std::sync::Arc;
@@ -316,42 +316,15 @@ impl BenchApp for Cholesky {
     }
 
     fn verify_detailed(&self) -> Result<VerifyOutcome, String> {
-        let reference = self.reference();
-        let nb = self.nb();
-        let b = self.cfg.b;
         let tol = 1e-9 * self.cfg.n as f64;
-        let mut checked = 0;
-        let mut skipped = 0;
-        for ti in 0..nb {
-            for tj in 0..=ti {
-                let got = match self.store.read(self.bid(ti, tj), Self::final_version(tj)) {
-                    Ok(g) => g,
-                    Err(BlockError::Poisoned { .. }) => {
-                        skipped += 1;
-                        continue;
-                    }
-                    Err(e) => return Err(format!("factored tile ({ti},{tj}): {e:?}")),
-                };
-                let want = crate::common::extract_tile(&reference, self.cfg.n, b, ti, tj);
-                // Compare the live region: full tile below the diagonal,
-                // lower triangle on the diagonal tile.
-                let mut diff = 0.0f64;
-                for r in 0..b {
-                    let cols = if ti == tj { r + 1 } else { b };
-                    for c in 0..cols {
-                        diff = diff.max((got[r * b + c] - want[r * b + c]).abs());
-                    }
-                }
-                if diff > tol {
-                    return Err(format!("Cholesky tile ({ti},{tj}) differs by {diff}"));
-                }
-                checked += 1;
-            }
-        }
-        Ok(VerifyOutcome {
-            checked,
-            skipped_poisoned: skipped,
-        })
+        verify_tiles(
+            "Cholesky",
+            self.cfg,
+            &self.reference(),
+            Region::Lower,
+            tol,
+            |ti, tj| self.store.read(self.bid(ti, tj), Self::final_version(tj)),
+        )
     }
 }
 

@@ -1,10 +1,13 @@
 //! Shared infrastructure for the five benchmarks: key encoding, the
 //! harness-facing [`BenchApp`] trait, task classification by output version
-//! (Section VI "Task type": v=0, v=rand, v=last), and input generation.
+//! (Section VI "Task type": v=0, v=rand, v=last), input generation, and the
+//! float apps' tile-by-tile verification against a reference.
 
+use nabbit_ft::blocks::BlockError;
 use nabbit_ft::graph::{Key, TaskGraph};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::Arc;
 
 /// Bit-field key encoding: `| tag:4 | k:20 | i:20 | j:20 |`.
 ///
@@ -174,6 +177,64 @@ pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
+/// Where a blocked matrix result lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Region {
+    /// Every tile, every element (LU, FW).
+    Full,
+    /// The tiles `(i, j)` with `j ≤ i`, and only the lower triangle of each
+    /// diagonal tile (Cholesky).
+    Lower,
+}
+
+/// Compare a blocked float result with a row-major `n×n` reference, tile by
+/// tile over `region`, for [`BenchApp::verify_detailed`].
+///
+/// `read(i, j)` returns final tile `(i, j)`. A poisoned tile is skipped and
+/// counted; any other read error, or a tile whose largest difference from
+/// the reference exceeds `tol`, is an error naming `app` and the tile.
+pub fn verify_tiles(
+    app: &str,
+    cfg: AppConfig,
+    reference: &[f64],
+    region: Region,
+    tol: f64,
+    read: impl Fn(usize, usize) -> Result<Arc<Vec<f64>>, BlockError>,
+) -> Result<VerifyOutcome, String> {
+    let (n, b, nb) = (cfg.n, cfg.b, cfg.nb());
+    let mut checked = 0;
+    let mut skipped = 0;
+    for ti in 0..nb {
+        let tiles = if region == Region::Lower { ti + 1 } else { nb };
+        for tj in 0..tiles {
+            let got = match read(ti, tj) {
+                Ok(g) => g,
+                Err(BlockError::Poisoned { .. }) => {
+                    skipped += 1;
+                    continue;
+                }
+                Err(e) => return Err(format!("{app} tile ({ti},{tj}): {e:?}")),
+            };
+            let want = extract_tile(reference, n, b, ti, tj);
+            let lower = region == Region::Lower && ti == tj;
+            let diff = (0..b)
+                .map(|r| {
+                    let row = r * b..r * b + if lower { r + 1 } else { b };
+                    max_abs_diff(&got[row.clone()], &want[row])
+                })
+                .fold(0.0, f64::max);
+            if diff > tol {
+                return Err(format!("{app} tile ({ti},{tj}) differs by {diff}"));
+            }
+            checked += 1;
+        }
+    }
+    Ok(VerifyOutcome {
+        checked,
+        skipped_poisoned: skipped,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,6 +296,35 @@ mod tests {
         assert_eq!(t, vec![8.0, 9.0, 12.0, 13.0]);
         let t = extract_tile(&m, n, 2, 0, 1);
         assert_eq!(t, vec![2.0, 3.0, 6.0, 7.0]);
+    }
+
+    #[test]
+    fn verify_tiles_compares_the_live_region() {
+        let cfg = AppConfig::new(4, 2);
+        let reference: Vec<f64> = (0..16).map(f64::from).collect();
+        // Off by one above the diagonal: in every upper tile, and in the
+        // upper triangle of each diagonal tile.
+        let upper = |ti: usize, tj: usize| {
+            let mut t = extract_tile(&reference, 4, 2, ti, tj);
+            if ti < tj {
+                t.iter_mut().for_each(|x| *x += 1.0);
+            } else if ti == tj {
+                t[1] += 1.0;
+            }
+            Ok(Arc::new(t))
+        };
+        let o = verify_tiles("T", cfg, &reference, Region::Lower, 0.0, upper).unwrap();
+        assert_eq!((o.checked, o.skipped_poisoned), (3, 0));
+        let err = verify_tiles("T", cfg, &reference, Region::Full, 0.5, upper).unwrap_err();
+        assert_eq!(err, "T tile (0,0) differs by 1");
+        assert!(verify_tiles("T", cfg, &reference, Region::Full, 1.0, upper).is_ok());
+
+        let poisoned = |ti: usize, tj: usize| match (ti, tj) {
+            (1, 0) => Err(BlockError::Poisoned { producer: 7 }),
+            _ => Ok(Arc::new(extract_tile(&reference, 4, 2, ti, tj))),
+        };
+        let o = verify_tiles("T", cfg, &reference, Region::Full, 0.0, poisoned).unwrap();
+        assert_eq!((o.checked, o.skipped_poisoned), (3, 1));
     }
 
     #[test]

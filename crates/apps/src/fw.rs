@@ -23,8 +23,8 @@
 //! paper's Table I figure for FW (E = 308,880 at nb = 40: ~187k data-flow
 //! edges + ~122k anti edges).
 
-use crate::common::{keys, AppConfig, BenchApp, VerifyOutcome, VersionClass};
-use nabbit_ft::blocks::{BlockError, BlockStore, Retention};
+use crate::common::{keys, verify_tiles, AppConfig, BenchApp, Region, VerifyOutcome, VersionClass};
+use nabbit_ft::blocks::{BlockStore, Retention};
 use nabbit_ft::fault::Fault;
 use nabbit_ft::graph::{ComputeCtx, Key, TaskGraph};
 
@@ -393,31 +393,15 @@ impl BenchApp for Fw {
     }
 
     fn verify_detailed(&self) -> Result<VerifyOutcome, String> {
-        let reference = self.reference();
-        let nb = self.nb();
-        let b = self.cfg.b;
-        let mut checked = 0;
-        let mut skipped = 0;
-        for ti in 0..nb {
-            for tj in 0..nb {
-                match self.store.read(self.bid(ti, tj), nb as u64) {
-                    Ok(got) => {
-                        let want = crate::common::extract_tile(&reference, self.cfg.n, b, ti, tj);
-                        let diff = crate::common::max_abs_diff(&got, &want);
-                        if diff > 1e-9 {
-                            return Err(format!("tile ({ti},{tj}) differs by {diff}"));
-                        }
-                        checked += 1;
-                    }
-                    Err(BlockError::Poisoned { .. }) => skipped += 1,
-                    Err(e) => return Err(format!("final tile ({ti},{tj}): {e:?}")),
-                }
-            }
-        }
-        Ok(VerifyOutcome {
-            checked,
-            skipped_poisoned: skipped,
-        })
+        let nb = self.nb() as u64;
+        verify_tiles(
+            "FW",
+            self.cfg,
+            &self.reference(),
+            Region::Full,
+            1e-9,
+            |ti, tj| self.store.read(self.bid(ti, tj), nb),
+        )
     }
 }
 

@@ -14,9 +14,9 @@
 //! re-executes the whole update chain of that block (the paper's Table II
 //! shows LU `v=last` averaging ~3,600 re-executions for 512 intended).
 
-use crate::common::{keys, AppConfig, BenchApp, VerifyOutcome, VersionClass};
+use crate::common::{keys, verify_tiles, AppConfig, BenchApp, Region, VerifyOutcome, VersionClass};
 use crate::tile;
-use nabbit_ft::blocks::{BlockError, BlockStore, Retention};
+use nabbit_ft::blocks::{BlockStore, Retention};
 use nabbit_ft::fault::Fault;
 use nabbit_ft::graph::{ComputeCtx, Key, TaskGraph};
 use std::sync::Arc;
@@ -340,37 +340,20 @@ impl BenchApp for Lu {
     }
 
     fn verify_detailed(&self) -> Result<VerifyOutcome, String> {
-        let reference = self.reference();
-        let nb = self.nb();
-        let b = self.cfg.b;
         // Tolerance scaled to the matrix magnitude (diagonally dominant,
         // entries up to n + 1).
         let tol = 1e-9 * self.cfg.n as f64;
-        let mut checked = 0;
-        let mut skipped = 0;
-        for ti in 0..nb {
-            for tj in 0..nb {
-                match self
-                    .store
+        verify_tiles(
+            "LU",
+            self.cfg,
+            &self.reference(),
+            Region::Full,
+            tol,
+            |ti, tj| {
+                self.store
                     .read(self.bid(ti, tj), Self::final_version(ti, tj))
-                {
-                    Ok(got) => {
-                        let want = crate::common::extract_tile(&reference, self.cfg.n, b, ti, tj);
-                        let diff = crate::common::max_abs_diff(&got, &want);
-                        if diff > tol {
-                            return Err(format!("LU tile ({ti},{tj}) differs by {diff}"));
-                        }
-                        checked += 1;
-                    }
-                    Err(BlockError::Poisoned { .. }) => skipped += 1,
-                    Err(e) => return Err(format!("factored tile ({ti},{tj}): {e:?}")),
-                }
-            }
-        }
-        Ok(VerifyOutcome {
-            checked,
-            skipped_poisoned: skipped,
-        })
+            },
+        )
     }
 }
 
@@ -697,8 +680,9 @@ mod kernel_tests {
         assert_eq!(c, vec![9.0, 8.0, 7.0, 6.0]);
     }
 
-    /// The tile kernels composed over a 2×2-of-2×2 blocked matrix must
-    /// equal the unblocked factorization exactly (same elimination order).
+    /// The tile kernels composed over a 4×4-of-16×16 blocked matrix must
+    /// equal the unblocked factorization bit for bit (same elimination
+    /// order, same accumulation order per element).
     #[test]
     fn blocked_kernels_equal_unblocked_bitwise() {
         let app = Lu::new(AppConfig::new(64, 16));
@@ -709,9 +693,14 @@ mod kernel_tests {
             for tj in 0..nb {
                 let got = app.factored_tile(ti, tj).unwrap();
                 let want = crate::common::extract_tile(&reference, 64, 16, ti, tj);
-                // Diagonally dominant input keeps this numerically tight.
-                let diff = crate::common::max_abs_diff(&got, &want);
-                assert!(diff < 1e-10, "tile ({ti},{tj}): {diff}");
+                assert_eq!(got.len(), want.len());
+                for (e, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "tile ({ti},{tj}) element {e}: {g} vs {w}"
+                    );
+                }
             }
         }
     }

@@ -79,7 +79,6 @@
 pub mod analysis;
 pub mod bitvec;
 pub mod blocks;
-pub mod builder;
 pub mod fault;
 pub mod graph;
 pub mod inject;

@@ -1,49 +1,14 @@
 //! Causality tests over the execution trace: the recorded event stream of
 //! a faulted run must obey the orderings the Section IV guarantees imply.
 
+use ft_integration::graphs::Grid;
 use ft_steal::pool::{Pool, PoolConfig};
-use nabbit_ft::fault::Fault;
-use nabbit_ft::graph::{ComputeCtx, Key, TaskGraph};
+use nabbit_ft::graph::Key;
 use nabbit_ft::inject::{FaultPlan, FaultSite, Phase};
 use nabbit_ft::scheduler::FtScheduler;
 use nabbit_ft::trace::{Event, Trace};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-struct Grid {
-    n: i64,
-}
-
-impl TaskGraph for Grid {
-    fn sink(&self) -> Key {
-        self.n * self.n - 1
-    }
-    fn predecessors(&self, k: Key) -> Vec<Key> {
-        let (i, j) = (k / self.n, k % self.n);
-        let mut p = Vec::new();
-        if i > 0 {
-            p.push((i - 1) * self.n + j);
-        }
-        if j > 0 {
-            p.push(i * self.n + (j - 1));
-        }
-        p
-    }
-    fn successors(&self, k: Key) -> Vec<Key> {
-        let (i, j) = (k / self.n, k % self.n);
-        let mut s = Vec::new();
-        if i + 1 < self.n {
-            s.push((i + 1) * self.n + j);
-        }
-        if j + 1 < self.n {
-            s.push(i * self.n + (j + 1));
-        }
-        s
-    }
-    fn compute(&self, _: Key, _: &ComputeCtx<'_>) -> Result<(), Fault> {
-        Ok(())
-    }
-}
 
 fn traced_run(n: i64, plan: FaultPlan) -> (Arc<Trace>, nabbit_ft::RunReport) {
     let trace = Arc::new(Trace::new());
