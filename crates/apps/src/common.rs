@@ -169,12 +169,22 @@ pub fn extract_tile(m: &[f64], n: usize, b: usize, ti: usize, tj: usize) -> Vec<
 }
 
 /// Maximum absolute element-wise difference between two equal-length
-/// slices.
+/// slices; NaN if any difference is NaN.
 pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
     a.iter()
         .zip(b)
         .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
+        .fold(0.0, nan_max)
+}
+
+/// `f64::max` that propagates NaN instead of dropping it, so a NaN in a
+/// result cannot pass a tolerance check.
+fn nan_max(a: f64, b: f64) -> f64 {
+    if a.is_nan() || a > b {
+        a
+    } else {
+        b
+    }
 }
 
 /// Where a blocked matrix result lives.
@@ -222,8 +232,9 @@ pub fn verify_tiles(
                     let row = r * b..r * b + if lower { r + 1 } else { b };
                     max_abs_diff(&got[row.clone()], &want[row])
                 })
-                .fold(0.0, f64::max);
-            if diff > tol {
+                .fold(0.0, nan_max);
+            // Not `diff > tol`: that comparison is false for NaN.
+            if diff.is_nan() || diff > tol {
                 return Err(format!("{app} tile ({ti},{tj}) differs by {diff}"));
             }
             checked += 1;
@@ -325,11 +336,23 @@ mod tests {
         };
         let o = verify_tiles("T", cfg, &reference, Region::Full, 0.0, poisoned).unwrap();
         assert_eq!((o.checked, o.skipped_poisoned), (3, 1));
+
+        // A tile of NaNs fails under any tolerance, in either region.
+        let nan = |ti: usize, tj: usize| match (ti, tj) {
+            (1, 0) => Ok(Arc::new(vec![f64::NAN; 4])),
+            _ => Ok(Arc::new(extract_tile(&reference, 4, 2, ti, tj))),
+        };
+        for region in [Region::Full, Region::Lower] {
+            let err = verify_tiles("T", cfg, &reference, region, f64::MAX, nan).unwrap_err();
+            assert_eq!(err, "T tile (1,0) differs by NaN");
+        }
     }
 
     #[test]
     fn max_abs_diff_works() {
         assert_eq!(max_abs_diff(&[1.0, 2.0], &[1.0, 2.5]), 0.5);
         assert_eq!(max_abs_diff(&[], &[]), 0.0);
+        assert!(max_abs_diff(&[f64::NAN, 2.0], &[1.0, 2.0]).is_nan());
+        assert!(max_abs_diff(&[1.0, f64::NAN], &[1.0, 2.0]).is_nan());
     }
 }

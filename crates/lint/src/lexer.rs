@@ -202,6 +202,21 @@ pub fn lex(src: &str) -> Vec<Line> {
     out
 }
 
+/// Comment text covering line `idx`, nearest first: the line's own
+/// comment, then each line of the contiguous comment/attribute-only block
+/// directly above it (so `#[inline]` between a comment and its item does
+/// not sever them). `SAFETY:` justifications, waivers and `sc:` tags are
+/// all looked up through this one walker.
+pub(crate) fn covering_comments(lines: &[Line], idx: usize) -> impl Iterator<Item = &str> {
+    let above = lines[..idx]
+        .iter()
+        .rev()
+        .take_while(|l| l.is_comment_only() || l.is_attr_only());
+    std::iter::once(&lines[idx])
+        .chain(above)
+        .map(|l| l.comment.as_str())
+}
+
 /// Index of the first line of the file's trailing test module, if any.
 ///
 /// Heuristic that matches this workspace's layout: a `#[cfg(...)]`

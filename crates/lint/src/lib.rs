@@ -1,11 +1,13 @@
 //! `ft-lint` — the in-repo concurrency auditor.
 //!
-//! PR 4 made the scheduler's hot paths lock-free, so correctness rests on
+//! The scheduler's hot paths are lock-free, so correctness rests on
 //! hand-written `unsafe` and carefully chosen atomic orderings. This crate
 //! mechanically enforces the discipline those paths depend on, with no
 //! external dependencies (the workspace builds offline): a small
-//! line-oriented Rust lexer ([`lexer`]), an item/region parser
-//! ([`parser`]), manifest handling ([`manifest`]) and a rule engine.
+//! line-oriented Rust lexer ([`lexer`]), item/region state ([`parser`]),
+//! the protocol manifest ([`manifest`]) and a rule engine that makes one
+//! pass over each file ([`lint_file`]) and one cross-file pass
+//! ([`global_pass`]).
 //!
 //! The rules — cataloged with rationale and examples in `docs/LINTS.md`:
 //!
@@ -18,8 +20,9 @@
 //! * **L3** — runtime crates import atomics through the cfg(loom)-switched
 //!   `ft-sync` facade, never `std::sync::atomic` directly, so loom models
 //!   exercise the shipped code paths.
-//! * **L4** — any runtime file containing atomics must be claimed by an
-//!   entry in `docs/LOOM_COVERAGE.toml`.
+//! * **L4** — any runtime file containing atomics must be covered by a
+//!   `[[protocol]]` in `docs/PROTOCOLS.toml`: one of its atomic fields is
+//!   claimed there, or the protocol lists it under `files`.
 //! * **L5** — no `unwrap()`/`expect()` in `crates/core/src/scheduler/`.
 //! * **L6** — every `fence(...)` in runtime crates carries a
 //!   `// sc: <protocol>/<side>` tag; tags must name a protocol declared in
@@ -29,11 +32,11 @@
 //!   claimed by a `[[protocol]]` in `docs/PROTOCOLS.toml`; unclaimed
 //!   atomics and dangling claims both fail, and each protocol's
 //!   ALGORITHM.md anchor and loom suites must exist.
-//! * **L8** — `docs/LOOM_COVERAGE.toml` entries carry a fingerprint of the
-//!   claimed file's protocol lines (atomics/orderings/fences/unsafe);
-//!   editing those lines without re-stamping via `ft-lint --restamp`
-//!   fails, killing silently-stale loom claims. Every model an entry names
-//!   must exist.
+//! * **L8** — each protocol carries a `stamp` over the protocol lines
+//!   (atomics/orderings/fences/unsafe) of every file it covers; editing
+//!   those lines without re-stamping via `ft-lint --restamp` fails and
+//!   names the protocol whose loom suites must be re-run, killing
+//!   silently-stale loom claims.
 //! * **L9** — inside `ft-lint: hot-path begin(..)/end(..)` regions,
 //!   allocation (`Box::new`, `vec!`, `format!`, `.clone()`, ...),
 //!   blocking (`Mutex`, `.lock()`, `sleep`, `println!`) and
@@ -51,9 +54,9 @@ pub mod lexer;
 pub mod manifest;
 pub mod parser;
 
-use lexer::{has_word, lex, test_region_start, Line};
-use manifest::{LoomManifest, Protocols};
-use parser::ScTag;
+use lexer::{covering_comments, has_word, lex, test_region_start, Line};
+use manifest::Protocols;
+use parser::{parse_sc_tag, ScTag};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -105,20 +108,16 @@ pub struct Report {
 pub struct Config {
     /// Workspace root; all other paths are relative to it.
     pub root: PathBuf,
-    /// Directories whose files are runtime code (rules L1, L3, L4, L6,
-    /// L9).
+    /// Directories whose files are runtime code (every per-file rule,
+    /// and L4 coverage).
     pub runtime_dirs: Vec<PathBuf>,
-    /// Directories where non-SeqCst orderings need `// ord:` tags (L2).
-    pub ordering_dirs: Vec<PathBuf>,
     /// Directories where `unwrap()`/`expect()` are forbidden (L5).
     pub hot_path_dirs: Vec<PathBuf>,
     /// Directories whose struct atomic fields must be claimed in the
     /// protocol manifest (L7). May include facade crates that are not
     /// runtime dirs — only the field scan runs on the extra files.
     pub field_dirs: Vec<PathBuf>,
-    /// Loom-coverage manifest consulted by L4/L8, relative to `root`.
-    pub manifest: PathBuf,
-    /// Protocol manifest consulted by L6/L7, relative to `root`.
+    /// Protocol manifest consulted by L4 and L6–L8, relative to `root`.
     pub protocols: PathBuf,
     /// Algorithm doc whose `<a id="...">` anchors L7 claims must hit,
     /// relative to `root`.
@@ -127,41 +126,26 @@ pub struct Config {
 
 impl Config {
     /// The policy for this workspace: runtime crates `steal`, `cmap`,
-    /// `core`, `det`; ordering discipline everywhere atomics live; the
-    /// scheduler hot path; field claims across the four concurrency
-    /// crates; the two manifests under `docs/`.
+    /// `core`, `det`; the scheduler hot path; field claims across the
+    /// four concurrency crates; the manifest and algorithm doc under
+    /// `docs/`.
     pub fn workspace(root: impl Into<PathBuf>) -> Self {
+        let dirs = |ds: &[&str]| ds.iter().map(PathBuf::from).collect();
         Config {
             root: root.into(),
-            runtime_dirs: [
+            runtime_dirs: dirs(&[
                 "crates/steal/src",
                 "crates/cmap/src",
                 "crates/core/src",
                 "crates/det/src",
-            ]
-            .iter()
-            .map(PathBuf::from)
-            .collect(),
-            ordering_dirs: [
-                "crates/steal/src",
-                "crates/cmap/src",
-                "crates/core/src",
-                "crates/det/src",
-            ]
-            .iter()
-            .map(PathBuf::from)
-            .collect(),
-            hot_path_dirs: vec![PathBuf::from("crates/core/src/scheduler")],
-            field_dirs: [
+            ]),
+            hot_path_dirs: dirs(&["crates/core/src/scheduler"]),
+            field_dirs: dirs(&[
                 "crates/core/src",
                 "crates/steal/src",
                 "crates/cmap/src",
                 "crates/sync/src",
-            ]
-            .iter()
-            .map(PathBuf::from)
-            .collect(),
-            manifest: PathBuf::from("docs/LOOM_COVERAGE.toml"),
+            ]),
             protocols: PathBuf::from("docs/PROTOCOLS.toml"),
             algorithm: PathBuf::from("docs/ALGORITHM.md"),
         }
@@ -197,133 +181,105 @@ pub struct FileScan {
     pub fences: Vec<TaggedFence>,
     /// Atomic struct fields.
     pub fields: Vec<ScannedField>,
+    /// Does the file's non-test code use atomics (rule L4)?
+    pub uses_atomics: bool,
+    /// The file's protocol lines, trimmed, each ending in `\n`: what the
+    /// stamps of the protocols covering the file hash (rule L8).
+    pub protocol_lines: String,
 }
 
 /// Everything collected across the workspace for the cross-file rules.
 #[derive(Debug, Clone, Default)]
 pub struct WorkspaceScan {
-    /// `(file, fence)` for every tagged fence site.
-    pub fences: Vec<(String, TaggedFence)>,
-    /// `(file, field)` for every atomic struct field in the field dirs.
-    pub fields: Vec<(String, ScannedField)>,
+    /// Per-file scans keyed by repo-relative path, in path order.
+    pub files: BTreeMap<String, FileScan>,
 }
 
 impl WorkspaceScan {
-    /// Fold one file's scan into the workspace totals.
+    /// Record one file's scan.
     pub fn add(&mut self, rel: &str, scan: FileScan) {
-        self.fences
-            .extend(scan.fences.into_iter().map(|f| (rel.to_string(), f)));
-        self.fields
-            .extend(scan.fields.into_iter().map(|f| (rel.to_string(), f)));
+        self.files.insert(rel.to_string(), scan);
     }
 }
 
 /// Cross-file inputs for [`global_pass`], separated from the scan so
 /// fixture tests can synthesize them without a workspace on disk.
 pub struct GlobalInputs<'a> {
-    /// Parsed protocol manifest (L6/L7).
+    /// Parsed protocol manifest (L4, L6–L8).
     pub protocols: &'a Protocols,
     /// Path the protocol manifest is reported under.
     pub protocols_rel: &'a str,
-    /// Parsed loom-coverage manifest (L8).
-    pub loom: &'a LoomManifest,
-    /// Path the loom manifest is reported under.
-    pub loom_rel: &'a str,
     /// `docs/ALGORITHM.md` source, if readable (anchor checks).
     pub algorithm_src: Option<&'a str>,
-    /// Read a workspace-relative file (loom-suite existence, L8
-    /// fingerprints). Return `None` for missing files.
-    pub read: &'a dyn Fn(&str) -> Option<String>,
+    /// Does this workspace-relative file exist (loom-suite checks)?
+    pub exists: &'a dyn Fn(&str) -> bool,
 }
 
 impl std::fmt::Debug for GlobalInputs<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GlobalInputs")
             .field("protocols_rel", &self.protocols_rel)
-            .field("loom_rel", &self.loom_rel)
             .finish_non_exhaustive()
     }
 }
 
-/// Lint everything named by `config`: the per-file rules over the runtime
-/// dirs, the field scan over the field dirs, then the cross-file pass
-/// (L6 pairing, L7 claims, L8 freshness). Output is sorted.
+/// Lint everything named by `config`: one pass over each runtime and
+/// field file (`scan_workspace`), then the cross-file pass (L4
+/// coverage, L6 pairing, L7 claims, L8 stamps). Output is sorted.
 pub fn run(config: &Config) -> std::io::Result<Report> {
     let mut report = Report::default();
-    let read_rel = |rel: &str| std::fs::read_to_string(config.root.join(rel)).ok();
+    let scan = scan_workspace(config, &mut report)?;
+    let read_rel = |rel: &Path| std::fs::read_to_string(config.root.join(rel)).ok();
+    let protocols = Protocols::parse(&read_rel(&config.protocols).unwrap_or_default());
+    let algorithm_src = read_rel(&config.algorithm);
+    let inputs = GlobalInputs {
+        protocols: &protocols,
+        protocols_rel: &path_str(&config.protocols),
+        algorithm_src: algorithm_src.as_deref(),
+        exists: &|rel| config.root.join(rel).is_file(),
+    };
+    global_pass(&scan, &inputs, &mut report);
 
-    let loom_src = read_rel(&path_str(&config.manifest)).unwrap_or_default();
-    let loom = LoomManifest::parse(&loom_src);
-    let manifest_paths: Vec<String> = loom.entries.iter().map(|e| e.path.clone()).collect();
+    report.sort();
+    Ok(report)
+}
 
+/// The per-file pass over every file under the runtime and field dirs,
+/// in path order: runtime files get every per-file rule (findings go to
+/// `report`); field-only files (e.g. the ft-sync facade) contribute their
+/// struct fields alone, and no rule fires on them.
+pub(crate) fn scan_workspace(
+    config: &Config,
+    report: &mut Report,
+) -> std::io::Result<WorkspaceScan> {
     let mut files = Vec::new();
-    for dir in &config.runtime_dirs {
+    for dir in config.runtime_dirs.iter().chain(&config.field_dirs) {
         collect_rs_files(&config.root.join(dir), &mut files)?;
     }
     files.sort();
     files.dedup();
 
     let mut scan = WorkspaceScan::default();
-    let mut runtime_rels = BTreeSet::new();
     for path in &files {
         let rel = relative_to(path, &config.root);
         let src = std::fs::read_to_string(path)?;
-        let file_scan = lint_file(
-            &rel,
-            &src,
-            dir_match(&rel, &config.ordering_dirs),
-            dir_match(&rel, &config.hot_path_dirs),
-            &manifest_paths,
-            &mut report,
-        );
-        if dir_match(&rel, &config.field_dirs) {
-            scan.add(&rel, file_scan);
+        let mut file_scan = if dir_match(&rel, &config.runtime_dirs) {
+            let hot = dir_match(&rel, &config.hot_path_dirs);
+            lint_file(&rel, &src, true, hot, report)
         } else {
-            // Fences still pair; fields outside the field dirs are not
-            // claimable, so drop them.
-            let fences_only = FileScan {
-                fences: file_scan.fences,
-                fields: Vec::new(),
-            };
-            scan.add(&rel, fences_only);
+            FileScan {
+                fields: lint_file(&rel, &src, false, false, &mut Report::default()).fields,
+                ..FileScan::default()
+            }
+        };
+        if !dir_match(&rel, &config.field_dirs) {
+            // Fields outside the field dirs are not claimable.
+            file_scan.fields.clear();
         }
-        runtime_rels.insert(rel);
+        scan.add(&rel, file_scan);
         report.files_scanned += 1;
     }
-
-    // Field-only dirs (e.g. the ft-sync facade): scan struct fields for
-    // L7 without applying the runtime rules.
-    let mut field_files = Vec::new();
-    for dir in &config.field_dirs {
-        collect_rs_files(&config.root.join(dir), &mut field_files)?;
-    }
-    field_files.sort();
-    field_files.dedup();
-    for path in &field_files {
-        let rel = relative_to(path, &config.root);
-        if runtime_rels.contains(&rel) {
-            continue;
-        }
-        let src = std::fs::read_to_string(path)?;
-        scan.add(&rel, field_scan_only(&src, &rel));
-        report.files_scanned += 1;
-    }
-
-    let protocols_src = read_rel(&path_str(&config.protocols)).unwrap_or_default();
-    let protocols = Protocols::parse(&protocols_src);
-    let algorithm_src = read_rel(&path_str(&config.algorithm));
-    let inputs = GlobalInputs {
-        protocols: &protocols,
-        protocols_rel: &path_str(&config.protocols),
-        loom: &loom,
-        loom_rel: &path_str(&config.manifest),
-        algorithm_src: algorithm_src.as_deref(),
-        read: &read_rel,
-    };
-    global_pass(&scan, &inputs, &mut report);
-
-    report.sort();
-    Ok(report)
+    Ok(scan)
 }
 
 /// Allocation / blocking / facade-bypass tokens barred inside hot-path
@@ -348,37 +304,46 @@ const L9_SUBSTRINGS: &[&str] = &[
 /// does not trip `sleep`).
 const L9_WORDS: &[&str] = &["Mutex", "RwLock", "Condvar", "sleep"];
 
-/// Lint one file's source with the per-file rules (L1–L5, L9, and the
-/// tag-presence half of L6). Exposed for fixture tests; `rel` is the path
-/// reported in spans, `manifest_paths` the claimed L4 entries. The
-/// returned [`FileScan`] feeds the cross-file pass ([`global_pass`]).
+/// One pass over one file's non-test lines: the per-file rules (L1–L3,
+/// L5, L9, and the tag-presence half of L6) report into `report`, and
+/// the returned [`FileScan`] carries what the cross-file pass
+/// ([`global_pass`]) needs — tagged fences, atomic fields, whether the
+/// file uses atomics, and its protocol lines. `rel` is the path reported
+/// in spans.
 pub fn lint_file(
     rel: &str,
     src: &str,
     in_ordering_dir: bool,
     in_hot_path_dir: bool,
-    manifest_paths: &[String],
     report: &mut Report,
 ) -> FileScan {
     let lines = lex(src);
-    let test_start = test_region_start(&lines).unwrap_or(lines.len());
-    let code = &lines[..test_start];
-    let items = parser::parse_items(code);
+    let code = &lines[..test_region_start(&lines).unwrap_or(lines.len())];
+    let mut items = parser::ItemState::default();
     let mut scan = FileScan::default();
-
-    let mut uses_atomics = false;
     let mut ord_covered = false;
     for (idx, line) in code.iter().enumerate() {
+        if manifest::is_protocol_line(line) {
+            scan.protocol_lines.push_str(line.code.trim());
+            scan.protocol_lines.push('\n');
+        }
         if line.comment.contains("ord:") {
             ord_covered = true;
         }
 
+        // L9: a malformed hot-path marker silently un-guards the code it
+        // was meant to cover, so it is a violation itself.
+        if let Some(message) = items.marker(idx + 1, &line.comment) {
+            let message = format!("hot-path marker error: {message}");
+            emit(report, code, idx, "L9", rel, message);
+        }
+
         // L3: direct atomic imports bypass the loom-switched facade.
         if line.code.contains("std::sync::atomic") || line.code.contains("core::sync::atomic") {
-            uses_atomics = true;
+            scan.uses_atomics = true;
             emit(
                 report,
-                &lines,
+                code,
                 idx,
                 "L3",
                 rel,
@@ -391,29 +356,28 @@ pub fn lint_file(
             );
         }
         if line.code.contains("ft_sync::atomic") {
-            uses_atomics = true;
+            scan.uses_atomics = true;
         }
 
-        // L1: unsafe must be justified by an adjacent SAFETY comment.
-        if has_word(&line.code, "unsafe") {
-            let above = block_comment_above(&lines, idx);
-            let here = &line.comment;
-            let justified =
-                above.contains("SAFETY:") || above.contains("# Safety") || here.contains("SAFETY:");
-            if !justified {
-                emit(
-                    report,
-                    &lines,
-                    idx,
-                    "L1",
-                    rel,
-                    format!(
-                        "`unsafe` without an immediately preceding \
-                         `// SAFETY:` comment stating the invariant: `{}`",
-                        line.code.trim()
-                    ),
-                );
-            }
+        // L1: unsafe must be justified by an adjacent SAFETY comment (a
+        // `# Safety` doc section counts only above the item).
+        if has_word(&line.code, "unsafe")
+            && !covering_comments(code, idx)
+                .enumerate()
+                .any(|(k, c)| c.contains("SAFETY:") || (k > 0 && c.contains("# Safety")))
+        {
+            emit(
+                report,
+                code,
+                idx,
+                "L1",
+                rel,
+                format!(
+                    "`unsafe` without an immediately preceding \
+                     `// SAFETY:` comment stating the invariant: `{}`",
+                    line.code.trim()
+                ),
+            );
         }
 
         // L2: non-SeqCst orderings need an `// ord:` justification tag
@@ -428,7 +392,7 @@ pub fn lint_file(
             if in_ordering_dir && !weak.is_empty() && !ord_covered {
                 emit(
                     report,
-                    &lines,
+                    code,
                     idx,
                     "L2",
                     rel,
@@ -454,7 +418,7 @@ pub fn lint_file(
         if in_hot_path_dir && (line.code.contains(".unwrap()") || line.code.contains(".expect(")) {
             emit(
                 report,
-                &lines,
+                code,
                 idx,
                 "L5",
                 rel,
@@ -467,7 +431,7 @@ pub fn lint_file(
 
         // L9: hot-path regions must stay pure — no allocation, blocking,
         // or facade bypasses between the markers.
-        if let Some(region) = items.in_hot_region(idx) {
+        if let Some(region) = items.hot_region(idx + 1) {
             let mut hits: Vec<&str> = L9_SUBSTRINGS
                 .iter()
                 .copied()
@@ -475,131 +439,99 @@ pub fn lint_file(
                 .collect();
             hits.extend(L9_WORDS.iter().copied().filter(|t| has_word(&line.code, t)));
             if !hits.is_empty() {
-                emit(
-                    report,
-                    &lines,
-                    idx,
-                    "L9",
-                    rel,
-                    format!(
-                        "impurity in hot-path region `{}`: {} — allocation \
-                         and blocking are barred between hot-path markers: \
-                         `{}`",
-                        region.name,
-                        hits.join(", "),
-                        line.code.trim()
-                    ),
+                let message = format!(
+                    "impurity in hot-path region `{region}`: {} — allocation \
+                     and blocking are barred between hot-path markers: `{}`",
+                    hits.join(", "),
+                    line.code.trim()
                 );
+                emit(report, code, idx, "L9", rel, message);
             }
         }
-    }
 
-    // Malformed hot-path markers are L9 violations themselves: a typo'd
-    // region silently un-guards the code it was meant to cover.
-    for (marker_line, message) in &items.marker_errors {
-        emit(
-            report,
-            &lines,
-            marker_line - 1,
-            "L9",
-            rel,
-            format!("hot-path marker error: {message}"),
-        );
-    }
-
-    // L6 (local half): every fence carries an `sc:` tag. Tagged sites are
-    // returned for cross-file pairing.
-    for fence in &items.fences {
-        let idx = fence.line - 1;
-        match &fence.tag {
-            None => emit(
-                report,
-                &lines,
-                idx,
-                "L6",
-                rel,
-                format!(
-                    "`fence(...)` without a `// sc: <protocol>/<side>` \
-                     pairing tag (same line or comment block above): `{}`",
-                    lines[idx].code.trim()
+        // L6 (local half): every fence carries an `sc:` tag. Tagged sites
+        // are returned for cross-file pairing.
+        if has_word(&line.code, "fence") && line.code.contains("fence(") {
+            match covering_comments(code, idx).find_map(parse_sc_tag) {
+                None => emit(
+                    report,
+                    code,
+                    idx,
+                    "L6",
+                    rel,
+                    format!(
+                        "`fence(...)` without a `// sc: <protocol>/<side>` \
+                         pairing tag (same line or comment block above): `{}`",
+                        line.code.trim()
+                    ),
                 ),
-            ),
-            Some(tag) => scan.fences.push(TaggedFence {
-                line: fence.line,
-                tag: tag.clone(),
-                waiver: waiver_reason(&lines, idx, "L6"),
-            }),
+                Some(tag) => scan.fences.push(TaggedFence {
+                    line: idx + 1,
+                    tag,
+                    waiver: waiver_reason(code, idx, "L6"),
+                }),
+            }
+        }
+
+        // Atomic fields feed the L7 claim check in the cross-file pass.
+        if let Some(field) = items.field(&line.code) {
+            scan.fields.push(ScannedField {
+                key: format!("{rel}::{field}"),
+                line: idx + 1,
+                waiver: waiver_reason(code, idx, "L7"),
+            });
         }
     }
-
-    // Atomic fields feed the L7 claim check in the cross-file pass.
-    for field in &items.fields {
-        scan.fields.push(ScannedField {
-            key: field.key(rel),
-            line: field.line,
-            waiver: waiver_reason(&lines, field.line - 1, "L7"),
-        });
+    if let Some((begin, message)) = items.unclosed() {
+        let message = format!("hot-path marker error: {message}");
+        emit(report, code, begin - 1, "L9", rel, message);
     }
-
-    // L4: files with atomics must be claimed by the loom-coverage manifest.
-    if uses_atomics && !manifest_paths.iter().any(|p| p == rel) {
-        report.violations.push(Violation {
-            rule: "L4",
-            file: rel.to_string(),
-            line: 1,
-            message: format!(
-                "file uses atomics but has no entry in the loom-coverage \
-                 manifest (docs/LOOM_COVERAGE.toml); claim it with a \
-                 `[[entry]]` whose path = \"{rel}\""
-            ),
-        });
-    }
-
     scan
 }
 
-/// Field scan for files outside the runtime dirs (e.g. the ft-sync
-/// facade): only L7 claim data is collected, no rules fire.
-pub fn field_scan_only(src: &str, rel: &str) -> FileScan {
-    let lines = lex(src);
-    let test_start = test_region_start(&lines).unwrap_or(lines.len());
-    let items = parser::parse_items(&lines[..test_start]);
-    FileScan {
-        fences: Vec::new(),
-        fields: items
-            .fields
-            .iter()
-            .map(|f| ScannedField {
-                key: f.key(rel),
-                line: f.line,
-                waiver: waiver_reason(&lines, f.line - 1, "L7"),
-            })
-            .collect(),
-    }
-}
-
-/// The cross-file rules: L6 fence pairing, L7 manifest claims, L8
-/// loom-claim freshness. Pure over the scan + inputs so tests can drive
-/// it without a workspace.
+/// The cross-file rules: L4 coverage, L6 fence pairing, L7 manifest
+/// claims, L8 stamp freshness. Pure over the scan + inputs so tests can
+/// drive it without a workspace.
 pub fn global_pass(scan: &WorkspaceScan, inputs: &GlobalInputs<'_>, report: &mut Report) {
+    let protocols = &inputs.protocols.protocols;
+    let manifest = inputs.protocols_rel;
+
+    // --- L4: coverage ----------------------------------------------------
+    let covered: BTreeSet<&str> = protocols.iter().flat_map(|p| p.covered_files()).collect();
+    for (file, file_scan) in &scan.files {
+        if file_scan.uses_atomics && !covered.contains(file.as_str()) {
+            let message = format!(
+                "file uses atomics but no [[protocol]] in {manifest} covers \
+                 it — claim its atomic fields there, or list it under the \
+                 `files` of each protocol it takes part in"
+            );
+            finding(report, "L4", file, 1, message, None);
+        }
+    }
+
     // --- L6: pairing -----------------------------------------------------
     // Sides per protocol across the whole workspace; pairing means the
     // protocol has at least two distinct sides (Dekker-style fences come
     // in registrant/drainer, writer/reader, ... pairs or better).
+    let fences = || {
+        scan.files
+            .iter()
+            .flat_map(|(file, s)| s.fences.iter().map(move |f| (file, f)))
+    };
     let mut sides: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    for (_, fence) in &scan.fences {
+    for (_, fence) in fences() {
         sides
             .entry(fence.tag.protocol.as_str())
             .or_default()
             .insert(fence.tag.side.as_str());
     }
-    for (file, fence) in &scan.fences {
+    for (file, fence) in fences() {
         let tag = &fence.tag;
         let problem = if inputs.protocols.by_name(&tag.protocol).is_none() {
             Some(format!(
                 "fence tag `sc: {}/{}` names a protocol not declared in \
-                 {} — add a [[protocol]] entry",
-                tag.protocol, tag.side, inputs.protocols_rel
+                 {manifest} — add a [[protocol]] entry",
+                tag.protocol, tag.side
             ))
         } else if sides[tag.protocol.as_str()].len() < 2 {
             Some(format!(
@@ -624,7 +556,12 @@ pub fn global_pass(scan: &WorkspaceScan, inputs: &GlobalInputs<'_>, report: &mut
     }
 
     // --- L7: claims ------------------------------------------------------
-    for (file, field) in &scan.fields {
+    let fields = || {
+        scan.files
+            .iter()
+            .flat_map(|(file, s)| s.fields.iter().map(move |f| (file, f)))
+    };
+    for (file, field) in fields() {
         if inputs.protocols.claimant(&field.key).is_none() {
             finding(
                 report,
@@ -633,171 +570,114 @@ pub fn global_pass(scan: &WorkspaceScan, inputs: &GlobalInputs<'_>, report: &mut
                 field.line,
                 format!(
                     "atomic field `{}` is not claimed by any [[protocol]] \
-                     in {} — map it to a protocol, ALGORITHM.md anchor and \
-                     loom suite",
-                    field.key, inputs.protocols_rel
+                     in {manifest} — map it to a protocol, ALGORITHM.md \
+                     anchor and loom suite",
+                    field.key
                 ),
                 field.waiver.as_ref(),
             );
         }
     }
-    let declared: BTreeSet<&str> = scan.fields.iter().map(|(_, f)| f.key.as_str()).collect();
-    for protocol in &inputs.protocols.protocols {
+    let declared: BTreeSet<&str> = fields().map(|(_, f)| f.key.as_str()).collect();
+    for protocol in protocols {
+        let mut manifest_finding =
+            |line, message| finding(report, "L7", manifest, line, message, None);
         if protocol.name.is_empty() {
-            finding(
-                report,
-                "L7",
-                inputs.protocols_rel,
-                protocol.line,
-                "[[protocol]] without a name".to_string(),
-                None,
-            );
+            manifest_finding(protocol.line, "[[protocol]] without a name".to_string());
             continue;
         }
+        let name = &protocol.name;
         for (key, line) in &protocol.fields {
             if !declared.contains(key.as_str()) {
-                finding(
-                    report,
-                    "L7",
-                    inputs.protocols_rel,
+                manifest_finding(
                     *line,
                     format!(
-                        "dangling claim: protocol `{}` claims `{key}` but \
-                         no scanned runtime struct declares it",
-                        protocol.name
+                        "dangling claim: protocol `{name}` claims `{key}` but \
+                         no scanned runtime struct declares it"
                     ),
-                    None,
                 );
             }
         }
-        match (inputs.algorithm_src, protocol.anchor.as_str()) {
-            (_, "") => finding(
-                report,
-                "L7",
-                inputs.protocols_rel,
-                protocol.line,
-                format!("protocol `{}` has no ALGORITHM.md anchor", protocol.name),
-                None,
-            ),
-            (None, _) => finding(
-                report,
-                "L7",
-                inputs.protocols_rel,
-                protocol.line,
-                format!(
-                    "protocol `{}`: ALGORITHM.md is unreadable, anchor \
-                     `{}` cannot be verified",
-                    protocol.name, protocol.anchor
-                ),
-                None,
-            ),
-            (Some(doc), anchor) if !doc.contains(&format!("<a id=\"{anchor}\"")) => finding(
-                report,
-                "L7",
-                inputs.protocols_rel,
-                protocol.line,
-                format!(
-                    "protocol `{}`: anchor `{anchor}` not found in \
-                     ALGORITHM.md (expected `<a id=\"{anchor}\">` at the \
-                     section heading)",
-                    protocol.name
-                ),
-                None,
-            ),
-            _ => {}
+        let anchor = &protocol.anchor;
+        let anchor_problem = match inputs.algorithm_src {
+            _ if anchor.is_empty() => Some(format!("protocol `{name}` has no ALGORITHM.md anchor")),
+            None => Some(format!(
+                "protocol `{name}`: ALGORITHM.md is unreadable, anchor \
+                 `{anchor}` cannot be verified"
+            )),
+            Some(doc) if !doc.contains(&format!("<a id=\"{anchor}\"")) => Some(format!(
+                "protocol `{name}`: anchor `{anchor}` not found in \
+                 ALGORITHM.md (expected `<a id=\"{anchor}\">` at the \
+                 section heading)"
+            )),
+            Some(_) => None,
+        };
+        if let Some(message) = anchor_problem {
+            manifest_finding(protocol.line, message);
         }
         for suite in &protocol.loom {
-            if (inputs.read)(suite).is_none() {
-                finding(
-                    report,
-                    "L7",
-                    inputs.protocols_rel,
+            if !(inputs.exists)(suite) {
+                manifest_finding(
                     protocol.line,
-                    format!(
-                        "protocol `{}`: loom suite `{suite}` does not exist",
-                        protocol.name
-                    ),
-                    None,
+                    format!("protocol `{name}`: loom suite `{suite}` does not exist"),
                 );
             }
         }
         if protocol.loom.is_empty() && protocol.notes.is_empty() {
-            finding(
-                report,
-                "L7",
-                inputs.protocols_rel,
+            manifest_finding(
+                protocol.line,
+                format!("protocol `{name}` has no loom suite and no notes justifying its absence"),
+            );
+        }
+
+        // --- L8: stamps ---------------------------------------------------
+        let mut stamp_finding =
+            |line, message| finding(report, "L8", manifest, line, message, None);
+        let unscanned: Vec<&(String, usize)> = protocol
+            .files
+            .iter()
+            .filter(|(f, _)| !scan.files.contains_key(f))
+            .collect();
+        for (file, line) in &unscanned {
+            stamp_finding(
+                *line,
+                format!(
+                    "protocol `{name}` lists `{file}`, which does not exist \
+                     under the runtime or field dirs; its stamp cannot be \
+                     checked"
+                ),
+            );
+        }
+        let files = protocol.covered_files();
+        if !unscanned.is_empty() || files.is_empty() {
+            continue; // nothing to stamp, or a stamp that cannot be fresh
+        }
+        let suites = if protocol.loom.is_empty() {
+            "none; re-check its notes".to_string()
+        } else {
+            protocol.loom.join(", ")
+        };
+        let fresh = manifest::stamp(scan, files.iter().copied());
+        match &protocol.stamp {
+            None => stamp_finding(
                 protocol.line,
                 format!(
-                    "protocol `{}` has no loom suite and no notes \
-                     justifying its absence",
-                    protocol.name
+                    "protocol `{name}` has no stamp — run `cargo run -p \
+                     ft-lint -- --restamp` after verifying its loom suites \
+                     ({suites}) still cover its files"
                 ),
-                None,
-            );
-        }
-    }
-
-    // --- L8: freshness ---------------------------------------------------
-    for entry in &inputs.loom.entries {
-        for model in &entry.models {
-            if (inputs.read)(model).is_none() {
-                finding(
-                    report,
-                    "L8",
-                    inputs.loom_rel,
-                    entry.line,
-                    format!(
-                        "entry for `{}`: loom model `{model}` does not exist",
-                        entry.path
-                    ),
-                    None,
-                );
-            }
-        }
-        let Some(src) = (inputs.read)(&entry.path) else {
-            finding(
-                report,
-                "L8",
-                inputs.loom_rel,
-                entry.line,
-                format!("entry claims `{}`, which does not exist", entry.path),
-                None,
-            );
-            continue;
-        };
-        let fresh = manifest::protocol_fingerprint(&src);
-        match &entry.fingerprint {
-            None => finding(
-                report,
-                "L8",
-                inputs.loom_rel,
-                entry.line,
-                format!(
-                    "entry for `{}` has no fingerprint — run \
-                     `cargo run -p ft-lint -- --restamp` after verifying \
-                     the loom models still cover the file",
-                    entry.path
-                ),
-                None,
             ),
-            Some(old) if *old != fresh => finding(
-                report,
-                "L8",
-                entry
-                    .fingerprint_line
-                    .map(|_| inputs.loom_rel)
-                    .unwrap_or(inputs.loom_rel),
-                entry.fingerprint_line.unwrap_or(entry.line),
+            Some((old, line)) if *old != fresh => stamp_finding(
+                *line,
                 format!(
-                    "stale fingerprint for `{}` (stamped {old}, now \
-                     {fresh}): its atomic/unsafe/fence lines changed — \
-                     re-verify the claimed loom models, then run \
-                     `cargo run -p ft-lint -- --restamp`",
-                    entry.path
+                    "stale stamp for protocol `{name}` (stamped {old}, now \
+                     {fresh}): protocol lines in {} changed — re-run its \
+                     loom suites ({suites}), then `cargo run -p ft-lint -- \
+                     --restamp`",
+                    files.into_iter().collect::<Vec<_>>().join(", ")
                 ),
-                None,
             ),
-            _ => {}
+            Some(_) => {}
         }
     }
 }
@@ -854,51 +734,17 @@ fn emit(
     }
 }
 
-/// Text of the contiguous comment block immediately above `idx`,
-/// skipping attribute-only lines (so `#[inline]` between the comment and
-/// the item does not sever them).
-fn block_comment_above(lines: &[Line], idx: usize) -> String {
-    let mut text = String::new();
-    let mut i = idx;
-    while i > 0 {
-        i -= 1;
-        let l = &lines[i];
-        if l.is_comment_only() || l.is_attr_only() {
-            let _ = write!(text, "{} ", l.comment);
-        } else {
-            break;
-        }
-    }
-    text
-}
-
 /// The waiver reason for `rule` at line `idx`, if a well-formed
 /// `ft-lint: allow(RULE) <reason>` comment covers it (same line or in the
 /// comment block immediately above). A waiver without a reason is invalid
 /// and does not suppress.
 fn waiver_reason(lines: &[Line], idx: usize, rule: &str) -> Option<String> {
     let needle = format!("ft-lint: allow({rule})");
-    let probe = |comment: &str| -> Option<String> {
+    covering_comments(lines, idx).find_map(|comment| {
         let at = comment.find(&needle)?;
         let reason = comment[at + needle.len()..].trim();
         (!reason.is_empty()).then(|| reason.to_string())
-    };
-    if let Some(r) = probe(&lines[idx].comment) {
-        return Some(r);
-    }
-    let mut i = idx;
-    while i > 0 {
-        i -= 1;
-        let l = &lines[i];
-        if l.is_comment_only() || l.is_attr_only() {
-            if let Some(r) = probe(&l.comment) {
-                return Some(r);
-            }
-        } else {
-            break;
-        }
-    }
-    None
+    })
 }
 
 /// All `Ordering::<Ident>` tokens on a code line.
@@ -1053,7 +899,7 @@ mod tests {
 
     fn lint_str(src: &str, ordering: bool, hot: bool) -> Report {
         let mut r = Report::default();
-        lint_file("test.rs", src, ordering, hot, &[], &mut r);
+        lint_file("test.rs", src, ordering, hot, &mut r);
         r
     }
 
@@ -1110,21 +956,28 @@ mod tests {
 
     #[test]
     fn l3_flags_direct_import_and_facade_passes() {
-        let r = lint_str("use std::sync::atomic::AtomicUsize;\n", false, false);
-        assert_eq!(r.violations.len(), 2, "L3 plus unclaimed-L4");
+        let mut r = Report::default();
+        let scan = lint_file(
+            "test.rs",
+            "use std::sync::atomic::AtomicUsize;\n",
+            false,
+            false,
+            &mut r,
+        );
+        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
         assert_eq!(r.violations[0].rule, "L3");
-        assert_eq!(r.violations[1].rule, "L4");
+        assert!(scan.uses_atomics, "L4 still sees the atomics");
 
         let mut r = Report::default();
-        lint_file(
+        let scan = lint_file(
             "test.rs",
             "use ft_sync::atomic::AtomicUsize;\n",
             false,
             false,
-            &["test.rs".to_string()],
             &mut r,
         );
         assert!(r.violations.is_empty());
+        assert!(scan.uses_atomics);
     }
 
     #[test]
@@ -1158,7 +1011,6 @@ mod tests {
             "fn f() {\n    // sc: notify/registrant — pairs with the drainer.\n    fence(Ordering::SeqCst);\n}\n",
             false,
             false,
-            &[],
             &mut r,
         );
         assert!(r.violations.is_empty(), "{:?}", r.violations);
@@ -1208,19 +1060,17 @@ mod tests {
 
     #[test]
     fn global_pass_pairs_fences_and_checks_claims() {
+        // The stamp is FNV-1a's offset basis: a.rs has no protocol lines.
         let protocols = Protocols::parse(
-            "[[protocol]]\nname = \"notify\"\nanchor = \"notify-gate\"\nloom = [\"tests/loom_notify.rs\"]\nfields = [\"a.rs::S::flag\"]\nnotes = \"n\"\n",
+            "[[protocol]]\nname = \"notify\"\nstamp = \"cbf29ce484222325\"\nanchor = \"notify-gate\"\nloom = [\"tests/loom_notify.rs\"]\nfields = [\"a.rs::S::flag\"]\nnotes = \"n\"\n",
         );
-        let loom = LoomManifest::parse("");
         let algorithm = "## Gate <a id=\"notify-gate\"></a>\n";
-        let read = |path: &str| (path == "tests/loom_notify.rs").then(|| String::from("// model"));
+        let exists = |path: &str| path == "tests/loom_notify.rs";
         let inputs = GlobalInputs {
             protocols: &protocols,
             protocols_rel: "PROTOCOLS.toml",
-            loom: &loom,
-            loom_rel: "LOOM.toml",
             algorithm_src: Some(algorithm),
-            read: &read,
+            exists: &exists,
         };
 
         // Paired fences + claimed field: clean.
@@ -1251,6 +1101,7 @@ mod tests {
                     line: 1,
                     waiver: None,
                 }],
+                ..FileScan::default()
             },
         );
         let mut r = Report::default();
@@ -1286,6 +1137,7 @@ mod tests {
                     line: 5,
                     waiver: None,
                 }],
+                ..FileScan::default()
             },
         );
         let mut r = Report::default();
@@ -1312,28 +1164,26 @@ mod tests {
 
     #[test]
     fn global_pass_checks_anchor_loom_and_freshness() {
-        let protocols = Protocols::parse(
-            "[[protocol]]\nname = \"p\"\nanchor = \"absent\"\nloom = [\"nope.rs\"]\nfields = []\nnotes = \"\"\n",
-        );
-        let loom = LoomManifest::parse(
-            "[[entry]]\npath = \"x.rs\"\nmodels = []\n\n[[entry]]\npath = \"y.rs\"\nfingerprint = \"dead\"\nmodels = []\n",
-        );
-        let read = |path: &str| match path {
-            "x.rs" | "y.rs" => Some(String::from(
-                "fn f(a: &AtomicU64) { a.store(1, Ordering::SeqCst); }\n",
-            )),
-            _ => None,
+        let atomics = |lines: &str| FileScan {
+            uses_atomics: true,
+            protocol_lines: lines.to_string(),
+            ..FileScan::default()
         };
+        let mut scan = WorkspaceScan::default();
+        scan.add("x.rs", atomics("a.store(1, Ordering::SeqCst);\n"));
+        scan.add("y.rs", atomics("a.store(2, Ordering::SeqCst);\n"));
+        scan.add("z.rs", atomics("a.store(3, Ordering::SeqCst);\n"));
+        let protocols = Protocols::parse(
+            "[[protocol]]\nname = \"p\"\nanchor = \"absent\"\nloom = [\"nope.rs\"]\nfields = []\nfiles = [\"x.rs\"]\nnotes = \"\"\n\n[[protocol]]\nname = \"q\"\nstamp = \"dead\"\nanchor = \"absent\"\nloom = []\nfiles = [\"y.rs\", \"gone.rs\"]\nnotes = \"n\"\n\n[[protocol]]\nname = \"r\"\nstamp = \"dead\"\nanchor = \"absent\"\nloom = []\nfiles = [\"y.rs\"]\nnotes = \"n\"\n",
+        );
         let inputs = GlobalInputs {
             protocols: &protocols,
             protocols_rel: "PROTOCOLS.toml",
-            loom: &loom,
-            loom_rel: "LOOM.toml",
             algorithm_src: Some("# no anchors here"),
-            read: &read,
+            exists: &|_| false,
         };
         let mut r = Report::default();
-        global_pass(&WorkspaceScan::default(), &inputs, &mut r);
+        global_pass(&scan, &inputs, &mut r);
         let msgs: Vec<&str> = r.violations.iter().map(|v| v.message.as_str()).collect();
         assert!(
             msgs.iter().any(|m| m.contains("anchor `absent` not found")),
@@ -1344,12 +1194,30 @@ mod tests {
             "{msgs:?}"
         );
         assert!(
-            msgs.iter().any(|m| m.contains("no fingerprint")),
-            "unstamped entry: {msgs:?}"
+            msgs.iter().any(|m| m.contains("protocol `p` has no stamp")),
+            "unstamped protocol: {msgs:?}"
         );
         assert!(
-            msgs.iter().any(|m| m.contains("stale fingerprint")),
-            "stale entry: {msgs:?}"
+            msgs.iter()
+                .any(|m| m.contains("`gone.rs`, which does not exist")),
+            "listed file missing: {msgs:?}"
+        );
+        assert!(
+            msgs.iter()
+                .any(|m| m.contains("stale stamp for protocol `r`")),
+            "stale protocol: {msgs:?}"
+        );
+        let l4: Vec<&str> = r
+            .violations
+            .iter()
+            .filter(|v| v.rule == "L4")
+            .map(|v| v.file.as_str())
+            .collect();
+        assert_eq!(l4, vec!["z.rs"], "x.rs and y.rs are covered");
+        assert_eq!(
+            r.violations.iter().filter(|v| v.rule == "L8").count(),
+            3,
+            "q's stale stamp goes unchecked while gone.rs is missing: {msgs:?}"
         );
     }
 
@@ -1373,7 +1241,6 @@ mod tests {
             "fn f() { unsafe { g(\"q\\\"\") } }\n",
             false,
             false,
-            &[],
             &mut r,
         );
         let json = r.render_json();

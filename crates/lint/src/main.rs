@@ -5,7 +5,7 @@
 //! cargo run -p ft-lint -- --deny       # exit 1 on any violation (CI gate)
 //! cargo run -p ft-lint -- --json      # machine-readable report on stdout
 //! cargo run -p ft-lint -- --root X    # lint workspace rooted at X
-//! cargo run -p ft-lint -- --restamp   # refresh LOOM_COVERAGE fingerprints
+//! cargo run -p ft-lint -- --restamp   # refresh PROTOCOLS.toml stamps
 //! ```
 
 use ft_lint::{manifest, run, Config};
@@ -45,10 +45,10 @@ fn main() -> ExitCode {
     let root = root.canonicalize().unwrap_or(root);
     let config = Config::workspace(root);
     if restamp {
-        // Refresh fingerprints first so a combined `--restamp --deny` run
-        // lints the freshly stamped manifest.
-        match manifest::restamp(&config.root, &config.manifest) {
-            Ok(n) => eprintln!("ft-lint: restamped {n} loom-coverage entr(y/ies)"),
+        // Refresh stamps first so a combined `--restamp --deny` run lints
+        // the freshly stamped manifest.
+        match manifest::restamp(&config) {
+            Ok(n) => eprintln!("ft-lint: restamped {n} protocol(s)"),
             Err(e) => {
                 eprintln!("ft-lint: --restamp failed: {e}");
                 return ExitCode::from(2);

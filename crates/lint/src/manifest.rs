@@ -1,82 +1,17 @@
-//! Manifest handling: `docs/LOOM_COVERAGE.toml` (rules L4/L8) and
-//! `docs/PROTOCOLS.toml` (rules L6/L7), plus the protocol-content
-//! fingerprints behind `ft-lint --restamp`.
+//! The protocol manifest `docs/PROTOCOLS.toml` (rules L4, L6, L7, L8)
+//! and the protocol-content stamps behind `ft-lint --restamp`.
 //!
-//! Both files are parsed with the same hand-rolled TOML subset PR 5 used
-//! for the coverage manifest (the workspace builds offline, so no `toml`
-//! crate): `[[table]]` arrays whose entries hold string keys and
-//! (possibly multiline) string arrays. Everything the linter does not
-//! understand is preserved verbatim by the restamp rewriter.
+//! The manifest is parsed with a hand-rolled TOML subset (the workspace
+//! builds offline, so no `toml` crate): `[[protocol]]` arrays whose
+//! entries hold string keys and (possibly multiline) string arrays.
+//! Everything the linter does not understand is preserved verbatim by the
+//! restamp rewriter.
 
-use crate::lexer::{has_word, lex, test_region_start, Line};
+use crate::lexer::{has_word, Line};
 use crate::parser::ATOMIC_TYPES;
+use crate::{scan_workspace, Config, Report, WorkspaceScan};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::path::Path;
-
-/// One `[[entry]]` of `docs/LOOM_COVERAGE.toml`.
-#[derive(Debug, Clone, Default)]
-pub struct LoomEntry {
-    /// Claimed file, repo-relative.
-    pub path: String,
-    /// 1-based line of the `[[entry]]` header.
-    pub line: usize,
-    /// Loom model files exercising the claimed protocol.
-    pub models: Vec<String>,
-    /// Freshness stamp: FNV-1a 64 over the file's protocol lines, or
-    /// `None` for a not-yet-stamped entry (rule L8 flags it).
-    pub fingerprint: Option<String>,
-    /// 1-based line of the `fingerprint` key (for diagnostics/rewrites).
-    pub fingerprint_line: Option<usize>,
-}
-
-/// Parsed loom-coverage manifest.
-#[derive(Debug, Clone, Default)]
-pub struct LoomManifest {
-    /// Entries in file order.
-    pub entries: Vec<LoomEntry>,
-}
-
-impl LoomManifest {
-    /// Parse the manifest source. Unknown keys are ignored.
-    pub fn parse(src: &str) -> Self {
-        let mut m = LoomManifest::default();
-        let mut array_key: Option<String> = None;
-        for (idx, raw) in src.lines().enumerate() {
-            let t = strip_toml_comment(raw);
-            if let Some(key) = continue_array(&mut array_key, t, &mut m.entries, idx) {
-                array_key = key;
-                continue;
-            }
-            if t == "[[entry]]" {
-                m.entries.push(LoomEntry {
-                    line: idx + 1,
-                    ..LoomEntry::default()
-                });
-                continue;
-            }
-            let Some(last) = m.entries.last_mut() else {
-                continue;
-            };
-            if let Some(v) = string_value(t, "path") {
-                last.path = v;
-            } else if let Some(v) = string_value(t, "fingerprint") {
-                last.fingerprint = Some(v);
-                last.fingerprint_line = Some(idx + 1);
-            } else if let Some(rest) = array_start(t, "models") {
-                last.models.extend(string_items(rest));
-                if !rest.trim_end().ends_with(']') {
-                    array_key = Some("models".to_string());
-                }
-            }
-        }
-        m
-    }
-
-    /// The entry claiming `rel`, if any.
-    pub fn entry_for(&self, rel: &str) -> Option<&LoomEntry> {
-        self.entries.iter().find(|e| e.path == rel)
-    }
-}
 
 /// One `[[protocol]]` of `docs/PROTOCOLS.toml`.
 #[derive(Debug, Clone, Default)]
@@ -92,8 +27,36 @@ pub struct Protocol {
     /// Claimed atomic fields: `(key, manifest_line)` with keys shaped
     /// `<file>::<Struct>::<field>`.
     pub fields: Vec<(String, usize)>,
+    /// Runtime files that take part in the protocol without declaring
+    /// its fields: `(path, manifest_line)`.
+    pub files: Vec<(String, usize)>,
+    /// Freshness stamp and its 1-based line, or `None` when unstamped
+    /// (rule L8 flags it).
+    pub stamp: Option<(String, usize)>,
     /// Why no loom suite, when `loom` is empty.
     pub notes: String,
+}
+
+impl Protocol {
+    /// Every file the protocol covers: its fields' files and `files`, in
+    /// path order. The stamp hashes these; rule L4 asks every runtime
+    /// file with atomics to be in some protocol's set.
+    pub fn covered_files(&self) -> BTreeSet<&str> {
+        let field_files = self.fields.iter().filter_map(|(k, _)| k.split_once("::"));
+        field_files
+            .map(|(file, _)| file)
+            .chain(self.files.iter().map(|(f, _)| f.as_str()))
+            .collect()
+    }
+
+    /// Append the items of one (partial) line of array `key`.
+    fn extend(&mut self, key: &str, items: Vec<String>, line: usize) {
+        match key {
+            "loom" => self.loom.extend(items),
+            "fields" => self.fields.extend(items.into_iter().map(|s| (s, line))),
+            _ => self.files.extend(items.into_iter().map(|s| (s, line))),
+        }
+    }
 }
 
 /// Parsed protocol manifest.
@@ -107,50 +70,44 @@ impl Protocols {
     /// Parse the manifest source. Unknown keys are ignored.
     pub fn parse(src: &str) -> Self {
         let mut m = Protocols::default();
-        let mut array_key: Option<String> = None;
+        let mut open_array: Option<&str> = None;
         for (idx, raw) in src.lines().enumerate() {
             let t = strip_toml_comment(raw);
-            if let Some(last) = m.protocols.last_mut() {
-                if let Some(key) = &array_key {
-                    let items = string_items(t);
-                    match key.as_str() {
-                        "loom" => last.loom.extend(items),
-                        _ => last.fields.extend(items.into_iter().map(|s| (s, idx + 1))),
-                    }
-                    if t.contains(']') {
-                        array_key = None;
-                    }
-                    continue;
-                }
-            }
             if t == "[[protocol]]" {
                 m.protocols.push(Protocol {
                     line: idx + 1,
                     ..Protocol::default()
                 });
+                open_array = None;
                 continue;
             }
             let Some(last) = m.protocols.last_mut() else {
                 continue;
             };
-            if let Some(v) = string_value(t, "name") {
-                last.name = v;
-            } else if let Some(v) = string_value(t, "anchor") {
-                last.anchor = v;
-            } else if let Some(v) = string_value(t, "notes") {
-                last.notes = v;
-            } else if let Some(rest) = array_start(t, "loom") {
-                last.loom.extend(string_items(rest));
-                if !rest.trim_end().ends_with(']') {
-                    array_key = Some("loom".to_string());
-                }
-            } else if let Some(rest) = array_start(t, "fields") {
-                last.fields
-                    .extend(string_items(rest).into_iter().map(|s| (s, idx + 1)));
-                if !rest.trim_end().ends_with(']') {
-                    array_key = Some("fields".to_string());
-                }
-            }
+            let (key, rest) = match open_array {
+                Some(key) => (key, t),
+                None => match ["loom", "fields", "files"]
+                    .into_iter()
+                    .find_map(|k| Some((k, array_start(t, k)?)))
+                {
+                    Some(opened) => opened,
+                    None => {
+                        let value = |key| string_value(t, key);
+                        if let Some(v) = value("name") {
+                            last.name = v;
+                        } else if let Some(v) = value("anchor") {
+                            last.anchor = v;
+                        } else if let Some(v) = value("notes") {
+                            last.notes = v;
+                        } else if let Some(v) = value("stamp") {
+                            last.stamp = Some((v, idx + 1));
+                        }
+                        continue;
+                    }
+                },
+            };
+            last.extend(key, string_items(rest), idx + 1);
+            open_array = (!rest.contains(']')).then_some(key);
         }
         m
     }
@@ -166,28 +123,6 @@ impl Protocols {
             .iter()
             .find(|p| p.fields.iter().any(|(f, _)| f == key))
     }
-}
-
-/// `LoomManifest::parse` helper: consume one line of an open multiline
-/// `models = [` array. Returns `Some(next_state)` when the line belonged
-/// to the array.
-fn continue_array(
-    array_key: &mut Option<String>,
-    t: &str,
-    entries: &mut [LoomEntry],
-    _idx: usize,
-) -> Option<Option<String>> {
-    if array_key.is_none() {
-        return None;
-    }
-    if let Some(last) = entries.last_mut() {
-        last.models.extend(string_items(t));
-    }
-    Some(if t.contains(']') {
-        None
-    } else {
-        array_key.take()
-    })
 }
 
 /// Strip a trailing `#` TOML comment (quote-aware) and trim.
@@ -232,32 +167,11 @@ fn string_items(t: &str) -> Vec<String> {
     out
 }
 
-/// FNV-1a 64 of the file's **protocol lines**: every non-test code line
-/// that mentions an atomic type, an `Ordering::`, a `fence` call or
-/// `unsafe`. Comment edits (tags, docs) never disturb the stamp; touching
-/// the atomics/unsafe themselves always does.
-pub fn protocol_fingerprint(src: &str) -> String {
-    let lines = lex(src);
-    let test_start = test_region_start(&lines).unwrap_or(lines.len());
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut feed = |s: &str| {
-        for b in s.bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for line in &lines[..test_start] {
-        if is_protocol_line(line) {
-            feed(line.code.trim());
-            feed("\n");
-        }
-    }
-    format!("{hash:016x}")
-}
-
-/// Does this line carry protocol-relevant code (see
-/// [`protocol_fingerprint`])?
-fn is_protocol_line(line: &Line) -> bool {
+/// Is this a **protocol line** — a non-test code line that mentions an
+/// atomic type, an `Ordering::`, a `fence` call or `unsafe`? Comment
+/// edits (tags, docs) never disturb a stamp; touching the
+/// atomics/unsafe themselves always does.
+pub(crate) fn is_protocol_line(line: &Line) -> bool {
     let code = &line.code;
     if code.contains("Ordering::") || has_word(code, "unsafe") || has_word(code, "fence") {
         return true;
@@ -265,46 +179,69 @@ fn is_protocol_line(line: &Line) -> bool {
     ATOMIC_TYPES.iter().any(|t| has_word(code, t))
 }
 
-/// Rewrite `docs/LOOM_COVERAGE.toml` in place with fresh fingerprints for
-/// every entry whose claimed file exists under `root`. Returns the number
-/// of entries whose stamp changed (added or updated). Everything except
-/// `fingerprint` lines is preserved byte-for-byte.
-pub fn restamp(root: &Path, manifest_rel: &Path) -> std::io::Result<usize> {
-    let manifest_path = root.join(manifest_rel);
-    let src = std::fs::read_to_string(&manifest_path)?;
+/// FNV-1a 64 over the protocol lines of `files`, in the given order, as
+/// the per-file pass collected them. Files missing from `scan` add
+/// nothing (rules L7 and L8 report them).
+pub(crate) fn stamp<'a>(scan: &WorkspaceScan, files: impl IntoIterator<Item = &'a str>) -> String {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for file in files {
+        let Some(file_scan) = scan.files.get(file) else {
+            continue;
+        };
+        for b in file_scan.protocol_lines.bytes() {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    format!("{hash:016x}")
+}
+
+/// `src` with every protocol's `stamp` line rewritten from `scan`; a
+/// missing stamp goes directly below the protocol's `name`. A protocol
+/// that covers no file gets none. Returns the new source and the number
+/// of stamps added or changed. Everything except `stamp` lines is
+/// preserved byte-for-byte.
+pub fn restamp_source(src: &str, scan: &WorkspaceScan) -> (String, usize) {
+    let protocols = Protocols::parse(src).protocols;
+    let mut headers = protocols.iter();
     let mut out = String::with_capacity(src.len() + 256);
     let mut changed = 0usize;
-    let mut pending_path: Option<String> = None;
-
-    // Emit (or replace) the fingerprint line directly after `path = ...`,
-    // so stamps sit next to what they stamp.
+    let mut current: Option<&Protocol> = None;
     for raw in src.lines() {
         let t = strip_toml_comment(raw);
-        if string_value(t, "fingerprint").is_some() {
+        if string_value(t, "stamp").is_some() {
             continue; // old stamp: superseded below
         }
         let _ = writeln!(out, "{raw}");
-        if let Some(path) = string_value(t, "path") {
-            pending_path = Some(path);
+        if t == "[[protocol]]" {
+            current = headers.next();
         }
-        if let Some(path) = pending_path.take() {
-            let file = root.join(&path);
-            if let Ok(claimed_src) = std::fs::read_to_string(&file) {
-                let fp = protocol_fingerprint(&claimed_src);
-                let old = LoomManifest::parse(&src)
-                    .entry_for(&path)
-                    .and_then(|e| e.fingerprint.clone());
-                if old.as_deref() != Some(fp.as_str()) {
-                    changed += 1;
-                }
-                let _ = writeln!(out, "fingerprint = \"{fp}\"");
-            }
-            // A claim on a missing file gets no stamp; rule L8 reports
-            // the dangling entry itself.
+        let Some(protocol) = current.filter(|_| string_value(t, "name").is_some()) else {
+            continue;
+        };
+        let files = protocol.covered_files();
+        if files.is_empty() {
+            continue;
         }
+        let fresh = stamp(scan, files);
+        if protocol.stamp.as_ref().map(|(s, _)| s) != Some(&fresh) {
+            changed += 1;
+        }
+        let _ = writeln!(out, "stamp = \"{fresh}\"");
     }
+    (out, changed)
+}
+
+/// Rewrite `config.protocols` in place with fresh stamps (see
+/// [`restamp_source`]) from a scan of the tree. Returns the number of
+/// stamps added or changed.
+pub fn restamp(config: &Config) -> std::io::Result<usize> {
+    let path = config.root.join(&config.protocols);
+    let src = std::fs::read_to_string(&path)?;
+    let scan = scan_workspace(config, &mut Report::default())?;
+    let (out, changed) = restamp_source(&src, &scan);
     if out != src {
-        std::fs::write(&manifest_path, out)?;
+        std::fs::write(&path, out)?;
     }
     Ok(changed)
 }
@@ -312,33 +249,8 @@ pub fn restamp(root: &Path, manifest_rel: &Path) -> std::io::Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const LOOM: &str = r#"
-# header comment
-[[entry]]
-path = "a/b.rs"
-fingerprint = "00ff"
-models = ["m/one.rs"]
-notes = "x"
-
-[[entry]]
-path = "c/d.rs"
-models = [
-    "m/one.rs",
-    "m/two.rs",
-]
-"#;
-
-    #[test]
-    fn parses_loom_entries_with_multiline_models() {
-        let m = LoomManifest::parse(LOOM);
-        assert_eq!(m.entries.len(), 2);
-        assert_eq!(m.entries[0].path, "a/b.rs");
-        assert_eq!(m.entries[0].fingerprint.as_deref(), Some("00ff"));
-        assert_eq!(m.entries[1].fingerprint, None);
-        assert_eq!(m.entries[1].models, vec!["m/one.rs", "m/two.rs"]);
-        assert!(m.entry_for("c/d.rs").is_some());
-    }
+    use crate::lint_file;
+    use std::path::PathBuf;
 
     const PROTO: &str = r#"
 [[protocol]]
@@ -375,28 +287,44 @@ notes = "relaxed counters, read at quiescence"
     }
 
     #[test]
+    fn parses_protocol_files_and_stamp() {
+        let src = "[[protocol]]\nname = \"gate\"\nstamp = \"00ff\"\nloom = [\n    \"m/one.rs\",\n    \"m/two.rs\",\n]\nfields = [\"b/x.rs::S::f\", \"a/y.rs::T::g\"]\nfiles = [\n    \"c/d.rs\", # takes part, declares nothing\n]\n\n[[protocol]]\nname = \"bare\"\n";
+        let p = Protocols::parse(src);
+        let gate = &p.protocols[0];
+        assert_eq!(gate.stamp, Some(("00ff".to_string(), 3)));
+        assert_eq!(gate.loom, vec!["m/one.rs", "m/two.rs"]);
+        assert_eq!(gate.files, vec![("c/d.rs".to_string(), 10)]);
+        let covered: Vec<&str> = gate.covered_files().into_iter().collect();
+        assert_eq!(covered, vec!["a/y.rs", "b/x.rs", "c/d.rs"], "path order");
+        assert_eq!(p.protocols[1].stamp, None);
+        assert!(p.protocols[1].covered_files().is_empty());
+    }
+
+    /// The stamp of `src` scanned as a single file.
+    fn fp(src: &str) -> String {
+        let mut ws = WorkspaceScan::default();
+        ws.add(
+            "f.rs",
+            lint_file("f.rs", src, true, false, &mut Report::default()),
+        );
+        stamp(&ws, ["f.rs"])
+    }
+
+    #[test]
     fn fingerprint_tracks_code_not_comments() {
         let a = "fn f(x: &AtomicU64) {\n    x.store(1, Ordering::Release);\n}\n";
         let with_comment =
             "fn f(x: &AtomicU64) {\n    // ord: Release — publish.\n    x.store(1, Ordering::Release);\n}\n";
         let changed = "fn f(x: &AtomicU64) {\n    x.store(1, Ordering::Relaxed);\n}\n";
-        assert_eq!(
-            protocol_fingerprint(a),
-            protocol_fingerprint(with_comment),
-            "comment-only edits keep the stamp"
-        );
-        assert_ne!(
-            protocol_fingerprint(a),
-            protocol_fingerprint(changed),
-            "ordering edits break the stamp"
-        );
+        assert_eq!(fp(a), fp(with_comment), "comment-only edits keep the stamp");
+        assert_ne!(fp(a), fp(changed), "ordering edits break the stamp");
     }
 
     #[test]
     fn fingerprint_ignores_test_region_and_plain_code() {
         let a = "fn g() { let v = 1; }\nfn f(x: &AtomicU64) { x.store(1, Ordering::SeqCst); }\n";
         let b = "fn g() { let v = 2; }\nfn f(x: &AtomicU64) { x.store(1, Ordering::SeqCst); }\n#[cfg(test)]\nmod tests {\n    fn t(x: &AtomicU64) { x.store(9, Ordering::SeqCst); }\n}\n";
-        assert_eq!(protocol_fingerprint(a), protocol_fingerprint(b));
+        assert_eq!(fp(a), fp(b));
     }
 
     #[test]
@@ -408,18 +336,25 @@ notes = "relaxed counters, read at quiescence"
             "fn f(x: &AtomicU64) { x.store(1, Ordering::SeqCst); }\n",
         )
         .unwrap();
-        std::fs::write(
-            dir.join("cov.toml"),
-            "[[entry]]\npath = \"src/a.rs\"\nmodels = []\nnotes = \"n\"\n",
-        )
-        .unwrap();
-        let changed = restamp(&dir, Path::new("cov.toml")).unwrap();
-        assert_eq!(changed, 1);
-        let rewritten = std::fs::read_to_string(dir.join("cov.toml")).unwrap();
-        assert!(rewritten.contains("fingerprint = \""), "{rewritten}");
+        let manifest = "[[protocol]]\nname = \"p\"\nloom = []\nfiles = [\"src/a.rs\"]\nnotes = \"n\"\n\n[[protocol]]\nname = \"empty\"\nstamp = \"dead\"\n";
+        std::fs::write(dir.join("protocols.toml"), manifest).unwrap();
+        let mut config = Config::workspace(&dir);
+        config.runtime_dirs = vec![PathBuf::from("src")];
+        config.field_dirs = vec![PathBuf::from("src")];
+        config.protocols = PathBuf::from("protocols.toml");
+
+        assert_eq!(restamp(&config).unwrap(), 1);
+        let rewritten = std::fs::read_to_string(dir.join("protocols.toml")).unwrap();
+        let lines: Vec<&str> = rewritten.lines().collect();
+        assert_eq!(lines[1], "name = \"p\"");
+        assert!(lines[2].starts_with("stamp = \""), "{rewritten}");
         assert!(rewritten.contains("notes = \"n\""), "other keys preserved");
+        assert!(
+            !rewritten.contains("dead"),
+            "a protocol covering no file loses its stamp"
+        );
         // Second run: stamp already fresh.
-        assert_eq!(restamp(&dir, Path::new("cov.toml")).unwrap(), 0);
+        assert_eq!(restamp(&config).unwrap(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

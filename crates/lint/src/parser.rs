@@ -1,22 +1,25 @@
-//! A lightweight item/region parser over the line lexer.
+//! Item/region state over the line lexer.
 //!
-//! PR 10 grew `ft-lint` from per-line rules into protocol-aware auditing,
-//! which needs three kinds of *structure* the lexer alone cannot see:
+//! Protocol-aware auditing needs three kinds of *structure* the lexer
+//! alone cannot see:
 //!
 //! * **struct fields** — which atomic fields each runtime struct declares
 //!   (rule L7 checks them against `docs/PROTOCOLS.toml`);
-//! * **fence sites** — every `fence(...)` call plus its `// sc:
-//!   <protocol>/<side>` pairing tag (rule L6);
+//! * **fence tags** — the `// sc: <protocol>/<side>` pairing tag of each
+//!   `fence(...)` call (rule L6);
 //! * **hot-path regions** — spans bracketed by `ft-lint: hot-path
 //!   begin(<name>)` / `end(<name>)` markers (rule L9).
 //!
-//! Like the lexer, this is deliberately not a full Rust parser: brace
-//! depth over comment/string-masked code is enough to attribute fields to
-//! structs, and everything else is comment-side convention. The trade-off
-//! is the same as PR 5's: a dependency-free auditor the workspace can run
-//! offline, precise enough that every diagnostic points at a real line.
+//! `ItemState` carries the cross-line part (brace depth, open struct
+//! bodies, the open hot-path region) through the one pass over a file's
+//! lines in [`crate::lint_file`]. Like the lexer, this is deliberately
+//! not a full Rust parser: brace depth over comment/string-masked code is
+//! enough to attribute fields to structs, and everything else is
+//! comment-side convention — a dependency-free auditor the workspace can
+//! run offline, precise enough that every diagnostic points at a real
+//! line.
 
-use crate::lexer::{has_word, Line};
+use crate::lexer::has_word;
 
 /// Atomic type names recognized by the field scan (the `ft-sync` facade
 /// re-exports exactly these). Matched at identifier boundaries anywhere in
@@ -37,36 +40,6 @@ pub const ATOMIC_TYPES: &[&str] = &[
     "AtomicPtr",
 ];
 
-/// An atomic field declared by a runtime struct.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AtomicField {
-    /// Struct that declares the field.
-    pub strukt: String,
-    /// Field name.
-    pub field: String,
-    /// 1-based declaration line.
-    pub line: usize,
-    /// The atomic type name that matched (diagnostics).
-    pub atomic_type: &'static str,
-}
-
-impl AtomicField {
-    /// Manifest key for this field within file `rel`:
-    /// `<rel>::<Struct>::<field>`.
-    pub fn key(&self, rel: &str) -> String {
-        format!("{rel}::{}::{}", self.strukt, self.field)
-    }
-}
-
-/// A memory-fence call site and its (optional) `sc:` pairing tag.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FenceSite {
-    /// 1-based line of the `fence(...)` call.
-    pub line: usize,
-    /// Parsed `// sc: <protocol>/<side>` tag covering the site, if any.
-    pub tag: Option<ScTag>,
-}
-
 /// A parsed `sc:` fence-pairing tag.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScTag {
@@ -74,18 +47,6 @@ pub struct ScTag {
     pub protocol: String,
     /// Side of the protocol this site implements (e.g. `registrant`).
     pub side: String,
-}
-
-/// A hot-path region bracketed by marker comments.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HotRegion {
-    /// Region name from `begin(<name>)`.
-    pub name: String,
-    /// 1-based line of the `begin` marker.
-    pub begin: usize,
-    /// 1-based line of the `end` marker; `None` if unterminated at EOF
-    /// (or at the start of the file's test region).
-    pub end: Option<usize>,
 }
 
 /// Parse `sc: <protocol>/<side>` out of comment text.
@@ -133,195 +94,127 @@ fn parse_hot_marker(comment: &str) -> Option<(bool, String)> {
     (!name.is_empty() && rest.len() > name.len()).then_some((is_begin, name))
 }
 
-/// Everything the item/region pass extracts from one file. Field, fence
-/// and region scans all stop at the file's test region (mirroring the
-/// per-line rules).
-#[derive(Debug, Clone, Default)]
-pub struct FileItems {
-    /// Atomic struct fields, in declaration order.
-    pub fields: Vec<AtomicField>,
-    /// `fence(...)` call sites, in line order.
-    pub fences: Vec<FenceSite>,
-    /// Hot-path regions, in `begin` order.
-    pub regions: Vec<HotRegion>,
-    /// Marker problems: `(line, message)` for unmatched/nested markers.
-    pub marker_errors: Vec<(usize, String)>,
-}
-
-impl FileItems {
-    /// Is 0-based line index `idx` inside any well-formed hot region?
-    /// The marker lines themselves are excluded.
-    pub fn in_hot_region(&self, idx: usize) -> Option<&HotRegion> {
-        let line = idx + 1;
-        self.regions.iter().find(|r| {
-            let end = r.end.unwrap_or(usize::MAX);
-            line > r.begin && line < end
-        })
-    }
-}
-
 /// One struct whose body is currently open.
+#[derive(Debug)]
 struct OpenStruct {
     name: String,
     /// Brace depth of the struct *body* (fields live exactly here).
     body_depth: u32,
 }
 
-/// Run the item/region pass over the lexed `code` lines (the caller slices
-/// off the test region first). `sc_tag_for` resolution uses the same
-/// same-line-or-block-above convention as waivers.
-pub fn parse_items(code: &[Line]) -> FileItems {
-    let mut items = FileItems::default();
-    let mut depth: u32 = 0;
-    // `struct Name` seen, body brace not yet reached.
-    let mut pending_struct: Option<String> = None;
-    let mut open_structs: Vec<OpenStruct> = Vec::new();
-    let mut open_regions: Vec<(String, usize)> = Vec::new();
+/// Cross-line state of the item/region scan. Feed every line of a file's
+/// non-test region, in order, to `marker` and `field`.
+#[derive(Debug, Default)]
+pub(crate) struct ItemState {
+    depth: u32,
+    /// `struct Name` seen, body brace not yet reached.
+    pending_struct: Option<String>,
+    open_structs: Vec<OpenStruct>,
+    /// `(name, begin line)` of the open hot-path region. Regions do not
+    /// nest, so there is at most one.
+    open_region: Option<(String, usize)>,
+}
 
-    for (idx, line) in code.iter().enumerate() {
-        // --- comment-side markers -------------------------------------
-        if let Some((is_begin, name)) = parse_hot_marker(&line.comment) {
-            if is_begin {
-                if let Some((open, at)) = open_regions.last() {
-                    items.marker_errors.push((
-                        idx + 1,
-                        format!(
-                            "hot-path begin({name}) nested inside begin({open}) \
-                             from line {at}; close it first"
-                        ),
-                    ));
-                } else {
-                    open_regions.push((name, idx + 1));
-                }
-            } else {
-                match open_regions.pop() {
-                    Some((open, at)) if open == name => {
-                        items.regions.push(HotRegion {
-                            name: open,
-                            begin: at,
-                            end: Some(idx + 1),
-                        });
-                    }
-                    Some((open, at)) => {
-                        items.marker_errors.push((
-                            idx + 1,
-                            format!(
-                                "hot-path end({name}) does not match open \
-                                 begin({open}) from line {at}"
-                            ),
-                        ));
-                        // Close the mismatched region anyway so one typo
-                        // yields one diagnostic, not a cascade.
-                        items.regions.push(HotRegion {
-                            name: open,
-                            begin: at,
-                            end: Some(idx + 1),
-                        });
-                    }
-                    None => {
-                        items.marker_errors.push((
-                            idx + 1,
-                            format!("hot-path end({name}) without a matching begin"),
-                        ));
-                    }
-                }
+impl ItemState {
+    /// Feed 1-based line `line_no`'s comment through the hot-path marker
+    /// grammar. Returns the marker error, if the line carries a malformed
+    /// marker (nested `begin`, unmatched or mismatched `end`). A
+    /// mismatched `end` still closes the open region, so one typo yields
+    /// one diagnostic, not a cascade.
+    pub fn marker(&mut self, line_no: usize, comment: &str) -> Option<String> {
+        let (is_begin, name) = parse_hot_marker(comment)?;
+        match (is_begin, &self.open_region) {
+            (true, Some((open, at))) => Some(format!(
+                "hot-path begin({name}) nested inside begin({open}) from \
+                 line {at}; close it first"
+            )),
+            (true, None) => {
+                self.open_region = Some((name, line_no));
+                None
+            }
+            (false, None) => Some(format!("hot-path end({name}) without a matching begin")),
+            (false, Some(_)) => {
+                let (open, at) = self.open_region.take()?;
+                (open != name).then(|| {
+                    format!("hot-path end({name}) does not match open begin({open}) from line {at}")
+                })
             }
         }
+    }
 
-        // --- fence sites ----------------------------------------------
-        if has_word(&line.code, "fence") && line.code.contains("fence(") {
-            let tag = sc_tag_for(code, idx);
-            items.fences.push(FenceSite { line: idx + 1, tag });
-        }
+    /// Name of the hot-path region covering line `line_no` (after its
+    /// marker was fed). Marker lines lie outside their own region; a
+    /// region left open runs to the end of the scan.
+    pub fn hot_region(&self, line_no: usize) -> Option<&str> {
+        self.open_region
+            .as_ref()
+            .filter(|(_, at)| *at != line_no)
+            .map(|(name, _)| name.as_str())
+    }
 
-        // --- struct fields ---------------------------------------------
+    /// The region still open once every line was fed: `(begin line,
+    /// message)`.
+    pub fn unclosed(&self) -> Option<(usize, String)> {
+        let (name, at) = self.open_region.as_ref()?;
+        Some((
+            *at,
+            format!("hot-path begin({name}) is never closed with end({name})"),
+        ))
+    }
+
+    /// Feed one masked code line. Returns `Struct::field` when the line
+    /// declares an atomic field of the struct whose body is open.
+    pub fn field(&mut self, code: &str) -> Option<String> {
         // A field line is checked against the depth *before* this line's
         // braces are processed (fields never open/close the body brace on
         // their own line in rustfmt'd code; a brace on the line simply
         // means it is not a field).
-        if let Some(open) = open_structs.last() {
-            if depth == open.body_depth {
-                if let Some((field, ty)) = split_field(&line.code) {
-                    if let Some(at) = ATOMIC_TYPES.iter().find(|t| has_word(ty, t)) {
-                        items.fields.push(AtomicField {
-                            strukt: open.name.clone(),
-                            field: field.to_string(),
-                            line: idx + 1,
-                            atomic_type: at,
-                        });
-                    }
-                }
-            }
-        }
+        let field = self
+            .open_structs
+            .last()
+            .filter(|open| self.depth == open.body_depth)
+            .and_then(|open| {
+                let (field, ty) = split_field(code)?;
+                ATOMIC_TYPES
+                    .iter()
+                    .any(|t| has_word(ty, t))
+                    .then(|| format!("{}::{field}", open.name))
+            });
 
         // Detect a struct declaration before brace-processing the line so
         // `struct X {` pushes with the correct body depth.
-        if pending_struct.is_none() && has_word(&line.code, "struct") {
-            if let Some(name) = struct_name(&line.code) {
-                pending_struct = Some(name);
-            }
+        if self.pending_struct.is_none() && has_word(code, "struct") {
+            self.pending_struct = struct_name(code);
         }
-
-        for c in line.code.chars() {
+        for c in code.chars() {
             match c {
                 '{' => {
-                    depth += 1;
-                    if let Some(name) = pending_struct.take() {
-                        open_structs.push(OpenStruct {
+                    self.depth += 1;
+                    if let Some(name) = self.pending_struct.take() {
+                        self.open_structs.push(OpenStruct {
                             name,
-                            body_depth: depth,
+                            body_depth: self.depth,
                         });
                     }
                 }
                 '}' => {
-                    depth = depth.saturating_sub(1);
-                    if open_structs.last().is_some_and(|s| depth < s.body_depth) {
-                        open_structs.pop();
+                    self.depth = self.depth.saturating_sub(1);
+                    if self
+                        .open_structs
+                        .last()
+                        .is_some_and(|s| self.depth < s.body_depth)
+                    {
+                        self.open_structs.pop();
                     }
                 }
                 // Unit (`struct X;`) and tuple (`struct X(..);`) structs
                 // never open a field body.
-                ';' => {
-                    pending_struct = None;
-                }
+                ';' => self.pending_struct = None,
                 _ => {}
             }
         }
+        field
     }
-
-    for (name, at) in open_regions {
-        items.regions.push(HotRegion {
-            name: name.clone(),
-            begin: at,
-            end: None,
-        });
-        items.marker_errors.push((
-            at,
-            format!("hot-path begin({name}) is never closed with end({name})"),
-        ));
-    }
-    items
-}
-
-/// The `sc:` tag covering line `idx`: on the line's own comment or in the
-/// contiguous comment/attribute block immediately above.
-fn sc_tag_for(lines: &[Line], idx: usize) -> Option<ScTag> {
-    if let Some(tag) = parse_sc_tag(&lines[idx].comment) {
-        return Some(tag);
-    }
-    let mut i = idx;
-    while i > 0 {
-        i -= 1;
-        let l = &lines[i];
-        if l.is_comment_only() || l.is_attr_only() {
-            if let Some(tag) = parse_sc_tag(&l.comment) {
-                return Some(tag);
-            }
-        } else {
-            break;
-        }
-    }
-    None
 }
 
 /// Split a struct-body line into `(field_name, type_text)` if it is a
@@ -374,22 +267,30 @@ fn struct_name(code: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
+    use crate::{lint_file, FileScan, Report};
+
+    /// One pass over `src` as file `f.rs`, outside the ordering and
+    /// hot-path dirs.
+    fn scan(src: &str) -> (FileScan, Report) {
+        let mut report = Report::default();
+        let scan = lint_file("f.rs", src, false, false, &mut report);
+        (scan, report)
+    }
+
+    fn field_keys(src: &str) -> Vec<String> {
+        scan(src).0.fields.into_iter().map(|f| f.key).collect()
+    }
 
     #[test]
     fn finds_atomic_fields_with_struct_attribution() {
         let src = "pub struct A {\n    pub join: AtomicI64,\n    name: String,\n    spill: Box<[AtomicU64]>,\n}\nstruct B {\n    next: ft_sync::atomic::AtomicPtr<Seg>,\n}\n";
-        let items = parse_items(&lex(src));
-        let keys: Vec<String> = items.fields.iter().map(|f| f.key("f.rs")).collect();
+        let (scan, _) = scan(src);
+        let keys: Vec<&str> = scan.fields.iter().map(|f| f.key.as_str()).collect();
         assert_eq!(
             keys,
-            vec![
-                "f.rs::A::join".to_string(),
-                "f.rs::A::spill".to_string(),
-                "f.rs::B::next".to_string()
-            ]
+            vec!["f.rs::A::join", "f.rs::A::spill", "f.rs::B::next"]
         );
-        assert_eq!(items.fields[0].line, 2);
+        assert_eq!(scan.fields[0].line, 2);
     }
 
     #[test]
@@ -397,37 +298,35 @@ mod tests {
         // A method body between fields-at-depth never matches; a struct
         // literal inside a fn does not reopen the field scan.
         let src = "struct A {\n    x: AtomicU64,\n}\nimpl A {\n    fn f(&self) {\n        let y: AtomicU64 = AtomicU64::new(0);\n        let a = A { x: AtomicU64::new(1) };\n    }\n}\n";
-        let items = parse_items(&lex(src));
-        assert_eq!(items.fields.len(), 1);
-        assert_eq!(items.fields[0].field, "x");
+        assert_eq!(field_keys(src), vec!["f.rs::A::x"]);
     }
 
     #[test]
     fn tuple_and_unit_structs_are_skipped() {
         let src = "struct U;\nstruct T(AtomicU64);\nstruct N {\n    v: AtomicBool,\n}\n";
-        let items = parse_items(&lex(src));
-        assert_eq!(items.fields.len(), 1);
-        assert_eq!(items.fields[0].strukt, "N");
+        assert_eq!(field_keys(src), vec!["f.rs::N::v"]);
     }
 
     #[test]
     fn array_and_wrapped_atomics_are_fields() {
         let src = "struct S {\n    slots: [AtomicI64; 8],\n    lanes: Box<[CachePadded<AtomicU64>]>,\n    not_atomic: AtomicBitVec,\n}\n";
-        let items = parse_items(&lex(src));
-        let names: Vec<&str> = items.fields.iter().map(|f| f.field.as_str()).collect();
-        assert_eq!(names, vec!["slots", "lanes"]);
+        assert_eq!(field_keys(src), vec!["f.rs::S::slots", "f.rs::S::lanes"]);
     }
 
     #[test]
     fn fence_sites_pick_up_sc_tags_from_block_above() {
         let src = "fn f() {\n    // sc: seqlock/writer-begin — pairs with the reader.\n    // ord: Release fence.\n    fence(Ordering::Release);\n    fence(Ordering::SeqCst);\n}\n";
-        let items = parse_items(&lex(src));
-        assert_eq!(items.fences.len(), 2);
-        let tag = items.fences[0].tag.as_ref().expect("tagged");
-        assert_eq!(tag.protocol, "seqlock");
-        assert_eq!(tag.side, "writer-begin");
-        assert!(items.fences[1].tag.is_none(), "second fence is untagged");
-        assert_eq!(items.fences[1].line, 5);
+        let (scan, report) = scan(src);
+        assert_eq!(scan.fences.len(), 1, "only the tagged fence pairs");
+        let fence = &scan.fences[0];
+        assert_eq!(fence.line, 4);
+        assert_eq!(fence.tag.protocol, "seqlock");
+        assert_eq!(fence.tag.side, "writer-begin");
+        assert_eq!(report.violations.len(), 1, "second fence is untagged");
+        assert_eq!(
+            (report.violations[0].rule, report.violations[0].line),
+            ("L6", 5)
+        );
     }
 
     #[test]
@@ -442,22 +341,29 @@ mod tests {
 
     #[test]
     fn hot_regions_pair_and_report_errors() {
-        let src = "// ft-lint: hot-path begin(read)\nfn f() {}\n// ft-lint: hot-path end(read)\n// ft-lint: hot-path end(phantom)\n// ft-lint: hot-path begin(open)\n";
-        let items = parse_items(&lex(src));
-        assert_eq!(items.regions.len(), 2);
-        assert_eq!(items.regions[0].name, "read");
-        assert_eq!(items.regions[0].end, Some(3));
-        assert_eq!(items.regions[1].end, None, "unterminated");
-        assert_eq!(items.marker_errors.len(), 2, "{:?}", items.marker_errors);
-        assert!(items.in_hot_region(1).is_some(), "fn f is inside `read`");
-        assert!(items.in_hot_region(0).is_none(), "marker line excluded");
+        let src = "// ft-lint: hot-path begin(read)\nfn f() { Box::new(1); }\n// ft-lint: hot-path end(read)\nfn g() { Box::new(2); }\n// ft-lint: hot-path end(phantom)\n// ft-lint: hot-path begin(open)\nfn h() { Box::new(3); }\n";
+        let (_, report) = scan(src);
+        let hits: Vec<(usize, &str)> = report
+            .violations
+            .iter()
+            .map(|v| (v.line, v.message.as_str()))
+            .collect();
+        assert!(report.violations.iter().all(|v| v.rule == "L9"));
+        assert_eq!(hits.len(), 4, "{hits:?}");
+        assert!(hits[0].0 == 2 && hits[0].1.contains("`read`"), "{hits:?}");
+        assert!(hits[1].0 == 5 && hits[1].1.contains("without a matching begin"));
+        assert!(
+            hits[2].0 == 7 && hits[2].1.contains("`open`"),
+            "unterminated"
+        );
+        assert!(hits[3].0 == 6 && hits[3].1.contains("never closed"));
     }
 
     #[test]
     fn mismatched_end_closes_with_one_diagnostic() {
-        let src = "// ft-lint: hot-path begin(a)\nfn f() {}\n// ft-lint: hot-path end(b)\n";
-        let items = parse_items(&lex(src));
-        assert_eq!(items.marker_errors.len(), 1);
-        assert_eq!(items.regions.len(), 1);
+        let src = "// ft-lint: hot-path begin(a)\nfn f() {}\n// ft-lint: hot-path end(b)\nfn g() { Box::new(1); }\n";
+        let (_, report) = scan(src);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert!(report.violations[0].message.contains("does not match"));
     }
 }

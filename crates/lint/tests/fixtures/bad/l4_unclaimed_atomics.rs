@@ -1,5 +1,5 @@
-//! Bad fixture for L4: uses atomics but is not claimed in the
-//! loom-coverage manifest the test supplies.
+//! Bad fixture for L4: uses atomics but no protocol of the manifest the
+//! test supplies covers it.
 
 use ft_sync::atomic::{AtomicU64, Ordering};
 

@@ -1,5 +1,5 @@
-//! Source file referenced by the L8 freshness tests: the manifest
-//! fingerprint is computed over the atomic code lines below.
+//! Source file referenced by the L8 freshness tests: the stamp of the
+//! protocol listing it is computed over the atomic code lines below.
 
 use ft_sync::atomic::{AtomicU64, Ordering};
 

@@ -4,8 +4,7 @@
 //! lints clean, then delete one `// sc:` fence tag — exactly the edit a
 //! careless refactor would make — and assert L6 fires at that fence.
 
-use ft_lint::manifest::protocol_fingerprint;
-use ft_lint::{run, Config};
+use ft_lint::{manifest, run, Config};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -42,46 +41,42 @@ impl Drop for MiniWorkspace {
     }
 }
 
-/// Build a mini workspace holding the *real* engine.rs plus manifests
-/// generated from its actual content (fingerprint included), so the copy
+const ENGINE: &str = "crates/core/src/scheduler/engine.rs";
+
+/// The mini manifest: both protocols the real engine.rs takes part in list
+/// it under `files`, as `docs/PROTOCOLS.toml` does.
+const PROTOCOLS: &str = "[[protocol]]\nname = \"notify-cells\"\nanchor = \"notify-cells\"\nloom = []\nfields = []\nfiles = [\"crates/core/src/scheduler/engine.rs\"]\nnotes = \"mini workspace: suites live in the real tree\"\n\n[[protocol]]\nname = \"task-desc\"\nanchor = \"figure-2-gate\"\nloom = []\nfields = []\nfiles = [\"crates/core/src/scheduler/engine.rs\"]\nnotes = \"mini workspace: suites live in the real tree\"\n";
+
+/// Build a mini workspace holding the *real* engine.rs plus a manifest
+/// stamped from its actual content by `manifest::restamp`, so the copy
 /// starts provably clean under the full `run()` policy.
-fn engine_workspace(tag: &str) -> (MiniWorkspace, String) {
-    let engine = fs::read_to_string(workspace_root().join("crates/core/src/scheduler/engine.rs"))
-        .expect("real engine.rs readable");
+fn engine_workspace(tag: &str) -> (MiniWorkspace, String, Config) {
+    let engine =
+        fs::read_to_string(workspace_root().join(ENGINE)).expect("real engine.rs readable");
 
     let ws = MiniWorkspace::new(tag);
-    ws.write("crates/core/src/scheduler/engine.rs", &engine);
+    ws.write(ENGINE, &engine);
     ws.write(
         "docs/ALGORITHM.md",
-        "# Mini algorithm doc\n\n## Notify cells <a id=\"notify-cells\"></a>\n",
+        "# Mini algorithm doc\n\n## Figure 2 <a id=\"figure-2-gate\"></a>\n\n## Notify cells <a id=\"notify-cells\"></a>\n",
     );
-    ws.write(
-        "docs/PROTOCOLS.toml",
-        "[[protocol]]\nname = \"notify-cells\"\nanchor = \"notify-cells\"\nloom = []\nfields = []\nnotes = \"mini workspace: suites live in the real tree\"\n",
-    );
-    ws.write(
-        "docs/LOOM_COVERAGE.toml",
-        &format!(
-            "[[entry]]\npath = \"crates/core/src/scheduler/engine.rs\"\nfingerprint = \"{}\"\nmodels = []\nnotes = \"mini workspace: modeled in the real tree\"\n",
-            protocol_fingerprint(&engine)
-        ),
-    );
-    (ws, engine)
+    ws.write("docs/PROTOCOLS.toml", PROTOCOLS);
+    let config = mini_config(&ws.root);
+    assert_eq!(manifest::restamp(&config).expect("stamp mini manifest"), 2);
+    (ws, engine, config)
 }
 
 fn mini_config(root: &Path) -> Config {
     let mut config = Config::workspace(root);
     // Only core exists in the mini tree; missing dirs would error.
     config.runtime_dirs = vec![PathBuf::from("crates/core/src")];
-    config.ordering_dirs = vec![PathBuf::from("crates/core/src")];
     config.field_dirs = vec![PathBuf::from("crates/core/src")];
     config
 }
 
 #[test]
 fn untagging_a_real_fence_trips_l6() {
-    let (ws, engine) = engine_workspace("untag");
-    let config = mini_config(&ws.root);
+    let (ws, engine, config) = engine_workspace("untag");
 
     // The pristine copy of the real file is clean under the full policy.
     let report = run(&config).expect("lint mini workspace");
@@ -109,7 +104,7 @@ fn untagging_a_real_fence_trips_l6() {
         .filter(|l| l.trim() != tag_line)
         .collect::<Vec<_>>()
         .join("\n");
-    ws.write("crates/core/src/scheduler/engine.rs", &untagged);
+    ws.write(ENGINE, &untagged);
 
     let report = run(&config).expect("lint mutated workspace");
     let l6: Vec<_> = report
@@ -125,9 +120,8 @@ fn untagging_a_real_fence_trips_l6() {
     // The untagged fence itself is flagged (one line up now that the tag
     // comment is gone), in the right file.
     assert!(
-        l6.iter().any(|v| {
-            v.file == "crates/core/src/scheduler/engine.rs" && v.line == fence_line - 1
-        }),
+        l6.iter()
+            .any(|v| { v.file == ENGINE && v.line == fence_line - 1 }),
         "expected an L6 hit at the untagged fence (line {}):\n{}",
         fence_line - 1,
         report.render_human()
@@ -136,27 +130,100 @@ fn untagging_a_real_fence_trips_l6() {
 
 #[test]
 fn editing_atomics_without_restamp_trips_l8() {
-    let (ws, engine) = engine_workspace("stale");
-    let config = mini_config(&ws.root);
+    let (ws, engine, config) = engine_workspace("stale");
     assert!(run(&config).expect("lint").violations.is_empty());
 
-    // An ordering edit on a fingerprinted line — exactly the change that
-    // must force a loom-coverage re-verify.
+    // An ordering edit on a stamped line — exactly the change that must
+    // force a re-run of the covering protocols' loom suites.
     let old = "let val = a.join().fetch_sub(1, Ordering::AcqRel) - 1;";
     assert_eq!(engine.matches(old).count(), 1);
     let edited = engine.replace(
         old,
         "let val = a.join().fetch_sub(1, Ordering::Release) - 1;",
     );
-    ws.write("crates/core/src/scheduler/engine.rs", &edited);
+    ws.write(ENGINE, &edited);
 
     let report = run(&config).expect("lint mutated workspace");
     assert!(
         report
             .violations
             .iter()
-            .any(|v| v.rule == "L8" && v.message.contains("stale fingerprint")),
+            .any(|v| v.rule == "L8" && v.message.contains("stale stamp")),
         "editing an atomic line without --restamp must trip L8:\n{}",
         report.render_human()
     );
+}
+
+#[test]
+fn dropping_engine_from_protocol_files_trips_l4() {
+    let (ws, _, config) = engine_workspace("uncover");
+    assert!(run(&config).expect("lint").violations.is_empty());
+
+    // engine.rs declares no atomic field, so `files` is all that covers it.
+    let stamped = fs::read_to_string(ws.root.join("docs/PROTOCOLS.toml")).expect("manifest");
+    let uncovered: String = stamped
+        .lines()
+        .filter(|l| !l.starts_with("files = "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    ws.write("docs/PROTOCOLS.toml", &uncovered);
+
+    let report = run(&config).expect("lint uncovered workspace");
+    let hits: Vec<(&str, &str, usize)> = report
+        .violations
+        .iter()
+        .map(|v| (v.rule, v.file.as_str(), v.line))
+        .collect();
+    assert_eq!(
+        hits,
+        vec![("L4", ENGINE, 1)],
+        "an uncovered atomics file must trip L4 (and a protocol covering no file needs no stamp):\n{}",
+        report.render_human()
+    );
+}
+
+#[test]
+fn editing_a_fence_without_restamp_trips_l8_on_every_covering_protocol() {
+    let (ws, engine, config) = engine_workspace("fence");
+    assert!(run(&config).expect("lint").violations.is_empty());
+
+    // Weaken the registrant's SC fence. Its `// ord:` tag still covers
+    // the line, so only the stamps notice.
+    let old = "notify-cells/registrant\n        fence(Ordering::SeqCst);";
+    assert_eq!(engine.matches(old).count(), 1);
+    let weakened = "notify-cells/registrant\n        fence(Ordering::AcqRel);";
+    ws.write(ENGINE, &engine.replace(old, weakened));
+
+    let manifest_src = fs::read_to_string(ws.root.join("docs/PROTOCOLS.toml")).expect("manifest");
+    let stamp_lines: Vec<usize> = manifest_src
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| l.starts_with("stamp = "))
+        .map(|(i, _)| i + 1)
+        .collect();
+    assert_eq!(stamp_lines.len(), 2, "{manifest_src}");
+
+    let report = run(&config).expect("lint mutated workspace");
+    let l8: Vec<(&str, usize)> = report.violations.iter().map(|v| (v.rule, v.line)).collect();
+    assert_eq!(
+        l8,
+        stamp_lines.iter().map(|&l| ("L8", l)).collect::<Vec<_>>(),
+        "each covering protocol's stamp goes stale, and nothing else fires:\n{}",
+        report.render_human()
+    );
+    for protocol in ["notify-cells", "task-desc"] {
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.message.contains(&format!("protocol `{protocol}`"))),
+            "the finding names `{protocol}`:\n{}",
+            report.render_human()
+        );
+    }
+
+    // Re-stamping (after re-running the named suites) clears it.
+    assert_eq!(manifest::restamp(&config).expect("restamp"), 2);
+    let report = run(&config).expect("lint restamped workspace");
+    assert!(report.violations.is_empty(), "{}", report.render_human());
 }
