@@ -7,6 +7,7 @@ use nabbit_ft::blocks::BlockError;
 use nabbit_ft::graph::{Key, TaskGraph};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Bit-field key encoding: `| tag:4 | k:20 | i:20 | j:20 |`.
@@ -39,6 +40,37 @@ pub mod keys {
             ((key >> FIELD) & MASK) as usize,
             (key & MASK) as usize,
         )
+    }
+}
+
+/// An app's successor lists, derived by inverting its predecessor function
+/// over its task list, so recovery's walk over [`TaskGraph::successors`]
+/// and the notify cells sized by [`TaskGraph::out_degree`] see exactly the
+/// edges `predecessors_into` states.
+#[derive(Default)]
+pub(crate) struct Successors(HashMap<Key, Vec<Key>>);
+
+impl Successors {
+    /// Invert `preds` over `tasks`. Each list follows the order of `tasks`.
+    /// Panics if a predecessor is not one of `tasks`.
+    pub(crate) fn invert(tasks: &[Key], preds: impl Fn(Key, &mut Vec<Key>)) -> Self {
+        let mut lists: HashMap<Key, Vec<Key>> = tasks.iter().map(|&k| (k, Vec::new())).collect();
+        let mut scratch = Vec::new();
+        for &k in tasks {
+            preds(k, &mut scratch);
+            for p in &scratch {
+                let Some(list) = lists.get_mut(p) else {
+                    panic!("predecessor {p:#x} of {k:#x} is not a task");
+                };
+                list.push(k);
+            }
+        }
+        Successors(lists)
+    }
+
+    /// The successors of `key`. Panics if `key` is not a task.
+    pub(crate) fn of(&self, key: Key) -> &[Key] {
+        &self.0[&key]
     }
 }
 
@@ -346,6 +378,33 @@ mod tests {
             let err = verify_tiles("T", cfg, &reference, region, f64::MAX, nan).unwrap_err();
             assert_eq!(err, "T tile (1,0) differs by NaN");
         }
+    }
+
+    #[test]
+    fn successors_invert_predecessors_in_task_order() {
+        // Diamond 0 → {1, 2} → 3, with 2 listed before 1.
+        let preds = |k: Key, out: &mut Vec<Key>| {
+            out.clear();
+            out.extend_from_slice(match k {
+                1 | 2 => &[0][..],
+                3 => &[1, 2],
+                _ => &[],
+            });
+        };
+        let succ = Successors::invert(&[0, 2, 1, 3], preds);
+        assert_eq!(succ.of(0), [2, 1]);
+        assert_eq!(succ.of(1), [3]);
+        assert_eq!(succ.of(2), [3]);
+        assert!(succ.of(3).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "predecessor 0x0 of 0x1 is not a task")]
+    fn successors_reject_a_predecessor_outside_the_tasks() {
+        Successors::invert(&[1, 2, 3], |k, out| {
+            out.clear();
+            out.push(k - 1);
+        });
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! column and bottom row (`2B` i32 values) — rather than the full `B×B`
 //! tile, the standard memory optimization for wavefront DP.
 
-use crate::common::{keys, AppConfig, BenchApp, VerifyOutcome, VersionClass};
+use crate::common::{keys, AppConfig, BenchApp, Successors, VerifyOutcome, VersionClass};
 use nabbit_ft::blocks::{BlockError, BlockStore, Retention};
 use nabbit_ft::fault::Fault;
 use nabbit_ft::graph::{ComputeCtx, Key, TaskGraph};
@@ -25,6 +25,8 @@ pub struct Lcs {
     y: Vec<u8>,
     /// One block per tile; layout `[right_col(B) | bottom_row(B)]`.
     store: BlockStore<i32>,
+    /// Successor lists derived from `predecessors_into`.
+    succ: Successors,
 }
 
 impl Lcs {
@@ -33,12 +35,15 @@ impl Lcs {
         let x = crate::common::random_sequence(cfg.n, 4, cfg.seed);
         let y = crate::common::random_sequence(cfg.n, 4, cfg.seed.wrapping_add(1));
         let nb = cfg.nb();
-        Lcs {
+        let mut lcs = Lcs {
             cfg,
             x,
             y,
             store: BlockStore::new(nb * nb, Retention::KeepAll),
-        }
+            succ: Successors::default(),
+        };
+        lcs.succ = Successors::invert(&lcs.all_tasks(), |k, out| lcs.predecessors_into(k, out));
+        lcs
     }
 
     fn nb(&self) -> usize {
@@ -110,25 +115,11 @@ impl TaskGraph for Lcs {
     }
 
     fn successors(&self, key: Key) -> Vec<Key> {
-        let (_, _, i, j) = keys::decode(key);
-        let nb = self.nb();
-        let mut s = Vec::with_capacity(3);
-        if i + 1 < nb {
-            s.push(Self::task_key(i + 1, j));
-        }
-        if j + 1 < nb {
-            s.push(Self::task_key(i, j + 1));
-        }
-        if i + 1 < nb && j + 1 < nb {
-            s.push(Self::task_key(i + 1, j + 1));
-        }
-        s
+        self.succ.of(key).to_vec()
     }
 
     fn out_degree(&self, key: Key) -> usize {
-        let (_, _, i, j) = keys::decode(key);
-        let (down, right) = (i + 1 < self.nb(), j + 1 < self.nb());
-        usize::from(down) + usize::from(right) + usize::from(down && right)
+        self.succ.of(key).len()
     }
 
     fn compute(&self, key: Key, _ctx: &ComputeCtx<'_>) -> Result<(), Fault> {
@@ -136,28 +127,15 @@ impl TaskGraph for Lcs {
         let b = self.cfg.b;
 
         // Guarded reads of the three neighbour blocks.
-        let top = if i > 0 {
-            Some(
-                self.store
-                    .read(self.block_id(i - 1, j), 0)
-                    .map_err(|e| e.into_fault())?,
-            )
-        } else {
-            None
-        };
-        let left = if j > 0 {
-            Some(
-                self.store
-                    .read(self.block_id(i, j - 1), 0)
-                    .map_err(|e| e.into_fault())?,
-            )
-        } else {
-            None
-        };
-        let corner = if i > 0 && j > 0 {
+        let read = |bi: usize, bj: usize| {
             self.store
-                .read(self.block_id(i - 1, j - 1), 0)
-                .map_err(|e| e.into_fault())?[2 * b - 1]
+                .read(self.block_id(bi, bj), 0)
+                .map_err(|e| e.into_fault())
+        };
+        let top = if i > 0 { Some(read(i - 1, j)?) } else { None };
+        let left = if j > 0 { Some(read(i, j - 1)?) } else { None };
+        let corner = if i > 0 && j > 0 {
+            read(i - 1, j - 1)?[2 * b - 1]
         } else {
             0
         };

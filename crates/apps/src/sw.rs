@@ -18,7 +18,7 @@
 //! for the right-neighbour's diagonal read) and `max` is the running
 //! local-alignment maximum over all tiles that causally precede this one.
 
-use crate::common::{keys, AppConfig, BenchApp, VerifyOutcome, VersionClass};
+use crate::common::{keys, AppConfig, BenchApp, Successors, VerifyOutcome, VersionClass};
 use nabbit_ft::blocks::{BlockError, BlockStore, Retention};
 use nabbit_ft::fault::Fault;
 use nabbit_ft::graph::{ComputeCtx, Key, TaskGraph};
@@ -37,6 +37,8 @@ pub struct Sw {
     reuse: bool,
     /// One block per tile column; version = tile row.
     store: BlockStore<i32>,
+    /// Successor lists derived from `predecessors_into`.
+    succ: Successors,
 }
 
 impl Sw {
@@ -60,13 +62,16 @@ impl Sw {
         } else {
             Retention::KeepAll
         };
-        Sw {
+        let mut sw = Sw {
             cfg,
             x,
             y,
             reuse,
             store: BlockStore::new(nb, retention),
-        }
+            succ: Successors::default(),
+        };
+        sw.succ = Successors::invert(&sw.all_tasks(), |k, out| sw.predecessors_into(k, out));
+        sw
     }
 
     fn nb(&self) -> usize {
@@ -143,27 +148,11 @@ impl TaskGraph for Sw {
     }
 
     fn successors(&self, key: Key) -> Vec<Key> {
-        let (_, _, i, j) = keys::decode(key);
-        let nb = self.nb();
-        let mut s = Vec::with_capacity(3);
-        if i + 1 < nb {
-            s.push(Self::task_key(i + 1, j));
-        }
-        if j + 1 < nb {
-            s.push(Self::task_key(i, j + 1));
-        }
-        if self.reuse && i + 2 < nb && j > 0 {
-            s.push(Self::task_key(i + 2, j - 1));
-        }
-        s
+        self.succ.of(key).to_vec()
     }
 
     fn out_degree(&self, key: Key) -> usize {
-        let (_, _, i, j) = keys::decode(key);
-        let nb = self.nb();
-        usize::from(i + 1 < nb)
-            + usize::from(j + 1 < nb)
-            + usize::from(self.reuse && i + 2 < nb && j > 0)
+        self.succ.of(key).len()
     }
 
     fn compute(&self, key: Key, _ctx: &ComputeCtx<'_>) -> Result<(), Fault> {

@@ -20,15 +20,18 @@
 //!
 //! * [`mutants`] — the deliberately broken FT policies the mutation
 //!   campaigns run to prove the oracle flags a broken scheduler.
+//! * [`sequential_values`] and [`phase_of`] — a [`graphs::ValueDag`]'s
+//!   sequential reference values, and the fault phase of a campaign round.
 //!
 //! A failure therefore reproduces from `(graph, fault plan, seed)` alone;
 //! the JSON report names all three.
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use nabbit_ft::graph::TaskGraph;
-use nabbit_ft::inject::FaultPlan;
+use nabbit_ft::graph::{Key, TaskGraph};
+use nabbit_ft::inject::{FaultPlan, Phase};
 use nabbit_ft::metrics::RunReport;
 use nabbit_ft::scheduler::FtScheduler;
 use nabbit_ft::trace::oracle::{check_trace, FailureReport, OracleMode, Violation};
@@ -382,6 +385,26 @@ pub mod mutants {
             // published through the flag.
             self.0.swap(false, Ordering::Relaxed)
         }
+    }
+}
+
+/// The value of every task of `dag` after a sequential fault-free run
+/// (the Theorem 1 reference).
+pub fn sequential_values(dag: graphs::ValueDag) -> HashMap<Key, u64> {
+    nabbit_ft::seq::run(&dag).unwrap();
+    dag.all_keys()
+        .into_iter()
+        .map(|k| (k, dag.value_of(k).unwrap()))
+        .collect()
+}
+
+/// The fault phase of campaign round `round`: before compute, after
+/// compute and after notify in turn.
+pub fn phase_of(round: u64) -> Phase {
+    match round % 3 {
+        0 => Phase::BeforeCompute,
+        1 => Phase::AfterCompute,
+        _ => Phase::AfterNotify,
     }
 }
 

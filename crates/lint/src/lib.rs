@@ -265,10 +265,10 @@ pub(crate) fn scan_workspace(
         let src = std::fs::read_to_string(path)?;
         let mut file_scan = if dir_match(&rel, &config.runtime_dirs) {
             let hot = dir_match(&rel, &config.hot_path_dirs);
-            lint_file(&rel, &src, true, hot, report)
+            lint_file(&rel, &src, hot, report)
         } else {
             FileScan {
-                fields: lint_file(&rel, &src, false, false, &mut Report::default()).fields,
+                fields: lint_file(&rel, &src, false, &mut Report::default()).fields,
                 ..FileScan::default()
             }
         };
@@ -310,13 +310,7 @@ const L9_WORDS: &[&str] = &["Mutex", "RwLock", "Condvar", "sleep"];
 /// ([`global_pass`]) needs — tagged fences, atomic fields, whether the
 /// file uses atomics, and its protocol lines. `rel` is the path reported
 /// in spans.
-pub fn lint_file(
-    rel: &str,
-    src: &str,
-    in_ordering_dir: bool,
-    in_hot_path_dir: bool,
-    report: &mut Report,
-) -> FileScan {
+pub fn lint_file(rel: &str, src: &str, in_hot_path_dir: bool, report: &mut Report) -> FileScan {
     let lines = lex(src);
     let code = &lines[..test_region_start(&lines).unwrap_or(lines.len())];
     let mut items = parser::ItemState::default();
@@ -389,7 +383,7 @@ pub fn lint_file(
                 .copied()
                 .filter(|o| *o != "SeqCst")
                 .collect();
-            if in_ordering_dir && !weak.is_empty() && !ord_covered {
+            if !weak.is_empty() && !ord_covered {
                 emit(
                     report,
                     code,
@@ -897,53 +891,50 @@ impl Report {
 mod tests {
     use super::*;
 
-    fn lint_str(src: &str, ordering: bool, hot: bool) -> Report {
+    fn lint_str(src: &str, hot: bool) -> Report {
         let mut r = Report::default();
-        lint_file("test.rs", src, ordering, hot, &mut r);
+        lint_file("test.rs", src, hot, &mut r);
         r
     }
 
     #[test]
     fn l1_flags_bare_unsafe_and_accepts_safety() {
-        let r = lint_str("fn f() { unsafe { g() } }\n", false, false);
+        let r = lint_str("fn f() { unsafe { g() } }\n", false);
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].rule, "L1");
 
         let ok = "// SAFETY: g is sound here because reasons.\nfn f() { unsafe { g() } }\n";
-        assert!(lint_str(ok, false, false).violations.is_empty());
+        assert!(lint_str(ok, false).violations.is_empty());
     }
 
     #[test]
     fn l1_accepts_doc_safety_section_through_attrs() {
         let src = "/// Does a thing.\n///\n/// # Safety\n/// Caller upholds X.\n#[inline]\npub unsafe fn f() {}\n";
-        assert!(lint_str(src, false, false).violations.is_empty());
+        assert!(lint_str(src, false).violations.is_empty());
     }
 
     #[test]
     fn l2_requires_and_honors_ord_tags() {
         let bad = "fn f(a: &A) { a.x.store(1, Ordering::Release); }\n";
-        let r = lint_str(bad, true, false);
+        let r = lint_str(bad, false);
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].rule, "L2");
 
         let ok = "fn f(a: &A) {\n    // ord: Release — publishes x to the reader's Acquire.\n    a.x.store(1, Ordering::Release);\n}\n";
-        assert!(lint_str(ok, true, false).violations.is_empty());
+        assert!(lint_str(ok, false).violations.is_empty());
 
-        // SeqCst needs no tag; outside ordering dirs nothing is checked.
-        assert!(lint_str(
-            "fn f(a: &A) { a.x.store(1, Ordering::SeqCst); }",
-            true,
-            false
-        )
-        .violations
-        .is_empty());
-        assert!(lint_str(bad, false, false).violations.is_empty());
+        // SeqCst needs no tag.
+        assert!(
+            lint_str("fn f(a: &A) { a.x.store(1, Ordering::SeqCst); }", false)
+                .violations
+                .is_empty()
+        );
     }
 
     #[test]
     fn l2_tag_covers_contiguous_run_but_not_past_plain_statements() {
         let src = "fn f(a: &A) {\n    // ord: Acquire/Relaxed — cluster justified.\n    let x = a.x.load(Ordering::Acquire);\n    let y = a.y.load(Ordering::Relaxed);\n    let z = x + y;\n    a.x.store(z, Ordering::Release);\n}\n";
-        let r = lint_str(src, true, false);
+        let r = lint_str(src, false);
         assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
         assert_eq!(r.violations[0].line, 6);
     }
@@ -951,7 +942,7 @@ mod tests {
     #[test]
     fn l2_multiline_chain_stays_covered() {
         let src = "fn f(a: &A) {\n    // ord: AcqRel success / Relaxed failure — CAS publishes.\n    let won = a\n        .x\n        .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Relaxed)\n        .is_ok();\n}\n";
-        assert!(lint_str(src, true, false).violations.is_empty());
+        assert!(lint_str(src, false).violations.is_empty());
     }
 
     #[test]
@@ -960,7 +951,6 @@ mod tests {
         let scan = lint_file(
             "test.rs",
             "use std::sync::atomic::AtomicUsize;\n",
-            false,
             false,
             &mut r,
         );
@@ -973,7 +963,6 @@ mod tests {
             "test.rs",
             "use ft_sync::atomic::AtomicUsize;\n",
             false,
-            false,
             &mut r,
         );
         assert!(r.violations.is_empty());
@@ -982,26 +971,26 @@ mod tests {
 
     #[test]
     fn l5_flags_unwrap_and_waiver_suppresses_with_reason() {
-        let r = lint_str("fn f() { x().unwrap(); }\n", false, true);
+        let r = lint_str("fn f() { x().unwrap(); }\n", true);
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].rule, "L5");
 
         let waived =
             "// ft-lint: allow(L5) unreachable: x is checked above.\nfn f() { x().unwrap(); }\n";
-        let r = lint_str(waived, false, true);
+        let r = lint_str(waived, true);
         assert!(r.violations.is_empty());
         assert_eq!(r.waivers.len(), 1);
         assert_eq!(r.waivers[0].rule, "L5");
 
         // A reason-less waiver does not suppress.
         let bad = "// ft-lint: allow(L5)\nfn f() { x().unwrap(); }\n";
-        assert_eq!(lint_str(bad, false, true).violations.len(), 1);
+        assert_eq!(lint_str(bad, true).violations.len(), 1);
     }
 
     #[test]
     fn l6_untagged_fence_flagged_and_tagged_collected() {
         let bad = "fn f() { fence(Ordering::SeqCst); }\n";
-        let r = lint_str(bad, false, false);
+        let r = lint_str(bad, false);
         assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
         assert_eq!(r.violations[0].rule, "L6");
 
@@ -1009,7 +998,6 @@ mod tests {
         let scan = lint_file(
             "test.rs",
             "fn f() {\n    // sc: notify/registrant — pairs with the drainer.\n    fence(Ordering::SeqCst);\n}\n",
-            false,
             false,
             &mut r,
         );
@@ -1022,7 +1010,7 @@ mod tests {
     #[test]
     fn l9_flags_impurity_only_inside_regions() {
         let src = "fn cold() { let v = vec![1]; }\n// ft-lint: hot-path begin(demo)\nfn hot() {\n    let b = Box::new(1);\n    let g = m.lock();\n}\n// ft-lint: hot-path end(demo)\nfn cold2() { let s = format!(\"x\"); }\n";
-        let r = lint_str(src, false, false);
+        let r = lint_str(src, false);
         assert_eq!(r.violations.len(), 2, "{:?}", r.violations);
         assert!(r.violations.iter().all(|v| v.rule == "L9"));
         assert_eq!(r.violations[0].line, 4, "Box::new inside the region");
@@ -1033,9 +1021,9 @@ mod tests {
     #[test]
     fn l9_word_tokens_respect_identifier_boundaries() {
         let src = "// ft-lint: hot-path begin(r)\nfn hot() {\n    let sleeping_workers = 3;\n    wake(sleeping_workers);\n}\n// ft-lint: hot-path end(r)\n";
-        assert!(lint_str(src, false, false).violations.is_empty());
+        assert!(lint_str(src, false).violations.is_empty());
         let bad = "// ft-lint: hot-path begin(r)\nfn hot() {\n    thread::sleep(d);\n}\n// ft-lint: hot-path end(r)\n";
-        let r = lint_str(bad, false, false);
+        let r = lint_str(bad, false);
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].rule, "L9");
     }
@@ -1043,7 +1031,7 @@ mod tests {
     #[test]
     fn l9_marker_errors_are_violations() {
         let src = "// ft-lint: hot-path begin(a)\nfn f() {}\n";
-        let r = lint_str(src, false, false);
+        let r = lint_str(src, false);
         assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
         assert_eq!(r.violations[0].rule, "L9");
         assert!(r.violations[0].message.contains("never closed"));
@@ -1052,7 +1040,7 @@ mod tests {
     #[test]
     fn l9_waiver_suppresses_a_hot_path_hit() {
         let src = "// ft-lint: hot-path begin(r)\nfn hot() {\n    // ft-lint: allow(L9) recovery path only; measured cold.\n    let b = Box::new(1);\n}\n// ft-lint: hot-path end(r)\n";
-        let r = lint_str(src, false, false);
+        let r = lint_str(src, false);
         assert!(r.violations.is_empty(), "{:?}", r.violations);
         assert_eq!(r.waivers.len(), 1);
         assert_eq!(r.waivers[0].rule, "L9");
@@ -1224,13 +1212,13 @@ mod tests {
     #[test]
     fn rules_skip_test_modules() {
         let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    use std::sync::atomic::AtomicUsize;\n    fn g() { unsafe { h() } }\n}\n";
-        assert!(lint_str(src, true, true).violations.is_empty());
+        assert!(lint_str(src, true).violations.is_empty());
     }
 
     #[test]
     fn strings_and_comments_never_trip_rules() {
         let src = "fn f() { let s = \"unsafe Ordering::Relaxed\"; } // unsafe\n";
-        assert!(lint_str(src, true, false).violations.is_empty());
+        assert!(lint_str(src, false).violations.is_empty());
     }
 
     #[test]
@@ -1239,7 +1227,6 @@ mod tests {
         lint_file(
             "a.rs",
             "fn f() { unsafe { g(\"q\\\"\") } }\n",
-            false,
             false,
             &mut r,
         );

@@ -305,7 +305,7 @@ notes = "relaxed counters, read at quiescence"
         let mut ws = WorkspaceScan::default();
         ws.add(
             "f.rs",
-            lint_file("f.rs", src, true, false, &mut Report::default()),
+            lint_file("f.rs", src, false, &mut Report::default()),
         );
         stamp(&ws, ["f.rs"])
     }

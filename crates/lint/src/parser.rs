@@ -269,11 +269,10 @@ mod tests {
     use super::*;
     use crate::{lint_file, FileScan, Report};
 
-    /// One pass over `src` as file `f.rs`, outside the ordering and
-    /// hot-path dirs.
+    /// One pass over `src` as file `f.rs`, outside the hot-path dirs.
     fn scan(src: &str) -> (FileScan, Report) {
         let mut report = Report::default();
-        let scan = lint_file("f.rs", src, false, false, &mut report);
+        let scan = lint_file("f.rs", src, false, &mut report);
         (scan, report)
     }
 

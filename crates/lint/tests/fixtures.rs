@@ -8,25 +8,25 @@ use std::path::Path;
 
 /// One pass over a fixture file: its per-file findings and the scan the
 /// cross-file pass consumes.
-fn scan_fixture(name: &str, ordering: bool, hot: bool) -> (Report, FileScan) {
+fn scan_fixture(name: &str, hot: bool) -> (Report, FileScan) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(name);
     let src =
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("fixture {name} unreadable: {e}"));
     let mut report = Report::default();
-    let scan = lint_file(name, &src, ordering, hot, &mut report);
+    let scan = lint_file(name, &src, hot, &mut report);
     (report, scan)
 }
 
 /// The per-file findings of one fixture file.
-fn lint_fixture(name: &str, ordering: bool, hot: bool) -> Report {
-    scan_fixture(name, ordering, hot).0
+fn lint_fixture(name: &str, hot: bool) -> Report {
+    scan_fixture(name, hot).0
 }
 
 #[test]
 fn bad_l1_missing_safety() {
-    let r = lint_fixture("bad/l1_missing_safety.rs", false, false);
+    let r = lint_fixture("bad/l1_missing_safety.rs", false);
     assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
     let v = &r.violations[0];
     assert_eq!(v.rule, "L1");
@@ -37,7 +37,7 @@ fn bad_l1_missing_safety() {
 
 #[test]
 fn bad_l2_untagged_ordering() {
-    let r = lint_fixture("bad/l2_untagged_ordering.rs", true, false);
+    let r = lint_fixture("bad/l2_untagged_ordering.rs", false);
     assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
     let v = &r.violations[0];
     assert_eq!(v.rule, "L2");
@@ -47,7 +47,7 @@ fn bad_l2_untagged_ordering() {
 
 #[test]
 fn bad_l3_direct_atomic_import() {
-    let r = lint_fixture("bad/l3_direct_atomic_import.rs", false, false);
+    let r = lint_fixture("bad/l3_direct_atomic_import.rs", false);
     assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
     let v = &r.violations[0];
     assert_eq!(v.rule, "L3");
@@ -57,7 +57,7 @@ fn bad_l3_direct_atomic_import() {
 #[test]
 fn bad_l4_unclaimed_atomics() {
     let name = "bad/l4_unclaimed_atomics.rs";
-    let (r, scan) = scan_fixture(name, false, false);
+    let (r, scan) = scan_fixture(name, false);
     assert!(r.violations.is_empty(), "coverage is a cross-file rule");
     assert!(scan.uses_atomics);
     let mut ws = WorkspaceScan::default();
@@ -77,13 +77,13 @@ fn bad_l4_unclaimed_atomics() {
 
 #[test]
 fn bad_l5_unwrap_in_hot_path() {
-    let r = lint_fixture("bad/l5_unwrap_in_hot_path.rs", false, true);
+    let r = lint_fixture("bad/l5_unwrap_in_hot_path.rs", true);
     assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
     let v = &r.violations[0];
     assert_eq!(v.rule, "L5");
     assert_eq!(v.line, 4, "span points at the unwrap call");
     // Outside the hot-path dirs the same code is fine.
-    let r = lint_fixture("bad/l5_unwrap_in_hot_path.rs", false, false);
+    let r = lint_fixture("bad/l5_unwrap_in_hot_path.rs", false);
     assert!(r.violations.is_empty());
 }
 
@@ -94,7 +94,7 @@ fn good_fixtures_are_clean() {
         "good/l2_ord_tags.rs",
         "good/l3_facade_import.rs",
     ] {
-        let r = lint_fixture(name, true, true);
+        let r = lint_fixture(name, true);
         assert!(r.violations.is_empty(), "{name}: {:?}", r.violations);
         assert!(r.waivers.is_empty(), "{name}: {:?}", r.waivers);
     }
@@ -102,7 +102,7 @@ fn good_fixtures_are_clean() {
 
 #[test]
 fn waiver_suppresses_but_stays_reported() {
-    let r = lint_fixture("good/l5_waived_unwrap.rs", false, true);
+    let r = lint_fixture("good/l5_waived_unwrap.rs", true);
     assert!(r.violations.is_empty(), "{:?}", r.violations);
     assert_eq!(r.waivers.len(), 1);
     let w = &r.waivers[0];
@@ -113,7 +113,7 @@ fn waiver_suppresses_but_stays_reported() {
 
 #[test]
 fn json_report_round_trips_rule_ids() {
-    let r = lint_fixture("bad/l1_missing_safety.rs", false, false);
+    let r = lint_fixture("bad/l1_missing_safety.rs", false);
     let json = r.render_json();
     assert!(json.contains("\"rule\": \"L1\""));
     assert!(json.contains("\"file\": \"bad/l1_missing_safety.rs\""));
@@ -162,7 +162,7 @@ const COUNTER_ANCHOR: &str = "## Counter <a id=\"counter\"></a>";
 
 #[test]
 fn bad_l6_untagged_fence() {
-    let (r, scan) = scan_fixture("bad/l6_untagged_fence.rs", false, false);
+    let (r, scan) = scan_fixture("bad/l6_untagged_fence.rs", false);
     assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
     let v = &r.violations[0];
     assert_eq!(v.rule, "L6");
@@ -175,7 +175,7 @@ fn bad_l6_untagged_fence() {
 #[test]
 fn good_l6_paired_fences_are_clean() {
     let name = "good/l6_paired_fences.rs";
-    let (r, scan) = scan_fixture(name, false, false);
+    let (r, scan) = scan_fixture(name, false);
     assert!(r.violations.is_empty(), "{:?}", r.violations);
     assert_eq!(scan.fences.len(), 2);
 
@@ -204,7 +204,7 @@ notes = "fixture protocol"
 #[test]
 fn bad_l6_unpaired_and_undeclared_protocols() {
     let name = "good/l6_paired_fences.rs";
-    let (_, scan) = scan_fixture(name, false, false);
+    let (_, scan) = scan_fixture(name, false);
     // Keep only the registrant side: the protocol loses its partner.
     let mut lone = scan.clone();
     lone.fences.truncate(1);
@@ -243,7 +243,7 @@ notes = "fixture protocol"
 #[test]
 fn bad_l7_unclaimed_field_and_dangling_claim() {
     let name = "bad/l7_unclaimed_field.rs";
-    let (r, scan) = scan_fixture(name, false, false);
+    let (r, scan) = scan_fixture(name, false);
     assert!(r.violations.is_empty(), "{:?}", r.violations);
     assert_eq!(scan.fields.len(), 1);
     assert_eq!(
@@ -318,7 +318,7 @@ fields = []
 /// listing it (unstamped).
 fn counter_workspace() -> (WorkspaceScan, String) {
     let name = "good/l8_claimed_source.rs";
-    let (_, scan) = scan_fixture(name, true, false);
+    let (_, scan) = scan_fixture(name, false);
     let mut ws = WorkspaceScan::default();
     ws.add(name, scan);
     (ws, format!("{COUNTER}files = [\"{name}\"]\n"))
@@ -398,7 +398,7 @@ fn bad_l7_missing_suite_next_to_a_live_one() {
 
 #[test]
 fn bad_l9_impure_hot_path() {
-    let r = lint_fixture("bad/l9_impure_hot_path.rs", false, false);
+    let r = lint_fixture("bad/l9_impure_hot_path.rs", false);
     assert_eq!(r.violations.len(), 3, "{:?}", r.violations);
     assert!(r.violations.iter().all(|v| v.rule == "L9"));
     let lines: Vec<usize> = r.violations.iter().map(|v| v.line).collect();
@@ -409,7 +409,7 @@ fn bad_l9_impure_hot_path() {
 
 #[test]
 fn good_l9_pure_hot_path_with_waiver() {
-    let r = lint_fixture("good/l9_pure_hot_path.rs", false, false);
+    let r = lint_fixture("good/l9_pure_hot_path.rs", false);
     assert!(r.violations.is_empty(), "{:?}", r.violations);
     assert_eq!(r.waivers.len(), 1, "{:?}", r.waivers);
     let w = &r.waivers[0];
@@ -420,7 +420,7 @@ fn good_l9_pure_hot_path_with_waiver() {
 
 #[test]
 fn json_output_is_versioned_and_sorted() {
-    let mut r = lint_fixture("bad/l9_impure_hot_path.rs", false, false);
+    let mut r = lint_fixture("bad/l9_impure_hot_path.rs", false);
     r.sort();
     let json = r.render_json();
     assert!(

@@ -13,7 +13,9 @@ use ft_det::DetPool;
 use ft_integration::dag_gen::DagGenConfig;
 use ft_integration::graphs::{Chain, Grid, ValueDag};
 use ft_integration::mutants::{DropOnePublish, DuplicatesDecrement, UngatedDrain};
-use ft_integration::{assert_oracle_clean, det_traced_run, oracle_violations};
+use ft_integration::{
+    assert_oracle_clean, det_traced_run, oracle_violations, phase_of, sequential_values,
+};
 use nabbit_ft::graph::{Key, TaskGraph};
 use nabbit_ft::inject::{FaultPlan, FaultSite, Phase};
 use nabbit_ft::scheduler::Engine;
@@ -22,25 +24,6 @@ use nabbit_ft::trace::oracle::{check_result_equivalence, OracleMode};
 use nabbit_ft::trace::{Event, Trace};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Values from a sequential fault-free execution (the Theorem 1
-/// reference).
-fn sequential_reference(widths: &[usize], edges_seed: u64) -> HashMap<Key, u64> {
-    let dag = ValueDag::generate(widths, edges_seed);
-    seq::run(&dag).unwrap();
-    dag.all_keys()
-        .into_iter()
-        .map(|k| (k, dag.value_of(k).unwrap()))
-        .collect()
-}
-
-fn phase_of(round: u64) -> Phase {
-    match round % 3 {
-        0 => Phase::BeforeCompute,
-        1 => Phase::AfterCompute,
-        _ => Phase::AfterNotify,
-    }
-}
 
 /// A fault plan failing 0%, 25%, 50% or 75% of `keys` (by `round`), in
 /// `round`'s phase.
@@ -112,7 +95,7 @@ fn randdag_triple(
 fn two_hundred_seeded_oracle_checked_runs() {
     let mut runs = 0u64;
     for (si, shape) in SHAPES.iter().enumerate() {
-        let reference = sequential_reference(shape, shape_edges_seed(si));
+        let reference = sequential_values(ValueDag::generate(shape, shape_edges_seed(si)));
         for round in 0..ROUNDS_PER_SHAPE {
             let (dag, plan, schedule_seed) = shape_triple(si, round);
             let keys = dag.all_keys();
@@ -558,7 +541,7 @@ fn multi_fire_faults_recursively_recovered_under_many_schedules() {
 #[test]
 fn after_notify_fault_observed_through_later_consumer() {
     let shape: &[usize] = &[1, 2, 2];
-    let reference = sequential_reference(shape, 7);
+    let reference = sequential_values(ValueDag::generate(shape, 7));
     let mut data_path_runs = 0u64;
     for seed in 0..24u64 {
         let dag = Arc::new(ValueDag::generate(shape, 7));

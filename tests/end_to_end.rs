@@ -12,7 +12,6 @@ use ft_steal::pool::{Pool, PoolConfig};
 use nabbit_ft::analysis;
 use nabbit_ft::inject::{FaultPlan, Phase};
 use nabbit_ft::scheduler::{BaselineScheduler, FtScheduler};
-use nabbit_ft::TaskGraph;
 use std::sync::Arc;
 
 fn apps(n: usize, b: usize) -> Vec<Arc<dyn BenchApp>> {
@@ -25,35 +24,12 @@ fn apps(n: usize, b: usize) -> Vec<Arc<dyn BenchApp>> {
     ]
 }
 
-/// Upcast helper: `Arc<dyn BenchApp>` → `Arc<dyn TaskGraph>`.
-fn as_graph(app: &Arc<dyn BenchApp>) -> Arc<dyn TaskGraph> {
-    struct Wrap(Arc<dyn BenchApp>);
-    impl TaskGraph for Wrap {
-        fn sink(&self) -> i64 {
-            self.0.sink()
-        }
-        fn predecessors(&self, k: i64) -> Vec<i64> {
-            self.0.predecessors(k)
-        }
-        fn successors(&self, k: i64) -> Vec<i64> {
-            self.0.successors(k)
-        }
-        fn compute(&self, k: i64, ctx: &nabbit_ft::ComputeCtx<'_>) -> Result<(), nabbit_ft::Fault> {
-            self.0.compute(k, ctx)
-        }
-        fn poison_outputs(&self, k: i64) {
-            self.0.poison_outputs(k)
-        }
-    }
-    Arc::new(Wrap(Arc::clone(app)))
-}
-
 #[test]
 fn all_benchmarks_baseline_all_threads() {
     for threads in [1, 4] {
         let pool = Pool::new(PoolConfig::with_threads(threads));
         for app in apps(96, 16) {
-            let report = BaselineScheduler::new(as_graph(&app)).run(&pool);
+            let report = BaselineScheduler::new(app.clone()).run(&pool);
             assert!(report.sink_completed, "{} baseline t={threads}", app.name());
             app.verify()
                 .unwrap_or_else(|e| panic!("{} t={threads}: {e}", app.name()));
@@ -66,7 +42,7 @@ fn all_benchmarks_ft_fault_free_all_threads() {
     for threads in [1, 4] {
         let pool = Pool::new(PoolConfig::with_threads(threads));
         for app in apps(96, 16) {
-            let report = FtScheduler::new(as_graph(&app)).run(&pool);
+            let report = FtScheduler::new(app.clone()).run(&pool);
             assert!(report.sink_completed, "{} ft t={threads}", app.name());
             assert_eq!(report.re_executions, 0, "{}", app.name());
             app.verify()
@@ -79,8 +55,8 @@ fn all_benchmarks_ft_fault_free_all_threads() {
 fn ft_and_baseline_execute_same_task_count() {
     let pool = Pool::new(PoolConfig::with_threads(4));
     for app in apps(96, 16) {
-        let b = BaselineScheduler::new(as_graph(&app)).run(&pool);
-        let f = FtScheduler::new(as_graph(&app)).run(&pool);
+        let b = BaselineScheduler::new(app.clone()).run(&pool);
+        let f = FtScheduler::new(app.clone()).run(&pool);
         assert_eq!(
             b.computes,
             f.computes,
@@ -99,7 +75,7 @@ fn all_benchmarks_survive_percent_scale_faults() {
         let cand = app.tasks_of_class(VersionClass::Rand);
         let count = (cand.len() / 50).max(1);
         let plan = Arc::new(FaultPlan::sample(&cand, count, Phase::AfterCompute, 77));
-        let report = FtScheduler::with_plan(as_graph(&app), plan).run(&pool);
+        let report = FtScheduler::with_plan(app.clone(), plan).run(&pool);
         assert!(report.sink_completed, "{}", app.name());
         assert_eq!(report.injected as usize, count, "{}", app.name());
         app.verify()
@@ -115,7 +91,7 @@ fn all_benchmarks_survive_vlast_and_v0_faults() {
             let cand = app.tasks_of_class(class);
             let count = 3.min(cand.len());
             let plan = Arc::new(FaultPlan::sample(&cand, count, Phase::AfterCompute, 13));
-            let report = FtScheduler::with_plan(as_graph(&app), plan).run(&pool);
+            let report = FtScheduler::with_plan(app.clone(), plan).run(&pool);
             assert!(report.sink_completed, "{} {class:?}", app.name());
             app.verify()
                 .unwrap_or_else(|e| panic!("{} {class:?}: {e}", app.name()));
@@ -129,15 +105,14 @@ fn graph_stats_consistent_across_benchmarks() {
     // exactly that many tasks fault-free.
     let pool = Pool::new(PoolConfig::with_threads(4));
     for app in apps(96, 16) {
-        let g = as_graph(&app);
-        let stats = analysis::graph_stats(g.as_ref());
+        let stats = analysis::graph_stats(app.as_ref());
         assert_eq!(
             stats.tasks,
             app.all_tasks().len(),
             "{}: analysis vs enumeration",
             app.name()
         );
-        let report = FtScheduler::new(g).run(&pool);
+        let report = FtScheduler::new(app.clone()).run(&pool);
         assert_eq!(
             report.computes as usize,
             stats.tasks,
@@ -157,7 +132,7 @@ fn injection_verification_reexec_matches_intent() {
     let app: Arc<dyn BenchApp> = Arc::new(Lcs::new(AppConfig::new(128, 16)));
     let cand = app.all_tasks();
     let plan = Arc::new(FaultPlan::sample(&cand, 12, Phase::AfterCompute, 21));
-    let report = FtScheduler::with_plan(as_graph(&app), plan).run(&pool);
+    let report = FtScheduler::with_plan(app.clone(), plan).run(&pool);
     assert!(report.sink_completed);
     assert_eq!(report.injected, 12);
     assert_eq!(report.re_executions, 12);
@@ -171,14 +146,14 @@ fn speedup_shape_sanity() {
     let app1: Arc<dyn BenchApp> = Arc::new(Fw::new(AppConfig::new(128, 32)));
     let pool1 = Pool::new(PoolConfig::with_threads(1));
     let t1 = {
-        let r = FtScheduler::new(as_graph(&app1)).run(&pool1);
+        let r = FtScheduler::new(app1.clone()).run(&pool1);
         assert!(r.sink_completed);
         r.elapsed
     };
     let app4: Arc<dyn BenchApp> = Arc::new(Fw::new(AppConfig::new(128, 32)));
     let pool4 = Pool::new(PoolConfig::with_threads(4));
     let t4 = {
-        let r = FtScheduler::new(as_graph(&app4)).run(&pool4);
+        let r = FtScheduler::new(app4.clone()).run(&pool4);
         assert!(r.sink_completed);
         r.elapsed
     };
@@ -194,7 +169,7 @@ fn degenerate_single_tile_configs() {
     // every benchmark must still complete and verify.
     let pool = Pool::new(PoolConfig::with_threads(2));
     for app in apps(32, 32) {
-        let report = FtScheduler::new(as_graph(&app)).run(&pool);
+        let report = FtScheduler::new(app.clone()).run(&pool);
         assert!(report.sink_completed, "{} single-tile", app.name());
         app.verify()
             .unwrap_or_else(|e| panic!("{} single-tile: {e}", app.name()));
@@ -208,7 +183,7 @@ fn tiny_block_configs() {
     for app in apps(64, 8) {
         let cand = app.tasks_of_class(VersionClass::Rand);
         let plan = Arc::new(FaultPlan::sample(&cand, 5, Phase::AfterCompute, 3));
-        let report = FtScheduler::with_plan(as_graph(&app), plan).run(&pool);
+        let report = FtScheduler::with_plan(app.clone(), plan).run(&pool);
         assert!(report.sink_completed, "{} tiny blocks", app.name());
         app.verify()
             .unwrap_or_else(|e| panic!("{} tiny blocks: {e}", app.name()));

@@ -25,30 +25,18 @@
 
 use ft_integration::dag_gen::DagGenConfig;
 use ft_integration::graphs::ValueDag;
-use ft_integration::{assert_oracle_clean, traced_run_on};
+use ft_integration::{assert_oracle_clean, sequential_values, traced_run_on};
 use ft_steal::pool::{Pool, PoolConfig};
-use nabbit_ft::graph::{Key, TaskGraph};
+use nabbit_ft::graph::TaskGraph;
 use nabbit_ft::inject::{FaultPlan, FaultSite, Phase};
-use nabbit_ft::seq;
 use nabbit_ft::trace::oracle::{check_result_equivalence, OracleMode, Violation};
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 fn shared_pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| Pool::new(PoolConfig::with_threads(4)))
-}
-
-/// Oracle: values from a sequential fault-free execution.
-fn sequential_values(cfg: &DagGenConfig) -> HashMap<Key, u64> {
-    let dag = ValueDag::random(cfg);
-    seq::run(&dag).unwrap();
-    dag.all_keys()
-        .into_iter()
-        .map(|k| (k, dag.value_of(k).unwrap()))
-        .collect()
 }
 
 /// A generator config together with a fault plan drawn over the keys of
@@ -99,7 +87,7 @@ fn dag_with_faults(rng: &mut StdRng, max_fires: u64) -> DagCase {
 /// failures are reported as extra `Violation`s so they reach the same
 /// `target/oracle-failures/` dump as G1–G6.
 fn run_and_check(case: &DagCase, label: &str) -> Arc<ValueDag> {
-    let reference = sequential_values(&case.cfg);
+    let reference = sequential_values(ValueDag::random(&case.cfg));
     let dag = Arc::new(ValueDag::random(&case.cfg));
     let keys = dag.all_keys();
     let plan = Arc::new(FaultPlan::new(case.sites.iter().copied()));

@@ -9,14 +9,13 @@
 //! backpressure keeps the in-flight instance count bounded.
 
 use ft_det::DetPool;
-use ft_integration::assert_oracle_clean;
 use ft_integration::graphs::ValueDag;
+use ft_integration::{assert_oracle_clean, phase_of, sequential_values};
 use ft_steal::pool::{Pool, PoolConfig};
 use nabbit_ft::fault::Fault;
 use nabbit_ft::graph::{ComputeCtx, Key, TaskGraph};
-use nabbit_ft::inject::{FaultPlan, Phase};
+use nabbit_ft::inject::FaultPlan;
 use nabbit_ft::scheduler::{FtScheduler, GraphService, InstanceTicket, ServiceConfig};
-use nabbit_ft::seq;
 use nabbit_ft::trace::oracle::{check_result_equivalence, OracleMode};
 use nabbit_ft::trace::{Event, Trace};
 use std::collections::HashMap;
@@ -30,24 +29,6 @@ const SHAPES: &[&[usize]] = &[
     &[2, 2, 2, 2, 2],
     &[6, 6],
 ];
-
-fn phase_of(i: u64) -> Phase {
-    match i % 3 {
-        0 => Phase::BeforeCompute,
-        1 => Phase::AfterCompute,
-        _ => Phase::AfterNotify,
-    }
-}
-
-/// Values from a sequential fault-free execution (the Theorem 1 reference).
-fn sequential_reference(widths: &[usize], edges_seed: u64) -> HashMap<Key, u64> {
-    let dag = ValueDag::generate(widths, edges_seed);
-    seq::run(&dag).unwrap();
-    dag.all_keys()
-        .into_iter()
-        .map(|k| (k, dag.value_of(k).unwrap()))
-        .collect()
-}
 
 /// One prepared tenant: its private graph, plan, trace and scheduler.
 struct Tenant {
@@ -137,7 +118,10 @@ fn shape_references() -> HashMap<usize, HashMap<Key, u64>> {
     (0..SHAPES.len())
         .map(|si| {
             let edges_seed = 0x5E2_0001 + si as u64 * 977;
-            (si, sequential_reference(SHAPES[si], edges_seed))
+            (
+                si,
+                sequential_values(ValueDag::generate(SHAPES[si], edges_seed)),
+            )
         })
         .collect()
 }
