@@ -347,10 +347,12 @@ impl<M: Mutation> Engine<FtRecovery<M>> {
     /// Poison a task: descriptor flag plus every output block version ("a
     /// fault affects both a task and the data blocks it has computed").
     pub(super) fn poison_task(&self, desc: &FtDesc, phase: Phase, worker: Option<usize>) {
-        // ord: Release — the poison flag must publish after the injected
-        // fault's effects so dependents observe a consistent error state.
-        desc.poisoned.store(true, Ordering::Release);
         self.graph.poison_outputs(desc.key);
+        // ord: Release — stored after the outputs are poisoned, so a worker
+        // whose `check` (Acquire) sees the flag also sees the poisoned
+        // blocks, and a recovery it starts cannot publish an output that
+        // this call then poisons.
+        desc.poisoned.store(true, Ordering::Release);
         // ord: Relaxed — statistics counter read at quiescence.
         self.metrics.injected.fetch_add(1, Ordering::Relaxed);
         self.policy.emit(
@@ -634,6 +636,55 @@ mod tests {
         assert_eq!(report.injected, 64);
         assert_eq!(report.distinct_tasks_executed, 64);
         assert_eq!(report.re_executions, 0, "no computed work was lost");
+    }
+
+    /// A grid whose `poison_outputs` records whether the faulting task's
+    /// descriptor already reads as poisoned while its outputs are poisoned.
+    struct PoisonProbe {
+        grid: Grid,
+        engine: OnceLock<std::sync::Weak<FtScheduler>>,
+        flag_seen: Mutex<Vec<bool>>,
+    }
+
+    impl TaskGraph for PoisonProbe {
+        fn sink(&self) -> Key {
+            self.grid.sink()
+        }
+        fn predecessors(&self, k: Key) -> Vec<Key> {
+            self.grid.predecessors(k)
+        }
+        fn successors(&self, k: Key) -> Vec<Key> {
+            self.grid.successors(k)
+        }
+        fn compute(&self, k: Key, ctx: &ComputeCtx<'_>) -> Result<(), Fault> {
+            self.grid.compute(k, ctx)
+        }
+        fn poison_outputs(&self, key: Key) {
+            let engine = self.engine.get().and_then(|w| w.upgrade());
+            let desc = engine
+                .and_then(|e| e.desc_handle(key))
+                .expect("running task");
+            let seen = desc.poisoned.load(Ordering::Acquire);
+            self.flag_seen.lock().push(seen);
+        }
+    }
+
+    #[test]
+    fn outputs_are_poisoned_before_the_flag_is_raised() {
+        // A worker that sees the flag may recover the task and publish its
+        // new output; poisoning the outputs after the flag could poison
+        // that output. So the flag must still read false here.
+        let g = Arc::new(PoisonProbe {
+            grid: Grid::new(8),
+            engine: OnceLock::new(),
+            flag_seen: Mutex::new(Vec::new()),
+        });
+        let plan = Arc::new(FaultPlan::single(27, Phase::AfterCompute));
+        let sched = FtScheduler::with_plan(Arc::clone(&g) as _, plan);
+        g.engine.set(Arc::downgrade(&sched)).expect("set once");
+        let pool = Pool::new(PoolConfig::with_threads(2));
+        assert!(sched.run(&pool).sink_completed);
+        assert_eq!(*g.flag_seen.lock(), [false]);
     }
 
     #[test]

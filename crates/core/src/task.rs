@@ -546,8 +546,9 @@ impl FtDesc {
     /// routine that touches the descriptor inside one of the paper's try
     /// blocks calls this first.
     pub fn check(&self) -> Result<(), Fault> {
-        // ord: Acquire — observing the poison flag must also see the fault
-        // context written before it was raised (Release in poison_task).
+        // ord: Acquire — observing the poison flag must also see the fault's
+        // effects, the outputs poisoned before it was raised (Release in
+        // poison_task).
         if self.poisoned.load(Ordering::Acquire) {
             Err(Fault::descriptor(self.key, self.life))
         } else {

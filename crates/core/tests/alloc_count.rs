@@ -440,16 +440,16 @@ fn both_entry_points_allocate_the_same_per_task() {
     }
 }
 
-/// The segmented injector must not allocate per push in steady state:
-/// fully consumed blocks are reset and recycled through the one-slot block
-/// cache, so sustained push/steal traffic reuses the same segments.
+/// The injector must not allocate per push in steady state: its queue is
+/// born with reserved capacity, so sustained push/steal traffic that never
+/// holds more than that reuses the same ring.
 #[test]
 fn injector_steady_state_allocates_nothing() {
     use ft_steal::injector::Injector;
 
     let _serial = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let q: Injector<u64> = Injector::new();
-    // Warm-up: enough laps that the block chain and recycle cache exist.
+    // Warm-up: a few laps of push/steal traffic before counting.
     for round in 0..10u64 {
         for i in 0..40 {
             q.push(round * 40 + i);
@@ -458,8 +458,8 @@ fn injector_steady_state_allocates_nothing() {
             assert_eq!(q.steal(), Some(round * 40 + i));
         }
     }
-    // Steady state: thousands of pushes/steals crossing many block
-    // boundaries — zero allocations.
+    // Steady state: thousands of pushes/steals wrapping the ring many
+    // times — zero allocations.
     let allocs = count_allocs(|| {
         for round in 0..100u64 {
             for i in 0..40 {
@@ -500,7 +500,7 @@ fn injector_batch_steal_steady_state_allocates_nothing() {
         }
         assert_eq!(got, 40);
     };
-    // Warm-up: grow the deque ring and populate the block cache.
+    // Warm-up: grow the deque ring.
     for _ in 0..10 {
         lap(&q, &w);
     }
@@ -516,7 +516,7 @@ fn injector_batch_steal_steady_state_allocates_nothing() {
 }
 
 /// Steady-state spawning on the *multithreaded* pool allocates nothing:
-/// inline `Job` cells, recycled injector blocks, and warmed worker deques
+/// inline `Job` cells, the injector's reserved ring, and warmed worker deques
 /// mean a full execute/spawn/steal/quiesce round trip is allocation-free.
 #[test]
 fn pool_steady_state_allocates_nothing() {
@@ -572,9 +572,8 @@ fn pool_steady_state_allocates_nothing() {
     // Warm-up: lets every worker grow its deque, fault in TLS and opt into
     // the allocation count (every job does, so any worker that ever runs
     // one is counted from then on). The injector needs no warming: it is
-    // born with a full block cache, and a round keeps at most three of its
-    // blocks unretired (32 pushes over 31-slot blocks), so its installer
-    // never reaches the allocator however far the consumers lag.
+    // born with room for 155 jobs and a round queues at most 32 at once,
+    // so it never reaches the allocator however far the consumers lag.
     for _ in 0..62 {
         round(&pool, &hits);
     }

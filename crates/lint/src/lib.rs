@@ -101,6 +101,8 @@ pub struct Report {
     pub waivers: Vec<Waiver>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
+    /// Root of the scanned tree, as [`run`] was given it.
+    pub root: String,
 }
 
 /// What to lint and where. [`Config::workspace`] is the shipped policy.
@@ -227,7 +229,10 @@ impl std::fmt::Debug for GlobalInputs<'_> {
 /// field file (`scan_workspace`), then the cross-file pass (L4
 /// coverage, L6 pairing, L7 claims, L8 stamps). Output is sorted.
 pub fn run(config: &Config) -> std::io::Result<Report> {
-    let mut report = Report::default();
+    let mut report = Report {
+        root: config.root.display().to_string(),
+        ..Report::default()
+    };
     let scan = scan_workspace(config, &mut report)?;
     let read_rel = |rel: &Path| std::fs::read_to_string(config.root.join(rel)).ok();
     let protocols = Protocols::parse(&read_rel(&config.protocols).unwrap_or_default());
@@ -828,8 +833,9 @@ impl Report {
         }
         let _ = writeln!(
             out,
-            "ft-lint: {} file(s) scanned, {} violation(s), {} waiver(s)",
+            "ft-lint: {} file(s) scanned under {}, {} violation(s), {} waiver(s)",
             self.files_scanned,
+            self.root,
             self.violations.len(),
             self.waivers.len()
         );
@@ -880,8 +886,9 @@ impl Report {
         }
         let _ = write!(
             out,
-            "\n  ],\n  \"files_scanned\": {}\n}}\n",
-            self.files_scanned
+            "\n  ],\n  \"files_scanned\": {},\n  \"root\": \"{}\"\n}}\n",
+            self.files_scanned,
+            esc(&self.root)
         );
         out
     }

@@ -7,18 +7,19 @@
 //! cargo run -p ft-lint -- --root X    # lint workspace rooted at X
 //! cargo run -p ft-lint -- --restamp   # refresh PROTOCOLS.toml stamps
 //! ```
+//!
+//! Without `--root`, the root is the nearest ancestor of the current
+//! directory that holds `docs/PROTOCOLS.toml`.
 
 use ft_lint::{manifest, run, Config};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut deny = false;
     let mut json = false;
     let mut restamp = false;
-    // Default root: the workspace this binary was built from, so
-    // `cargo run -p ft-lint` works from any directory.
-    let mut root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut root = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -26,7 +27,7 @@ fn main() -> ExitCode {
             "--json" => json = true,
             "--restamp" => restamp = true,
             "--root" => match args.next() {
-                Some(r) => root = PathBuf::from(r),
+                Some(r) => root = Some(PathBuf::from(r)),
                 None => {
                     eprintln!("ft-lint: --root requires a path");
                     return ExitCode::from(2);
@@ -42,6 +43,12 @@ fn main() -> ExitCode {
             }
         }
     }
+    let Some(root) = root.or_else(find_root) else {
+        eprintln!(
+            "ft-lint: no docs/PROTOCOLS.toml in the current directory or above it (see --root)"
+        );
+        return ExitCode::from(2);
+    };
     let root = root.canonicalize().unwrap_or(root);
     let config = Config::workspace(root);
     if restamp {
@@ -71,4 +78,14 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+/// Default root: the nearest ancestor of the current directory (itself
+/// included) that holds the protocol manifest. The tree linted is the one
+/// the command runs in, not the one the binary was built from.
+fn find_root() -> Option<PathBuf> {
+    let cwd = std::env::current_dir().ok()?;
+    cwd.ancestors()
+        .find(|dir| dir.join("docs/PROTOCOLS.toml").is_file())
+        .map(Path::to_path_buf)
 }

@@ -4,6 +4,7 @@
 //! `cargo run -p ft-lint -- --deny`.
 
 use ft_lint::{run, Config};
+use std::fs;
 use std::path::Path;
 use std::process::Command;
 
@@ -51,4 +52,43 @@ fn deny_mode_binary_exits_zero_on_workspace() {
     );
     assert!(stdout.contains("\"violations\": ["));
     assert!(stdout.contains("\"files_scanned\""));
+}
+
+#[test]
+fn default_root_is_the_tree_the_command_runs_in() {
+    // A tree with its own manifest and one bare `unsafe`, nested inside
+    // this workspace: run from a subdirectory of it with no `--root`, the
+    // binary must lint that tree (L1 fires), not the clean tree it was
+    // built from, and name it as the scanned root.
+    let tree = workspace_root().join(format!("target/lint-root-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&tree);
+    fs::create_dir_all(tree.join("docs")).expect("mkdir");
+    fs::create_dir_all(tree.join("crates/steal/src")).expect("mkdir");
+    fs::write(tree.join("docs/PROTOCOLS.toml"), "").expect("write");
+    let src = "pub fn f(p: *const u8) -> u8 { unsafe { *p } }\n";
+    fs::write(tree.join("crates/steal/src/lib.rs"), src).expect("write");
+    let out = Command::new(env!("CARGO_BIN_EXE_ft-lint"))
+        .args(["--deny", "--json"])
+        .current_dir(tree.join("crates/steal"))
+        .output()
+        .expect("spawn ft-lint");
+    let root = tree.canonicalize().expect("tree exists");
+    let _ = fs::remove_dir_all(&tree);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("\"rule\": \"L1\""), "{stdout}");
+    let root_field = format!("\"root\": \"{}\"", root.display());
+    assert!(stdout.contains(&root_field), "{stdout}");
+}
+
+#[test]
+fn no_manifest_above_the_current_directory_is_an_error() {
+    let fs_root = workspace_root().ancestors().last().expect("a root");
+    let out = Command::new(env!("CARGO_BIN_EXE_ft-lint"))
+        .arg("--deny")
+        .current_dir(fs_root)
+        .output()
+        .expect("spawn ft-lint");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("docs/PROTOCOLS.toml"));
 }

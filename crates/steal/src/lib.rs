@@ -8,9 +8,9 @@
 //! * [`deque::Worker`]/[`deque::Stealer`] — a Chase–Lev work-stealing deque implemented directly
 //!   with atomics, following the orderings of Lê, Pop, Cohen & Zappa Nardelli,
 //!   *Correct and Efficient Work-Stealing for Weak Memory Models* (PPoPP'13).
-//! * [`injector::Injector`] — a segmented lock-free MPMC queue (linked
-//!   31-slot blocks, batch-steal into the caller's deque) for submissions
-//!   arriving from outside the pool.
+//! * [`injector::Injector`] — a locked FIFO with a lock-free emptiness
+//!   poll (batch-steal into the caller's deque) for submissions arriving
+//!   from outside the pool: one job per graph instance.
 //! * [`pool::Pool`] — a persistent pool of worker threads, each owning a
 //!   deque; idle workers steal from random victims and park — after a
 //!   sweep of every queue — when the system has no work.

@@ -287,7 +287,7 @@ impl SpawnHost for PoolState {
         if let Some(job) = external {
             // Submitting thread is not a worker of this pool: the job's
             // unit comes straight from the latch and it travels through the
-            // shared lock-free injector.
+            // shared injector.
             group.enroll();
             self.injector.push(job);
         }
@@ -572,9 +572,9 @@ fn find_job(
     None
 }
 
-/// Take from the lock-free injector: a batch-steal into this worker's own
-/// deque, returning the oldest stolen job. Surplus jobs stay stealable by
-/// other workers.
+/// Take from the injector (one lock-free load when it is empty): a
+/// batch-steal into this worker's own deque, returning the oldest stolen
+/// job. Surplus jobs stay stealable by other workers.
 fn pop_injector(state: &PoolState, ctx: &LocalCtx, index: usize) -> Option<Job> {
     let job = state.injector.steal_batch_and_pop(&ctx.deque)?;
     WorkerMetrics::bump(&state.metrics[index].steals);

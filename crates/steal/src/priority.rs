@@ -6,11 +6,10 @@
 //! benchmark times it in isolation for its per-layer metric
 //! `steal.priority.push_steal_hot_ns`; it goes when that metric does.
 //!
-//! It is a pair of segmented lock-free [`Injector`]s plus a conservative
-//! occupancy hint for the hot lane, so that a consumer that never sees a
-//! [`Priority::High`] push pays a single atomic load per acquisition
-//! attempt instead of probing the hot lane's head/tail indices. The hint's
-//! protocol:
+//! It is a pair of [`Injector`]s plus a conservative occupancy hint for
+//! the hot lane, so that a consumer that never sees a [`Priority::High`]
+//! push pays a single atomic load per acquisition attempt instead of
+//! polling the hot lane. The hint's protocol:
 //!
 //! * `push(_, High)` increments the hint **before** publishing the
 //!   element. Both the increment and the thief's load are `SeqCst`, so in

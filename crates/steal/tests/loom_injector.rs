@@ -1,6 +1,6 @@
-//! Loom model tests for the segmented lock-free injector: concurrent
-//! push/steal, block-boundary crossing, and batch stealing into a worker
-//! deque.
+//! Loom model tests for the injector: concurrent push/steal, per-producer
+//! FIFO order over runs longer than one batch, and batch stealing into a
+//! worker deque.
 //!
 //! Build and run with:
 //!
@@ -9,9 +9,10 @@
 //! ```
 //!
 //! Under `--cfg loom` the injector compiles against `loom::sync::atomic`,
-//! so every index CAS, slot-state store, and block-pointer publication is
-//! a model-exploration point. `LOOM_MAX_ITERS` / `LOOM_SEED` control the
-//! exploration budget and make failures replayable.
+//! so every store and lock-free poll of its length word is a
+//! model-exploration point; the queue's mutex is std's, outside the
+//! shim's happens-before tracking. `LOOM_MAX_ITERS` / `LOOM_SEED` control
+//! the exploration budget and make failures replayable.
 #![cfg(loom)]
 
 use ft_steal::deque::deque;
@@ -38,9 +39,9 @@ fn injector_single_element_two_thieves() {
     });
 }
 
-/// Two producers and two consumers racing across a block boundary
-/// (36 > BLOCK_CAP = 31 items): every pushed element is stolen exactly
-/// once, and each producer's elements arrive in its push order.
+/// Two producers and two consumers racing over 36 items: every pushed
+/// element is stolen exactly once, and each producer's elements arrive in
+/// its push order.
 #[test]
 fn injector_mpmc_across_block_boundary_no_loss_no_dup() {
     const PER_PRODUCER: u64 = 18;
@@ -104,7 +105,7 @@ fn injector_mpmc_across_block_boundary_no_loss_no_dup() {
 /// must be exactly the pushed set.
 #[test]
 fn injector_batch_steal_races_single_steal() {
-    const N: u64 = 40; // crosses one block boundary
+    const N: u64 = 40; // more than one batch takes
     loom::model(|| {
         let q = Arc::new(Injector::<u64>::new());
         for i in 0..N {
@@ -149,10 +150,10 @@ fn injector_batch_steal_races_single_steal() {
     });
 }
 
-/// Producer racing a consumer right at the boundary slot: the producer
-/// claiming the last slot of a block must install the next block before
-/// any consumer needs it, and the consumer advancing past the boundary
-/// must find it. 33 items forces exactly one boundary crossing.
+/// One producer racing one consumer over 33 items: the consumer, polling
+/// while the pushes land, gets every item exactly once in strict FIFO
+/// order, and the queue reads empty with length 0 afterwards. (The name
+/// dates from a segmented queue whose 33rd item crossed a block.)
 #[test]
 fn injector_boundary_install_vs_consume() {
     const N: u64 = 33;
