@@ -14,15 +14,15 @@
 //!   next line — every insert writes this line, no reader loads it.
 //!
 //! A slot is two atomic words, `key` and `val`; `key == VACANT` (`i64::MIN`)
-//! marks it empty. That one key is still storable: it lives in a side cell
-//! in the shard header instead of a slot. **Keys are write-once**: the map
-//! inserts, gets and replaces, and never removes an entry (Figures 2–3
-//! never remove a task), so a published key never changes. An insert
-//! stores the value word, then publishes the key (`Release`); a `replace`
-//! or `update_cas` is one `Release` store of the new value word in place. A
-//! read is one `Acquire` load of the table pointer and one probe that
-//! `Acquire`-loads keys and, on a hit, the value word: it sees each store
-//! whole or not at all, so it never retries.
+//! marks it empty, so `i64::MIN` is the one key the map cannot store: an
+//! insert of it panics, and a read of it finds nothing. **Keys are
+//! write-once**: the map inserts, gets and replaces, and never removes an
+//! entry (Figures 2–3 never remove a task), so a published key never
+//! changes. An insert stores the value word, then publishes the key
+//! (`Release`); a `replace` or `update_cas` is one `Release` store of the
+//! new value word in place. A read is one `Acquire` load of the table
+//! pointer and one probe that `Acquire`-loads keys and, on a hit, the value
+//! word: it sees each store whole or not at all, so it never retries.
 //!
 //! Growth builds the doubled table privately, publishes it (`Release`) and
 //! retires the old one. Every writer locks and works on the current table,
@@ -40,7 +40,7 @@
 //! also serves as the in-shard probe start; shard selection uses the high
 //! bits and probing the low bits so the two are decorrelated.
 
-use ft_sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU64, Ordering};
+use ft_sync::atomic::{AtomicI64, AtomicPtr, AtomicU64, Ordering};
 use ft_sync::Word;
 use parking_lot::{Mutex, MutexGuard};
 use std::marker::PhantomData;
@@ -49,8 +49,7 @@ use std::sync::OnceLock;
 /// Multiplicative (Fibonacci) hash constant, 2^64 / φ.
 const HASH_K: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The key word of an empty slot. The key itself is stored in the shard's
-/// side cell (`Shard::vacant_full`/`vacant_val`).
+/// The key word of an empty slot, and so the one key no entry may have.
 const VACANT: i64 = i64::MIN;
 
 #[inline]
@@ -108,10 +107,6 @@ struct WriterLine(Mutex<WriterState>);
 struct Shard {
     /// Current probe table, swapped on growth.
     table: AtomicPtr<Table>,
-    /// Side cell for the one key a slot cannot hold (`VACANT`): whether it
-    /// is present, and its value word.
-    vacant_full: AtomicBool,
-    vacant_val: AtomicU64,
     writer: WriterLine,
 }
 
@@ -129,8 +124,6 @@ impl Shard {
     fn new(cap: usize) -> Self {
         Shard {
             table: AtomicPtr::new(Box::into_raw(Table::new_boxed(cap))),
-            vacant_full: AtomicBool::new(false),
-            vacant_val: AtomicU64::new(0),
             writer: WriterLine(Mutex::new(WriterState {
                 len: 0,
                 retired_tables: Vec::new(),
@@ -168,21 +161,13 @@ impl Shard {
         // ord: Acquire — pairs with the Release store that wrote the word
         // (`store_value`, or the insert the key load already acquired):
         // a reader of the word sees what it refers to.
-        self.cell(t, key).map(|cell| cell.load(Ordering::Acquire))
+        Self::cell(t, key).map(|cell| cell.load(Ordering::Acquire))
     }
 
-    /// The value cell of `key` in `t` (or in the side cell), if present.
-    /// Lock-free; writers call it under the lock with the current table.
-    fn cell<'a>(&'a self, t: &'a Table, key: i64) -> Option<&'a AtomicU64> {
-        if key == VACANT {
-            // ord: Acquire — pairs with the Release flag store in
-            // `insert_locked`: a set flag implies the side value word (and,
-            // for a handle, its pointee) is visible.
-            return self
-                .vacant_full
-                .load(Ordering::Acquire)
-                .then_some(&self.vacant_val);
-        }
+    /// The value cell of `key` in `t`, if present (never for `VACANT`: its
+    /// probe stops at the first empty slot). Lock-free; writers call it
+    /// under the lock with the current table.
+    fn cell(t: &Table, key: i64) -> Option<&AtomicU64> {
         let mut i = (hash_key(key) as usize) & t.mask;
         // A table's load factor stays below 0.7 and keys are never
         // removed, so every probe chain ends in an empty slot.
@@ -204,27 +189,24 @@ impl Shard {
     /// Insert `(key, word)` for an absent key, growing first if needed.
     /// Caller holds the lock (`w` is its state) and has probed the key.
     /// A concurrent reader sees the entry absent (a miss, linearized
-    /// before) or present (a hit).
+    /// before) or present (a hit). Panics on `VACANT`, which no slot can
+    /// hold; the lock does not poison, so the shard stays usable.
     fn insert_locked(&self, w: &mut WriterState, key: i64, word: u64) {
-        if key == VACANT {
-            // ord: Relaxed — ordered by the Release flag store below.
-            self.vacant_val.store(word, Ordering::Relaxed);
-            // ord: Release — the value word and whatever it refers to are
-            // visible to a reader that Acquire-loads the flag.
-            self.vacant_full.store(true, Ordering::Release);
-        } else {
-            let t = self.grow_if_needed(w);
-            let mut i = (hash_key(key) as usize) & t.mask;
-            // ord: Relaxed — lock-serialized probe for the first empty slot.
-            while t.slots[i].key.load(Ordering::Relaxed) != VACANT {
-                i = (i + 1) & t.mask;
-            }
-            // ord: Relaxed — ordered by the Release key store below.
-            t.slots[i].val.store(word, Ordering::Relaxed);
-            // ord: Release — the value word and whatever it refers to are
-            // visible to any reader that Acquire-loads this key.
-            t.slots[i].key.store(key, Ordering::Release);
+        assert!(
+            key != VACANT,
+            "ShardedMap cannot store key {key} (i64::MIN)"
+        );
+        let t = self.grow_if_needed(w);
+        let mut i = (hash_key(key) as usize) & t.mask;
+        // ord: Relaxed — lock-serialized probe for the first empty slot.
+        while t.slots[i].key.load(Ordering::Relaxed) != VACANT {
+            i = (i + 1) & t.mask;
         }
+        // ord: Relaxed — ordered by the Release key store below.
+        t.slots[i].val.store(word, Ordering::Relaxed);
+        // ord: Release — the value word and whatever it refers to are
+        // visible to any reader that Acquire-loads this key.
+        t.slots[i].key.store(key, Ordering::Release);
         w.len += 1;
     }
 
@@ -308,6 +290,11 @@ impl Drop for Shard {
 
 /// A sharded concurrent hash map from `i64` task keys to [`Word`] values,
 /// with lock-free reads over write-once keys.
+///
+/// Every key except `i64::MIN` is storable: that one marks an empty slot,
+/// so looking it up finds nothing and inserting it (`get_or_insert_with`,
+/// `insert_if_absent`, `replace`, or an `update_cas` that stores) panics.
+/// The scheduler never asks: `i64::MIN` is a reserved task key.
 pub struct ShardedMap<V> {
     shards: Vec<Shard>,
     shift: u32,
@@ -372,9 +359,9 @@ impl<V: Word> ShardedMap<V> {
     /// A stored word back as its value.
     #[inline]
     fn value(word: u64) -> V {
-        // SAFETY: every word in the map's slots and side cells was stored
-        // from `into_word` on a `V` (`get_or_insert_with`, `replace`,
-        // `update_cas` are the only stores of a value word).
+        // SAFETY: every word in the map's slots was stored from `into_word`
+        // on a `V` (`get_or_insert_with`, `replace`, `update_cas` are the
+        // only stores of a value word).
         unsafe { V::from_word(word) }
     }
 
@@ -394,7 +381,7 @@ impl<V: Word> ShardedMap<V> {
             return (Self::value(word), false);
         }
         let mut w = shard.lock();
-        if let Some(cell) = shard.cell(shard.table_locked(&w), key) {
+        if let Some(cell) = Shard::cell(shard.table_locked(&w), key) {
             // ord: Relaxed — lock-serialized: every store of a value word
             // happens under the lock this caller holds.
             return (Self::value(cell.load(Ordering::Relaxed)), false);
@@ -427,7 +414,7 @@ impl<V: Word> ShardedMap<V> {
     pub fn replace(&self, key: i64, value: V) -> Option<V> {
         let shard = self.shard_for(key);
         let mut w = shard.lock();
-        if let Some(cell) = shard.cell(shard.table_locked(&w), key) {
+        if let Some(cell) = Shard::cell(shard.table_locked(&w), key) {
             return Some(Self::value(shard.store_value(cell, value.into_word())));
         }
         shard.insert_locked(&mut w, key, value.into_word());
@@ -443,7 +430,7 @@ impl<V: Word> ShardedMap<V> {
     pub fn update_cas<R>(&self, key: i64, f: impl FnOnce(Option<&V>) -> (Option<V>, R)) -> R {
         let shard = self.shard_for(key);
         let mut w = shard.lock();
-        let cell = shard.cell(shard.table_locked(&w), key);
+        let cell = Shard::cell(shard.table_locked(&w), key);
         // ord: Relaxed — lock-serialized, as in `get_or_insert_with`.
         let cur = cell.map(|c| Self::value(c.load(Ordering::Relaxed)));
         let (new, ret) = f(cur.as_ref());
@@ -482,10 +469,6 @@ impl<V: Word> ShardedMap<V> {
                     out.push((k, Self::value(slot.val.load(Ordering::Relaxed))));
                 }
             }
-            if let Some(cell) = shard.cell(t, VACANT) {
-                // ord: Relaxed — lock-serialized side-cell read.
-                out.push((VACANT, Self::value(cell.load(Ordering::Relaxed))));
-            }
         }
         out
     }
@@ -521,7 +504,7 @@ mod tests {
     #[test]
     fn negative_and_extreme_keys() {
         let m = ShardedMap::with_shards(8);
-        for k in [i64::MIN, -1, 0, 1, i64::MAX] {
+        for k in [i64::MIN + 1, -1, 0, 1, i64::MAX] {
             assert!(m.insert_if_absent(k, || k));
             assert_eq!(m.get(k), Some(k));
         }
@@ -529,29 +512,14 @@ mod tests {
     }
 
     #[test]
-    fn vacant_key_is_a_full_citizen() {
-        // `i64::MIN` is the empty-slot marker, so it lives in the shard's
-        // side cell: every operation must treat it like any other key,
-        // through growth, with any value word.
+    #[should_panic(expected = "cannot store key -9223372036854775808")]
+    fn inserting_the_vacant_key_panics() {
+        // `i64::MIN` marks an empty slot: a read finds nothing, an insert
+        // panics instead of storing an entry no probe could find.
         let m: ShardedMap<u64> = ShardedMap::with_shards(1);
         assert_eq!(m.get(VACANT), None);
-        assert_eq!(m.get_or_insert_with(VACANT, || u64::MAX), (u64::MAX, true));
-        assert_eq!(m.get_or_insert_with(VACANT, || 1), (u64::MAX, false));
-        for k in 0..1000 {
-            m.insert_if_absent(k, || k as u64);
-        }
-        assert_eq!(m.get(VACANT), Some(u64::MAX));
-        assert_eq!(m.replace(VACANT, 0), Some(u64::MAX));
-        assert_eq!(
-            m.update_cas(VACANT, |cur| (cur.map(|v| v + 5), *cur.unwrap())),
-            0
-        );
-        assert!(m.contains(VACANT));
-        assert_eq!(m.len(), 1001);
-        assert!(m.entries().contains(&(VACANT, 5)));
-        assert_eq!(m.replace(VACANT, 9), Some(5));
-        assert_eq!(m.get(VACANT), Some(9));
-        assert!(m.entries().contains(&(VACANT, 9)));
+        assert!(!m.contains(VACANT));
+        m.insert_if_absent(VACANT, || 1);
     }
 
     #[test]
@@ -912,20 +880,16 @@ mod tests {
 
     #[test]
     fn shard_header_line_holds_no_writer_field() {
-        // A reader loads `table` (and, for one key, the side cell); every
-        // insert locks the writer mutex and bumps `len`. The
-        // two must sit on different cache lines, or each insert would
-        // invalidate the line every reader of the shard needs.
+        // A reader loads `table`; every insert locks the writer mutex and
+        // bumps `len`. The two must sit on different cache lines, or each
+        // insert would invalidate the line every reader of the shard needs.
         use std::mem::{align_of, offset_of, size_of};
         const LINE: usize = 64;
         assert_eq!(align_of::<Shard>(), LINE, "shards are line-aligned");
-        for (field, off) in [
-            ("table", offset_of!(Shard, table)),
-            ("vacant_full", offset_of!(Shard, vacant_full)),
-            ("vacant_val", offset_of!(Shard, vacant_val)),
-        ] {
-            assert!(off < LINE, "reader field `{field}` at {off} is off line 0");
-        }
+        assert!(
+            offset_of!(Shard, table) < LINE,
+            "reader field `table` is off line 0"
+        );
         assert_eq!(offset_of!(Shard, writer), LINE, "writer state on line 1");
         assert_eq!(size_of::<Shard>(), 2 * LINE);
         assert_eq!(size_of::<Slot>(), 16, "four slots per line");

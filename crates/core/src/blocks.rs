@@ -49,7 +49,7 @@
 //! names it — eviction saves the memory the reuse policy promises.
 
 use crate::fault::Fault;
-use crate::graph::Key;
+use crate::graph::{Key, RESERVED_KEYS};
 use ft_sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -60,8 +60,9 @@ pub type BlockId = usize;
 /// Version number of a block (0 = first definition).
 pub type Version = u64;
 
-/// Producer key recorded for pinned (resilient input) versions.
-pub const RESILIENT_PRODUCER: Key = i64::MIN;
+/// Producer key recorded for pinned (resilient input) versions: a reserved
+/// key ([`RESERVED_KEYS`]), so no task's outputs are ever taken for pinned.
+pub const RESILIENT_PRODUCER: Key = RESERVED_KEYS[0];
 
 /// Why a versioned read failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

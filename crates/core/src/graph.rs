@@ -11,6 +11,14 @@ use crate::fault::Fault;
 /// Unique identifier of a task. The paper fixes `int64_t`.
 pub type Key = i64;
 
+/// The two keys no task may have. The runtime keeps them for itself: a
+/// notify cell holds `i64::MIN` until its successor's key is published
+/// and `i64::MIN + 1` once it is delivered, a pinned block version names
+/// `i64::MIN` as its producer, and the task map's empty slot is
+/// `i64::MIN`. The schedulers reject a graph that issues either key when
+/// they create its descriptor.
+pub const RESERVED_KEYS: [Key; 2] = [i64::MIN, i64::MIN + 1];
+
 /// Context handed to [`TaskGraph::compute`].
 ///
 /// Carries runtime facts a compute function may want: which incarnation
@@ -51,6 +59,10 @@ impl<'a> ComputeCtx<'a> {
 /// notification bit vector indexes into the ordered predecessor list), and
 /// `compute` must be **stateless** — the same inputs produce the same
 /// outputs (Theorem 1 relies on this).
+///
+/// Every key the graph issues — the sink and every predecessor — must lie
+/// outside [`RESERVED_KEYS`]; a scheduler run panics, naming the key, on
+/// the first task keyed `i64::MIN` or `i64::MIN + 1`.
 pub trait TaskGraph: Send + Sync {
     /// The unique task that transitively depends on all others.
     fn sink(&self) -> Key;

@@ -104,6 +104,14 @@ impl RunMetrics {
         Self::default()
     }
 
+    /// Count one cold-path event (a fault, an injection, a recovery, a
+    /// suppressed recovery or a reset) on one of the counters above.
+    #[inline]
+    pub(crate) fn bump(counter: &AtomicU64) {
+        // ord: Relaxed — statistics counter read at quiescence.
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Record one successful compute from a thread outside any pool.
     /// `_key` is unused: per-task counts N(A) live in the fault-tolerant
     /// descriptor (`FtDesc::execs`), not here.

@@ -67,7 +67,7 @@
 
 use crate::bitvec::Clear;
 use crate::fault::Fault;
-use crate::graph::{ComputeCtx, Key, TaskGraph};
+use crate::graph::{ComputeCtx, Key, TaskGraph, RESERVED_KEYS};
 use crate::inject::Phase;
 use crate::metrics::{RunMetrics, RunReport};
 use crate::task::{NotifyCells, Status, Take};
@@ -287,9 +287,6 @@ impl<P: FtPolicy> Engine<P> {
         let instance = exec.submit_instance(self.root_job(), None);
         exec.drive();
         instance.wait();
-        if let Some(payload) = instance.take_panic() {
-            std::panic::resume_unwind(payload);
-        }
         self.finish_report(start)
     }
 
@@ -395,12 +392,20 @@ impl<P: FtPolicy> Engine<P> {
     /// `InsertTaskIfAbsent` + `GetTask` in one map probe: the current
     /// incarnation of `key` (created if absent), its life number, and
     /// whether this call inserted it.
+    ///
+    /// Every task's first descriptor is created here, so this is where a
+    /// graph that issues a reserved key is rejected: the panic names the
+    /// key and is re-raised by the run's `wait`.
     pub(super) fn get_or_insert_task(
         &self,
         key: Key,
         worker: Option<usize>,
     ) -> (ArenaRef<P::Desc>, u64, bool) {
         let (d, inserted) = self.map.get_or_insert_with(key, || {
+            assert!(
+                !RESERVED_KEYS.contains(&key),
+                "task key {key} is reserved (graph::RESERVED_KEYS)"
+            );
             with_pred_scratch(|scratch| {
                 self.arena
                     .alloc(self.policy.make_desc(self.graph.as_ref(), key, scratch))
@@ -788,6 +793,61 @@ mod tests {
             let deliver = engine.register_notify(&b, 1).ok().expect("uncorrupted");
             (deliver, b.notify_cells().len())
         })
+    }
+
+    /// `pred → sink`, keyed as given.
+    struct Pair {
+        pred: Key,
+        sink: Key,
+    }
+
+    impl TaskGraph for Pair {
+        fn sink(&self) -> Key {
+            self.sink
+        }
+        fn predecessors(&self, k: Key) -> Vec<Key> {
+            if k == self.sink {
+                vec![self.pred]
+            } else {
+                vec![]
+            }
+        }
+        fn successors(&self, k: Key) -> Vec<Key> {
+            if k == self.pred {
+                vec![self.sink]
+            } else {
+                vec![]
+            }
+        }
+        fn compute(&self, _: Key, _: &ComputeCtx<'_>) -> Result<(), Fault> {
+            Ok(())
+        }
+    }
+
+    /// The message `engine.run(exec)` panicked with, if it did.
+    fn panic_of<P: FtPolicy>(engine: &Arc<Engine<P>>, exec: &dyn Executor) -> Option<String> {
+        let run = std::panic::AssertUnwindSafe(|| engine.run(exec));
+        let payload = std::panic::catch_unwind(run).err()?;
+        payload.downcast_ref::<String>().cloned()
+    }
+
+    #[test]
+    fn reserved_keys_are_rejected_by_name() {
+        let pool = ft_steal::pool::Pool::new(ft_steal::pool::PoolConfig::with_threads(2));
+        for key in RESERVED_KEYS {
+            let want = format!("task key {key} is reserved");
+            for g in [Pair { pred: key, sink: 1 }, Pair { pred: 0, sink: key }] {
+                let g: Arc<dyn TaskGraph> = Arc::new(g);
+                let base = panic_of(&BaselineScheduler::new(Arc::clone(&g)), &pool);
+                let ft = panic_of(&FtScheduler::new(g), &pool);
+                for (name, got) in [("baseline", base), ("ft", ft)] {
+                    assert!(
+                        got.as_deref().is_some_and(|m| m.contains(&want)),
+                        "{name}: key {key} gave {got:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@ use crate::bitvec::Clear;
 use crate::fault::{Fault, FaultKind};
 use crate::graph::{Key, TaskGraph};
 use crate::inject::{FaultPlan, Phase};
+use crate::metrics::RunMetrics;
 use crate::task::{FtDesc, Status};
 use crate::trace::{Event, Trace};
 use ft_cmap::ShardedMap;
@@ -209,17 +210,9 @@ impl<M: Mutation> FtPolicy for FtRecovery<M> {
     }
 
     fn compute_error(engine: &Engine<Self>, f: Fault) -> Fault {
-        // ord: Relaxed — statistics counters read at quiescence.
-        engine
-            .metrics
-            .compute_faults
-            .fetch_add(1, Ordering::Relaxed);
+        RunMetrics::bump(&engine.metrics.compute_faults);
         if f.kind == FaultKind::Overwritten {
-            // ord: Relaxed — statistics counter read at quiescence.
-            engine
-                .metrics
-                .overwrite_faults
-                .fetch_add(1, Ordering::Relaxed);
+            RunMetrics::bump(&engine.metrics.overwrite_faults);
         }
         f
     }
@@ -233,13 +226,7 @@ impl<M: Mutation> FtPolicy for FtRecovery<M> {
         key: Key,
         life: u64,
     ) {
-        engine.policy.emit(
-            w,
-            Event::FaultObserved {
-                source: f.source,
-                kind: f.kind,
-            },
-        );
+        engine.observed(w, &f);
         engine.recover_task_once(s, w, key, life);
     }
 
@@ -252,13 +239,7 @@ impl<M: Mutation> FtPolicy for FtRecovery<M> {
         life: u64,
         f: Fault,
     ) {
-        engine.policy.emit(
-            w,
-            Event::FaultObserved {
-                source: f.source,
-                kind: f.kind,
-            },
-        );
+        engine.observed(w, &f);
         if f.source == key {
             // "if (error in A) RecoverTaskOnce(key, life)"
             engine.recover_task_once(s, w, key, life);
@@ -353,8 +334,7 @@ impl<M: Mutation> Engine<FtRecovery<M>> {
         // blocks, and a recovery it starts cannot publish an output that
         // this call then poisons.
         desc.poisoned.store(true, Ordering::Release);
-        // ord: Relaxed — statistics counter read at quiescence.
-        self.metrics.injected.fetch_add(1, Ordering::Relaxed);
+        RunMetrics::bump(&self.metrics.injected);
         self.policy.emit(
             worker,
             Event::Injected {

@@ -19,12 +19,12 @@ use super::engine::{with_pred_scratch, Engine, FtPolicy};
 use super::ft::{FtRecovery, Mutation};
 use crate::fault::Fault;
 use crate::graph::Key;
+use crate::metrics::RunMetrics;
 use crate::task::{FtDesc, Status};
 use crate::trace::Event;
 use ft_cmap::ShardedMap;
 use ft_steal::arena::ArenaRef;
 use ft_steal::pool::Scope;
-use ft_sync::atomic::Ordering;
 
 impl<M: Mutation> Engine<FtRecovery<M>> {
     /// `RecoverTaskOnce(key, life)`.
@@ -36,12 +36,22 @@ impl<M: Mutation> Engine<FtRecovery<M>> {
         }
     }
 
+    /// The first step of every Figure-3 catch block: record that worker
+    /// `w` observed fault `f`. The dispatch that follows (`RecoverTaskOnce`,
+    /// `ResetNode`) is the catch block's own.
+    pub(super) fn observed(&self, w: Option<usize>, f: &Fault) {
+        self.policy.emit(
+            w,
+            Event::FaultObserved {
+                source: f.source,
+                kind: f.kind,
+            },
+        );
+    }
+
     /// Account one observer that lost the recovery claim (Guarantee 1).
     fn suppressed(&self, w: Option<usize>, key: Key, life: u64) {
-        // ord: Relaxed — statistics counter read at quiescence.
-        self.metrics
-            .recoveries_suppressed
-            .fetch_add(1, Ordering::Relaxed);
+        RunMetrics::bump(&self.metrics.recoveries_suppressed);
         self.policy.emit(w, Event::RecoverySuppressed { key, life });
     }
 
@@ -101,8 +111,7 @@ impl<M: Mutation> Engine<FtRecovery<M>> {
     /// failure.
     pub(super) fn recover_task(&self, s: &Scope<'_>, w: Option<usize>, key: Key) {
         loop {
-            // ord: Relaxed — statistics counter read at quiescence.
-            self.metrics.recoveries.fetch_add(1, Ordering::Relaxed);
+            RunMetrics::bump(&self.metrics.recoveries);
             let (t, life) = self.replace_task(key);
             self.policy.emit(
                 w,
@@ -135,13 +144,7 @@ impl<M: Mutation> Engine<FtRecovery<M>> {
                     // "if (!IsRecovering(key, life)) success = false":
                     // we claim the new incarnation's failure and retry;
                     // otherwise someone else owns it and we are done.
-                    self.policy.emit(
-                        w,
-                        Event::FaultObserved {
-                            source: f.source,
-                            kind: f.kind,
-                        },
-                    );
+                    self.observed(w, &f);
                     if self.is_recovering(key, life) {
                         self.suppressed(w, key, life);
                         return;
@@ -205,13 +208,7 @@ impl<M: Mutation> Engine<FtRecovery<M>> {
 
         match attempt {
             Err(f) if f.source == skey => {
-                self.policy.emit(
-                    w,
-                    Event::FaultObserved {
-                        source: f.source,
-                        kind: f.kind,
-                    },
-                );
+                self.observed(w, &f);
                 self.recover_task_once(s, w, skey, slife);
                 Ok(())
             }
@@ -231,8 +228,7 @@ impl<M: Mutation> Engine<FtRecovery<M>> {
         key: Key,
         life: u64,
     ) {
-        // ord: Relaxed — statistics counter read at quiescence.
-        self.metrics.resets.fetch_add(1, Ordering::Relaxed);
+        RunMetrics::bump(&self.metrics.resets);
         self.policy.emit(w, Event::Reset { key, life });
         let attempt: Result<(), Fault> = (|| {
             a.check()?;
@@ -242,13 +238,7 @@ impl<M: Mutation> Engine<FtRecovery<M>> {
         match attempt {
             Ok(()) => self.init_and_compute(s, w, a, key, life),
             Err(f) => {
-                self.policy.emit(
-                    w,
-                    Event::FaultObserved {
-                        source: f.source,
-                        kind: f.kind,
-                    },
-                );
+                self.observed(w, &f);
                 self.recover_task_once(s, w, key, life);
             }
         }
@@ -261,6 +251,7 @@ mod tests {
     use crate::graph::{ComputeCtx, TaskGraph};
     use crate::inject::FaultPlan;
     use crate::scheduler::FtScheduler;
+    use ft_sync::atomic::Ordering;
     use std::sync::Arc;
 
     struct Tiny;

@@ -235,9 +235,6 @@ impl<P: FtPolicy> InstanceTicket<P> {
     /// [`GraphService::drive`] first or this blocks forever.
     pub fn wait(self) -> InstanceReport {
         self.handle.wait();
-        if let Some(payload) = self.handle.take_panic() {
-            std::panic::resume_unwind(payload);
-        }
         InstanceReport {
             id: self.id,
             report: self.engine.finish_report(self.start),

@@ -45,7 +45,7 @@
 
 use crate::bitvec::AtomicBitVec;
 use crate::fault::Fault;
-use crate::graph::Key;
+use crate::graph::{Key, RESERVED_KEYS};
 use crate::scheduler::engine::Descriptor;
 use ft_steal::arena::ArenaRef;
 use ft_sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU8, Ordering};
@@ -122,13 +122,12 @@ pub enum Take {
     Done,
 }
 
-/// Slot value of a claimed-but-unpublished cell. `i64::MIN` is never a
-/// task key (the block store reserves it as `RESILIENT_PRODUCER`, and no
-/// graph in the suite issues it).
-const CELL_EMPTY: i64 = i64::MIN;
+/// Slot value of a claimed-but-unpublished cell: a reserved key, which no
+/// task has ([`RESERVED_KEYS`]).
+const CELL_EMPTY: Key = RESERVED_KEYS[0];
 /// Slot value after the notification was delivered (by whichever side won
-/// the `key → TAKEN` compare-exchange).
-const CELL_TAKEN: i64 = i64::MIN + 1;
+/// the `key → TAKEN` compare-exchange): the other reserved key.
+const CELL_TAKEN: Key = RESERVED_KEYS[1];
 
 /// Slots per overflow segment. Overflow is reached only by recovery-time
 /// re-registrations (normal operation claims at most `out_degree` slots),
@@ -282,10 +281,6 @@ impl NotifyCells {
 
     /// Registrant step 2: publish `key` into the claimed `slot`.
     pub fn publish(&self, slot: usize, key: Key) {
-        debug_assert!(
-            key > CELL_TAKEN,
-            "task keys must not collide with sentinels"
-        );
         let cell = self.cell(slot, true).expect("installed above");
         // ord: Release pairs with the drainer's Acquire scan load.
         cell.store(key, Ordering::Release);

@@ -10,8 +10,9 @@
 //!
 //! Recording is append-only into per-worker shards — the scheduler engine
 //! passes the executor's worker index to [`Trace::record_from`], so two
-//! workers never contend on the same shard lock; `None` (the default)
-//! costs a single branch.
+//! workers never contend on the same shard lock. Every engine event is
+//! emitted from a job, which knows its worker index; only a thread outside
+//! any executor (a test) records with `None`, into the last shard.
 
 use crate::fault::FaultKind;
 use crate::graph::Key;
@@ -141,45 +142,23 @@ impl Trace {
         }
     }
 
-    /// Record an event from an unknown thread (falls back to a per-thread
-    /// shard assignment; ordering across shards is by the global sequence
-    /// number).
+    /// Record an event from a thread outside any executor (the last
+    /// shard; ordering across shards is by the global sequence number).
     pub fn record(&self, event: Event) {
         self.record_from(None, event);
     }
 
     /// Record an event from worker `worker`: the shard is the worker
     /// index, so pool workers never contend on a shard lock. `None`
-    /// (non-pool threads) gets a lazily assigned per-thread shard.
+    /// (threads outside any executor) shares the last shard, as
+    /// `ShardedCounter::add(None)` shares the last lane.
     pub fn record_from(&self, worker: Option<usize>, event: Event) {
         let seq = self.seq.fetch_add(1, Ordering::SeqCst);
         let t_ns = self.start.elapsed().as_nanos() as u64;
-        let shard = worker.map_or_else(Self::thread_shard, |w| w % SHARDS);
+        let shard = worker.map_or(SHARDS - 1, |w| w % SHARDS);
         self.shards[shard]
             .lock()
             .push(TimedEvent { seq, t_ns, event });
-    }
-
-    /// Round-robin shard assignment for threads outside the worker pool,
-    /// cached in a thread-local (no per-event formatting or hashing).
-    fn thread_shard() -> usize {
-        use ft_sync::atomic::AtomicUsize;
-        use std::cell::Cell;
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        thread_local! {
-            static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-        }
-        SHARD.with(|c| {
-            let cached = c.get();
-            if cached != usize::MAX {
-                return cached;
-            }
-            // ord: Relaxed — shard-id allocator; uniqueness comes from
-            // the RMW, no ordering with other state is needed.
-            let s = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            c.set(s);
-            s
-        })
     }
 
     /// All events, in the total order of emission (by sequence number).

@@ -109,10 +109,13 @@ pub fn check_trace(
     // Computed/Completed incarnations.
     let mut computed: HashSet<(Key, u64)> = HashSet::new();
     let mut completed: HashSet<(Key, u64)> = HashSet::new();
-    // G5/G6 bookkeeping.
-    let mut observed_sources: Vec<(u64, Key)> = Vec::new(); // (seq, source) awaiting recovery/suppression
-    let mut recovery_event_seqs: HashMap<Key, Vec<u64>> = HashMap::new(); // Started or Suppressed
-                                                                          // Counters for report cross-checks.
+    // G5/G6 bookkeeping: every `FaultObserved` as (seq, source), awaiting
+    // a recovery or suppression; the seqs of each key's `RecoveryStarted`
+    // and `RecoverySuppressed`; and the `FaultObserved` count per source.
+    let mut observed_sources: Vec<(u64, Key)> = Vec::new();
+    let mut recovery_event_seqs: HashMap<Key, Vec<u64>> = HashMap::new();
+    let mut observed_per_source: HashMap<Key, u64> = HashMap::new();
+    // Counters for report cross-checks.
     let mut n_computed = 0u64;
     let mut n_completed = 0u64;
     let mut n_notified = 0u64;
@@ -142,17 +145,8 @@ pub fn check_trace(
             }
             Event::Notified { key, life, pred } => {
                 n_notified += 1;
-                // Life-vs-max-life checks are Strict-only: on a multithreaded
-                // pool, a successor can observe (and notify) a recovered
-                // incarnation between `replace_task`'s map CAS and the
-                // recovering thread's `RecoveryStarted` emission, so the
-                // trace can legally show `life > ml` transiently.
-                let ml = *max_life.get(&key).unwrap_or(&0);
-                if mode == OracleMode::Strict && (life == 0 || life > ml) {
-                    push(
-                        "G2",
-                        format!("notification of {key} at life {life}, but max life is {ml}"),
-                    );
+                if let Some(m) = unknown_life(mode, &max_life, "notification", key, life) {
+                    push("G2", m);
                 }
                 let set = notified.entry((key, life)).or_default();
                 if !set.insert(pred) {
@@ -165,29 +159,19 @@ pub fn check_trace(
                     );
                 }
             }
-            Event::DuplicateNotify { key, life, pred } => {
+            Event::DuplicateNotify { key, life, .. } => {
                 n_duplicate += 1;
                 // Absorbed duplicates are the mechanism working as intended;
                 // nothing to check beyond the life being plausible.
-                let ml = *max_life.get(&key).unwrap_or(&0);
-                if mode == OracleMode::Strict && (life == 0 || life > ml) {
-                    push(
-                        "G2",
-                        format!(
-                            "duplicate notify of {key} from {pred} at life {life}, max is {ml}"
-                        ),
-                    );
+                if let Some(m) = unknown_life(mode, &max_life, "duplicate notify", key, life) {
+                    push("G2", m);
                 }
             }
             Event::Computed { key, life } => {
                 n_computed += 1;
                 *computed_per_key.entry(key).or_insert(0) += 1;
-                let ml = *max_life.get(&key).unwrap_or(&0);
-                if mode == OracleMode::Strict && (life == 0 || life > ml) {
-                    push(
-                        "G2",
-                        format!("compute of {key} at life {life}, but max life is {ml}"),
-                    );
+                if let Some(m) = unknown_life(mode, &max_life, "compute", key, life) {
+                    push("G2", m);
                 }
                 if !computed.insert((key, life)) {
                     // A second compute of the same incarnation is only
@@ -230,6 +214,7 @@ pub fn check_trace(
             }
             Event::FaultObserved { source, .. } => {
                 observed_sources.push((te.seq, source));
+                *observed_per_source.entry(source).or_insert(0) += 1;
             }
             Event::RecoveryStarted { key, new_life } => {
                 n_recov_started += 1;
@@ -265,11 +250,10 @@ pub fn check_trace(
             Event::Reset { key, life } => {
                 n_reset += 1;
                 // G5: a reset must be caused by an observed fault in some
-                // *other* task (the failed input).
-                let caused = events[..i].iter().any(
-                    |p| matches!(p.event, Event::FaultObserved { source, .. } if source != key),
-                );
-                if !caused {
+                // *other* task (the failed input): more faults observed so
+                // far than in `key` itself.
+                let own = observed_per_source.get(&key).copied().unwrap_or(0);
+                if observed_sources.len() as u64 == own {
                     push(
                         "G5",
                         format!(
@@ -399,6 +383,24 @@ pub fn check_trace(
     }
 
     v
+}
+
+/// G2: the message for an event of `key` at `life` when the task never had
+/// that incarnation, given the lives seen so far. Strict-only: on a
+/// multithreaded pool, a successor can observe (and notify) a recovered
+/// incarnation between `replace_task`'s map CAS and the recovering
+/// thread's `RecoveryStarted` emission, so the trace can legally show
+/// `life > max` transiently.
+fn unknown_life(
+    mode: OracleMode,
+    max_life: &HashMap<Key, u64>,
+    what: &str,
+    key: Key,
+    life: u64,
+) -> Option<String> {
+    let ml = max_life.get(&key).copied().unwrap_or(0);
+    (mode == OracleMode::Strict && (life == 0 || life > ml))
+        .then(|| format!("{what} of {key} at life {life}, but max life is {ml}"))
 }
 
 /// Compare per-key results of an FT run against the sequential reference

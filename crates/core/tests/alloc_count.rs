@@ -472,7 +472,7 @@ fn injector_steady_state_allocates_nothing() {
     });
     assert_eq!(
         allocs, 0,
-        "injector allocated {allocs} times in steady state — block recycling broke"
+        "injector allocated {allocs} times in steady state — its reserved capacity was not reused"
     );
 }
 

@@ -13,8 +13,10 @@
 //! It runs instances only: work enters through
 //! [`Executor::submit_instance`], [`Executor::drive`] runs every pending
 //! instance, and each [`InstanceHandle`] then reports its own completion
-//! and panic. The FT scheduler runs on it unmodified (`Engine::run` is
-//! exactly that sequence):
+//! and re-raises its own panic from `wait`. A job body runs through
+//! [`Group::run_job`], the same step the threaded pool takes. The FT
+//! scheduler runs on it unmodified (`Engine::run` is exactly that
+//! sequence):
 //!
 //! ```
 //! use ft_det::DetPool;
@@ -47,7 +49,7 @@
 #![warn(missing_docs)]
 
 use ft_steal::instance::{Group, InstanceHandle, QuiesceHook};
-use ft_steal::pool::{Executor, Job, Scope, SpawnHost};
+use ft_steal::pool::{Executor, Job, SpawnHost};
 use ft_steal::rng::XorShift64Star;
 use std::cell::{Cell, RefCell};
 
@@ -115,9 +117,9 @@ impl SpawnHost for DetPool {
 // SAFETY: every job holds a unit of its group's latch from `Group::open`
 // (the root) or `spawn_job` (every other job) until `drive` has run its
 // body, so an instance's latch trips — hook, then `done` — only after its
-// last job finished (`ft_steal::instance`). `drive` catches every job's
-// panic, so it never unwinds. A job is only ever run once (by `drive`) or
-// dropped with the pool.
+// last job finished (`ft_steal::instance`). `drive` runs every job through
+// `Group::run_job`, which catches its panic, so it never unwinds. A job is
+// only ever run once (by `drive`) or dropped with the pool.
 unsafe impl Executor for DetPool {
     fn num_threads(&self) -> usize {
         1
@@ -152,18 +154,9 @@ unsafe impl Executor for DetPool {
                 let idx = self.rng.borrow_mut().next_below(q.len());
                 q.swap_remove(idx)
             };
-            let group = job.group();
             // SAFETY: the job holds a unit of its group (enrolled by
-            // `spawn_job` or `Group::open`) until the release below,
-            // which keeps the group alive.
-            let scope = unsafe { Scope::for_group(self, group) };
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                job.run(&scope);
-            }));
-            if let Err(payload) = result {
-                // SAFETY: as above — the job's unit is still held.
-                unsafe { (*group).record_panic(payload) };
-            }
+            // `spawn_job` or `Group::open`) until the release below.
+            let group = unsafe { Group::run_job(self, job) };
             // SAFETY: the unit of the job that just finished.
             unsafe { Group::release(group, 1) };
         }
@@ -174,12 +167,13 @@ unsafe impl Executor for DetPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ft_steal::pool::Scope;
     use ft_sync::atomic::{AtomicU64, Ordering};
     use parking_lot::Mutex;
     use std::sync::Arc;
 
     /// Submit `root` as an instance and drive the pool to quiescence;
-    /// returns the handle, for its panic.
+    /// returns the handle, whose `wait` re-raises its panic.
     fn run(pool: &DetPool, root: impl FnOnce(&Scope<'_>) + Send + 'static) -> InstanceHandle {
         let instance = pool.submit_instance(Job::new(root), None);
         pool.drive();
@@ -280,14 +274,14 @@ mod tests {
                 });
             }
         });
-        assert!(instance.take_panic().is_some());
+        assert!(std::panic::catch_unwind(|| instance.wait()).is_err());
         // Like the multithreaded pool, the remaining jobs still ran, and a
         // neighbor driven in the same drain saw nothing.
         assert_eq!(ran.load(Ordering::Relaxed), 10);
         assert!(clean.is_done());
-        assert!(clean.take_panic().is_none());
+        clean.wait();
         // Pool is reusable afterwards.
-        assert!(run(&pool, |s| s.spawn(|_| {})).take_panic().is_none());
+        run(&pool, |s| s.spawn(|_| {})).wait();
     }
 
     #[test]

@@ -153,7 +153,8 @@ mod tests {
     #[test]
     fn interleaved_push_steal_reuses_blocks() {
         let q = Injector::new();
-        // Far more traffic than blocks: exercises recycling.
+        // Far more traffic than the reserved capacity: the queue's buffer
+        // is reused across rounds.
         for round in 0..50u64 {
             for i in 0..40 {
                 q.push(round * 100 + i);

@@ -4,9 +4,11 @@
 //! quiescence of a fire-and-forget job tree*. A [`Group`] is what that tree
 //! is counted in: a [`CountLatch`], the first-panic slot, a once-only
 //! quiesce hook and a `done` flag. Every [`Job`] carries a pointer to its
-//! group; a [`Scope`](crate::pool::Scope) stamps its group on what it
-//! spawns, and the executor's run loop — the only place a job body runs —
-//! files a panic in *that job's* group and returns the job's unit to it.
+//! group; a [`Scope`] stamps its group on what it spawns, and
+//! [`Group::run_job`] — the one place an executor runs a job body, for
+//! `Pool` and `DetPool` alike — files a panic in *that job's* group, whose
+//! unit the executor then returns to it. [`InstanceHandle::wait`]
+//! re-raises an instance's first panic.
 //!
 //! Every executor runs **per-instance** groups ([`Group::open`]): one on
 //! the heap per submitted root, whose latch owns one strong reference that
@@ -35,6 +37,7 @@
 
 use crate::job::Job;
 use crate::latch::{CountLatch, Flag};
+use crate::pool::{Scope, SpawnHost};
 use ft_sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 use std::any::Any;
@@ -112,17 +115,35 @@ impl Group {
         self.latch.outstanding()
     }
 
-    /// File the panic of one of this group's jobs; the first payload is
-    /// kept. Call before the job's unit is released (invariant 5).
-    pub fn record_panic(&self, payload: Box<dyn Any + Send>) {
-        let mut slot = self.panic.lock();
-        if slot.is_none() {
-            *slot = Some(payload);
+    /// Run `job` inside its group: under a scope that stamps the group on
+    /// everything the body spawns, with a panic of the body caught and
+    /// filed in the group (the first payload is kept). The one place an
+    /// executor runs a job body. Returns the group: the job's unit is still
+    /// held, and the caller gives it back (`Group::release`, or a worker's
+    /// credit stash) — after the panic is filed (invariant 5).
+    ///
+    /// # Safety
+    /// `job` must hold a unit of its group (invariant 1), which keeps the
+    /// group alive up to the caller's release.
+    #[inline]
+    pub unsafe fn run_job(host: &dyn SpawnHost, job: Job) -> *const Group {
+        let group = job.group();
+        // SAFETY: the job's unit keeps `group` alive while the scope, and
+        // every enrollment made through it, can touch it.
+        let scope = unsafe { Scope::for_group(host, group) };
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.run(&scope)));
+        if let Err(payload) = ran {
+            // SAFETY: as above — the job's unit is still held.
+            let mut slot = unsafe { &*group }.panic.lock();
+            if slot.is_none() {
+                *slot = Some(payload);
+            }
         }
+        group
     }
 
     /// Take the first recorded panic payload, if any.
-    pub fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
+    pub(crate) fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
         self.panic.lock().take()
     }
 
@@ -164,7 +185,8 @@ impl Group {
 /// Cloneable; all clones observe the same instance. `wait` blocks the
 /// calling thread, so on a single-threaded executor with no autonomous
 /// workers the pending jobs must be driven first (see
-/// [`Executor::drive`](crate::pool::Executor::drive)).
+/// [`Executor::drive`](crate::pool::Executor::drive)). A panic inside the
+/// instance surfaces from `wait`, and from no other instance's.
 #[derive(Clone)]
 pub struct InstanceHandle {
     inst: Arc<Group>,
@@ -185,16 +207,15 @@ impl InstanceHandle {
         self.inst.done.is_set()
     }
 
-    /// Block until the instance quiesces and its hook has run (awaitable).
+    /// Block until the instance quiesces and its hook has run (awaitable),
+    /// then re-raise the first panic a job of the instance raised, if any.
+    /// The payload is re-raised once: by the first `wait` to return, on
+    /// whichever clone.
     pub fn wait(&self) {
         self.inst.done.wait();
-    }
-
-    /// Take the first panic payload raised by a job of this instance, if
-    /// any. The caller decides whether to re-raise it; no other group ever
-    /// sees it.
-    pub fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
-        self.inst.take_panic()
+        if let Some(payload) = self.inst.take_panic() {
+            std::panic::resume_unwind(payload);
+        }
     }
 }
 
@@ -296,7 +317,6 @@ mod tests {
         assert!(handle.is_done());
         assert_eq!(counted.load(Ordering::Relaxed), 64);
         assert_eq!(fired.load(Ordering::SeqCst), 1);
-        assert!(handle.take_panic().is_none());
         // The latch gives its reference back (after `done`, as the tripping
         // thread's last access): the handle's becomes the only one.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
@@ -319,11 +339,11 @@ mod tests {
         // A run that may share the workers with the instance, and one after
         // it quiesced: neither sees its panic.
         pool.run_until_complete(|scope| scope.spawn(|_| {}));
-        handle.wait();
+        let waited = std::panic::catch_unwind(|| handle.wait());
         pool.run_until_complete(|scope| scope.spawn(|_| {}));
-        let payload = handle.take_panic().expect("the instance's own panic");
+        let payload = waited.expect_err("the instance's own panic");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"instance boom"));
-        assert!(handle.take_panic().is_none(), "payload taken once");
+        handle.wait(); // re-raised once
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //! ([`Executor::submit_instance`], the way every engine runs), or the
 //! pool's resident one, which only [`Pool::run_until_complete`] uses.
 //!
-//! Panics inside jobs are caught by the worker loop, the only place a job
-//! body runs; the first payload is kept in the job's own group and
-//! re-raised by whoever waits on it — otherwise a panicking job would leak
-//! its quiescence unit and deadlock its waiter.
+//! Panics inside jobs are caught by [`Group::run_job`], the one place an
+//! executor runs a job body; the first payload is kept in the job's own
+//! group and re-raised by whoever waits on it — otherwise a panicking job
+//! would leak its quiescence unit and deadlock its waiter.
 //!
 //! # No shared writes per job
 //!
@@ -174,8 +174,8 @@ impl<'a> Scope<'a> {
         }
     }
 
-    /// Build the scope a job of `group` runs under (executors do, once per
-    /// job): everything spawned through it is stamped with `group`.
+    /// Build the scope a job of `group` runs under (`Group::run_job` does,
+    /// once per job): everything spawned through it is stamped with `group`.
     ///
     /// # Safety
     /// Unless null, `group` must be alive whenever `host` dereferences the
@@ -183,7 +183,7 @@ impl<'a> Scope<'a> {
     /// and after it ran it. True when the scope is handed to a running job
     /// of `group` — its unit keeps the latch up, and each job enrolled
     /// under it holds the next — or when `host` itself owns `group`.
-    pub unsafe fn for_group(host: &'a dyn SpawnHost, group: *const Group) -> Self {
+    pub(crate) unsafe fn for_group(host: &'a dyn SpawnHost, group: *const Group) -> Self {
         Scope { host, group }
     }
 
@@ -483,20 +483,9 @@ fn worker_main(state: Arc<PoolState>, deque: Worker<Job>, index: usize, seed: u6
                 state.parker.notify_one();
             }
             WorkerMetrics::bump(&metrics.executed);
-            let group = job.group();
-            // SAFETY: the job holds a unit of `group` until the `put`
-            // below, so the group is alive for the scope's whole life.
-            let scope = unsafe { Scope::for_group(&*state, group) };
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                job.run(&scope);
-            }));
-            // Store the payload *before* the job's unit can reach the
-            // latch: the group's waiter reads the panic slot as soon as the
-            // count hits zero.
-            if let Err(payload) = result {
-                // SAFETY: as above — the job's unit is still held.
-                unsafe { (*group).record_panic(payload) };
-            }
+            // SAFETY: the job holds a unit of its group until the `put`
+            // below.
+            let group = unsafe { Group::run_job(&*state, job) };
             // SAFETY: the finished job's unit, handed to the stash (which
             // the body may have moved: a nested `run_until_complete`).
             unsafe { ctx.credits.put(group) };

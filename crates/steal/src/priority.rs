@@ -6,32 +6,15 @@
 //! benchmark times it in isolation for its per-layer metric
 //! `steal.priority.push_steal_hot_ns`; it goes when that metric does.
 //!
-//! It is a pair of [`Injector`]s plus a conservative occupancy hint for
-//! the hot lane, so that a consumer that never sees a [`Priority::High`]
-//! push pays a single atomic load per acquisition attempt instead of
-//! polling the hot lane. The hint's protocol:
-//!
-//! * `push(_, High)` increments the hint **before** publishing the
-//!   element. Both the increment and the thief's load are `SeqCst`, so in
-//!   the SC total order any thief that starts after a completed hot push
-//!   observes a non-zero hint — a zero hint can only miss pushes that are
-//!   still in flight, and those wake a worker via the pool's parker
-//!   anyway.
-//! * a successful `steal_hot` decrements the hint afterwards. Every
-//!   successful steal is preceded by its element's push, which is preceded
-//!   by the matching increment, so decrements never outnumber increments
-//!   and the counter cannot wrap.
-//!
-//! The hint may therefore transiently *over*-count (probe finds the lane
-//! empty — wasted loads, not lost work); it never under-counts a published
-//! element. The loom models in `crates/steal/tests/loom_priority.rs`
-//! check exactly this: no loss, no duplication, hot-before-normal pop
-//! order, and a hint that returns to zero once the lanes drain.
+//! It is a pair of [`Injector`]s, one per lane. A consumer that never sees
+//! a [`Priority::High`] push pays one load per acquisition attempt for the
+//! hot lane: the hot [`Injector`]'s own poll, which reads its length word
+//! and returns without locking when the lane is empty. The loom models in
+//! `crates/steal/tests/loom_priority.rs` check no loss, no duplication and
+//! hot-before-normal pop order.
 
 use crate::deque::Worker;
 use crate::injector::Injector;
-use crate::metrics::CachePadded;
-use ft_sync::atomic::{AtomicU64, Ordering};
 
 /// Acquisition priority of a spawned job.
 ///
@@ -52,8 +35,6 @@ pub enum Priority {
 pub struct PrioInjector<T> {
     hot: Injector<T>,
     normal: Injector<T>,
-    /// Conservative count of elements in the hot lane (protocol above).
-    hot_hint: CachePadded<AtomicU64>,
 }
 
 impl<T> std::fmt::Debug for PrioInjector<T> {
@@ -77,54 +58,32 @@ impl<T> PrioInjector<T> {
         PrioInjector {
             hot: Injector::new(),
             normal: Injector::new(),
-            hot_hint: CachePadded(AtomicU64::new(0)),
         }
     }
 
     /// Push a value into the lane selected by `prio`.
     pub fn push(&self, value: T, prio: Priority) {
         match prio {
-            Priority::High => {
-                // Count the element *before* it becomes stealable so a
-                // thief that observes the published element also observes
-                // a non-zero hint (SeqCst pairs with the load in
-                // `steal_hot`).
-                self.hot_hint.fetch_add(1, Ordering::SeqCst);
-                self.hot.push(value);
-            }
+            Priority::High => self.hot.push(value),
             Priority::Normal => self.normal.push(value),
         }
     }
 
-    /// Steal one element from the hot lane, if the hint says it may hold
-    /// any. The common FIFO-mode cost is the single hint load.
+    /// Steal one element from the hot lane. The cost on an empty lane is
+    /// the lane's lock-free length poll.
     pub fn steal_hot(&self) -> Option<T> {
-        if self.hot_hint.load(Ordering::SeqCst) == 0 {
-            return None;
-        }
-        let stolen = self.hot.steal();
-        if stolen.is_some() {
-            // One published element consumed: release its hint count.
-            self.hot_hint.fetch_sub(1, Ordering::SeqCst);
-        }
-        stolen
-    }
-
-    /// Steal one element from the normal lane.
-    pub fn steal_normal(&self) -> Option<T> {
-        self.normal.steal()
+        self.hot.steal()
     }
 
     /// Steal one element, hot lane first.
     pub fn steal(&self) -> Option<T> {
-        self.steal_hot().or_else(|| self.steal_normal())
+        self.hot.steal().or_else(|| self.normal.steal())
     }
 
     /// Batch-steal from the *normal* lane into `dest`, returning the
     /// oldest stolen element. Hot elements are rare by construction
     /// (critical-task traversals only), so they are stolen one at a time
-    /// via [`PrioInjector::steal_hot`], which keeps the hint accounting
-    /// exact.
+    /// via [`PrioInjector::steal_hot`].
     pub fn steal_batch_and_pop_normal(&self, dest: &Worker<T>) -> Option<T>
     where
         T: Send,
@@ -140,11 +99,6 @@ impl<T> PrioInjector<T> {
     /// Total elements across both lanes (racy, diagnostics only).
     pub fn len(&self) -> usize {
         self.hot.len() + self.normal.len()
-    }
-
-    /// Current value of the hot-lane occupancy hint (diagnostics/tests).
-    pub fn hot_hint(&self) -> u64 {
-        self.hot_hint.load(Ordering::SeqCst)
     }
 }
 
@@ -165,20 +119,19 @@ mod tests {
         assert_eq!(q.steal(), Some(3));
         assert_eq!(q.steal(), None);
         assert!(q.is_empty());
-        assert_eq!(q.hot_hint(), 0);
     }
 
     #[test]
-    fn hint_tracks_hot_lane_exactly_when_sequential() {
+    fn hot_lane_drains_exactly_when_sequential() {
         let q = PrioInjector::new();
         for i in 0..100u64 {
             q.push(i, Priority::High);
         }
-        assert_eq!(q.hot_hint(), 100);
+        assert_eq!(q.len(), 100);
         for _ in 0..100 {
             assert!(q.steal_hot().is_some());
         }
-        assert_eq!(q.hot_hint(), 0);
+        assert!(q.is_empty());
         assert_eq!(q.steal_hot(), None);
     }
 
@@ -188,7 +141,6 @@ mod tests {
         for i in 0..64u64 {
             q.push(i, Priority::Normal);
         }
-        assert_eq!(q.hot_hint(), 0);
         let (w, _s) = crate::deque::deque::<u64>();
         // Batch path drains the normal lane in FIFO order.
         let first = q.steal_batch_and_pop_normal(&w);
@@ -228,6 +180,5 @@ mod tests {
             }
         });
         assert!(q.is_empty());
-        assert_eq!(q.hot_hint(), 0);
     }
 }

@@ -43,7 +43,7 @@ fn injector_single_element_two_thieves() {
 /// element is stolen exactly once, and each producer's elements arrive in
 /// its push order.
 #[test]
-fn injector_mpmc_across_block_boundary_no_loss_no_dup() {
+fn injector_mpmc_no_loss_no_dup() {
     const PER_PRODUCER: u64 = 18;
     loom::model(|| {
         let q = Arc::new(Injector::<u64>::new());
@@ -152,10 +152,9 @@ fn injector_batch_steal_races_single_steal() {
 
 /// One producer racing one consumer over 33 items: the consumer, polling
 /// while the pushes land, gets every item exactly once in strict FIFO
-/// order, and the queue reads empty with length 0 afterwards. (The name
-/// dates from a segmented queue whose 33rd item crossed a block.)
+/// order, and the queue reads empty with length 0 afterwards.
 #[test]
-fn injector_boundary_install_vs_consume() {
+fn injector_push_races_consume_in_fifo_order() {
     const N: u64 = 33;
     loom::model(|| {
         let q = Arc::new(Injector::<u64>::new());

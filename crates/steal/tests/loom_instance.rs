@@ -21,7 +21,7 @@
 
 use ft_steal::instance::{AdmissionGate, Group};
 use ft_steal::latch::{CountLatch, Credits};
-use ft_steal::pool::{Job, Scope, SpawnHost};
+use ft_steal::pool::{Job, SpawnHost};
 use loom::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -97,8 +97,8 @@ impl SpawnHost for NullHost {
 }
 
 /// The full handshake on the real group machinery: a worker thread runs
-/// the instance's last job the way an executor's run loop does — body
-/// under the group's scope, then the job's unit released; the trip runs the
+/// the instance's last job the way an executor does — `Group::run_job`,
+/// then the job's unit released; the trip runs the
 /// hook (which releases the admission slot), then sets `done` — while the
 /// submitter polls. Any interleaving where the submitter observes `is_done`
 /// must already see the slot released — the service's invariant that
@@ -111,12 +111,9 @@ fn done_observation_implies_slot_released() {
         let g2 = Arc::clone(&gate);
         let (job, handle) = Group::open(Job::new(|_s| {}), Some(Box::new(move || g2.release())));
         let worker = loom::thread::spawn(move || {
-            let host = NullHost;
-            let group = job.group();
             // SAFETY: the root holds the unit `open` enrolled until the
-            // release below, so the group outlives the scope.
-            let scope = unsafe { Scope::for_group(&host, group) };
-            job.run(&scope);
+            // release below.
+            let group = unsafe { Group::run_job(&NullHost, job) };
             // SAFETY: the root's unit, its body having returned.
             unsafe { Group::release(group, 1) };
         });
@@ -130,7 +127,7 @@ fn done_observation_implies_slot_released() {
         worker.join().unwrap();
         assert!(handle.is_done());
         assert_eq!(gate.in_flight(), 0);
-        assert!(handle.take_panic().is_none());
+        handle.wait(); // no panic to re-raise
     });
 }
 

@@ -1,6 +1,5 @@
-//! Loom model tests for the dual-lane priority injector: the hot-hint
-//! protocol (SeqCst increment *before* publication, decrement *after* a
-//! successful steal), lane isolation, and hot/normal races.
+//! Loom model tests for the dual-lane priority injector: a completed hot
+//! push is never missed, lane isolation, and hot/normal races.
 //!
 //! Build and run with:
 //!
@@ -9,8 +8,8 @@
 //! ```
 //!
 //! Under `--cfg loom` the injectors inside [`PrioInjector`] compile
-//! against `loom::sync::atomic`, so the hint RMWs and every underlying
-//! queue CAS are model-exploration points. `LOOM_MAX_ITERS` / `LOOM_SEED`
+//! against `loom::sync::atomic`, so each lane's length-word stores and
+//! polls are model-exploration points. `LOOM_MAX_ITERS` / `LOOM_SEED`
 //! control the exploration budget and make failures replayable.
 #![cfg(loom)]
 
@@ -19,32 +18,24 @@ use ft_steal::priority::{PrioInjector, Priority};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// The hint protocol's load-bearing property: because the hint is
-/// incremented *before* the hot push, a thief that runs entirely after a
-/// completed `push(High)` can never see hint = 0 and skip a published
-/// element.
+/// A thief that runs entirely after a completed `push(High)` finds the
+/// element: the hot lane's length poll never reads zero for it.
 #[test]
-fn hint_never_undercounts_published_hot_work() {
+fn hot_steal_never_misses_published_work() {
     loom::model(|| {
         let q = Arc::new(PrioInjector::<u64>::new());
         let q2 = Arc::clone(&q);
         let producer = loom::thread::spawn(move || q2.push(7, Priority::High));
         producer.join().unwrap();
-        // Publication happened-before this thread: the gate must be open
-        // and the element must be there.
-        assert_eq!(
-            q.steal_hot(),
-            Some(7),
-            "hint-gated steal missed published work"
-        );
-        assert_eq!(q.hot_hint(), 0, "hint must return to zero");
+        // Publication happened-before this thread: the element must be
+        // there.
+        assert_eq!(q.steal_hot(), Some(7), "hot steal missed published work");
         assert!(q.is_empty());
     });
 }
 
-/// One hot element, two thieves racing through the hint gate: exactly one
-/// succeeds, the element is neither lost nor duplicated, and the hint
-/// settles back to zero (decrements never exceed increments).
+/// One hot element, two thieves racing for it: exactly one succeeds, and
+/// the element is neither lost nor duplicated.
 #[test]
 fn two_thieves_race_one_hot_element() {
     loom::model(|| {
@@ -58,14 +49,13 @@ fn two_thieves_race_one_hot_element() {
             (Some(42), None) | (None, Some(42)) => {}
             other => panic!("hot element lost or duplicated: {other:?}"),
         }
-        assert_eq!(q.hot_hint(), 0);
         assert!(q.is_empty());
     });
 }
 
 /// Mixed-lane MPMC: a producer pushing into both lanes races two
 /// consumers draining via the hot-first [`PrioInjector::steal`]. Every
-/// element is consumed exactly once and the hint ends at zero.
+/// element is consumed exactly once.
 #[test]
 fn mixed_lanes_no_loss_no_duplication() {
     const N: u64 = 4; // 2 hot + 2 normal
@@ -107,7 +97,6 @@ fn mixed_lanes_no_loss_no_duplication() {
             assert!(seen.insert(v), "element {v} consumed twice");
         }
         assert_eq!(seen.len() as u64, N, "elements lost: {seen:?}");
-        assert_eq!(q.hot_hint(), 0, "hint must settle to zero");
         assert!(q.is_empty());
     });
 }
@@ -138,6 +127,5 @@ fn batch_steal_normal_never_captures_hot() {
         );
         let hot = hot_thief.join().unwrap();
         assert_eq!(hot, Some(100), "single hot thief must win its element");
-        assert_eq!(q.hot_hint(), 0);
     });
 }
